@@ -21,7 +21,7 @@ from .data import (
     map_labels,
     normalize_minmax,
 )
-from .kernels import GramMatrix, KernelSpec, gaussian, gram, kernel_eval, linear
+from .kernels import KernelSpec, gaussian, gram, kernel_eval, linear
 from .metrics import RegressionErrors, classification_accuracy, regression_errors
 from .model_io import SavedModel, load_model, save_model
 from .regressor import (
@@ -59,7 +59,6 @@ __all__ = [
     "BorderedSystem",
     "Dataset",
     "FriedmanReport",
-    "GramMatrix",
     "GridCell",
     "GridResult",
     "GridSpec",

@@ -28,7 +28,11 @@ from .solver import BorderedSystem, SolveReport, check_balance, solve_bordered
 
 @dataclass(frozen=True)
 class TrkmClassifierHyperparams:
-    """Per-class weight-norm (gamma) and hidden-feature (eta) regularizers."""
+    """Weight-norm (gamma) and hidden-feature (eta) regularizers of the two systems.
+
+    TRKM-C and TRKM-R share this class; ``TrkmRegressorHyperparams`` is
+    another name for it.
+    """
 
     gamma1: float
     gamma2: float
@@ -44,7 +48,7 @@ class TrkmClassifierHyperparams:
 
     @classmethod
     def equal_penalty(cls, gamma: float, eta: float, kernel: KernelSpec):
-        """Common convention: same penalties for both class systems."""
+        """Common convention: same penalties for both systems."""
         return cls(gamma, gamma, eta, eta, kernel)
 
 
@@ -75,9 +79,9 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
             f"A has {a.shape[1]} features but B has {b.shape[1]}"
         )
     n1, n2 = a.shape[0], b.shape[0]
-    k_aa = gram(hp.kernel, a, a).values
-    k_ab = gram(hp.kernel, a, b).values
-    k_bb = gram(hp.kernel, b, b).values
+    k_aa = gram(hp.kernel, a, a)
+    k_ab = gram(hp.kernel, a, b)
+    k_bb = gram(hp.kernel, b, b)
 
     sys1 = BorderedSystem(
         core=k_aa / hp.gamma1 + hp.eta1 * np.eye(n1),
@@ -124,8 +128,8 @@ def decision_values(model: TrkmClassifierModel, X) -> tuple[np.ndarray, np.ndarr
             f"X has {x.shape[1]} features, model was trained with {model.A.shape[1]}"
         )
     hp = model.hyperparams
-    k_xa = gram(hp.kernel, x, model.A).values
-    k_xb = gram(hp.kernel, x, model.B).values
+    k_xa = gram(hp.kernel, x, model.A)
+    k_xb = gram(hp.kernel, x, model.B)
     e1 = np.ones(model.A.shape[0])
     e2 = np.ones(model.B.shape[0])
     g1 = (k_xa @ model.h1 - k_xb @ e2) / hp.gamma1 + model.b1
@@ -147,9 +151,9 @@ def slack_vectors(model: TrkmClassifierModel) -> tuple[np.ndarray, np.ndarray]:
     At a stationary point eta_i * h_i equals xi_i.
     """
     hp = model.hyperparams
-    k_aa = gram(hp.kernel, model.A, model.A).values
-    k_ab = gram(hp.kernel, model.A, model.B).values
-    k_bb = gram(hp.kernel, model.B, model.B).values
+    k_aa = gram(hp.kernel, model.A, model.A)
+    k_ab = gram(hp.kernel, model.A, model.B)
+    k_bb = gram(hp.kernel, model.B, model.B)
     e1 = np.ones(model.A.shape[0])
     e2 = np.ones(model.B.shape[0])
     phi_a_w1 = (k_aa @ model.h1 - k_ab @ e2) / hp.gamma1

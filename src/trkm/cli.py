@@ -13,23 +13,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import model_io
-from .classifier import (
-    TrkmClassifierHyperparams,
-    fit_classifier,
-    predict_labels,
-)
+from . import model_io, models
 from .data import (
     CLASSIFY,
     REGRESS,
     Dataset,
     apply_normalization,
     load_csv,
-    load_feature_matrix,
     map_labels,
     normalize_minmax,
     parse_feature_table,
@@ -38,22 +31,15 @@ from .errors import (
     DATA_ERRORS,
     NUMERIC_ERRORS,
     FeatureCountMismatch,
-    IoError,
     ParseError,
 )
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
-from .regressor import (
-    TrkmRegressorHyperparams,
-    fit_regressor,
-    predict_regression,
-)
-from .rkm import fit_rkm, predict_rkm
+from .model_io import write_atomic
+from .models import RKM, TRKM
 from .selection import (
     PENALTY_GRID,
-    RKM,
     SIGMA_GRID,
-    TRKM,
     GridSpec,
     SplitSpec,
     grid_search,
@@ -73,25 +59,8 @@ from .stats import (
 # ---------------------------------------------------------------------------
 # atomic output helpers
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trkm-out-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _out_path(args, name: str) -> str:
@@ -109,20 +78,23 @@ def _kernel_from_args(kernel: str, sigma: float | None) -> KernelSpec:
     return gaussian(sigma)
 
 
+# The label or target column's load_csv argument (and benchmark-config key).
+_COLUMN_KEY = {CLASSIFY: "label_column", REGRESS: "target_column"}
+
+
 def _load_dataset(args) -> Dataset:
-    if args.task == CLASSIFY:
-        if args.label_col is None:
-            raise ParseError("--label-col is required for --task classify")
-        return load_csv(
-            args.data, label_column=_column(args.label_col),
-            delimiter=args.delimiter, header=not args.no_header,
-        )
-    if args.target_col is None:
-        raise ParseError("--target-col is required for --task regress")
-    return load_csv(
-        args.data, target_column=_column(args.target_col),
+    """The training CSV, min-max normalized unless --no-normalize."""
+    flag, column = (
+        ("--label-col", args.label_col) if args.task == CLASSIFY
+        else ("--target-col", args.target_col)
+    )
+    if column is None:
+        raise ParseError(f"{flag} is required for --task {args.task}")
+    dataset = load_csv(
+        args.data, **{_COLUMN_KEY[args.task]: _column(column)},
         delimiter=args.delimiter, header=not args.no_header,
     )
+    return dataset if args.no_normalize else normalize_minmax(dataset)
 
 
 def _column(ref: str):
@@ -133,67 +105,31 @@ def _column(ref: str):
         return ref
 
 
-def _fit_from_params(dataset: Dataset, kind: str, hp_dict: dict, kernel: KernelSpec):
-    """Fit one model on a whole dataset; returns (model, model_io kind)."""
-    if dataset.task == CLASSIFY:
-        if kind == RKM:
-            model = fit_rkm(
-                dataset.X, dataset.target.astype(float),
-                hp_dict["gamma"], hp_dict["eta"], kernel,
-            )
-            return model, model_io.KIND_RKM
-        hp = TrkmClassifierHyperparams(
-            gamma1=hp_dict["gamma"], gamma2=hp_dict.get("gamma2", hp_dict["gamma"]),
-            eta1=hp_dict["eta"], eta2=hp_dict.get("eta2", hp_dict["eta"]),
-            kernel=kernel,
-        )
-        a = dataset.X[dataset.target == 1]
-        b = dataset.X[dataset.target == -1]
-        model = fit_classifier(a, b, hp)
-        return model, model_io.KIND_CLASSIFIER
-    hp = TrkmRegressorHyperparams(
-        gamma1=hp_dict["gamma"], gamma2=hp_dict.get("gamma2", hp_dict["gamma"]),
-        eta1=hp_dict["eta"], eta2=hp_dict.get("eta2", hp_dict["eta"]),
-        kernel=kernel,
+def _save(model, dataset: Dataset, path: str) -> str:
+    """Save a model fitted on ``dataset``; returns its model-file kind."""
+    kind = models.of_model(model).kind
+    model_io.save_model(
+        model_io.SavedModel(
+            model=model, kind=kind, task=dataset.task,
+            normalization=dataset.normalization, label_mapping=dataset.label_mapping,
+        ),
+        path,
     )
-    model = fit_regressor(dataset.X, dataset.target, hp)
-    return model, model_io.KIND_REGRESSOR
+    return kind
 
 
-def _predict_with(saved: model_io.SavedModel, x: np.ndarray):
-    if saved.kind == model_io.KIND_CLASSIFIER:
-        return predict_labels(saved.model, x)
-    if saved.kind == model_io.KIND_RKM:
-        return predict_rkm(saved.model, x)
-    return predict_regression(saved.model, x)
-
-
-def _fit_report(model, kind: str) -> str:
-    lines = []
-    if kind == model_io.KIND_RKM:
-        rep = model.fit_diag
-        lines.append(
-            f"system: residual {rep.residual_norm:.3e}, "
-            f"condition estimate {rep.condition_estimate:.3e}"
-        )
-        lines.append(f"balance: sum(h) = {model.h.sum():.9g} (expected 0)")
-        return "\n".join(lines)
-    rep1, rep2 = model.fit_diag
-    if kind == model_io.KIND_CLASSIFIER:
-        names = ("class +1 system", "class -1 system")
-        n1, n2 = model.A.shape[0], model.B.shape[0]
-        expect = (f"{n2}", f"{-n1}")
-    else:
-        names = ("lower-function system", "upper-function system")
-        n = model.X.shape[0]
-        expect = (f"{n}", f"{n}")
-    for name, rep in zip(names, (rep1, rep2)):
-        lines.append(
-            f"{name}: residual {rep.residual_norm:.3e}, "
-            f"condition estimate {rep.condition_estimate:.3e}"
-        )
-    lines.append(f"balance: sum(h1) = {model.h1.sum():.9g} (expected {expect[0]})")
-    lines.append(f"balance: sum(h2) = {model.h2.sum():.9g} (expected {expect[1]})")
+def _fit_report(model) -> str:
+    entry = models.of_model(model)
+    diags = model.fit_diag if isinstance(model.fit_diag, tuple) else (model.fit_diag,)
+    lines = [
+        f"{name}: residual {rep.residual_norm:.3e}, "
+        f"condition estimate {rep.condition_estimate:.3e}"
+        for (name, _), rep in zip(entry.systems, diags)
+    ]
+    lines += [
+        f"balance: sum({h}) = {getattr(model, h).sum():.9g} (expected {expected})"
+        for (_, h), expected in zip(entry.systems, entry.balance(model))
+    ]
     return "\n".join(lines)
 
 
@@ -202,25 +138,17 @@ def _fit_report(model, kind: str) -> str:
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    normalization = None
-    if not args.no_normalize:
-        dataset = normalize_minmax(dataset)
-        normalization = dataset.normalization
     kernel = _kernel_from_args(args.kernel, args.sigma)
-    hp = {"gamma": args.gamma, "eta": args.eta}
+    params = {"gamma": args.gamma, "eta": args.eta}
     if args.gamma2 is not None:
-        hp["gamma2"] = args.gamma2
+        params["gamma2"] = args.gamma2
     if args.eta2 is not None:
-        hp["eta2"] = args.eta2
-    model, kind = _fit_from_params(dataset, args.model_kind, hp, kernel)
-    saved = model_io.SavedModel(
-        model=model, kind=kind, task=dataset.task,
-        normalization=normalization, label_mapping=dataset.label_mapping,
-    )
-    model_io.save_model(saved, args.model_out)
+        params["eta2"] = args.eta2
+    model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
+    kind = _save(model, dataset, args.model_out)
     print(f"task: {dataset.task}  model: {kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
-    print(_fit_report(model, kind))
+    print(_fit_report(model))
     print(f"model written to {args.model_out}")
     return 0
 
@@ -236,19 +164,11 @@ def cmd_predict(args) -> int:
     if args.target_col is not None and saved.task != REGRESS:
         raise ParseError("--target-col given but the model is a classifier")
 
-    raw_truth = None
-    if truth_col is not None:
-        x, raw_truth, _ = parse_feature_table(
-            args.data, _column(truth_col), args.delimiter, not args.no_header
-        )
-    else:
-        x, _ = load_feature_matrix(args.data, args.delimiter, not args.no_header)
-
-    trained_m = (
-        saved.model.A.shape[1]
-        if saved.kind == model_io.KIND_CLASSIFIER
-        else saved.model.X.shape[1]
+    x, raw_truth, _ = parse_feature_table(
+        args.data, None if truth_col is None else _column(truth_col),
+        args.delimiter, not args.no_header,
     )
+    trained_m = models.n_features(saved.model)
     if x.shape[1] != trained_m:
         raise FeatureCountMismatch(
             f"data has {x.shape[1]} feature columns, model expects {trained_m}"
@@ -257,7 +177,7 @@ def cmd_predict(args) -> int:
         dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task)
         x = apply_normalization(dataset, saved.normalization).X
 
-    pred = _predict_with(saved, x)
+    pred = models.predict(saved.model, x)
 
     lines = ["prediction"]
     if saved.task == CLASSIFY and saved.label_mapping is not None:
@@ -265,10 +185,10 @@ def cmd_predict(args) -> int:
         lines += [inverse[int(v)] for v in pred]
     else:
         lines += [repr(float(v)) if saved.task == REGRESS else str(int(v)) for v in pred]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"{len(pred)} predictions written to {args.output}")
 
-    if raw_truth is not None:
+    if truth_col is not None:
         if saved.task == CLASSIFY:
             if saved.label_mapping is not None:
                 lookup = dict(saved.label_mapping)
@@ -302,10 +222,6 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def cmd_gridsearch(args) -> int:
     dataset = _load_dataset(args)
-    normalization = None
-    if not args.no_normalize:
-        dataset = normalize_minmax(dataset)
-        normalization = dataset.normalization
     grid = GridSpec(
         gamma_values=_float_list(args.gamma_grid),
         eta_values=_float_list(args.eta_grid),
@@ -340,13 +256,10 @@ def cmd_gridsearch(args) -> int:
     print(f"best params: {result.best_params}  cv score: {result.best_cv_score:.6g}")
     print(f"grid table written to {args.grid_out}")
 
-    kernel = gaussian(result.best_params["sigma"])
-    model, kind = _fit_from_params(dataset, args.model_kind, result.best_params, kernel)
-    saved = model_io.SavedModel(
-        model=model, kind=kind, task=dataset.task,
-        normalization=normalization, label_mapping=dataset.label_mapping,
+    model = models.fit(
+        args.model_kind, dataset.task, dataset.X, dataset.target, result.best_params
     )
-    model_io.save_model(saved, args.model_out)
+    _save(model, dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
     return 0
 
@@ -354,26 +267,12 @@ def cmd_gridsearch(args) -> int:
 # ---------------------------------------------------------------------------
 # stats reporting shared by `stats` and `benchmark`
 
-def _read_scores_csv(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2 or len(rows[0]) < 3:
+def _read_scores(path: str):
+    """A dataset-by-model score CSV: (model names, dataset names, score matrix)."""
+    matrix, dataset_names, model_names = parse_feature_table(path, 0)
+    if len(model_names) < 2:
         raise ParseError(f"{path}: need a header plus rows of dataset,score,score,...")
-    model_names = [c.strip() for c in rows[0][1:]]
-    dataset_names, matrix = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: line {i} has {len(row)} columns, "
-                             f"expected {len(rows[0])}")
-        dataset_names.append(row[0].strip())
-        try:
-            matrix.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise ParseError(f"{path}: line {i}: non-numeric score") from None
-    return model_names, dataset_names, np.array(matrix, dtype=float)
+    return model_names, dataset_names, matrix
 
 
 def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_value):
@@ -437,12 +336,12 @@ def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_
 
 
 def cmd_stats(args) -> int:
-    model_names, dataset_names, matrix = _read_scores_csv(args.scores_file)
+    model_names, dataset_names, matrix = _read_scores(args.scores_file)
     text, report = _stats_report(
         model_names, dataset_names, matrix,
         args.better, args.q_alpha, args.critical_value,
     )
-    _write_text(_out_path(args, "stats_report.txt"), text)
+    write_atomic(_out_path(args, "stats_report.txt"), text)
     _write_json(_out_path(args, "stats_report.json"), report)
     sys.stdout.write(text)
     print(f"reports written to {_out_path(args, 'stats_report.txt')} and .json")
@@ -462,26 +361,64 @@ def _load_config(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _benchmark_dataset(ds_cfg: dict, cfg: dict, args) -> dict:
+def _checked_models(cfg: dict, task: str) -> list:
+    """Validate a benchmark config before any fitting; ValueError names the bad key.
+
+    Returns (name, kind, fixed params or None, grid or None) per model.
+    """
+    if task not in _COLUMN_KEY:
+        raise ValueError(f"task: expected {CLASSIFY!r} or {REGRESS!r}, got {task!r}")
+    if not cfg.get("datasets"):
+        raise ValueError("datasets: need at least one dataset")
+    for i, ds_cfg in enumerate(cfg["datasets"]):
+        for key in ("path", _COLUMN_KEY[task]):
+            if key not in ds_cfg:
+                raise ValueError(f"datasets[{i}]: missing key {key!r}")
+    entries = cfg.get("models") or []
+    if len(entries) < 2:
+        raise ValueError(f"models: need at least two models to compare, got {len(entries)}")
+    plans = []
+    for i, m_cfg in enumerate(entries):
+        where = f"models[{i}]"
+        if "name" not in m_cfg:
+            raise ValueError(f"{where}: missing key 'name'")
+        kind = m_cfg.get("kind", TRKM)
+        try:
+            models.model_type(kind, task)
+        except ValueError as exc:
+            raise ValueError(f"{where}.kind: {exc}") from None
+        if "fixed" in m_cfg:
+            for key in ("gamma", "eta", "sigma"):
+                if key not in m_cfg["fixed"]:
+                    raise ValueError(f"{where}.fixed: missing key {key!r}")
+            plans.append((m_cfg["name"], kind, dict(m_cfg["fixed"]), None))
+            continue
+        g_cfg = m_cfg.get("grid", {})
+        grid = GridSpec(
+            gamma_values=tuple(g_cfg.get("gamma", PENALTY_GRID)),
+            eta_values=tuple(g_cfg.get("eta", PENALTY_GRID)),
+            sigma_values=tuple(g_cfg.get("sigma", SIGMA_GRID)),
+            equal_penalties=g_cfg.get("equal_penalties", True),
+            folds=g_cfg.get("folds", 5),
+        )
+        plans.append((m_cfg["name"], kind, None, grid))
+    return plans
+
+
+def _benchmark_dataset(ds_cfg: dict, cfg: dict, task: str, plans: list, args) -> dict:
     """Score every configured model on one dataset; returns per-model scores."""
-    task = cfg.get("task", CLASSIFY)
-    if task == CLASSIFY:
-        dataset = load_csv(
-            ds_cfg["path"], label_column=_column(str(ds_cfg["label_column"])),
-            delimiter=ds_cfg.get("delimiter", ","), header=ds_cfg.get("header", True),
-        )
-    else:
-        dataset = load_csv(
-            ds_cfg["path"], target_column=_column(str(ds_cfg["target_column"])),
-            delimiter=ds_cfg.get("delimiter", ","), header=ds_cfg.get("header", True),
-        )
+    column_key = _COLUMN_KEY[task]
+    dataset = load_csv(
+        ds_cfg["path"], **{column_key: _column(str(ds_cfg[column_key]))},
+        delimiter=ds_cfg.get("delimiter", ","), header=ds_cfg.get("header", True),
+    )
     split_cfg = cfg.get("split", {})
     seeds = split_cfg.get("seeds", [cfg.get("seed", args.seed)])
     fraction = split_cfg.get("train_fraction", 0.7)
     stratified = split_cfg.get("stratified", task == CLASSIFY)
     normalize = cfg.get("normalize", True)
 
-    per_model: dict[str, list[float]] = {m["name"]: [] for m in cfg["models"]}
+    per_model: dict[str, list[float]] = {name: [] for name, *_ in plans}
     for seed in seeds:
         train, test = split(
             dataset, SplitSpec(train_fraction=fraction, seed=seed, stratified=stratified)
@@ -489,56 +426,33 @@ def _benchmark_dataset(ds_cfg: dict, cfg: dict, args) -> dict:
         if normalize:
             train = normalize_minmax(train)
             test = apply_normalization(test, train.normalization)
-        for m_cfg in cfg["models"]:
-            kind = m_cfg.get("kind", TRKM)
-            if "fixed" in m_cfg:
-                params = dict(m_cfg["fixed"])
-            else:
-                g_cfg = m_cfg.get("grid", {})
-                grid = GridSpec(
-                    gamma_values=tuple(g_cfg.get("gamma", PENALTY_GRID)),
-                    eta_values=tuple(g_cfg.get("eta", PENALTY_GRID)),
-                    sigma_values=tuple(g_cfg.get("sigma", SIGMA_GRID)),
-                    equal_penalties=g_cfg.get("equal_penalties", True),
-                    folds=g_cfg.get("folds", 5),
-                )
+        for name, kind, params, grid in plans:
+            if grid is not None:
                 params = grid_search(
                     train, grid, task, model_kind=kind,
                     seed=seed, threads=args.threads,
                 ).best_params
-            kernel = gaussian(params["sigma"])
-            model, _ = _fit_from_params(train, kind, params, kernel)
-            if task == CLASSIFY:
-                pred = (
-                    predict_rkm(model, test.X) if kind == RKM
-                    else predict_labels(model, test.X)
-                )
-                score = classification_accuracy(pred, test.target)
-            else:
-                score = regression_errors(
-                    predict_regression(model, test.X), test.target
-                ).rmse
-            per_model[m_cfg["name"]].append(score)
+            model = models.fit(kind, task, train.X, train.target, params)
+            per_model[name].append(models.score(task, models.predict(model, test.X), test.target))
     return {name: float(np.mean(vals)) for name, vals in per_model.items()}
 
 
 def cmd_benchmark(args) -> int:
     if args.scores_file is not None:
-        model_names, dataset_names, matrix = _read_scores_csv(args.scores_file)
+        model_names, dataset_names, matrix = _read_scores(args.scores_file)
         better = args.better
         failures = []
     else:
         cfg = _load_config(args.config)
-        if not cfg.get("datasets") or not cfg.get("models"):
-            raise ParseError(f"{args.config}: need at least one dataset and one model")
         task = cfg.get("task", CLASSIFY)
+        plans = _checked_models(cfg, task)
         better = HIGHER if task == CLASSIFY else LOWER
-        model_names = [m["name"] for m in cfg["models"]]
+        model_names = [name for name, *_ in plans]
         dataset_names, rows, failures = [], [], []
         for ds_cfg in cfg["datasets"]:
             name = ds_cfg.get("name", ds_cfg["path"])
             try:
-                scores = _benchmark_dataset(ds_cfg, cfg, args)
+                scores = _benchmark_dataset(ds_cfg, cfg, task, plans, args)
             except (*DATA_ERRORS, *NUMERIC_ERRORS) as exc:
                 failures.append({"dataset": name, "error": str(exc)})
                 print(f"warning: dataset {name} failed: {exc}", file=sys.stderr)
@@ -552,7 +466,7 @@ def cmd_benchmark(args) -> int:
     scores_lines = ["dataset," + ",".join(model_names)]
     for name, row in zip(dataset_names, matrix):
         scores_lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    _write_text(_out_path(args, "scores.csv"), "\n".join(scores_lines) + "\n")
+    write_atomic(_out_path(args, "scores.csv"), "\n".join(scores_lines) + "\n")
 
     text, report = _stats_report(
         model_names, dataset_names, matrix, better, args.q_alpha, args.critical_value
@@ -562,7 +476,7 @@ def cmd_benchmark(args) -> int:
         text += "failed datasets:\n" + "".join(
             f"  {f['dataset']}: {f['error']}\n" for f in failures
         )
-    _write_text(_out_path(args, "stats_report.txt"), text)
+    write_atomic(_out_path(args, "stats_report.txt"), text)
     _write_json(_out_path(args, "stats_report.json"), report)
     sys.stdout.write(text)
     print(f"score matrix written to {_out_path(args, 'scores.csv')}")
@@ -572,6 +486,16 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trkm",
@@ -579,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "grid search, benchmarking, and comparison statistics.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads for grid evaluation")
     parser.add_argument("--output-dir", default=".", help="directory for result files")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -588,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     # subparser from clobbering the top-level defaults when a flag is absent
     global_opts = argparse.ArgumentParser(add_help=False)
     global_opts.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    global_opts.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    global_opts.add_argument("--threads", type=_thread_count, default=argparse.SUPPRESS)
     global_opts.add_argument("--output-dir", default=argparse.SUPPRESS)
 
     common_data = argparse.ArgumentParser(add_help=False)

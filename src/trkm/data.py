@@ -96,6 +96,8 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
 
     ``column`` selects the label/target column by name (requires a header
     row) or 0-based index; all remaining columns must be numeric features.
+    With ``column=None`` every column is a feature and the token list is
+    empty.
     """
     rows = _read_rows(path, delimiter)
     rows = [r for r in rows if r]  # tolerate trailing blank lines
@@ -110,7 +112,7 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
     if not rows:
         raise ParseError(f"{path}: no data rows")
     arity = len(rows[0])
-    col_idx = _resolve_column(column, names, arity, path)
+    col_idx = None if column is None else _resolve_column(column, names, arity, path)
 
     features: list[list[float]] = []
     raw_targets: list[str] = []
@@ -191,31 +193,8 @@ def _is_float(token: str) -> bool:
 
 def load_feature_matrix(path: str, delimiter: str = ",", header: bool = True):
     """Load a feature-only CSV (no label/target column); returns (X, names)."""
-    rows = [r for r in _read_rows(path, delimiter) if r]
-    names = None
-    first_data_line = 1
-    if header:
-        if not rows:
-            raise ParseError(f"{path}: empty file")
-        names = tuple(c.strip() for c in rows[0])
-        rows = rows[1:]
-        first_data_line = 2
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    arity = len(rows[0])
-    out = []
-    for i, row in enumerate(rows):
-        line = first_data_line + i
-        if len(row) != arity:
-            raise ParseError(f"{path}: line {line} has {len(row)} columns, expected {arity}")
-        try:
-            out.append([float(c) for c in row])
-        except ValueError:
-            bad = next(j for j, c in enumerate(row) if not _is_float(c))
-            raise NonNumericFeature(
-                f"{path}: line {line}, column {bad + 1}: {row[bad]!r} is not numeric"
-            ) from None
-    return np.array(out, dtype=float), names
+    x, _, names = parse_feature_table(path, None, delimiter, header)
+    return x, names
 
 
 def normalize_minmax(dataset: Dataset) -> Dataset:

@@ -4,8 +4,7 @@ Gaussian entries are computed from the per-pair squared distance
 ``sum((x_i - y_i)**2)`` directly; the usual ``|x|^2 + |y|^2 - 2 x.y``
 expansion loses precision for near-identical points and would break the
 unit-diagonal invariant. Every entry is reduced independently and in the
-same order, so ``gram(s, a, b).values`` equals ``gram(s, b, a).values.T``
-bitwise.
+same order, so ``gram(s, a, b)`` equals ``gram(s, b, a).T`` bitwise.
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ def linear() -> KernelSpec:
     return KernelSpec(LINEAR)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Dense matrix of pairwise kernel values, plus its two row counts."""
-
-    values: np.ndarray
-    left_rows: int
-    right_rows: int
-
-
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate the kernel on a single pair of feature vectors."""
     xv = as_vector(x, "x")
@@ -69,7 +59,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(np.exp(-np.sum(d * d) / (2.0 * spec.sigma * spec.sigma)))
 
 
-def gram(spec: KernelSpec, left, right) -> GramMatrix:
+def gram(spec: KernelSpec, left, right) -> np.ndarray:
     """Assemble the (p x q) matrix of kernel values between two sample sets."""
     lm = as_matrix(left, "left")
     rm = as_matrix(right, "right")
@@ -87,4 +77,4 @@ def gram(spec: KernelSpec, left, right) -> GramMatrix:
         else:
             d = lm[start:stop, None, :] - rm[None, :, :]
             values[start:stop] = np.exp(-np.sum(d * d, axis=2) / (2.0 * spec.sigma * spec.sigma))
-    return GramMatrix(values=values, left_rows=p, right_rows=q)
+    return values

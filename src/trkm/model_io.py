@@ -20,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import TrkmClassifierHyperparams, TrkmClassifierModel
+from . import models
+from .classifier import TrkmClassifierModel
 from .errors import CorruptModel, IoError, VersionMismatch
 from .kernels import KernelSpec
-from .regressor import TrkmRegressorHyperparams, TrkmRegressorModel
+from .models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM  # noqa: F401  (re-exported)
+from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
 
 FORMAT_VERSION = 1
-
-KIND_CLASSIFIER = "trkm_classifier"
-KIND_REGRESSOR = "trkm_regressor"
-KIND_RKM = "rkm"
 
 
 @dataclass(frozen=True)
@@ -72,6 +70,10 @@ def _decode_array(blob) -> np.ndarray:
     return arr.reshape(shape)
 
 
+_ENCODE = {models.ARRAY: _encode_array, models.FLOAT: _hex}
+_DECODE = {models.ARRAY: _decode_array, models.FLOAT: _unhex}
+
+
 def _encode_kernel(spec: KernelSpec) -> dict:
     return {
         "family": spec.family,
@@ -85,42 +87,16 @@ def _decode_kernel(blob) -> KernelSpec:
 
 
 def _payload(saved: SavedModel) -> dict:
+    entry = models.of_kind(saved.kind)
     m = saved.model
-    if saved.kind == KIND_CLASSIFIER:
-        hp = m.hyperparams
-        body = {
-            "hyperparams": {
-                "gamma1": _hex(hp.gamma1), "gamma2": _hex(hp.gamma2),
-                "eta1": _hex(hp.eta1), "eta2": _hex(hp.eta2),
-                "kernel": _encode_kernel(hp.kernel),
-            },
-            "A": _encode_array(m.A), "B": _encode_array(m.B),
-            "h1": _encode_array(m.h1), "b1": _hex(m.b1),
-            "h2": _encode_array(m.h2), "b2": _hex(m.b2),
-        }
-    elif saved.kind == KIND_REGRESSOR:
-        hp = m.hyperparams
-        body = {
-            "hyperparams": {
-                "gamma1": _hex(hp.gamma1), "gamma2": _hex(hp.gamma2),
-                "eta1": _hex(hp.eta1), "eta2": _hex(hp.eta2),
-                "kernel": _encode_kernel(hp.kernel),
-            },
-            "X": _encode_array(m.X), "Y": _encode_array(m.Y),
-            "h1": _encode_array(m.h1), "b1": _hex(m.b1),
-            "h2": _encode_array(m.h2), "b2": _hex(m.b2),
-        }
-    elif saved.kind == KIND_RKM:
-        body = {
-            "hyperparams": {
-                "gamma": _hex(m.gamma), "eta": _hex(m.eta),
-                "kernel": _encode_kernel(m.kernel),
-            },
-            "X": _encode_array(m.X), "y": _encode_array(m.y),
-            "h": _encode_array(m.h), "b": _hex(m.b),
-        }
-    else:
-        raise ValueError(f"unknown model kind {saved.kind!r}")
+    if not isinstance(m, entry.model_class):
+        raise ValueError(f"a {type(m).__name__} cannot be saved as kind {saved.kind!r}")
+    holder = m if entry.hyperparams_class is None else m.hyperparams
+    hyperparams = {name: _hex(getattr(holder, name)) for name in entry.penalties}
+    hyperparams["kernel"] = _encode_kernel(holder.kernel)
+    body = {"hyperparams": hyperparams}
+    for name, encoding in entry.body:
+        body[name] = _ENCODE[encoding](getattr(m, name))
     return {
         "kind": saved.kind,
         "task": saved.task,
@@ -143,19 +119,12 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def save_model(saved: SavedModel, path: str) -> None:
-    """Write the model file atomically."""
-    payload = _payload(saved)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "checksum": _checksum(payload),
-        "payload": payload,
-    }
-    text = json.dumps(doc, indent=1)
+def write_atomic(path: str, text: str) -> None:
+    """Write a text file through a temp file in the same directory and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trkm-model-")
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trkm-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -166,6 +135,17 @@ def save_model(saved: SavedModel, path: str) -> None:
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_model(saved: SavedModel, path: str) -> None:
+    """Write the model file atomically."""
+    payload = _payload(saved)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "checksum": _checksum(payload),
+        "payload": payload,
+    }
+    write_atomic(path, json.dumps(doc, indent=1))
 
 
 def load_model(path: str) -> SavedModel:
@@ -198,6 +178,7 @@ def load_model(path: str) -> SavedModel:
 
 def _reconstruct(payload: dict) -> SavedModel:
     kind = payload["kind"]
+    entry = models.of_kind(kind)
     body = payload["body"]
     normalization = payload.get("normalization")
     if normalization is not None:
@@ -206,42 +187,15 @@ def _reconstruct(payload: dict) -> SavedModel:
     if label_mapping is not None:
         label_mapping = tuple((str(raw), int(code)) for raw, code in label_mapping)
 
-    if kind == KIND_CLASSIFIER:
-        hp_blob = body["hyperparams"]
-        hp = TrkmClassifierHyperparams(
-            gamma1=_unhex(hp_blob["gamma1"]), gamma2=_unhex(hp_blob["gamma2"]),
-            eta1=_unhex(hp_blob["eta1"]), eta2=_unhex(hp_blob["eta2"]),
-            kernel=_decode_kernel(hp_blob["kernel"]),
-        )
-        model = TrkmClassifierModel(
-            A=_decode_array(body["A"]), B=_decode_array(body["B"]),
-            h1=_decode_array(body["h1"]), b1=_unhex(body["b1"]),
-            h2=_decode_array(body["h2"]), b2=_unhex(body["b2"]),
-            hyperparams=hp,
-        )
-    elif kind == KIND_REGRESSOR:
-        hp_blob = body["hyperparams"]
-        hp = TrkmRegressorHyperparams(
-            gamma1=_unhex(hp_blob["gamma1"]), gamma2=_unhex(hp_blob["gamma2"]),
-            eta1=_unhex(hp_blob["eta1"]), eta2=_unhex(hp_blob["eta2"]),
-            kernel=_decode_kernel(hp_blob["kernel"]),
-        )
-        model = TrkmRegressorModel(
-            X=_decode_array(body["X"]), Y=_decode_array(body["Y"]),
-            h1=_decode_array(body["h1"]), b1=_unhex(body["b1"]),
-            h2=_decode_array(body["h2"]), b2=_unhex(body["b2"]),
-            hyperparams=hp,
-        )
-    elif kind == KIND_RKM:
-        hp_blob = body["hyperparams"]
-        model = RkmModel(
-            X=_decode_array(body["X"]), y=_decode_array(body["y"]),
-            h=_decode_array(body["h"]), b=_unhex(body["b"]),
-            gamma=_unhex(hp_blob["gamma"]), eta=_unhex(hp_blob["eta"]),
-            kernel=_decode_kernel(hp_blob["kernel"]),
-        )
+    hp_blob = body["hyperparams"]
+    hyperparams = {name: _unhex(hp_blob[name]) for name in entry.penalties}
+    hyperparams["kernel"] = _decode_kernel(hp_blob["kernel"])
+    fields = {name: _DECODE[encoding](body[name]) for name, encoding in entry.body}
+    if entry.hyperparams_class is None:
+        fields.update(hyperparams)
     else:
-        raise CorruptModel(f"unknown model kind {kind!r}")
+        fields["hyperparams"] = entry.hyperparams_class(**hyperparams)
+    model = entry.model_class(**fields)
     task = payload["task"]
     return SavedModel(
         model=model, kind=kind, task=task,

@@ -21,28 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_matrix, as_vector
+from .classifier import TrkmClassifierHyperparams
 from .errors import DimensionMismatch, SingularSystem
-from .kernels import KernelSpec, gram
+from .kernels import gram
 from .solver import BorderedSystem, SolveReport, check_balance, solve_bordered
 
 
-@dataclass(frozen=True)
-class TrkmRegressorHyperparams:
-    gamma1: float
-    gamma2: float
-    eta1: float
-    eta2: float
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        for name in ("gamma1", "gamma2", "eta1", "eta2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {v!r}")
-
-    @classmethod
-    def equal_penalty(cls, gamma: float, eta: float, kernel: KernelSpec):
-        return cls(gamma, gamma, eta, eta, kernel)
+# Both TRKM fits take the same per-system penalties.
+TrkmRegressorHyperparams = TrkmClassifierHyperparams
 
 
 @dataclass(frozen=True)
@@ -65,7 +51,7 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
         raise ValueError(f"need at least 2 samples, got {n}")
     if y.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but Y has length {y.shape[0]}")
-    k = gram(hp.kernel, x, x).values
+    k = gram(hp.kernel, x, x)
     e = np.ones(n)
     ke = k @ e
 
@@ -114,7 +100,7 @@ def regression_components(model: TrkmRegressorModel, X) -> tuple[np.ndarray, np.
             f"X has {x.shape[1]} features, model was trained with {model.X.shape[1]}"
         )
     hp = model.hyperparams
-    kq = gram(hp.kernel, x, model.X).values
+    kq = gram(hp.kernel, x, model.X)
     e = np.ones(model.X.shape[0])
     g1 = (kq @ (e - model.h1)) / hp.gamma1 + model.b1
     g2 = (kq @ (model.h2 - e)) / hp.gamma2 + model.b2
@@ -130,7 +116,7 @@ def predict_regression(model: TrkmRegressorModel, X) -> np.ndarray:
 def slack_vectors(model: TrkmRegressorModel) -> tuple[np.ndarray, np.ndarray]:
     """Fitted error vectors in kernel form; eta_i * h_i equals xi_i at a fit."""
     hp = model.hyperparams
-    k = gram(hp.kernel, model.X, model.X).values
+    k = gram(hp.kernel, model.X, model.X)
     e = np.ones(model.X.shape[0])
     phi_w1 = (k @ (e - model.h1)) / hp.gamma1
     phi_w2 = (k @ (model.h2 - e)) / hp.gamma2

@@ -47,7 +47,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         raise ValueError("labels must be +1 or -1")
     if not np.isfinite(gamma) or gamma <= 0 or not np.isfinite(eta) or eta <= 0:
         raise ValueError("gamma and eta must be strictly positive")
-    k = gram(kernel, x, x).values
+    k = gram(kernel, x, x)
     system = BorderedSystem(
         core=k / gamma + eta * np.eye(n),
         border=np.ones(n),
@@ -75,7 +75,7 @@ def rkm_scores(model: RkmModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"X has {x.shape[1]} features, model was trained with {model.X.shape[1]}"
         )
-    kq = gram(model.kernel, x, model.X).values
+    kq = gram(model.kernel, x, model.X)
     return (kq @ model.h) / model.gamma + model.b
 
 

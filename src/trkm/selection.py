@@ -17,16 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
+from . import models
 from .data import CLASSIFY, REGRESS, Dataset
 from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
-from .kernels import gaussian
-from .metrics import classification_accuracy, regression_errors
-from .regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
-from .rkm import fit_rkm, predict_rkm
-
-TRKM = "trkm"
-RKM = "rkm"
+from .models import TRKM
 
 # Published benchmark search ranges: penalties 10^-5..10^5, bandwidth 2^-5..2^5.
 PENALTY_GRID = tuple(10.0**k for k in range(-5, 6))
@@ -162,33 +156,8 @@ def _grid_points(grid: GridSpec) -> list[dict]:
 
 
 def _fit_score(x_train, y_train, x_valid, y_valid, params, task, model_kind):
-    kernel = gaussian(params["sigma"])
-    if task == CLASSIFY:
-        if model_kind == RKM:
-            m = fit_rkm(x_train, y_train, params["gamma"], params["eta"], kernel)
-            pred = predict_rkm(m, x_valid)
-        else:
-            hp = TrkmClassifierHyperparams(
-                gamma1=params["gamma"],
-                gamma2=params.get("gamma2", params["gamma"]),
-                eta1=params["eta"],
-                eta2=params.get("eta2", params["eta"]),
-                kernel=kernel,
-            )
-            a = x_train[y_train == 1]
-            b = x_train[y_train == -1]
-            m = fit_classifier(a, b, hp)
-            pred = predict_labels(m, x_valid)
-        return classification_accuracy(pred, y_valid)
-    hp = TrkmRegressorHyperparams(
-        gamma1=params["gamma"],
-        gamma2=params.get("gamma2", params["gamma"]),
-        eta1=params["eta"],
-        eta2=params.get("eta2", params["eta"]),
-        kernel=kernel,
-    )
-    m = fit_regressor(x_train, y_train, hp)
-    return regression_errors(predict_regression(m, x_valid), y_valid).rmse
+    model = models.fit(model_kind, task, x_train, y_train, params)
+    return models.score(task, models.predict(model, x_valid), y_valid)
 
 
 def grid_search(
@@ -200,14 +169,9 @@ def grid_search(
     threads: int = 1,
 ) -> GridResult:
     """Evaluate every grid cell by k-fold cross-validation on the training set."""
-    if task not in (CLASSIFY, REGRESS):
-        raise ValueError(f"unknown task {task!r}")
+    models.model_type(model_kind, task)  # ValueError for an unsupported pair
     if task != train_set.task:
         raise ValueError(f"dataset task is {train_set.task!r}, grid search asked for {task!r}")
-    if model_kind not in (TRKM, RKM):
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    if model_kind == RKM and task == REGRESS:
-        raise ValueError("the RKM baseline supports classification only")
     folds = kfold_indices(train_set.n, grid.folds, seed)
     points = _grid_points(grid)
     worst = float("-inf") if task == CLASSIFY else float("inf")

@@ -196,9 +196,9 @@ def test_criterion_4_small_system_brute_force_oracle():
         a, b = rng.normal(size=(n1, m)), rng.normal(size=(n2, m))
         hp = TrkmClassifierHyperparams.equal_penalty(1.4, 0.7, gaussian(1.0))
         model = fit_classifier(a, b, hp)
-        k_aa = gram(hp.kernel, a, a).values
-        k_ab = gram(hp.kernel, a, b).values
-        k_bb = gram(hp.kernel, b, b).values
+        k_aa = gram(hp.kernel, a, a)
+        k_ab = gram(hp.kernel, a, b)
+        k_bb = gram(hp.kernel, b, b)
         e1, e2 = np.ones(n1), np.ones(n2)
         # positive-class system
         aug, rhs = augmented(
@@ -219,7 +219,7 @@ def test_criterion_4_small_system_brute_force_oracle():
         x, y = rng.normal(size=(n, m)), rng.normal(size=n)
         rhp = TrkmRegressorHyperparams.equal_penalty(0.9, 1.8, gaussian(1.0))
         rmodel = fit_regressor(x, y, rhp)
-        k = gram(rhp.kernel, x, x).values
+        k = gram(rhp.kernel, x, x)
         e = np.ones(n)
         # lower-function system (negated border column)
         aug, rhs = augmented(

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,9 +75,30 @@ def test_predict_regressor_prints_four_metrics(tmp_path, sine_csv, capsys):
         assert key in out
 
 
-def test_missing_required_flag_exits_2(capsys):
-    assert run("train", "--task", "classify") == 2
-    assert "usage" in capsys.readouterr().err
+def test_missing_required_flag_exits_2(tmp_path, capsys):
+    for argv in (
+        ("train", "--task", "classify"),
+        ("--threads", "-3", "gridsearch", "--task", "classify",
+         "--data", str(tmp_path / "d.csv"), "--label-col", "label"),
+    ):
+        assert run(*argv) == 2
+        assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--gamma", "1", "--eta", "1", "--sigma", "1"],
+    ["gridsearch", "--gamma-grid", "1", "--eta-grid", "1", "--sigma-grid", "1", "--folds", "2"],
+])
+def test_rkm_regression_is_refused(tmp_path, sine_csv, capsys, command):
+    model_out = tmp_path / "m.json"
+    assert run(
+        "--output-dir", str(tmp_path), *command,
+        "--task", "regress", "--model-kind", "rkm",
+        "--data", sine_csv, "--target-col", "target", "--model-out", str(model_out),
+    ) == 2
+    err = capsys.readouterr().err
+    assert "'rkm'" in err and "'regress'" in err
+    assert not model_out.exists()
 
 
 def test_unreadable_data_exits_3(tmp_path, capsys):
@@ -268,3 +290,33 @@ def test_benchmark_is_byte_identical_across_reruns(tmp_path):
         a = (outs[0] / fname).read_bytes()
         b = (outs[1] / fname).read_bytes()
         assert a == b, fname
+
+
+def _regression_config(cfg):
+    cfg["task"] = "regress"
+    cfg["split"]["stratified"] = False
+    for ds in cfg["datasets"]:
+        ds["target_column"] = ds.pop("label_column")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg["models"][1].update(kind="svm"), ["kind", "'svm'"]),
+    (_regression_config, ["kind", "'rkm'", "'regress'"]),
+    (lambda cfg: cfg["models"][0]["fixed"].pop("gamma"), ["fixed", "'gamma'"]),
+    (lambda cfg: cfg["models"][1]["fixed"].pop("eta"), ["fixed", "'eta'"]),
+    (lambda cfg: cfg["models"][0]["fixed"].pop("sigma"), ["fixed", "'sigma'"]),
+    (lambda cfg: cfg["datasets"][1].pop("path"), ["datasets[1]", "'path'"]),
+    (lambda cfg: cfg["datasets"][0].pop("label_column"), ["datasets[0]", "'label_column'"]),
+    (lambda cfg: cfg["models"].pop(), ["models", "two"]),
+], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
+        "no-path", "no-label-column", "one-model"])
+def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
+    cfg_path = tmp_path / "bench.json"
+    cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())
+    edit(cfg)
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +209,27 @@ def test_version_bump_is_rejected_before_checksum(tmp_path, rng):
     json.dump(doc, open(path, "w"))
     with pytest.raises(VersionMismatch):
         load_model(path)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("kind", [KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM])
+def test_golden_model_file_loads_resaves_and_predicts(tmp_path, rng, kind):
+    # Saved by the per-kind encoder that the model table replaced, from the
+    # models of fitted_models() with the normalization and labels below.
+    golden = GOLDEN / f"golden_{kind}.json"
+    loaded = load_model(str(golden))
+    assert loaded.kind == kind
+    assert loaded.normalization == ((0.25, 0.75), (-1.0, 1.0))
+    resaved = tmp_path / "m.json"
+    save_model(loaded, str(resaved))
+    assert resaved.read_bytes() == golden.read_bytes()
+
+    classifier, regressor, rkm, x, xr = fitted_models(rng)
+    fresh, data, predict = {
+        KIND_CLASSIFIER: (classifier, x, predict_labels),
+        KIND_REGRESSOR: (regressor, xr, predict_regression),
+        KIND_RKM: (rkm, x, predict_rkm),
+    }[kind]
+    assert predict(loaded.model, data).tobytes() == predict(fresh, data).tobytes()

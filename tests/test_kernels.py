@@ -35,7 +35,7 @@ def test_spec_validation():
 
 def test_gram_same_side_symmetric_unit_diagonal(rng):
     x = rng.normal(size=(9, 4))
-    g = gram(gaussian(1.3), x, x).values
+    g = gram(gaussian(1.3), x, x)
     assert np.array_equal(g, g.T)
     assert np.array_equal(np.diag(g), np.ones(9))
 
@@ -45,15 +45,14 @@ def test_gram_matches_eval_loop(rng):
     left = rng.normal(size=(2, 5))
     right = rng.normal(size=(3, 5))
     g = gram(spec, left, right)
-    assert g.values.shape == (2, 3)
-    assert (g.left_rows, g.right_rows) == (2, 3)
+    assert g.shape == (2, 3)
     for i in range(2):
         for j in range(3):
-            assert g.values[i, j] == kernel_eval(spec, left[i], right[j])
+            assert g[i, j] == kernel_eval(spec, left[i], right[j])
 
 
 def test_gram_linear_identity_rows():
-    g = gram(linear(), np.eye(2), np.eye(2)).values
+    g = gram(linear(), np.eye(2), np.eye(2))
     assert np.array_equal(g, np.eye(2))
 
 
@@ -67,13 +66,13 @@ def test_gram_transpose_exactness(rng, family):
     spec = gaussian(0.9) if family == "gaussian" else linear()
     a = rng.normal(size=(11, 3))
     b = rng.normal(size=(17, 3))
-    assert np.array_equal(gram(spec, a, b).values, gram(spec, b, a).values.T)
+    assert np.array_equal(gram(spec, a, b), gram(spec, b, a).T)
 
 
 def test_gaussian_gram_positive_semidefinite(rng):
     for n in (5, 20, 50):
         x = rng.normal(size=(n, 4))
-        g = gram(gaussian(1.1), x, x).values
+        g = gram(gaussian(1.1), x, x)
         smallest = np.linalg.eigvalsh(g).min()
         assert smallest >= -1e-8
 
@@ -81,7 +80,7 @@ def test_gaussian_gram_positive_semidefinite(rng):
 def test_gaussian_values_in_unit_interval(rng):
     x = rng.normal(size=(12, 3))
     y = rng.normal(size=(8, 3))
-    g = gram(gaussian(2.0), x, y).values
+    g = gram(gaussian(2.0), x, y)
     assert (g > 0).all() and (g <= 1).all()
 
 
@@ -106,12 +105,12 @@ def test_gram_chunking_consistency(rng, monkeypatch):
 
     x = rng.normal(size=(23, 6))
     y = rng.normal(size=(9, 6))
-    full = gram(gaussian(0.6), x, y).values
+    full = gram(gaussian(0.6), x, y)
     monkeypatch.setattr(K, "_BLOCK_ELEMENTS", 60)
-    chunked = gram(gaussian(0.6), x, y).values
+    chunked = gram(gaussian(0.6), x, y)
     assert np.array_equal(full, chunked)
 
 
 def test_gram_empty_left_side(rng):
     g = gram(gaussian(1.0), np.empty((0, 3)), rng.normal(size=(4, 3)))
-    assert g.values.shape == (0, 4)
+    assert g.shape == (0, 4)

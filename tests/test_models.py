@@ -1,0 +1,87 @@
+import importlib
+import importlib.util
+
+import pytest
+
+from trkm import models
+from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
+from trkm.data import CLASSIFY, REGRESS
+from trkm.kernels import gaussian, linear
+from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
+from trkm.rkm import fit_rkm, predict_rkm
+from trkm.synthetic import blobs
+
+from conftest import REPO
+
+PARAMS = {"gamma": 0.5, "eta": 0.25, "sigma": 1.0}
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_regressor_and_classifier_share_one_hyperparams_class():
+    assert TrkmRegressorHyperparams is TrkmClassifierHyperparams
+
+
+def test_table_fits_and_predicts_as_the_model_functions(rng):
+    x, y = blobs(8, 2.0, seed=6)
+    xr, yr = rng.normal(size=(12, 2)), rng.normal(size=12)
+    hp = TrkmClassifierHyperparams(0.5, 2.0, 0.25, 0.125, gaussian(1.0))
+    params = {**PARAMS, "gamma2": 2.0, "eta2": 0.125}
+    cases = [
+        ("trkm", CLASSIFY, x, y, params, fit_classifier(x[y == 1], x[y == -1], hp), predict_labels),
+        ("trkm", REGRESS, xr, yr, params, fit_regressor(xr, yr, hp), predict_regression),
+        ("rkm", CLASSIFY, x, y, PARAMS, fit_rkm(x, y, 0.5, 0.25, gaussian(1.0)), predict_rkm),
+    ]
+    for kind, task, data, target, p, direct, predict in cases:
+        model = models.fit(kind, task, data, target, p)
+        assert type(model) is type(direct)
+        assert models.predict(model, data).tobytes() == predict(direct, data).tobytes()
+        assert models.n_features(model) == data.shape[1]
+
+
+def test_explicit_kernel_replaces_sigma():
+    x, y = blobs(6, 2.0, seed=1)
+    model = models.fit("rkm", CLASSIFY, x, y, {"gamma": 1.0, "eta": 1.0}, linear())
+    assert model.kernel == linear()
+
+
+@pytest.mark.parametrize("kind, task", [("rkm", REGRESS), ("svm", CLASSIFY), ("trkm", "rank")])
+def test_unsupported_pairs_are_refused_by_name(kind, task):
+    x, y = blobs(6, 2.0, seed=1)
+    with pytest.raises(ValueError) as info:
+        models.fit(kind, task, x, y.astype(float), PARAMS)
+    assert repr(kind) in str(info.value) and repr(task) in str(info.value)
+
+
+def test_traced_names_resolve_on_their_modules():
+    import trkm.cli
+    import trkm.selection
+
+    for name in load_spans().TRACED:
+        layer, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"trkm.{layer}"), attr)), name
+    assert trkm.cli.grid_search is trkm.selection.grid_search
+
+
+def test_tracer_sees_fits_and_predicts_made_through_the_table(rng):
+    import trkm.cli  # noqa: F401  (the tracer patches every trkm module)
+
+    x, y = blobs(6, 2.0, seed=1)
+    xr, yr = rng.normal(size=(8, 2)), rng.normal(size=8)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for kind, task, data, target in (
+            ("trkm", CLASSIFY, x, y), ("trkm", REGRESS, xr, yr), ("rkm", CLASSIFY, x, y),
+        ):
+            models.predict(models.fit(kind, task, data, target, PARAMS), data)
+    finally:
+        tracer.uninstall()
+    names = {s["name"] for s in tracer.spans}
+    for layer, fit, predict in load_spans().MODELS:
+        assert {f"{layer}.{fit}", f"{layer}.{predict}"} <= names

@@ -120,7 +120,7 @@ def test_small_instance_matches_full_pivot_oracle(rng):
         y = rng.normal(size=n)
         hp = equal_hp(1.3, 0.6)
         model = fit_regressor(x, y, hp)
-        k = gram(hp.kernel, x, x).values
+        k = gram(hp.kernel, x, x)
         e = np.ones(n)
         a1, b1 = augmented(
             k / hp.gamma1 + hp.eta1 * np.eye(n), e, -1, -y + k @ e / hp.gamma1, n
