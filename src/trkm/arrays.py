@@ -1,6 +1,8 @@
-"""Small array-coercion helpers used by the model modules."""
+"""Small input-checking helpers used by the model modules."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -25,3 +27,8 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def positive_number(value) -> bool:
+    """True for a finite real number above zero; a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < np.inf

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_matrix
-from .errors import DimensionMismatch, EmptyClass, SingularSystem
+from .arrays import as_matrix, positive_number
+from .errors import DimensionMismatch, EmptyClass
 from .kernels import KernelSpec, gram
-from .solver import BorderedSystem, SolveReport, check_balance, solve_bordered
+from .solver import BorderedSystem, SolveReport, solve_bordered
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class TrkmClassifierHyperparams:
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "eta1", "eta2"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
+            if not positive_number(v):
                 raise ValueError(f"{name} must be strictly positive, got {v!r}")
 
     @classmethod
@@ -97,17 +97,8 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
         rhs_top=-(np.ones(n2) + (k_ab.T @ np.ones(n1)) / hp.gamma2),
         rhs_bottom=-float(n1),
     )
-    try:
-        rep1 = solve_bordered(sys1)
-    except SingularSystem as exc:
-        raise SingularSystem(f"class +1 system: {exc}") from exc
-    try:
-        rep2 = solve_bordered(sys2)
-    except SingularSystem as exc:
-        raise SingularSystem(f"class -1 system: {exc}") from exc
-
-    check_balance("class +1 system", rep1.solution[:n1].sum(), float(n2))
-    check_balance("class -1 system", rep2.solution[:n2].sum(), -float(n1))
+    rep1 = solve_bordered(sys1, "class +1 system")
+    rep2 = solve_bordered(sys2, "class -1 system")
     return TrkmClassifierModel(
         A=a,
         B=b,

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import model_io, models
+from .arrays import positive_number
 from .data import (
     CLASSIFY,
     REGRESS,
@@ -119,18 +120,12 @@ def _save(model, dataset: Dataset, path: str) -> str:
 
 
 def _fit_report(model) -> str:
-    entry = models.of_model(model)
-    diags = model.fit_diag if isinstance(model.fit_diag, tuple) else (model.fit_diag,)
-    lines = [
-        f"{name}: residual {rep.residual_norm:.3e}, "
-        f"condition estimate {rep.condition_estimate:.3e}"
-        for (name, _), rep in zip(entry.systems, diags)
-    ]
-    lines += [
-        f"balance: sum({h}) = {getattr(model, h).sum():.9g} (expected {expected})"
-        for (_, h), expected in zip(entry.systems, entry.balance(model))
-    ]
-    return "\n".join(lines)
+    return "\n".join(
+        f"{rep.name}: residual {rep.residual_norm:.3e}, "
+        f"condition estimate {rep.condition_estimate:.3e}, "
+        f"balance sum(h) = {rep.solution[:-1].sum():.9g} (expected {rep.balance_target:g})"
+        for rep in model.fit_diag
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +346,23 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # benchmark
 
+def _expect(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ValueError naming ``where``."""
+    if not isinstance(value, kind):
+        wanted = "an object" if kind is dict else "a list"
+        raise ValueError(f"{where}: expected {wanted}, got {type(value).__name__}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    return _expect(cfg, dict, f"{path}: top level")
 
 
 def _checked_models(cfg: dict, task: str) -> list:
@@ -368,19 +372,21 @@ def _checked_models(cfg: dict, task: str) -> list:
     """
     if task not in _COLUMN_KEY:
         raise ValueError(f"task: expected {CLASSIFY!r} or {REGRESS!r}, got {task!r}")
-    if not cfg.get("datasets"):
+    _expect(cfg.get("split", {}), dict, "split")
+    datasets = _expect(cfg.get("datasets", []), list, "datasets")
+    if not datasets:
         raise ValueError("datasets: need at least one dataset")
-    for i, ds_cfg in enumerate(cfg["datasets"]):
+    for i, ds_cfg in enumerate(datasets):
         for key in ("path", _COLUMN_KEY[task]):
-            if key not in ds_cfg:
+            if key not in _expect(ds_cfg, dict, f"datasets[{i}]"):
                 raise ValueError(f"datasets[{i}]: missing key {key!r}")
-    entries = cfg.get("models") or []
+    entries = _expect(cfg.get("models", []), list, "models")
     if len(entries) < 2:
         raise ValueError(f"models: need at least two models to compare, got {len(entries)}")
     plans = []
     for i, m_cfg in enumerate(entries):
         where = f"models[{i}]"
-        if "name" not in m_cfg:
+        if "name" not in _expect(m_cfg, dict, where):
             raise ValueError(f"{where}: missing key 'name'")
         kind = m_cfg.get("kind", TRKM)
         try:
@@ -388,19 +394,31 @@ def _checked_models(cfg: dict, task: str) -> list:
         except ValueError as exc:
             raise ValueError(f"{where}.kind: {exc}") from None
         if "fixed" in m_cfg:
+            fixed = _expect(m_cfg["fixed"], dict, f"{where}.fixed")
             for key in ("gamma", "eta", "sigma"):
-                if key not in m_cfg["fixed"]:
+                if key not in fixed:
                     raise ValueError(f"{where}.fixed: missing key {key!r}")
-            plans.append((m_cfg["name"], kind, dict(m_cfg["fixed"]), None))
+            for key in ("gamma", "eta", "sigma", "gamma2", "eta2"):
+                if key in fixed and not positive_number(fixed[key]):
+                    raise ValueError(
+                        f"{where}.fixed.{key}: expected a finite positive number, "
+                        f"got {fixed[key]!r}"
+                    )
+            plans.append((m_cfg["name"], kind, dict(fixed), None))
             continue
-        g_cfg = m_cfg.get("grid", {})
-        grid = GridSpec(
-            gamma_values=tuple(g_cfg.get("gamma", PENALTY_GRID)),
-            eta_values=tuple(g_cfg.get("eta", PENALTY_GRID)),
-            sigma_values=tuple(g_cfg.get("sigma", SIGMA_GRID)),
-            equal_penalties=g_cfg.get("equal_penalties", True),
-            folds=g_cfg.get("folds", 5),
-        )
+        g_cfg = _expect(m_cfg.get("grid", {}), dict, f"{where}.grid")
+        values = [
+            tuple(_expect(g_cfg.get(key, list(default)), list, f"{where}.grid.{key}"))
+            for key, default in (("gamma", PENALTY_GRID), ("eta", PENALTY_GRID),
+                                 ("sigma", SIGMA_GRID))
+        ]
+        try:
+            grid = GridSpec(
+                *values, equal_penalties=g_cfg.get("equal_penalties", True),
+                folds=g_cfg.get("folds", 5),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}.grid: {exc}") from None
         plans.append((m_cfg["name"], kind, None, grid))
     return plans
 

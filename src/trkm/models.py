@@ -48,9 +48,7 @@ class ModelType:
     They and the kernel live on ``model.hyperparams`` (an instance of
     ``hyperparams_class``) or, when that is None, on the model itself.
     ``body`` lists the other saved fields in file order with their
-    encodings; its first field holds the stored training rows. ``systems``
-    names each bordered system with its dual vector, and ``balance(model)``
-    gives the sums those vectors must have.
+    encodings; its first field holds the stored training rows.
     """
 
     kind: str
@@ -60,8 +58,6 @@ class ModelType:
     hyperparams_class: type | None
     penalties: tuple[str, ...]
     body: tuple[tuple[str, str], ...]
-    systems: tuple[tuple[str, str], ...]
-    balance: Callable[[object], tuple[int, ...]]
     fit: Callable[[np.ndarray, np.ndarray, dict, KernelSpec], object]
     predict: Callable[[object, np.ndarray], np.ndarray]
 
@@ -84,8 +80,6 @@ MODEL_TYPES = (
         penalties=_TWIN_PENALTIES,
         body=(("A", ARRAY), ("B", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
-        systems=(("class +1 system", "h1"), ("class -1 system", "h2")),
-        balance=lambda m: (m.B.shape[0], -m.A.shape[0]),
         fit=lambda x, y, params, kernel: classifier.fit_classifier(
             x[y == 1], x[y == -1], _twin_hyperparams(params, kernel)
         ),
@@ -97,8 +91,6 @@ MODEL_TYPES = (
         penalties=_TWIN_PENALTIES,
         body=(("X", ARRAY), ("Y", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
-        systems=(("lower-function system", "h1"), ("upper-function system", "h2")),
-        balance=lambda m: (m.X.shape[0], m.X.shape[0]),
         fit=lambda x, y, params, kernel: regressor.fit_regressor(
             x, y, _twin_hyperparams(params, kernel)
         ),
@@ -109,8 +101,6 @@ MODEL_TYPES = (
         model_class=RkmModel, hyperparams_class=None,
         penalties=("gamma", "eta"),
         body=(("X", ARRAY), ("y", ARRAY), ("h", ARRAY), ("b", FLOAT)),
-        systems=(("system", "h"),),
-        balance=lambda m: (0,),
         fit=lambda x, y, params, kernel: rkm.fit_rkm(
             x, y, params["gamma"], params["eta"], kernel
         ),

@@ -22,9 +22,9 @@ import numpy as np
 
 from .arrays import as_matrix, as_vector
 from .classifier import TrkmClassifierHyperparams
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch
 from .kernels import gram
-from .solver import BorderedSystem, SolveReport, check_balance, solve_bordered
+from .solver import BorderedSystem, SolveReport, solve_bordered
 
 
 # Both TRKM fits take the same per-system penalties.
@@ -69,17 +69,8 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
         rhs_top=y + ke / hp.gamma2,
         rhs_bottom=float(n),
     )
-    try:
-        rep1 = solve_bordered(sys1)
-    except SingularSystem as exc:
-        raise SingularSystem(f"lower-function system: {exc}") from exc
-    try:
-        rep2 = solve_bordered(sys2)
-    except SingularSystem as exc:
-        raise SingularSystem(f"upper-function system: {exc}") from exc
-
-    check_balance("lower-function system", rep1.solution[:n].sum(), float(n))
-    check_balance("upper-function system", rep2.solution[:n].sum(), float(n))
+    rep1 = solve_bordered(sys1, "lower-function system")
+    rep2 = solve_bordered(sys2, "upper-function system")
     return TrkmRegressorModel(
         X=x,
         Y=y,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_matrix, as_vector
+from .arrays import as_matrix, as_vector, positive_number
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gram
-from .solver import BorderedSystem, SolveReport, check_balance, solve_bordered
+from .solver import BorderedSystem, SolveReport, solve_bordered
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class RkmModel:
     gamma: float
     eta: float
     kernel: KernelSpec
-    fit_diag: SolveReport | None = None
+    fit_diag: tuple[SolveReport] | None = None
 
 
 def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
@@ -45,7 +45,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         raise DimensionMismatch(f"X has {n} rows but y has length {yv.shape[0]}")
     if not np.all(np.isin(yv, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if not np.isfinite(gamma) or gamma <= 0 or not np.isfinite(eta) or eta <= 0:
+    if not (positive_number(gamma) and positive_number(eta)):
         raise ValueError("gamma and eta must be strictly positive")
     k = gram(kernel, x, x)
     system = BorderedSystem(
@@ -55,8 +55,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         rhs_top=yv,
         rhs_bottom=0.0,
     )
-    rep = solve_bordered(system)
-    check_balance("rkm system", rep.solution[:n].sum(), 0.0)
+    rep = solve_bordered(system, "rkm system")
     return RkmModel(
         X=x,
         y=yv,
@@ -65,7 +64,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         gamma=gamma,
         eta=eta,
         kernel=kernel,
-        fit_diag=rep,
+        fit_diag=(rep,),
     )
 
 

@@ -12,12 +12,14 @@ sigma inner, each ascending).
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models
+from .arrays import positive_number
 from .data import CLASSIFY, REGRESS, Dataset
 from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
 from .models import TRKM
@@ -47,10 +49,14 @@ class GridSpec:
     folds: int = 5
 
     def __post_init__(self):
-        if not self.gamma_values or not self.eta_values or not self.sigma_values:
-            raise ValueError("grid value lists must be non-empty")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        for name in ("gamma_values", "eta_values", "sigma_values"):
+            values = getattr(self, name)
+            if not values or not all(map(positive_number, values)):
+                raise ValueError(
+                    f"{name}: expected a non-empty list of finite positive numbers, got {values!r}"
+                )
+        if not isinstance(self.folds, numbers.Integral) or self.folds < 2:
+            raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
 
 
 @dataclass(frozen=True)

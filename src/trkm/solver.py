@@ -6,11 +6,11 @@ Every fit in this package reduces to an (n+1) x (n+1) system of the form
     [ border^T         0            ] [ x_bottom ] = [ rhs_bottom ]
 
 where ``core`` is a regularized kernel block and ``border`` is a ones
-vector enforcing a balance constraint. The bordered column breaks the
-symmetry of the augmented matrix, so we factor the full augmented matrix
-with partially pivoted LU rather than exploiting core symmetry. One or two
-rounds of iterative refinement keep the residual near machine level even
-for extreme regularizer choices.
+vector enforcing the balance constraint border . x_top = rhs_bottom. The
+bordered column breaks the symmetry of the augmented matrix, so we factor
+the full augmented matrix with partially pivoted LU rather than exploiting
+core symmetry. One or two rounds of iterative refinement keep the residual
+near machine level even for extreme regularizer choices.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ RELATIVE_PIVOT_FLOOR = 1e-12
 
 # Guaranteed residual bound of a successful solve: 1e-8 * max(1, |b|_inf).
 RESIDUAL_RTOL = 1e-8
+
+# Balance bound of a successful solve: |border.x_top - rhs_bottom| <= 1e-6 * max(1, |rhs_bottom|).
+BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
 
@@ -52,11 +55,14 @@ class SolveReport:
     ``residual_norm`` is the max-abs residual of the assembled augmented
     system (never of the factored form); ``condition_estimate`` is a cheap
     LAPACK 1-norm estimate, reported but never used for gating.
+    ``balance_target`` is the system's ``rhs_bottom``.
     """
 
     solution: np.ndarray
     residual_norm: float
     condition_estimate: float
+    name: str
+    balance_target: float
 
 
 def _validated(system: BorderedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -91,18 +97,6 @@ def assemble(system: BorderedSystem) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def check_balance(which: str, total: float, expected: float) -> None:
-    """Verify a bottom-row balance constraint sum(h) = expected after a solve.
-
-    Every fit in this package carries one; a violation beyond 1e-6 (relative
-    to the expected count) means the solve silently went bad.
-    """
-    if abs(total - expected) > 1e-6 * max(1.0, abs(expected)):
-        raise SingularSystem(
-            f"{which}: balance sum(h) = {total!r} deviates from {expected!r}"
-        )
-
-
 def residual(system: BorderedSystem, x) -> float:
     """Max-abs residual ``|A x - b|_inf`` of the assembled system."""
     a, b = assemble(system)
@@ -113,11 +107,12 @@ def residual(system: BorderedSystem, x) -> float:
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def solve_bordered(system: BorderedSystem) -> SolveReport:
-    """Solve the bordered system by LU with partial pivoting.
+def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
+    """Solve the bordered system named ``name`` by LU with partial pivoting.
 
-    Raises SingularSystem when a pivot falls below the relative floor or
-    the refined residual cannot meet the documented bound.
+    Raises SingularSystem, its message prefixed with ``name``, when a pivot
+    falls below the relative floor, the refined residual cannot meet the
+    documented bound, or the solution misses the balance row.
     """
     a, b = assemble(system)
     with warnings.catch_warnings():
@@ -129,7 +124,7 @@ def solve_bordered(system: BorderedSystem) -> SolveReport:
     largest = float(pivots.max()) if pivots.size else 0.0
     if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
         raise SingularSystem(
-            f"pivot {pivots.min():.3e} below relative threshold "
+            f"{name}: pivot {pivots.min():.3e} below relative threshold "
             f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
         )
     x = lu_solve((lu, piv), b, check_finite=False)
@@ -143,11 +138,16 @@ def solve_bordered(system: BorderedSystem) -> SolveReport:
     res_norm = float(np.max(np.abs(res)))
     if res_norm > tol:
         raise SingularSystem(
-            f"residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
+            f"{name}: residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
             "system is effectively singular"
+        )
+    total, target = float(a[-1, :-1] @ x[:-1]), float(b[-1])
+    if abs(total - target) > BALANCE_RTOL * max(1.0, abs(target)):
+        raise SingularSystem(
+            f"{name}: balance border.h = {total!r} deviates from {target!r}"
         )
     (gecon,) = get_lapack_funcs(("gecon",), (a,))
     anorm = float(np.max(np.abs(a).sum(axis=0))) if a.size else 0.0
     rcond, _ = gecon(lu, anorm, norm="1")
     cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
-    return SolveReport(solution=x, residual_norm=res_norm, condition_estimate=cond)
+    return SolveReport(x, res_norm, cond, name, target)

@@ -190,6 +190,25 @@ def test_gridsearch_table_is_deterministic(tmp_path, blob_csv):
     assert open(out1).read() == open(out2).read()
 
 
+@pytest.mark.parametrize("case, model_kind, task, data, column", [
+    ("trkm_classify", "trkm", "classify", "crossplane130.csv", ("--label-col", "label")),
+    ("rkm_classify", "rkm", "classify", "crossplane130.csv", ("--label-col", "label")),
+    ("trkm_regress", "trkm", "regress", "sine.csv", ("--target-col", "target")),
+])
+def test_gridsearch_writes_golden_files(tmp_path, case, model_kind, task, data, column):
+    # The golden files were written by an earlier version of the program with
+    # this command; a change to any grid score or saved float shows here.
+    assert run(
+        "--output-dir", str(tmp_path),
+        "gridsearch", "--task", task, "--model-kind", model_kind,
+        "--data", str(DATA_DIR / "synthetic" / data), *column,
+        "--gamma-grid", "0.01,1,100", "--eta-grid", "0.01,1,100", "--sigma-grid", "0.125,1,8",
+    ) == 0
+    golden = Path(__file__).parent / "data" / "gridsearch" / case
+    for name in ("grid_results.json", "model.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_stats_command_replicates_published_tables(tmp_path, capsys):
     scores = str(DATA_DIR / "reference" / "classification_accuracy.csv")
     assert run(
@@ -299,6 +318,10 @@ def _regression_config(cfg):
         ds["target_column"] = ds.pop("label_column")
 
 
+def _grid_model(cfg, grid):
+    cfg["models"][0] = {"name": "TRKM-C", "kind": "trkm", "grid": grid}
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda cfg: cfg["models"][1].update(kind="svm"), ["kind", "'svm'"]),
     (_regression_config, ["kind", "'rkm'", "'regress'"]),
@@ -308,13 +331,23 @@ def _regression_config(cfg):
     (lambda cfg: cfg["datasets"][1].pop("path"), ["datasets[1]", "'path'"]),
     (lambda cfg: cfg["datasets"][0].pop("label_column"), ["datasets[0]", "'label_column'"]),
     (lambda cfg: cfg["models"].pop(), ["models", "two"]),
+    (lambda cfg: [1, 2], ["top level", "object"]),
+    (lambda cfg: cfg["datasets"].__setitem__(1, "ds1.csv"), ["datasets[1]", "object"]),
+    (lambda cfg: cfg["models"].__setitem__(0, "TRKM-C"), ["models[0]", "object"]),
+    (lambda cfg: _grid_model(cfg, {"gamma": ["x"]}), ["models[0].grid", "gamma_values", "'x'"]),
+    (lambda cfg: _grid_model(cfg, {"folds": 1.5}), ["models[0].grid", "folds", "1.5"]),
+    (lambda cfg: cfg["models"][1]["fixed"].update(gamma=-1), ["models[1].fixed.gamma", "-1"]),
+    (lambda cfg: cfg["models"][0]["fixed"].update(gamma="1"), ["models[0].fixed.gamma", "'1'"]),
+    (lambda cfg: cfg["models"][0]["fixed"].update(eta2=0), ["models[0].fixed.eta2", "0"]),
 ], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
-        "no-path", "no-label-column", "one-model"])
+        "no-path", "no-label-column", "one-model", "top-level-array",
+        "dataset-not-object", "model-not-object", "grid-not-number", "fractional-folds",
+        "fixed-negative-gamma", "fixed-string-gamma", "fixed-zero-eta2"])
 def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
     cfg_path = tmp_path / "bench.json"
     cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())
-    edit(cfg)
-    cfg_path.write_text(json.dumps(cfg))
+    edited = edit(cfg)  # an edit that returns a list replaces the whole config
+    cfg_path.write_text(json.dumps(edited if isinstance(edited, list) else cfg))
     out = tmp_path / "out"
     assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 2
     err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trkm.errors import DimensionMismatch
+from trkm.errors import DimensionMismatch, SingularSystem
 from trkm.kernels import gaussian, linear
 from trkm.metrics import classification_accuracy
 from trkm.rkm import RkmModel, fit_rkm, predict_rkm, rkm_scores
@@ -93,3 +93,10 @@ def test_preconditions(rng):
     model = fit_rkm(x, np.where(np.arange(len(x)) % 2, 1.0, -1.0), 1.0, 1.0, linear())
     with pytest.raises(DimensionMismatch):
         predict_rkm(model, rng.normal(size=(2, x.shape[1] + 2)))
+
+
+def test_singular_fit_names_the_rkm_system():
+    # identical points and extreme penalties make the system rank deficient
+    x = np.zeros((3, 2))
+    with pytest.raises(SingularSystem, match="^rkm system: "):
+        fit_rkm(x, np.array([1.0, -1.0, 1.0]), 1e300, 1e-300, linear())

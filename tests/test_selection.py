@@ -100,6 +100,13 @@ def test_grid_spec_validation():
         GridSpec(gamma_values=(), eta_values=(1.0,), sigma_values=(1.0,))
     with pytest.raises(ValueError):
         GridSpec(folds=1)
+    for name, bad in [("gamma_values", "x"), ("eta_values", -1.0),
+                      ("sigma_values", float("nan")), ("gamma_values", True)]:
+        with pytest.raises(ValueError, match=f"^{name}: .*{bad!r}"):
+            GridSpec(**{name: (1.0, bad)})
+    for folds in (2.0, "5", True):
+        with pytest.raises(ValueError, match="folds"):
+            GridSpec(folds=folds)
 
 
 def test_default_grids_match_protocol_ranges():

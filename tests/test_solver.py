@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trkm.errors import DimensionMismatch, SingularSystem
+import trkm.solver
 from trkm.solver import BorderedSystem, assemble, residual, solve_bordered
 
 from oracles import solve_full_pivot
@@ -29,23 +30,23 @@ def random_system(rng, n, sign=None):
 
 
 def test_identity_core_symmetric_rhs():
-    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0))
+    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0), "test system")
     assert np.allclose(rep.solution, [1.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_hand_eliminated_three_by_three():
-    rep = solve_bordered(system([[2, 0], [0, 2]], [1, 1], +1, [3, 1], 2.0))
+    rep = solve_bordered(system([[2, 0], [0, 2]], [1, 1], +1, [3, 1], 2.0), "test system")
     assert np.allclose(rep.solution, [1.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_zero_row_with_zero_border_is_singular():
-    with pytest.raises(SingularSystem):
-        solve_bordered(system([[1, 0], [0, 0]], [1, 0], +1, [1, 1], 1.0))
+    with pytest.raises(SingularSystem, match="^test system: pivot"):
+        solve_bordered(system([[1, 0], [0, 0]], [1, 0], +1, [1, 1], 1.0), "test system")
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve_bordered(system(np.eye(3), [1, 1], +1, [1, 1, 1], 0.0))
+        solve_bordered(system(np.eye(3), [1, 1], +1, [1, 1, 1], 0.0), "test system")
     with pytest.raises(DimensionMismatch):
         residual(system(np.eye(2), [1, 1], +1, [1, 1], 0.0), [1, 2])
 
@@ -84,7 +85,7 @@ def test_solve_then_residual_bound():
     rng = np.random.default_rng(0)
     for _ in range(50):
         s = random_system(rng, int(rng.integers(1, 25)))
-        rep = solve_bordered(s)
+        rep = solve_bordered(s, "test system")
         _, b = assemble(s)
         bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
         assert rep.residual_norm <= bound
@@ -101,8 +102,8 @@ def test_permutation_equivariance():
             s.core[np.ix_(perm, perm)], s.border[perm], s.border_sign,
             s.rhs_top[perm], s.rhs_bottom,
         )
-        base = solve_bordered(s).solution
-        other = solve_bordered(permuted).solution
+        base = solve_bordered(s, "test system").solution
+        other = solve_bordered(permuted, "test system").solution
         assert np.allclose(other[:n], base[perm], atol=1e-9)
         assert other[n] == pytest.approx(base[n], abs=1e-9)
 
@@ -114,11 +115,27 @@ def test_matches_full_pivot_oracle_small():
         s = random_system(rng, n)
         a, b = assemble(s)
         expected = solve_full_pivot(a, b)
-        got = solve_bordered(s).solution
+        got = solve_bordered(s, "test system").solution
         assert np.allclose(got, expected, atol=1e-9)
 
 
 def test_report_carries_condition_estimate():
-    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0))
+    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0), "test system")
     assert np.isfinite(rep.condition_estimate)
     assert rep.condition_estimate >= 1.0
+    assert rep.name == "test system" and rep.balance_target == 2.0
+
+
+def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
+    # A 1e-5 error in h passes the residual bound 1e-8 * 1e4 of this system
+    # but not the balance bound 1e-6, so only the balance gate can catch it.
+    exact = trkm.solver.lu_solve
+
+    def off_by_1e5(*args, **kwargs):
+        x = exact(*args, **kwargs)
+        x[0] += 1e-5
+        return x
+
+    monkeypatch.setattr(trkm.solver, "lu_solve", off_by_1e5)
+    with pytest.raises(SingularSystem, match="^test system: balance"):
+        solve_bordered(system(np.eye(2), [1, 1], +1, [1e4, 1e4], 0.0), "test system")
