@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .data import (
     map_labels,
     normalize_minmax,
     parse_feature_table,
+    parse_targets,
 )
 from .errors import (
     DATA_ERRORS,
@@ -106,17 +109,10 @@ def _column(ref: str):
         return ref
 
 
-def _save(model, dataset: Dataset, path: str) -> str:
-    """Save a model fitted on ``dataset``; returns its model-file kind."""
-    kind = models.of_model(model).kind
-    model_io.save_model(
-        model_io.SavedModel(
-            model=model, kind=kind, task=dataset.task,
-            normalization=dataset.normalization, label_mapping=dataset.label_mapping,
-        ),
-        path,
-    )
-    return kind
+def _save(model, dataset: Dataset, path: str) -> None:
+    """Save a model fitted on ``dataset``."""
+    saved = model_io.SavedModel(model, dataset.normalization, dataset.label_mapping)
+    model_io.save_model(saved, path)
 
 
 def _fit_report(model) -> str:
@@ -140,8 +136,8 @@ def cmd_train(args) -> int:
     if args.eta2 is not None:
         params["eta2"] = args.eta2
     model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
-    kind = _save(model, dataset, args.model_out)
-    print(f"task: {dataset.task}  model: {kind}")
+    _save(model, dataset, args.model_out)
+    print(f"task: {dataset.task}  model: {models.of_model(model).kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
     print(_fit_report(model))
     print(f"model written to {args.model_out}")
@@ -168,6 +164,18 @@ def cmd_predict(args) -> int:
         raise FeatureCountMismatch(
             f"data has {x.shape[1]} feature columns, model expects {trained_m}"
         )
+    if truth_col is None:
+        truth = None
+    elif saved.task == REGRESS:
+        truth = parse_targets(args.data, raw_truth)
+    elif saved.label_mapping is None:
+        truth, _ = map_labels(raw_truth)
+    else:
+        lookup = dict(saved.label_mapping)
+        unknown = sorted({t for t in raw_truth if t not in lookup})
+        if unknown:
+            raise ParseError(f"truth labels {unknown} unknown to the model")
+        truth = np.array([lookup[t] for t in raw_truth], dtype=np.int64)
     if saved.normalization is not None:
         dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task)
         x = apply_normalization(dataset, saved.normalization).X
@@ -183,25 +191,14 @@ def cmd_predict(args) -> int:
     write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"{len(pred)} predictions written to {args.output}")
 
-    if truth_col is not None:
-        if saved.task == CLASSIFY:
-            if saved.label_mapping is not None:
-                lookup = dict(saved.label_mapping)
-                unknown = sorted({t for t in raw_truth if t not in lookup})
-                if unknown:
-                    raise ParseError(f"truth labels {unknown} unknown to the model")
-                truth = np.array([lookup[t] for t in raw_truth], dtype=np.int64)
-            else:
-                truth, _ = map_labels(raw_truth)
-            acc = classification_accuracy(pred, truth)
-            print(f"accuracy: {acc:.4f}%")
-        else:
-            truth = np.array([float(t) for t in raw_truth])
-            err = regression_errors(pred, truth)
-            print(f"rmse: {err.rmse:.8g}")
-            print(f"mae: {err.mae:.8g}")
-            print(f"pos_error: {err.pos_error:.8g}")
-            print(f"neg_error: {err.neg_error:.8g}")
+    if truth is not None and saved.task == CLASSIFY:
+        print(f"accuracy: {classification_accuracy(pred, truth):.4f}%")
+    elif truth is not None:
+        err = regression_errors(pred, truth)
+        print(f"rmse: {err.rmse:.8g}")
+        print(f"mae: {err.mae:.8g}")
+        print(f"pos_error: {err.pos_error:.8g}")
+        print(f"neg_error: {err.neg_error:.8g}")
     return 0
 
 
@@ -235,15 +232,7 @@ def cmd_gridsearch(args) -> int:
         "folds": grid.folds,
         "best_params": result.best_params,
         "best_cv_score": result.best_cv_score,
-        "cells": [
-            {
-                "params": cell.params,
-                "mean_score": cell.mean_score,
-                "fold_scores": list(cell.fold_scores),
-                "error": cell.error,
-            }
-            for cell in result.table
-        ],
+        "cells": [asdict(cell) for cell in result.table],
     }
     _write_json(args.grid_out, blob)
     print(f"evaluated {len(result.table)} grid cells "
@@ -270,7 +259,8 @@ def _read_scores(path: str):
     return model_names, dataset_names, matrix
 
 
-def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_value):
+def _write_stats_report(args, model_names, dataset_names, matrix, better, failures=None) -> None:
+    """Write and echo the stats report; ``failures`` lists a benchmark's unscored datasets."""
     ranks = rank_models(matrix, better)
     report = {
         "better": better,
@@ -289,7 +279,7 @@ def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_
         lines.append(f"  {name:<24s} {rank:.4f}")
 
     if n_datasets >= 2:
-        fr = friedman_test(ranks, critical_value)
+        fr = friedman_test(ranks, args.critical_value)
         report["friedman"] = {
             "chi2": fr.chi2, "ff": fr.ff, "df1": fr.df1, "df2": fr.df2,
             "critical_value": fr.critical_value, "reject_null": fr.reject_null,
@@ -297,11 +287,11 @@ def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_
         lines.append("")
         lines.append(f"friedman: chi2 = {fr.chi2:.4f}, F = {fr.ff:.4f} "
                      f"(df {fr.df1}, {fr.df2})")
-        if critical_value is not None:
+        if args.critical_value is not None:
             verdict = "rejected" if fr.reject_null else "not rejected"
-            lines.append(f"null hypothesis {verdict} at critical value {critical_value:g}")
+            lines.append(f"null hypothesis {verdict} at critical value {args.critical_value:g}")
 
-    q = q_alpha if q_alpha is not None else NEMENYI_Q_05.get(p)
+    q = args.q_alpha if args.q_alpha is not None else NEMENYI_Q_05.get(p)
     if q is not None:
         cd = nemenyi_cd(p, n_datasets, q)
         report["nemenyi"] = {"q_alpha": q, "critical_difference": cd}
@@ -327,18 +317,19 @@ def _stats_report(model_names, dataset_names, matrix, better, q_alpha, critical_
     lines.append(f"significance threshold: more than {threshold:.2f} wins")
     report["win_tie_loss"] = wtl_rows
     report["win_threshold"] = threshold
-    return "\n".join(lines) + "\n", report
-
-
-def cmd_stats(args) -> int:
-    model_names, dataset_names, matrix = _read_scores(args.scores_file)
-    text, report = _stats_report(
-        model_names, dataset_names, matrix,
-        args.better, args.q_alpha, args.critical_value,
-    )
+    if failures is not None:
+        report["failures"] = failures
+    if failures:
+        lines.append("failed datasets:")
+        lines += [f"  {f['dataset']}: {f['error']}" for f in failures]
+    text = "\n".join(lines) + "\n"
     write_atomic(_out_path(args, "stats_report.txt"), text)
     _write_json(_out_path(args, "stats_report.json"), report)
     sys.stdout.write(text)
+
+
+def cmd_stats(args) -> int:
+    _write_stats_report(args, *_read_scores(args.scores_file), args.better)
     print(f"reports written to {_out_path(args, 'stats_report.txt')} and .json")
     return 0
 
@@ -346,12 +337,36 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # benchmark
 
-def _expect(value, kind: type, where: str):
-    """``value`` if it is a ``kind`` (dict or list), else a ValueError naming ``where``."""
-    if not isinstance(value, kind):
-        wanted = "an object" if kind is dict else "a list"
-        raise ValueError(f"{where}: expected {wanted}, got {type(value).__name__}")
+# What a checked config value or flag must be: its test, and the words a message uses.
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+_TASK = (lambda v: v in (CLASSIFY, REGRESS), f"{CLASSIFY!r} or {REGRESS!r}")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+# a name is a scores.csv cell, so it holds none of the characters that split or quote one
+_NAME = (lambda v: _STRING[0](v) and not set(v) & set(',"\r\n'),
+         "a string without commas, quotes or line breaks")
+_CHAR = (lambda v: isinstance(v, str) and len(v) == 1, "one character")
+_POSITIVE = (positive_number, "a finite positive number")
+_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_SEEDS = (lambda v: _LIST[0](v) and all(map(_SEED[0], v)),
+          "a non-empty list of non-negative integers")
+_THREADS = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
+_COLUMN = (lambda v: isinstance(v, str) or type(v) is int, "a column name or index")
+
+
+def _check(value, rule, where: str):
+    """``value`` if it passes ``rule``, else a ValueError naming ``where``."""
+    if not rule[0](value):
+        raise ValueError(f"{where}: expected {rule[1]}, got {value!r}")
     return value
+
+
+def _field(obj: dict, where: str, key: str, rule, default=None):
+    """``obj[key]``, or ``default`` when it is absent, checked by ``rule``; None: required."""
+    if key not in obj and default is None:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return _check(obj.get(key, default), rule, f"{where}.{key}" if where else key)
 
 
 def _load_config(path: str) -> dict:
@@ -362,121 +377,114 @@ def _load_config(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return _expect(cfg, dict, f"{path}: top level")
+    return _check(cfg, _OBJECT, f"{path}: top level")
 
 
-def _checked_models(cfg: dict, task: str) -> list:
-    """Validate a benchmark config before any fitting; ValueError names the bad key.
+class _Plan(NamedTuple):
+    """A checked benchmark config."""
 
-    Returns (name, kind, fixed params or None, grid or None) per model.
-    """
-    if task not in _COLUMN_KEY:
-        raise ValueError(f"task: expected {CLASSIFY!r} or {REGRESS!r}, got {task!r}")
-    _expect(cfg.get("split", {}), dict, "split")
-    datasets = _expect(cfg.get("datasets", []), list, "datasets")
-    if not datasets:
-        raise ValueError("datasets: need at least one dataset")
-    for i, ds_cfg in enumerate(datasets):
-        for key in ("path", _COLUMN_KEY[task]):
-            if key not in _expect(ds_cfg, dict, f"datasets[{i}]"):
-                raise ValueError(f"datasets[{i}]: missing key {key!r}")
-    entries = _expect(cfg.get("models", []), list, "models")
+    task: str
+    splits: tuple[SplitSpec, ...]  # one per seed
+    normalize: bool
+    datasets: tuple[tuple[str, dict], ...]  # (name, load_csv arguments)
+    models: tuple[tuple[str, str, dict | None, GridSpec | None], ...]  # (name, kind, fixed, grid)
+
+
+def _checked_config(cfg: dict, default_seed: int) -> _Plan:
+    """Every value of a benchmark config, checked before any fit; ValueError names the key."""
+    task = _field(cfg, "", "task", _TASK, CLASSIFY)
+    split_cfg = _field(cfg, "", "split", _OBJECT, {})
+    seed = _field(cfg, "", "seed", _SEED, default_seed)
+    seeds = _field(split_cfg, "split", "seeds", _SEEDS, [seed])
+    fraction = _field(split_cfg, "split", "train_fraction", _POSITIVE, 0.7)
+    stratified = _field(split_cfg, "split", "stratified", _BOOL, task == CLASSIFY)
+    try:
+        splits = tuple(SplitSpec(fraction, s, stratified) for s in seeds)
+    except ValueError as exc:
+        raise ValueError(f"split: {exc}") from None
+    normalize = _field(cfg, "", "normalize", _BOOL, True)
+
+    datasets = []
+    for i, ds_cfg in enumerate(_field(cfg, "", "datasets", _LIST, [])):
+        where = f"datasets[{i}]"
+        path = _field(_check(ds_cfg, _OBJECT, where), where, "path", _STRING)
+        column = _field(ds_cfg, where, _COLUMN_KEY[task], _COLUMN)
+        datasets.append((_field(ds_cfg, where, "name", _NAME, path), {
+            "path": path, _COLUMN_KEY[task]: _column(str(column)),
+            "delimiter": _field(ds_cfg, where, "delimiter", _CHAR, ","),
+            "header": _field(ds_cfg, where, "header", _BOOL, True),
+        }))
+
+    entries = _field(cfg, "", "models", _LIST, [])
     if len(entries) < 2:
         raise ValueError(f"models: need at least two models to compare, got {len(entries)}")
     plans = []
     for i, m_cfg in enumerate(entries):
         where = f"models[{i}]"
-        if "name" not in _expect(m_cfg, dict, where):
-            raise ValueError(f"{where}: missing key 'name'")
+        name = _field(_check(m_cfg, _OBJECT, where), where, "name", _NAME)
+        if name in [plan[0] for plan in plans]:
+            raise ValueError(f"{where}.name: {name!r} also names an earlier model")
         kind = m_cfg.get("kind", TRKM)
         try:
             models.model_type(kind, task)
         except ValueError as exc:
             raise ValueError(f"{where}.kind: {exc}") from None
         if "fixed" in m_cfg:
-            fixed = _expect(m_cfg["fixed"], dict, f"{where}.fixed")
-            for key in ("gamma", "eta", "sigma"):
-                if key not in fixed:
-                    raise ValueError(f"{where}.fixed: missing key {key!r}")
-            for key in ("gamma", "eta", "sigma", "gamma2", "eta2"):
-                if key in fixed and not positive_number(fixed[key]):
-                    raise ValueError(
-                        f"{where}.fixed.{key}: expected a finite positive number, "
-                        f"got {fixed[key]!r}"
-                    )
-            plans.append((m_cfg["name"], kind, dict(fixed), None))
+            fixed = _field(m_cfg, where, "fixed", _OBJECT)
+            keys = ("gamma", "eta", "sigma", *(k for k in ("gamma2", "eta2") if k in fixed))
+            params = {key: _field(fixed, f"{where}.fixed", key, _POSITIVE) for key in keys}
+            plans.append((name, kind, params, None))
             continue
-        g_cfg = _expect(m_cfg.get("grid", {}), dict, f"{where}.grid")
+        g_cfg = _field(m_cfg, where, "grid", _OBJECT, {})
         values = [
-            tuple(_expect(g_cfg.get(key, list(default)), list, f"{where}.grid.{key}"))
+            tuple(_field(g_cfg, f"{where}.grid", key, _LIST, list(default)))
             for key, default in (("gamma", PENALTY_GRID), ("eta", PENALTY_GRID),
                                  ("sigma", SIGMA_GRID))
         ]
+        equal = _field(g_cfg, f"{where}.grid", "equal_penalties", _BOOL, True)
         try:
-            grid = GridSpec(
-                *values, equal_penalties=g_cfg.get("equal_penalties", True),
-                folds=g_cfg.get("folds", 5),
-            )
+            grid = GridSpec(*values, equal_penalties=equal, folds=g_cfg.get("folds", 5))
         except ValueError as exc:
             raise ValueError(f"{where}.grid: {exc}") from None
-        plans.append((m_cfg["name"], kind, None, grid))
-    return plans
+        plans.append((name, kind, None, grid))
+    return _Plan(task, splits, normalize, tuple(datasets), tuple(plans))
 
 
-def _benchmark_dataset(ds_cfg: dict, cfg: dict, task: str, plans: list, args) -> dict:
-    """Score every configured model on one dataset; returns per-model scores."""
-    column_key = _COLUMN_KEY[task]
-    dataset = load_csv(
-        ds_cfg["path"], **{column_key: _column(str(ds_cfg[column_key]))},
-        delimiter=ds_cfg.get("delimiter", ","), header=ds_cfg.get("header", True),
-    )
-    split_cfg = cfg.get("split", {})
-    seeds = split_cfg.get("seeds", [cfg.get("seed", args.seed)])
-    fraction = split_cfg.get("train_fraction", 0.7)
-    stratified = split_cfg.get("stratified", task == CLASSIFY)
-    normalize = cfg.get("normalize", True)
-
-    per_model: dict[str, list[float]] = {name: [] for name, *_ in plans}
-    for seed in seeds:
-        train, test = split(
-            dataset, SplitSpec(train_fraction=fraction, seed=seed, stratified=stratified)
-        )
-        if normalize:
+def _benchmark_dataset(load_args: dict, plan: _Plan, threads: int) -> list[float]:
+    """Each planned model's mean test score on one dataset, in plan order."""
+    dataset = load_csv(**load_args)
+    scores = [[] for _ in plan.models]
+    for spec in plan.splits:
+        train, test = split(dataset, spec)
+        if plan.normalize:
             train = normalize_minmax(train)
             test = apply_normalization(test, train.normalization)
-        for name, kind, params, grid in plans:
+        for model_scores, (_, kind, params, grid) in zip(scores, plan.models):
             if grid is not None:
-                params = grid_search(
-                    train, grid, task, model_kind=kind,
-                    seed=seed, threads=args.threads,
-                ).best_params
-            model = models.fit(kind, task, train.X, train.target, params)
-            per_model[name].append(models.score(task, models.predict(model, test.X), test.target))
-    return {name: float(np.mean(vals)) for name, vals in per_model.items()}
+                params = grid_search(train, grid, plan.task, model_kind=kind,
+                                     seed=spec.seed, threads=threads).best_params
+            model = models.fit(kind, plan.task, train.X, train.target, params)
+            model_scores.append(models.score(plan.task, models.predict(model, test.X), test.target))
+    return [float(np.mean(s)) for s in scores]
 
 
 def cmd_benchmark(args) -> int:
     if args.scores_file is not None:
         model_names, dataset_names, matrix = _read_scores(args.scores_file)
-        better = args.better
-        failures = []
+        better, failures = args.better, []
     else:
-        cfg = _load_config(args.config)
-        task = cfg.get("task", CLASSIFY)
-        plans = _checked_models(cfg, task)
-        better = HIGHER if task == CLASSIFY else LOWER
-        model_names = [name for name, *_ in plans]
+        plan = _checked_config(_load_config(args.config), args.seed)
+        better = HIGHER if plan.task == CLASSIFY else LOWER
+        model_names = [name for name, *_ in plan.models]
         dataset_names, rows, failures = [], [], []
-        for ds_cfg in cfg["datasets"]:
-            name = ds_cfg.get("name", ds_cfg["path"])
+        for name, load_args in plan.datasets:
             try:
-                scores = _benchmark_dataset(ds_cfg, cfg, task, plans, args)
+                rows.append(_benchmark_dataset(load_args, plan, args.threads))
             except (*DATA_ERRORS, *NUMERIC_ERRORS) as exc:
                 failures.append({"dataset": name, "error": str(exc)})
                 print(f"warning: dataset {name} failed: {exc}", file=sys.stderr)
                 continue
             dataset_names.append(name)
-            rows.append([scores[m] for m in model_names])
         if not rows:
             raise ParseError("every dataset failed; nothing to rank")
         matrix = np.array(rows, dtype=float)
@@ -485,18 +493,7 @@ def cmd_benchmark(args) -> int:
     for name, row in zip(dataset_names, matrix):
         scores_lines.append(name + "," + ",".join(repr(float(v)) for v in row))
     write_atomic(_out_path(args, "scores.csv"), "\n".join(scores_lines) + "\n")
-
-    text, report = _stats_report(
-        model_names, dataset_names, matrix, better, args.q_alpha, args.critical_value
-    )
-    report["failures"] = failures
-    if failures:
-        text += "failed datasets:\n" + "".join(
-            f"  {f['dataset']}: {f['error']}\n" for f in failures
-        )
-    write_atomic(_out_path(args, "stats_report.txt"), text)
-    _write_json(_out_path(args, "stats_report.json"), report)
-    sys.stdout.write(text)
+    _write_stats_report(args, model_names, dataset_names, matrix, better, failures)
     print(f"score matrix written to {_out_path(args, 'scores.csv')}")
     return 0
 
@@ -504,14 +501,17 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _thread_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return n
+def _flag_type(rule, convert=str):
+    """An argparse type that converts a flag's text and checks it by a config ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if not rule[0](value):
+            raise argparse.ArgumentTypeError(f"expected {rule[1]}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "grid search, benchmarking, and comparison statistics.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--threads", type=_thread_count, default=1,
+    threads = _flag_type(_THREADS, int)
+    parser.add_argument("--threads", type=threads, default=1,
                         help="worker threads for grid evaluation")
     parser.add_argument("--output-dir", default=".", help="directory for result files")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -530,20 +531,31 @@ def build_parser() -> argparse.ArgumentParser:
     # subparser from clobbering the top-level defaults when a flag is absent
     global_opts = argparse.ArgumentParser(add_help=False)
     global_opts.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    global_opts.add_argument("--threads", type=_thread_count, default=argparse.SUPPRESS)
+    global_opts.add_argument("--threads", type=threads, default=argparse.SUPPRESS)
     global_opts.add_argument("--output-dir", default=argparse.SUPPRESS)
 
     common_data = argparse.ArgumentParser(add_help=False)
     common_data.add_argument("--data", required=True, help="CSV file")
     common_data.add_argument("--label-col", help="label column (classification)")
     common_data.add_argument("--target-col", help="target column (regression)")
-    common_data.add_argument("--delimiter", default=",")
+    common_data.add_argument("--delimiter", type=_flag_type(_CHAR), default=",")
     common_data.add_argument("--no-header", action="store_true")
 
-    p_train = sub.add_parser("train", parents=[global_opts, common_data],
+    model_opts = argparse.ArgumentParser(add_help=False)
+    model_opts.add_argument("--task", required=True, choices=(CLASSIFY, REGRESS))
+    model_opts.add_argument("--model-kind", choices=(TRKM, RKM), default=TRKM)
+    model_opts.add_argument("--no-normalize", action="store_true",
+                            help="skip min-max feature normalization")
+    model_opts.add_argument("--model-out", default=None)
+
+    stats_opts = argparse.ArgumentParser(add_help=False)
+    stats_opts.add_argument("--better", choices=(HIGHER, LOWER), default=HIGHER,
+                            help="score direction of a --scores-file")
+    stats_opts.add_argument("--q-alpha", type=float, default=None)
+    stats_opts.add_argument("--critical-value", type=float, default=None)
+
+    p_train = sub.add_parser("train", parents=[global_opts, common_data, model_opts],
                              help="fit one model with fixed hyperparameters")
-    p_train.add_argument("--task", required=True, choices=(CLASSIFY, REGRESS))
-    p_train.add_argument("--model-kind", choices=(TRKM, RKM), default=TRKM)
     p_train.add_argument("--gamma", type=float, required=True,
                          help="weight-norm regularizer (gamma1; also gamma2 unless --gamma2)")
     p_train.add_argument("--eta", type=float, required=True,
@@ -552,55 +564,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--eta2", type=float, help="second-system eta override")
     p_train.add_argument("--kernel", choices=(GAUSSIAN, LINEAR), default=GAUSSIAN)
     p_train.add_argument("--sigma", type=float, help="gaussian bandwidth")
-    p_train.add_argument("--no-normalize", action="store_true",
-                         help="skip min-max feature normalization")
-    p_train.add_argument("--model-out", default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_pred = sub.add_parser("predict", parents=[global_opts],
+    p_pred = sub.add_parser("predict", parents=[global_opts, common_data],
                             help="predict with a saved model")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--label-col", help="truth labels for accuracy reporting")
-    p_pred.add_argument("--target-col", help="truth targets for error reporting")
-    p_pred.add_argument("--delimiter", default=",")
-    p_pred.add_argument("--no-header", action="store_true")
     p_pred.add_argument("--output", default=None)
     p_pred.set_defaults(func=cmd_predict)
 
-    p_grid = sub.add_parser("gridsearch", parents=[global_opts, common_data],
+    p_grid = sub.add_parser("gridsearch", parents=[global_opts, common_data, model_opts],
                             help="cross-validated grid search, then retrain the best cell")
-    p_grid.add_argument("--task", required=True, choices=(CLASSIFY, REGRESS))
-    p_grid.add_argument("--model-kind", choices=(TRKM, RKM), default=TRKM)
     p_grid.add_argument("--gamma-grid", default=",".join(repr(v) for v in PENALTY_GRID))
     p_grid.add_argument("--eta-grid", default=",".join(repr(v) for v in PENALTY_GRID))
     p_grid.add_argument("--sigma-grid", default=",".join(repr(v) for v in SIGMA_GRID))
     p_grid.add_argument("--folds", type=int, default=5)
     p_grid.add_argument("--per-class-penalties", action="store_true",
                         help="search gamma/eta per class instead of tying them")
-    p_grid.add_argument("--no-normalize", action="store_true")
     p_grid.add_argument("--grid-out", default=None)
-    p_grid.add_argument("--model-out", default=None)
     p_grid.set_defaults(func=cmd_gridsearch)
 
-    p_bench = sub.add_parser("benchmark", parents=[global_opts],
+    p_bench = sub.add_parser("benchmark", parents=[global_opts, stats_opts],
                              help="train/score many models over many datasets, then rank")
     group = p_bench.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="JSON benchmark configuration")
     group.add_argument("--scores-file",
                        help="precomputed dataset-by-model score CSV (skips training)")
-    p_bench.add_argument("--better", choices=(HIGHER, LOWER), default=HIGHER,
-                         help="score direction for --scores-file mode")
-    p_bench.add_argument("--q-alpha", type=float, default=None)
-    p_bench.add_argument("--critical-value", type=float, default=None)
     p_bench.set_defaults(func=cmd_benchmark)
 
-    p_stats = sub.add_parser("stats", parents=[global_opts],
+    p_stats = sub.add_parser("stats", parents=[global_opts, stats_opts],
                              help="rank/Friedman/Nemenyi/sign-test on a score CSV")
     p_stats.add_argument("--scores-file", required=True)
-    p_stats.add_argument("--better", choices=(HIGHER, LOWER), default=HIGHER)
-    p_stats.add_argument("--q-alpha", type=float, default=None)
-    p_stats.add_argument("--critical-value", type=float, default=None)
     p_stats.set_defaults(func=cmd_stats)
 
     return parser

@@ -173,20 +173,25 @@ def load_csv(
             X=x, target=target, task=CLASSIFY,
             feature_names=feature_names, label_mapping=mapping,
         )
-    try:
-        target = np.array([float(t) for t in raw_targets], dtype=float)
-    except ValueError:
-        bad = next(t for t in raw_targets if not _is_float(t))
-        raise ParseError(f"{path}: target value {bad!r} is not numeric") from None
-    if not np.isfinite(target).all():
-        raise ParseError(f"{path}: non-finite target value")
+    target = parse_targets(path, raw_targets)
     return Dataset(X=x, target=target, task=REGRESS, feature_names=feature_names)
 
 
-def _is_float(token: str) -> bool:
+def parse_targets(path: str, tokens) -> np.ndarray:
+    """Regression targets from their raw tokens; ParseError names the file and the bad value."""
     try:
-        float(token)
-        return True
+        target = np.array([float(t) for t in tokens], dtype=float)
+    except ValueError:
+        target = None
+    if target is None or not np.isfinite(target).all():
+        bad = next(t for t in tokens if not _is_finite_number(t))
+        raise ParseError(f"{path}: target value {bad!r} is not a finite number")
+    return target
+
+
+def _is_finite_number(token: str) -> bool:
+    try:
+        return bool(np.isfinite(float(token)))
     except ValueError:
         return False
 

@@ -33,13 +33,19 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SavedModel:
-    """A numeric model plus the preprocessing metadata needed at predict time."""
+    """A model plus its predict-time metadata; ``kind`` and ``task`` follow from the model."""
 
     model: TrkmClassifierModel | TrkmRegressorModel | RkmModel
-    kind: str
-    task: str
     normalization: tuple[tuple[float, float], ...] | None = None
     label_mapping: tuple[tuple[str, int], ...] | None = None
+
+    @property
+    def kind(self) -> str:
+        return models.of_model(self.model).kind
+
+    @property
+    def task(self) -> str:
+        return models.of_model(self.model).task
 
 
 def _hex(v: float) -> str:
@@ -82,15 +88,13 @@ def _encode_kernel(spec: KernelSpec) -> dict:
 
 
 def _decode_kernel(blob) -> KernelSpec:
-    sigma = blob.get("sigma")
+    sigma = blob["sigma"]
     return KernelSpec(blob["family"], _unhex(sigma) if sigma is not None else None)
 
 
 def _payload(saved: SavedModel) -> dict:
-    entry = models.of_kind(saved.kind)
     m = saved.model
-    if not isinstance(m, entry.model_class):
-        raise ValueError(f"a {type(m).__name__} cannot be saved as kind {saved.kind!r}")
+    entry = models.of_model(m)
     holder = m if entry.hyperparams_class is None else m.hyperparams
     hyperparams = {name: _hex(getattr(holder, name)) for name in entry.penalties}
     hyperparams["kernel"] = _encode_kernel(holder.kernel)
@@ -98,8 +102,8 @@ def _payload(saved: SavedModel) -> dict:
     for name, encoding in entry.body:
         body[name] = _ENCODE[encoding](getattr(m, name))
     return {
-        "kind": saved.kind,
-        "task": saved.task,
+        "kind": entry.kind,
+        "task": entry.task,
         "normalization": (
             None
             if saved.normalization is None
@@ -151,13 +155,13 @@ def save_model(saved: SavedModel, path: str) -> None:
 def load_model(path: str) -> SavedModel:
     """Read, version-check, checksum-verify, and reconstruct a model file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModel(f"{path}: missing format_version")
@@ -177,8 +181,9 @@ def load_model(path: str) -> SavedModel:
 
 
 def _reconstruct(payload: dict) -> SavedModel:
-    kind = payload["kind"]
-    entry = models.of_kind(kind)
+    entry = models.of_kind(payload["kind"])
+    if payload["task"] != entry.task:
+        raise ValueError(f"task {payload['task']!r} does not match kind {entry.kind!r}")
     body = payload["body"]
     normalization = payload.get("normalization")
     if normalization is not None:
@@ -195,9 +200,4 @@ def _reconstruct(payload: dict) -> SavedModel:
         fields.update(hyperparams)
     else:
         fields["hyperparams"] = entry.hyperparams_class(**hyperparams)
-    model = entry.model_class(**fields)
-    task = payload["task"]
-    return SavedModel(
-        model=model, kind=kind, task=task,
-        normalization=normalization, label_mapping=label_mapping,
-    )
+    return SavedModel(entry.model_class(**fields), normalization, label_mapping)

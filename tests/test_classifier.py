@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trkm.classifier import (
     TrkmClassifierHyperparams,
@@ -115,6 +117,47 @@ def test_swapping_classes_flips_every_label(rng):
     assert np.array_equal(
         predict_labels(forward, queries), -predict_labels(swapped, queries)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_class_swap_negates_both_systems_and_flips_every_label(seed):
+    # With equal penalties the swapped fit's class +1 system is the forward
+    # class -1 system with both right-hand sides negated (and vice versa), so
+    # h1' = -h2, b1' = -b2, h2' = -h1, b2' = -b1, hence g1' + g2' = -(g1 + g2).
+    # The two fits round differently, so values agree to 1e-9 (seen: 6e-15).
+    rng = np.random.default_rng(seed)
+    x, y = random_two_class(rng, n_max=24)
+    hp = equal_hp(0.7, 0.9)
+    queries = rng.normal(size=(15, x.shape[1]))
+    forward = fit_classifier(x[y == 1], x[y == -1], hp)
+    swapped = fit_classifier(x[y == -1], x[y == 1], hp)
+    for mine, theirs in (("h1", "h2"), ("b1", "b2"), ("h2", "h1"), ("b2", "b1")):
+        assert np.allclose(getattr(swapped, mine), -getattr(forward, theirs), rtol=1e-9, atol=1e-9)
+    score = sum(decision_values(forward, queries))
+    assert np.allclose(sum(decision_values(swapped, queries)), -score, rtol=1e-9, atol=1e-9)
+    assume(np.abs(score).min() >= 1e-9)
+    assert np.array_equal(predict_labels(swapped, queries), -predict_labels(forward, queries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permuting_training_rows_keeps_every_label(seed):
+    # A row permutation P turns each class system into P K P^T with P-permuted
+    # right-hand sides: h is permuted, b is kept, and every decision value is
+    # the same sum taken in another order.
+    rng = np.random.default_rng(seed)
+    x, y = random_two_class(rng)
+    perm = rng.permutation(len(y))
+    hp = equal_hp(0.7, 0.9)
+    queries = rng.normal(size=(15, x.shape[1]))
+    forward = fit_classifier(x[y == 1], x[y == -1], hp)
+    xp, yp = x[perm], y[perm]
+    permuted = fit_classifier(xp[yp == 1], xp[yp == -1], hp)
+    score = sum(decision_values(forward, queries))
+    assert np.allclose(sum(decision_values(permuted, queries)), score, rtol=1e-9, atol=1e-9)
+    assume(np.abs(score).min() >= 1e-9)
+    assert np.array_equal(predict_labels(permuted, queries), predict_labels(forward, queries))
 
 
 def test_stationarity_residuals_in_kernel_form(rng):

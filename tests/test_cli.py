@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -339,10 +340,38 @@ def _grid_model(cfg, grid):
     (lambda cfg: cfg["models"][1]["fixed"].update(gamma=-1), ["models[1].fixed.gamma", "-1"]),
     (lambda cfg: cfg["models"][0]["fixed"].update(gamma="1"), ["models[0].fixed.gamma", "'1'"]),
     (lambda cfg: cfg["models"][0]["fixed"].update(eta2=0), ["models[0].fixed.eta2", "0"]),
+    (lambda cfg: cfg.update(task=[]), ["task", "[]"]),
+    (lambda cfg: cfg["split"].update(seeds=3), ["split.seeds", "3"]),
+    (lambda cfg: cfg["split"].update(seeds=[]), ["split.seeds", "[]"]),
+    (lambda cfg: cfg["split"].update(seeds=[0, -1]), ["split.seeds", "-1"]),
+    (lambda cfg: (cfg["split"].pop("seeds"), cfg.update(seed="x")), ["seed", "'x'"]),
+    (lambda cfg: cfg["split"].update(train_fraction="0.7"), ["split.train_fraction", "'0.7'"]),
+    (lambda cfg: cfg["split"].update(train_fraction=1.5), ["split", "train_fraction", "1.5"]),
+    (lambda cfg: cfg["split"].update(stratified="yes"), ["split.stratified", "'yes'"]),
+    (lambda cfg: cfg.update(normalize="no"), ["normalize", "'no'"]),
+    (lambda cfg: cfg["datasets"][0].update(path=["ds0.csv"]),
+     ["datasets[0].path", "['ds0.csv']"]),
+    (lambda cfg: cfg["datasets"][1].update(label_column=None),
+     ["datasets[1].label_column", "None"]),
+    (lambda cfg: cfg["datasets"][0].update(name=1), ["datasets[0].name", "1"]),
+    (lambda cfg: cfg["datasets"][0].update(delimiter=5), ["datasets[0].delimiter", "5"]),
+    (lambda cfg: cfg["datasets"][1].update(delimiter=",,"), ["datasets[1].delimiter", "',,'"]),
+    (lambda cfg: cfg["datasets"][0].update(header="no"), ["datasets[0].header", "'no'"]),
+    (lambda cfg: cfg["models"][0].update(name=1), ["models[0].name", "1"]),
+    (lambda cfg: cfg["models"][1].update(name="TRKM-C"), ["models[1].name", "'TRKM-C'"]),
+    (lambda cfg: _grid_model(cfg, {"equal_penalties": "no"}),
+     ["models[0].grid.equal_penalties", "'no'"]),
+    (lambda cfg: cfg["models"][1].update(name="R,KM"), ["models[1].name", "'R,KM'"]),
+    (lambda cfg: cfg["datasets"][1].update(name='ds"1'), ["datasets[1].name", "'ds\"1'"]),
 ], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
         "no-path", "no-label-column", "one-model", "top-level-array",
         "dataset-not-object", "model-not-object", "grid-not-number", "fractional-folds",
-        "fixed-negative-gamma", "fixed-string-gamma", "fixed-zero-eta2"])
+        "fixed-negative-gamma", "fixed-string-gamma", "fixed-zero-eta2",
+        "task-not-string", "seeds-not-list", "seeds-empty", "seed-negative", "seed-string",
+        "fraction-string", "fraction-above-one", "stratified-string", "normalize-string",
+        "path-not-string", "column-null", "dataset-name-number", "delimiter-number",
+        "delimiter-two-characters", "header-string", "model-name-number", "duplicate-model-name",
+        "equal-penalties-string", "model-name-comma", "dataset-name-quote"])
 def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
     cfg_path = tmp_path / "bench.json"
     cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())
@@ -353,3 +382,143 @@ def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, nam
     err = capsys.readouterr().err
     assert all(word in err for word in named), err
     assert not out.exists()
+
+
+REFERENCE = DATA_DIR / "reference"
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
+REPORT_CONFIG = {
+    "task": "classify",
+    "split": {"train_fraction": 0.7, "stratified": True, "seeds": [0, 1]},
+    "datasets": [
+        {"name": "crossplane130", "path": str(DATA_DIR / "synthetic" / "crossplane130.csv"),
+         "label_column": "label"},
+        {"name": "ghost", "path": "ghost.csv", "label_column": "label"},
+    ],
+    "models": [
+        {"name": "TRKM-C", "kind": "trkm", "fixed": {"gamma": 0.1, "eta": 0.01, "sigma": 1.0}},
+        {"name": "RKM", "kind": "rkm",
+         "grid": {"gamma": [0.01, 1], "eta": [0.1, 1], "sigma": [0.5, 2], "folds": 3}},
+    ],
+}
+CLASSIFICATION_SCORES = str(REFERENCE / "classification_accuracy.csv")
+REGRESSION_SCORES = str(REFERENCE / "regression_rmse.csv")
+REPORT_COMMANDS = {
+    "stats_classification": ["stats", "--scores-file", CLASSIFICATION_SCORES,
+                             "--critical-value", "2.2657"],
+    "stats_regression": ["stats", "--scores-file", REGRESSION_SCORES, "--better", "lower"],
+    "scores_classification": ["benchmark", "--scores-file", CLASSIFICATION_SCORES,
+                              "--critical-value", "2.2657"],
+    "scores_regression": ["benchmark", "--scores-file", REGRESSION_SCORES,
+                          "--better", "lower", "--q-alpha", "2.728"],
+    "config": ["--seed", "3", "benchmark", "--config", "bench.json"],
+}
+
+
+def run_report_command(case):
+    """Run one report command in the working directory; it writes into ``out/``."""
+    Path("bench.json").write_text(json.dumps(REPORT_CONFIG))
+    return run("--output-dir", "out", *REPORT_COMMANDS[case])
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_COMMANDS))
+def test_reports_match_golden_files(tmp_path, monkeypatch, case):
+    # The golden files were written by an earlier version of the program with
+    # these commands; the config run's report holds the missing dataset's error.
+    monkeypatch.chdir(tmp_path)
+    assert run_report_command(case) == 0
+    golden = sorted((GOLDEN_REPORTS / case).iterdir())
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [p.name for p in golden]
+    for path in golden:
+        assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch", "predict"])
+@pytest.mark.parametrize("delimiter", ["", ",,"])
+def test_delimiter_flag_must_be_one_character(tmp_path, blob_csv, capsys, command, delimiter):
+    extra = {
+        "train": ["--task", "classify", "--gamma", "1", "--eta", "1", "--sigma", "1"],
+        "gridsearch": ["--task", "classify"],
+        "predict": ["--model", str(tmp_path / "m.json")],
+    }[command]
+    assert run(command, "--data", blob_csv, "--label-col", "label",
+               "--delimiter", delimiter, *extra) == 2
+    err = capsys.readouterr().err
+    assert "--delimiter" in err and repr(delimiter) in err, err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_predict_bad_truth_exits_3_before_writing(tmp_path, sine_csv, capsys, bad):
+    model_path = str(tmp_path / "model.json")
+    assert run(
+        "train", "--task", "regress", "--data", sine_csv, "--target-col", "target",
+        "--gamma", "0.001", "--eta", "0.001", "--sigma", "1", "--model-out", model_path,
+    ) == 0
+    lines = Path(sine_csv).read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    output = tmp_path / "p.csv"
+    assert run("predict", "--model", model_path, "--data", str(test_csv),
+               "--target-col", "target", "--output", str(output)) == 3
+    err = capsys.readouterr().err
+    assert str(test_csv) in err and repr(bad) in err, err
+    assert not output.exists()
+
+
+def _rewrite_payload(path, edit):
+    """Edit a model file's payload and store the checksum the edited payload has."""
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc, indent=1))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda payload: payload.update(task="regress"), ["'regress'", "'trkm_classifier'"]),
+    (lambda payload: payload["body"]["hyperparams"].update(kernel="gaussian"), ["malformed"]),
+], ids=["classifier-read-as-regressor", "kernel-not-object"])
+def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, edit, named):
+    model_path = tmp_path / "model.json"
+    assert run(
+        "train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
+        "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path),
+    ) == 0
+    _rewrite_payload(model_path, edit)
+    capsys.readouterr()
+    assert run("predict", "--model", str(model_path), "--data", blob_csv,
+               "--target-col", "label", "--output", str(tmp_path / "p.csv")) == 3
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+
+
+def _same_document(data: bytes, good: bytes) -> bool:
+    try:
+        return json.loads(data.decode("utf-8")) == json.loads(good.decode("utf-8"))
+    except ValueError:
+        return False
+
+
+def test_damaged_model_files_exit_3(tmp_path, blob_csv, capsys):
+    model_path = tmp_path / "model.json"
+    assert run(
+        "train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
+        "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path),
+    ) == 0
+    good = model_path.read_bytes()
+    rng = np.random.default_rng(2024)
+    damaged = [good[:k] for k in (0, 1, 17, len(good) // 3, len(good) // 2, len(good) - 1)]
+    for pos in rng.choice(len(good), size=60, replace=False):
+        flipped = bytearray(good)
+        flipped[pos] ^= int(rng.integers(1, 256))
+        damaged.append(bytes(flipped))
+    doc = json.loads(good)
+    doc["format_version"] = 2
+    damaged.append(json.dumps(doc, indent=1).encode("utf-8"))
+    for i, data in enumerate(damaged):
+        model_path.write_bytes(data)
+        code = run("predict", "--model", str(model_path), "--data", blob_csv,
+                   "--output", str(tmp_path / "p.csv"))
+        # a flip between two whitespace bytes leaves the same document, which still loads
+        assert code == 3 or (code == 0 and _same_document(data, good)), (i, code)

@@ -165,7 +165,7 @@ def test_model_round_trip_bitwise_predictions(tmp_path, rng):
         path = str(tmp_path / f"m{i}.json")
         save_model(
             SavedModel(
-                model=model, kind=kind, task=task,
+                model=model,
                 normalization=((0.25, 0.75), (-1.0, 1.0)),
                 label_mapping=(("-1", -1), ("1", 1)) if task == CLASSIFY else None,
             ),
@@ -182,7 +182,7 @@ def test_model_round_trip_bitwise_predictions(tmp_path, rng):
 def test_truncated_model_file_is_corrupt(tmp_path, rng):
     classifier, _, _, x, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier, kind=KIND_CLASSIFIER, task=CLASSIFY), path)
+    save_model(SavedModel(model=classifier), path)
     text = open(path).read()
     open(path, "w").write(text[: len(text) // 2])
     with pytest.raises(CorruptModel):
@@ -192,7 +192,7 @@ def test_truncated_model_file_is_corrupt(tmp_path, rng):
 def test_tampered_payload_fails_checksum(tmp_path, rng):
     classifier, _, _, _, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier, kind=KIND_CLASSIFIER, task=CLASSIFY), path)
+    save_model(SavedModel(model=classifier), path)
     doc = json.load(open(path))
     doc["payload"]["body"]["b1"] = (1.5).hex()
     json.dump(doc, open(path, "w"))
@@ -203,7 +203,7 @@ def test_tampered_payload_fails_checksum(tmp_path, rng):
 def test_version_bump_is_rejected_before_checksum(tmp_path, rng):
     classifier, _, _, _, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier, kind=KIND_CLASSIFIER, task=CLASSIFY), path)
+    save_model(SavedModel(model=classifier), path)
     doc = json.load(open(path))
     doc["format_version"] = 2
     json.dump(doc, open(path, "w"))

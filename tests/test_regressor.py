@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch
 from trkm.kernels import gaussian, linear
@@ -140,6 +142,25 @@ def test_target_translation_shifts_predictions_exactly(rng):
         base = predict_regression(fit_regressor(x, y, hp), x)
         shifted = predict_regression(fit_regressor(x, y + c, hp), x)
         assert np.max(np.abs(shifted - (base + c))) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permuting_training_rows_keeps_predictions(seed):
+    # A row permutation P turns both systems into P K P^T with P-permuted
+    # right-hand sides, so h is permuted, b is kept, and each prediction is the
+    # same sum taken in another order: equal up to rounding.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(4, 30)), int(rng.integers(1, 6))
+    x, y = rng.normal(size=(n, m)), rng.normal(size=n)
+    perm = rng.permutation(n)
+    hp = equal_hp(0.7, 0.9)
+    queries = rng.normal(size=(15, m))
+    assert np.allclose(
+        predict_regression(fit_regressor(x[perm], y[perm], hp), queries),
+        predict_regression(fit_regressor(x, y, hp), queries),
+        rtol=1e-9, atol=1e-9,
+    )
 
 
 def test_preconditions():
