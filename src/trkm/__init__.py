@@ -21,7 +21,7 @@ from .data import (
     map_labels,
     normalize_minmax,
 )
-from .kernels import KernelSpec, gaussian, gram, kernel_eval, linear
+from .kernels import KernelSpec, gaussian, gram, linear
 from .metrics import RegressionErrors, classification_accuracy, regression_errors
 from .model_io import SavedModel, load_model, save_model
 from .regressor import (
@@ -43,7 +43,7 @@ from .selection import (
     kfold_indices,
     split,
 )
-from .solver import BorderedSystem, SolveReport, assemble, residual, solve_bordered
+from .solver import BorderedSystem, SolveReport, solve_bordered
 from .stats import (
     NEMENYI_Q_05,
     FriedmanReport,
@@ -78,7 +78,6 @@ __all__ = [
     "TrkmRegressorModel",
     "WinTieLoss",
     "apply_normalization",
-    "assemble",
     "classification_accuracy",
     "decision_values",
     "fit_classifier",
@@ -88,7 +87,6 @@ __all__ = [
     "gaussian",
     "gram",
     "grid_search",
-    "kernel_eval",
     "kfold_indices",
     "linear",
     "load_csv",
@@ -103,7 +101,6 @@ __all__ = [
     "rank_models",
     "regression_components",
     "regression_errors",
-    "residual",
     "rkm_scores",
     "save_model",
     "solve_bordered",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_matrix, positive_number
-from .errors import DimensionMismatch, EmptyClass
+from .errors import EmptyClass
 from .kernels import KernelSpec, gram
 from .solver import BorderedSystem, SolveReport, solve_bordered
 
@@ -74,29 +74,15 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
         raise EmptyClass("class +1 has no samples")
     if b.shape[0] == 0:
         raise EmptyClass("class -1 has no samples")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"A has {a.shape[1]} features but B has {b.shape[1]}"
-        )
     n1, n2 = a.shape[0], b.shape[0]
     k_aa = gram(hp.kernel, a, a)
     k_ab = gram(hp.kernel, a, b)
     k_bb = gram(hp.kernel, b, b)
 
-    sys1 = BorderedSystem(
-        core=k_aa / hp.gamma1 + hp.eta1 * np.eye(n1),
-        border=np.ones(n1),
-        border_sign=+1,
-        rhs_top=np.ones(n1) + (k_ab @ np.ones(n2)) / hp.gamma1,
-        rhs_bottom=float(n2),
-    )
-    sys2 = BorderedSystem(
-        core=k_bb / hp.gamma2 + hp.eta2 * np.eye(n2),
-        border=np.ones(n2),
-        border_sign=+1,
-        rhs_top=-(np.ones(n2) + (k_ab.T @ np.ones(n1)) / hp.gamma2),
-        rhs_bottom=-float(n1),
-    )
+    rhs1 = np.ones(n1) + (k_ab @ np.ones(n2)) / hp.gamma1
+    rhs2 = -(np.ones(n2) + (k_ab.T @ np.ones(n1)) / hp.gamma2)
+    sys1 = BorderedSystem(k_aa, hp.gamma1, hp.eta1, +1, rhs1, float(n2))
+    sys2 = BorderedSystem(k_bb, hp.gamma2, hp.eta2, +1, rhs2, -float(n1))
     rep1 = solve_bordered(sys1, "class +1 system")
     rep2 = solve_bordered(sys2, "class -1 system")
     return TrkmClassifierModel(
@@ -114,10 +100,6 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
 def decision_values(model: TrkmClassifierModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Dual-form scores of both hyperplanes for each row of X."""
     x = as_matrix(X, "X")
-    if x.shape[1] != model.A.shape[1]:
-        raise DimensionMismatch(
-            f"X has {x.shape[1]} features, model was trained with {model.A.shape[1]}"
-        )
     hp = model.hyperparams
     k_xa = gram(hp.kernel, x, model.A)
     k_xb = gram(hp.kernel, x, model.B)
@@ -132,23 +114,3 @@ def predict_labels(model: TrkmClassifierModel, X) -> np.ndarray:
     """Predict +/-1 labels; a zero combined score maps to +1."""
     g1, g2 = decision_values(model, X)
     return np.where(g1 + g2 >= 0.0, 1, -1).astype(np.int64)
-
-
-def slack_vectors(model: TrkmClassifierModel) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted error vectors of both systems, in kernel form.
-
-    xi1 = e1 - phi(A) w1 - e1 b1 and xi2 = -e2 - phi(B) w2 - e2 b2, with the
-    weight vectors expanded through the kernel so nothing is materialized.
-    At a stationary point eta_i * h_i equals xi_i.
-    """
-    hp = model.hyperparams
-    k_aa = gram(hp.kernel, model.A, model.A)
-    k_ab = gram(hp.kernel, model.A, model.B)
-    k_bb = gram(hp.kernel, model.B, model.B)
-    e1 = np.ones(model.A.shape[0])
-    e2 = np.ones(model.B.shape[0])
-    phi_a_w1 = (k_aa @ model.h1 - k_ab @ e2) / hp.gamma1
-    phi_b_w2 = (k_bb @ model.h2 + k_ab.T @ e1) / hp.gamma2
-    xi1 = e1 - phi_a_w1 - e1 * model.b1
-    xi2 = -e2 - phi_b_w2 - e2 * model.b2
-    return xi1, xi2

@@ -520,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twin restricted kernel machines: training, prediction, "
                     "grid search, benchmarking, and comparison statistics.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    threads = _flag_type(_THREADS, int)
+    seed, threads = _flag_type(_SEED, int), _flag_type(_THREADS, int)
+    parser.add_argument("--seed", type=seed, default=0, help="global random seed")
     parser.add_argument("--threads", type=threads, default=1,
                         help="worker threads for grid evaluation")
     parser.add_argument("--output-dir", default=".", help="directory for result files")
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accept the global flags after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering the top-level defaults when a flag is absent
     global_opts = argparse.ArgumentParser(add_help=False)
-    global_opts.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    global_opts.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
     global_opts.add_argument("--threads", type=threads, default=argparse.SUPPRESS)
     global_opts.add_argument("--output-dir", default=argparse.SUPPRESS)
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: data-shaped problems (bad files, bad
-columns, degenerate splits) exit with 3, numerical failures (singular
-systems, degenerate statistics) exit with 4.
+columns, mismatched shapes, degenerate splits) exit with 3, numerical
+failures (singular systems, degenerate statistics) exit with 4.
 """
 
 
@@ -83,6 +83,7 @@ DATA_ERRORS = (
     TooFewSamples,
     EmptyClass,
     EmptyInput,
+    DimensionMismatch,
 )
 
 NUMERIC_ERRORS = (SingularSystem, DegenerateStatistic)

@@ -5,7 +5,7 @@ Each Gram entry sums its pair's features left to right: Gaussian entries by
 (the ``|x|^2 + |y|^2 - 2 x.y`` expansion loses precision for near-identical
 points and would break the unit diagonal), linear entries by one rank-one
 update per feature. So ``gram(s, a, b)`` equals ``gram(s, b, a).T`` bitwise,
-and ``kernel_eval`` equals each entry bitwise.
+and each entry equals the plain left-to-right sum over one pair bitwise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .arrays import as_matrix, as_vector, positive_number
+from .arrays import as_matrix, positive_number
 from .errors import DimensionMismatch
 
 GAUSSIAN = "gaussian"
@@ -42,20 +42,6 @@ def gaussian(sigma: float) -> KernelSpec:
 
 def linear() -> KernelSpec:
     return KernelSpec(LINEAR)
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """The kernel of one pair of vectors, summed plainly left to right: ``gram``'s reference."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.shape != yv.shape:
-        raise DimensionMismatch(f"vector lengths differ: {xv.shape[0]} vs {yv.shape[0]}")
-    total = 0.0
-    for a, b in zip(xv.tolist(), yv.tolist()):
-        total += a * b if spec.family == LINEAR else (a - b) * (a - b)
-    if spec.family == LINEAR:
-        return total
-    return float(np.exp(-total / (2.0 * spec.sigma * spec.sigma)))
 
 
 def gram(spec: KernelSpec, left, right) -> np.ndarray:

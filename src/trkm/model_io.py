@@ -196,8 +196,19 @@ def _reconstruct(payload: dict) -> SavedModel:
     hyperparams = {name: _unhex(hp_blob[name]) for name in entry.penalties}
     hyperparams["kernel"] = _decode_kernel(hp_blob["kernel"])
     fields = {name: _DECODE[encoding](body[name]) for name, encoding in entry.body}
+    for vector, rows in entry.per_row:
+        if fields[rows].ndim != 2 or fields[vector].shape != fields[rows].shape[:1]:
+            raise ValueError(f"{vector} of shape {fields[vector].shape} does not match "
+                             f"{rows} of shape {fields[rows].shape}")
     if entry.hyperparams_class is None:
         fields.update(hyperparams)
     else:
         fields["hyperparams"] = entry.hyperparams_class(**hyperparams)
-    return SavedModel(entry.model_class(**fields), normalization, label_mapping)
+    model = entry.model_class(**fields)
+    n_features = models.n_features(model)
+    if normalization is not None and len(normalization) != n_features:
+        raise ValueError(f"normalization has {len(normalization)} features, "
+                         f"model has {n_features}")
+    if label_mapping is not None and sorted(code for _, code in label_mapping) != [-1, 1]:
+        raise ValueError(f"label_mapping codes must be -1 and +1, got {label_mapping}")
+    return SavedModel(model, normalization, label_mapping)

@@ -48,7 +48,9 @@ class ModelType:
     They and the kernel live on ``model.hyperparams`` (an instance of
     ``hyperparams_class``) or, when that is None, on the model itself.
     ``body`` lists the other saved fields in file order with their
-    encodings; its first field holds the stored training rows.
+    encodings; its first field holds the stored training rows. Each
+    ``per_row`` pair names a vector field and the matrix field with one
+    row per value of it.
     """
 
     kind: str
@@ -58,6 +60,7 @@ class ModelType:
     hyperparams_class: type | None
     penalties: tuple[str, ...]
     body: tuple[tuple[str, str], ...]
+    per_row: tuple[tuple[str, str], ...]
     fit: Callable[[np.ndarray, np.ndarray, dict, KernelSpec], object]
     predict: Callable[[object, np.ndarray], np.ndarray]
 
@@ -80,6 +83,7 @@ MODEL_TYPES = (
         penalties=_TWIN_PENALTIES,
         body=(("A", ARRAY), ("B", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
+        per_row=(("h1", "A"), ("h2", "B")),
         fit=lambda x, y, params, kernel: classifier.fit_classifier(
             x[y == 1], x[y == -1], _twin_hyperparams(params, kernel)
         ),
@@ -91,6 +95,7 @@ MODEL_TYPES = (
         penalties=_TWIN_PENALTIES,
         body=(("X", ARRAY), ("Y", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
+        per_row=(("Y", "X"), ("h1", "X"), ("h2", "X")),
         fit=lambda x, y, params, kernel: regressor.fit_regressor(
             x, y, _twin_hyperparams(params, kernel)
         ),
@@ -101,6 +106,7 @@ MODEL_TYPES = (
         model_class=RkmModel, hyperparams_class=None,
         penalties=("gamma", "eta"),
         body=(("X", ARRAY), ("y", ARRAY), ("h", ARRAY), ("b", FLOAT)),
+        per_row=(("y", "X"), ("h", "X")),
         fit=lambda x, y, params, kernel: rkm.fit_rkm(
             x, y, params["gamma"], params["eta"], kernel
         ),

@@ -55,20 +55,8 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
     e = np.ones(n)
     ke = k @ e
 
-    sys1 = BorderedSystem(
-        core=k / hp.gamma1 + hp.eta1 * np.eye(n),
-        border=e,
-        border_sign=-1,
-        rhs_top=-y + ke / hp.gamma1,
-        rhs_bottom=float(n),
-    )
-    sys2 = BorderedSystem(
-        core=k / hp.gamma2 + hp.eta2 * np.eye(n),
-        border=e,
-        border_sign=+1,
-        rhs_top=y + ke / hp.gamma2,
-        rhs_bottom=float(n),
-    )
+    sys1 = BorderedSystem(k, hp.gamma1, hp.eta1, -1, -y + ke / hp.gamma1, float(n))
+    sys2 = BorderedSystem(k, hp.gamma2, hp.eta2, +1, y + ke / hp.gamma2, float(n))
     rep1 = solve_bordered(sys1, "lower-function system")
     rep2 = solve_bordered(sys2, "upper-function system")
     return TrkmRegressorModel(
@@ -86,10 +74,6 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
 def regression_components(model: TrkmRegressorModel, X) -> tuple[np.ndarray, np.ndarray]:
     """The two dual-form component functions g1, g2 at each row of X."""
     x = as_matrix(X, "X")
-    if x.shape[1] != model.X.shape[1]:
-        raise DimensionMismatch(
-            f"X has {x.shape[1]} features, model was trained with {model.X.shape[1]}"
-        )
     hp = model.hyperparams
     kq = gram(hp.kernel, x, model.X)
     e = np.ones(model.X.shape[0])
@@ -102,15 +86,3 @@ def predict_regression(model: TrkmRegressorModel, X) -> np.ndarray:
     """Elementwise mean of the two component functions."""
     g1, g2 = regression_components(model, X)
     return (g1 + g2) / 2.0
-
-
-def slack_vectors(model: TrkmRegressorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted error vectors in kernel form; eta_i * h_i equals xi_i at a fit."""
-    hp = model.hyperparams
-    k = gram(hp.kernel, model.X, model.X)
-    e = np.ones(model.X.shape[0])
-    phi_w1 = (k @ (e - model.h1)) / hp.gamma1
-    phi_w2 = (k @ (model.h2 - e)) / hp.gamma2
-    xi1 = phi_w1 + e * model.b1 - model.Y
-    xi2 = model.Y - phi_w2 - e * model.b2
-    return xi1, xi2

@@ -48,14 +48,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
     if not (positive_number(gamma) and positive_number(eta)):
         raise ValueError("gamma and eta must be strictly positive")
     k = gram(kernel, x, x)
-    system = BorderedSystem(
-        core=k / gamma + eta * np.eye(n),
-        border=np.ones(n),
-        border_sign=+1,
-        rhs_top=yv,
-        rhs_bottom=0.0,
-    )
-    rep = solve_bordered(system, "rkm system")
+    rep = solve_bordered(BorderedSystem(k, gamma, eta, +1, yv, 0.0), "rkm system")
     return RkmModel(
         X=x,
         y=yv,
@@ -69,12 +62,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
 
 
 def rkm_scores(model: RkmModel, X) -> np.ndarray:
-    x = as_matrix(X, "X")
-    if x.shape[1] != model.X.shape[1]:
-        raise DimensionMismatch(
-            f"X has {x.shape[1]} features, model was trained with {model.X.shape[1]}"
-        )
-    kq = gram(model.kernel, x, model.X)
+    kq = gram(model.kernel, as_matrix(X, "X"), model.X)
     return (kq @ model.h) / model.gamma + model.b
 
 

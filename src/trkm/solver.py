@@ -2,15 +2,17 @@
 
 Every fit in this package reduces to an (n+1) x (n+1) system of the form
 
-    [ core            sign * border ] [ x_top    ]   [ rhs_top    ]
-    [ border^T         0            ] [ x_bottom ] = [ rhs_bottom ]
+    [ K/gamma + eta*I   sign * e ] [ h ]   [ rhs_top    ]
+    [ e^T               0        ] [ b ] = [ rhs_bottom ]
 
-where ``core`` is a regularized kernel block and ``border`` is a ones
-vector enforcing the balance constraint border . x_top = rhs_bottom. The
-bordered column breaks the symmetry of the augmented matrix, so we factor
-the full augmented matrix with partially pivoted LU rather than exploiting
-core symmetry. One or two rounds of iterative refinement keep the residual
-near machine level even for extreme regularizer choices.
+where K is a kernel block, (gamma, eta) its regularizers and e a ones
+vector enforcing the balance constraint sum(h) = rhs_bottom. A caller
+states a system as that data; ``solve_bordered`` alone forms the core and
+the border. The bordered column breaks the symmetry of the augmented
+matrix, so we factor the full augmented matrix with partially pivoted LU
+rather than exploiting core symmetry. One or two rounds of iterative
+refinement keep the residual near machine level even for extreme
+regularizer choices.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ RELATIVE_PIVOT_FLOOR = 1e-12
 # Guaranteed residual bound of a successful solve: 1e-8 * max(1, |b|_inf).
 RESIDUAL_RTOL = 1e-8
 
-# Balance bound of a successful solve: |border.x_top - rhs_bottom| <= 1e-6 * max(1, |rhs_bottom|).
+# Balance bound of a successful solve: |sum(h) - rhs_bottom| <= 1e-6 * max(1, |rhs_bottom|).
 BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
@@ -39,10 +41,11 @@ _REFINE_ROUNDS = 5
 
 @dataclass(frozen=True)
 class BorderedSystem:
-    """One bordered system: core block, border column/row, and right-hand side."""
+    """One bordered system: kernel block, its (gamma, eta), border sign and right-hand side."""
 
-    core: np.ndarray
-    border: np.ndarray
+    kernel: np.ndarray
+    gamma: float
+    eta: float
     border_sign: int
     rhs_top: np.ndarray
     rhs_bottom: float
@@ -52,7 +55,7 @@ class BorderedSystem:
 class SolveReport:
     """Solution plus diagnostics of one bordered solve.
 
-    ``residual_norm`` is the max-abs residual of the assembled augmented
+    ``residual_norm`` is the max-abs residual of the formed augmented
     system (never of the factored form); ``condition_estimate`` is a cheap
     LAPACK 1-norm estimate, reported but never used for gating.
     ``balance_target`` is the system's ``rhs_bottom``.
@@ -65,56 +68,32 @@ class SolveReport:
     balance_target: float
 
 
-def _validated(system: BorderedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    core = as_matrix(system.core, "core")
-    border = as_vector(system.border, "border")
+def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
+    """Form and solve the bordered system named ``name`` by LU with partial pivoting.
+
+    The core is ``kernel / gamma + eta * I``; a non-finite entry in it is a
+    ValueError. Raises SingularSystem, its message prefixed with ``name``,
+    when a pivot falls below the relative floor, the refined residual cannot
+    meet the documented bound, or the solution misses the balance row.
+    """
+    kernel = np.asarray(system.kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
+    n = kernel.shape[0]
+    core = as_matrix(kernel / system.gamma + system.eta * np.eye(n), "core")
     rhs_top = as_vector(system.rhs_top, "rhs_top")
-    n = core.shape[0]
-    if core.shape[1] != n:
-        raise DimensionMismatch(f"core must be square, got shape {core.shape}")
-    if border.shape[0] != n or rhs_top.shape[0] != n:
-        raise DimensionMismatch(
-            f"core is {n}x{n} but border has length {border.shape[0]} "
-            f"and rhs_top has length {rhs_top.shape[0]}"
-        )
+    if rhs_top.shape[0] != n:
+        raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has length {rhs_top.shape[0]}")
     if system.border_sign not in (+1, -1):
         raise ValueError(f"border_sign must be +1 or -1, got {system.border_sign}")
-    rb = float(system.rhs_bottom)
-    if not np.isfinite(rb):
+    rhs_bottom = float(system.rhs_bottom)
+    if not np.isfinite(rhs_bottom):
         raise ValueError("rhs_bottom is not finite")
-    return core, border, rhs_top, rb
-
-
-def assemble(system: BorderedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Build the dense (n+1) x (n+1) augmented matrix and right-hand side."""
-    core, border, rhs_top, rhs_bottom = _validated(system)
-    n = core.shape[0]
     a = np.zeros((n + 1, n + 1), dtype=float)
     a[:n, :n] = core
-    a[:n, n] = system.border_sign * border
-    a[n, :n] = border
+    a[:n, n] = system.border_sign
+    a[n, :n] = 1.0
     b = np.concatenate([rhs_top, [rhs_bottom]])
-    return a, b
-
-
-def residual(system: BorderedSystem, x) -> float:
-    """Max-abs residual ``|A x - b|_inf`` of the assembled system."""
-    a, b = assemble(system)
-    xv = as_vector(x, "x")
-    if xv.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"x has length {xv.shape[0]}, expected {b.shape[0]}")
-    r = a @ xv - b
-    return float(np.max(np.abs(r))) if r.size else 0.0
-
-
-def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
-    """Solve the bordered system named ``name`` by LU with partial pivoting.
-
-    Raises SingularSystem, its message prefixed with ``name``, when a pivot
-    falls below the relative floor, the refined residual cannot meet the
-    documented bound, or the solution misses the balance row.
-    """
-    a, b = assemble(system)
     with warnings.catch_warnings():
         # An exactly-zero pivot makes LAPACK warn; the pivot check below
         # turns that case into a SingularSystem error.

@@ -1,8 +1,20 @@
-"""Independent brute-force oracles, deliberately sharing no code with the
-library's solve path: Gaussian elimination with complete pivoting over the
-augmented matrix, written with plain Python loops."""
+"""Independent references the tests compare the library against.
+
+- ``solve_full_pivot`` and ``augmented``: brute-force oracles sharing no code
+  with the library's solve path, Gaussian elimination with complete pivoting
+  over an augmented matrix built here from its blocks, in plain Python loops;
+  ``system_matrix`` and ``residual`` apply them to a ``BorderedSystem``.
+- ``kernel_eval``: the kernel of one pair of vectors, summed left to right,
+  which every entry of ``trkm.kernels.gram`` must equal bitwise.
+- ``classifier_slacks`` and ``regressor_slacks``: the fitted error vectors of
+  the TRKM systems in kernel form, for the stationarity (eta_i * h_i = xi_i)
+  and Fenchel-Young checks.
+"""
 
 import numpy as np
+
+from trkm.errors import DimensionMismatch
+from trkm.kernels import LINEAR, gram
 
 
 def solve_full_pivot(a, b):
@@ -55,3 +67,60 @@ def augmented(core, border, sign, rhs_top, rhs_bottom):
     a[n, :n] = border
     b = np.concatenate([np.asarray(rhs_top, dtype=float), [float(rhs_bottom)]])
     return a, b
+
+
+def system_matrix(system):
+    """The augmented matrix/rhs of a ``BorderedSystem``: core K/gamma + eta*I, ones border."""
+    n = len(system.rhs_top)
+    core = np.asarray(system.kernel, dtype=float) / system.gamma + system.eta * np.eye(n)
+    return augmented(core, np.ones(n), system.border_sign, system.rhs_top, system.rhs_bottom)
+
+
+def residual(system, x):
+    """Max-abs residual ``|A x - b|_inf`` of a ``BorderedSystem`` at ``x``."""
+    a, b = system_matrix(system)
+    x = np.asarray(x, dtype=float)
+    if x.shape != b.shape:
+        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {b.shape[0]}")
+    return float(np.max(np.abs(a @ x - b)))
+
+
+def kernel_eval(spec, x, y):
+    """The kernel of one pair of vectors, summed plainly left to right."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
+    total = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        total += a * b if spec.family == LINEAR else (a - b) * (a - b)
+    if spec.family == LINEAR:
+        return total
+    return float(np.exp(-total / (2.0 * spec.sigma * spec.sigma)))
+
+
+def classifier_slacks(model):
+    """TRKM-C error vectors xi1 = e1 - phi(A) w1 - e1 b1, xi2 = -e2 - phi(B) w2 - e2 b2.
+
+    The weight vectors are expanded through the kernel, so nothing is
+    materialized.
+    """
+    hp = model.hyperparams
+    k_aa = gram(hp.kernel, model.A, model.A)
+    k_ab = gram(hp.kernel, model.A, model.B)
+    k_bb = gram(hp.kernel, model.B, model.B)
+    e1 = np.ones(model.A.shape[0])
+    e2 = np.ones(model.B.shape[0])
+    phi_a_w1 = (k_aa @ model.h1 - k_ab @ e2) / hp.gamma1
+    phi_b_w2 = (k_bb @ model.h2 + k_ab.T @ e1) / hp.gamma2
+    return e1 - phi_a_w1 - e1 * model.b1, -e2 - phi_b_w2 - e2 * model.b2
+
+
+def regressor_slacks(model):
+    """TRKM-R error vectors of the lower and upper functions, in kernel form."""
+    hp = model.hyperparams
+    k = gram(hp.kernel, model.X, model.X)
+    e = np.ones(model.X.shape[0])
+    phi_w1 = (k @ (e - model.h1)) / hp.gamma1
+    phi_w2 = (k @ (model.h2 - e)) / hp.gamma2
+    return phi_w1 + e * model.b1 - model.Y, model.Y - phi_w2 - e * model.b2

@@ -26,7 +26,6 @@ from trkm.classifier import (
     fit_classifier,
     predict_labels,
 )
-from trkm.classifier import slack_vectors as classifier_slacks
 from trkm.data import CLASSIFY, Dataset, apply_normalization, load_csv, normalize_minmax
 from trkm.kernels import gaussian, gram, linear
 from trkm.metrics import classification_accuracy, regression_errors
@@ -36,12 +35,12 @@ from trkm.regressor import (
     predict_regression,
     regression_components,
 )
-from trkm.regressor import slack_vectors as regressor_slacks
 from trkm.selection import GridSpec, SplitSpec, grid_search, split
 from trkm.stats import friedman_test, nemenyi_cd, rank_models, win_tie_loss
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv
 
 from conftest import DATA_DIR
+from oracles import classifier_slacks, regressor_slacks
 
 UCI_DIR = DATA_DIR / "uci"
 

@@ -8,7 +8,6 @@ from trkm.classifier import (
     decision_values,
     fit_classifier,
     predict_labels,
-    slack_vectors,
 )
 from trkm.errors import DimensionMismatch, EmptyClass, SingularSystem
 from trkm.kernels import gaussian, linear
@@ -16,6 +15,7 @@ from trkm.metrics import classification_accuracy
 from trkm.synthetic import blobs
 
 from conftest import random_two_class
+from oracles import classifier_slacks
 
 
 def equal_hp(gamma=1.0, eta=1.0, kernel=None):
@@ -165,7 +165,7 @@ def test_stationarity_residuals_in_kernel_form(rng):
         x, y = random_two_class(rng)
         hp = equal_hp(float(rng.choice([1e-2, 1.0, 1e2])), float(rng.choice([1e-2, 1.0, 1e2])))
         model = fit_classifier(x[y == 1], x[y == -1], hp)
-        xi1, xi2 = slack_vectors(model)
+        xi1, xi2 = classifier_slacks(model)
         assert np.max(np.abs(hp.eta1 * model.h1 - xi1)) <= 1e-6
         assert np.max(np.abs(hp.eta2 * model.h2 - xi2)) <= 1e-6
 
@@ -174,7 +174,7 @@ def test_fenchel_young_bound_and_equality_point(rng):
     x, y = random_two_class(rng)
     hp = equal_hp(2.0, 0.5)
     model = fit_classifier(x[y == 1], x[y == -1], hp)
-    for xi, eta in zip(slack_vectors(model), (hp.eta1, hp.eta2)):
+    for xi, eta in zip(classifier_slacks(model), (hp.eta1, hp.eta2)):
         lhs = xi @ xi / (2.0 * eta)
         for _ in range(100):
             h = rng.normal(size=xi.shape)

@@ -77,13 +77,16 @@ def test_predict_regressor_prints_four_metrics(tmp_path, sine_csv, capsys):
 
 
 def test_missing_required_flag_exits_2(tmp_path, capsys):
-    for argv in (
-        ("train", "--task", "classify"),
-        ("--threads", "-3", "gridsearch", "--task", "classify",
-         "--data", str(tmp_path / "d.csv"), "--label-col", "label"),
+    grid = ("--task", "classify", "--data", str(tmp_path / "d.csv"), "--label-col", "label")
+    for argv, named in (
+        (("train", "--task", "classify"), []),
+        (("--threads", "-3", "gridsearch", *grid), ["--threads", "'-3'"]),
+        (("--seed", "-1", "gridsearch", *grid), ["--seed", "'-1'"]),
+        (("gridsearch", "--seed", "-1", *grid), ["--seed", "'-1'"]),
     ):
         assert run(*argv) == 2
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage" in err and all(word in err for word in named), err
 
 
 @pytest.mark.parametrize("command", [
@@ -121,6 +124,22 @@ def test_singular_fit_exits_4_naming_the_system(tmp_path, capsys):
     )
     assert code == 4
     assert "class +1 system" in capsys.readouterr().err
+
+
+def test_overflowing_gram_exits_2_before_writing(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b,label\n1e200,1e200,1\n2e200,1e200,1\n"
+                    "-1e200,3e200,-1\n-2e200,1e200,-1\n")
+    model_out = tmp_path / "m.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(
+            "train", "--task", "classify", "--data", str(path), "--label-col", "label",
+            "--kernel", "linear", "--no-normalize", "--gamma", "1", "--eta", "1",
+            "--model-out", str(model_out),
+        )
+    assert code == 2
+    assert "error: core contains non-finite entries" in capsys.readouterr().err
+    assert not model_out.exists()
 
 
 def test_feature_count_mismatch_exits_3(tmp_path, blob_csv, capsys):
@@ -475,10 +494,21 @@ def _rewrite_payload(path, edit):
     path.write_text(json.dumps(doc, indent=1))
 
 
+def _drop_last_h1(payload):
+    h1 = payload["body"]["h1"]
+    h1["values"].pop()
+    h1["shape"] = [len(h1["values"])]
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda payload: payload.update(task="regress"), ["'regress'", "'trkm_classifier'"]),
     (lambda payload: payload["body"]["hyperparams"].update(kernel="gaussian"), ["malformed"]),
-], ids=["classifier-read-as-regressor", "kernel-not-object"])
+    (_drop_last_h1, ["h1 of shape (11,)", "A of shape (12, 2)"]),
+    (lambda payload: payload.update(normalization=payload["normalization"][:1]),
+     ["normalization has 1 features", "model has 2"]),
+    (lambda payload: payload["label_mapping"][1].__setitem__(1, 7), ["label_mapping", "7"]),
+], ids=["classifier-read-as-regressor", "kernel-not-object", "short-h1",
+        "one-pair-normalization", "label-code-7"])
 def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, edit, named):
     model_path = tmp_path / "model.json"
     assert run(
@@ -488,9 +518,33 @@ def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, edit, named):
     _rewrite_payload(model_path, edit)
     capsys.readouterr()
     assert run("predict", "--model", str(model_path), "--data", blob_csv,
-               "--target-col", "label", "--output", str(tmp_path / "p.csv")) == 3
+               "--label-col", "label", "--output", str(tmp_path / "p.csv")) == 3
     err = capsys.readouterr().err
-    assert all(word in err for word in named), err
+    assert "malformed payload" in err and all(word in err for word in named), err
+
+
+def _widen_b(payload):
+    """Give the stored class -1 rows one feature more than the class +1 rows."""
+    b = payload["body"]["B"]
+    rows, cols = b["shape"]
+    values = b["values"]
+    b["values"] = [v for r in range(rows) for v in values[r * cols:(r + 1) * cols] + ["0x0.0p+0"]]
+    b["shape"] = [rows, cols + 1]
+
+
+def test_dimension_mismatch_exits_3_with_a_message(tmp_path, blob_csv, capsys):
+    model_path = tmp_path / "model.json"
+    assert run(
+        "train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
+        "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path),
+    ) == 0
+    _rewrite_payload(model_path, _widen_b)
+    capsys.readouterr()
+    output = tmp_path / "p.csv"
+    assert run("predict", "--model", str(model_path), "--data", blob_csv,
+               "--label-col", "label", "--output", str(output)) == 3
+    assert capsys.readouterr().err == "error: feature counts differ: left has 2, right has 3\n"
+    assert not output.exists()
 
 
 def _same_document(data: bytes, good: bytes) -> bool:

@@ -85,3 +85,8 @@ def test_tracer_sees_fits_and_predicts_made_through_the_table(rng):
     names = {s["name"] for s in tracer.spans}
     for layer, fit, predict in load_spans().MODELS:
         assert {f"{layer}.{fit}", f"{layer}.{predict}"} <= names
+    # two systems per TRKM fit, one per RKM fit, each measured from its BorderedSystem
+    solves = [s for s in tracer.spans if s["name"] == "solver.solve_bordered"]
+    assert len(solves) == 5
+    for span in solves:
+        assert span["residual_ratio"] <= 1.0 and span["flops"] > 0, span

@@ -11,11 +11,10 @@ from trkm.regressor import (
     fit_regressor,
     predict_regression,
     regression_components,
-    slack_vectors,
 )
 from trkm.synthetic import sine
 
-from oracles import augmented, solve_full_pivot
+from oracles import augmented, regressor_slacks, solve_full_pivot
 
 
 def equal_hp(gamma=1.0, eta=1.0, kernel=None):
@@ -94,7 +93,7 @@ def test_stationarity_in_kernel_form(rng):
         y = rng.normal(size=n)
         hp = equal_hp(float(rng.choice([1e-2, 1.0, 1e2])), float(rng.choice([1e-2, 1.0, 1e2])))
         model = fit_regressor(x, y, hp)
-        xi1, xi2 = slack_vectors(model)
+        xi1, xi2 = regressor_slacks(model)
         assert np.max(np.abs(hp.eta1 * model.h1 - xi1)) <= 1e-6
         assert np.max(np.abs(hp.eta2 * model.h2 - xi2)) <= 1e-6
 
@@ -104,7 +103,7 @@ def test_fenchel_young_bound_and_equality_point(rng):
     y = rng.normal(size=15)
     hp = equal_hp(0.8, 0.3)
     model = fit_regressor(x, y, hp)
-    for xi, eta in zip(slack_vectors(model), (hp.eta1, hp.eta2)):
+    for xi, eta in zip(regressor_slacks(model), (hp.eta1, hp.eta2)):
         lhs = xi @ xi / (2.0 * eta)
         for _ in range(100):
             h = rng.normal(size=xi.shape)

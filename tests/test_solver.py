@@ -3,15 +3,16 @@ import pytest
 
 from trkm.errors import DimensionMismatch, SingularSystem
 import trkm.solver
-from trkm.solver import BorderedSystem, assemble, residual, solve_bordered
+from trkm.solver import BorderedSystem, solve_bordered
 
-from oracles import solve_full_pivot
+from oracles import residual, solve_full_pivot, system_matrix
 
 
-def system(core, border, sign, rhs_top, rhs_bottom):
+def system(kernel, gamma, eta, sign, rhs_top, rhs_bottom):
     return BorderedSystem(
-        core=np.asarray(core, dtype=float),
-        border=np.asarray(border, dtype=float),
+        kernel=np.asarray(kernel, dtype=float),
+        gamma=gamma,
+        eta=eta,
         border_sign=sign,
         rhs_top=np.asarray(rhs_top, dtype=float),
         rhs_bottom=rhs_bottom,
@@ -19,10 +20,10 @@ def system(core, border, sign, rhs_top, rhs_bottom):
 
 
 def random_system(rng, n, sign=None):
-    core = rng.normal(size=(n, n)) + n * np.eye(n)  # keep it well conditioned
     return system(
-        core,
-        rng.normal(size=n),
+        rng.normal(size=(n, n)),
+        float(rng.uniform(0.5, 2.0)),
+        float(n),  # eta * I keeps the core well conditioned
         sign if sign is not None else int(rng.choice([-1, 1])),
         rng.normal(size=n),
         float(rng.normal()),
@@ -30,45 +31,49 @@ def random_system(rng, n, sign=None):
 
 
 def test_identity_core_symmetric_rhs():
-    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0), "test system")
+    rep = solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1, 1], 2.0), "test system")
     assert np.allclose(rep.solution, [1.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_hand_eliminated_three_by_three():
-    rep = solve_bordered(system([[2, 0], [0, 2]], [1, 1], +1, [3, 1], 2.0), "test system")
+    rep = solve_bordered(system(np.eye(2), 1.0, 1.0, +1, [3, 1], 2.0), "test system")
     assert np.allclose(rep.solution, [1.5, 0.5, 0.0], atol=1e-12)
 
 
-def test_zero_row_with_zero_border_is_singular():
+def test_duplicate_rows_are_singular():
+    # two identical kernel rows with eta = 0 repeat a row of the augmented matrix
     with pytest.raises(SingularSystem, match="^test system: pivot"):
-        solve_bordered(system([[1, 0], [0, 0]], [1, 0], +1, [1, 1], 1.0), "test system")
+        solve_bordered(system(np.ones((2, 2)), 1.0, 0.0, +1, [1, 1], 1.0), "test system")
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve_bordered(system(np.eye(3), [1, 1], +1, [1, 1, 1], 0.0), "test system")
+        solve_bordered(system(np.eye(3), 1.0, 1.0, +1, [1, 1], 0.0), "test system")
     with pytest.raises(DimensionMismatch):
-        residual(system(np.eye(2), [1, 1], +1, [1, 1], 0.0), [1, 2])
+        solve_bordered(system(np.ones((2, 3)), 1.0, 1.0, +1, [1, 1], 0.0), "test system")
+    with pytest.raises(DimensionMismatch):
+        residual(system(np.eye(2), 1.0, 1.0, +1, [1, 1], 0.0), [1, 2])
 
 
 def test_border_sign_flips_column_only():
-    core = np.array([[3.0, 1.0], [1.0, 3.0]])
-    plus, _ = assemble(system(core, [1, 2], +1, [0, 0], 0.0))
-    minus, _ = assemble(system(core, [1, 2], -1, [0, 0], 0.0))
-    assert np.array_equal(plus[:2, 2], [1.0, 2.0])
-    assert np.array_equal(minus[:2, 2], [-1.0, -2.0])
-    # bottom row never carries the sign
-    assert np.array_equal(plus[2, :2], [1.0, 2.0])
-    assert np.array_equal(minus[2, :2], [1.0, 2.0])
+    # the sign sits on the border column only, so flipping it negates b and keeps h
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        s = random_system(rng, int(rng.integers(1, 8)), +1)
+        plus = solve_bordered(s, "test system").solution
+        minus = solve_bordered(system(s.kernel, s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom),
+                               "test system").solution
+        assert np.allclose(minus[:-1], plus[:-1], atol=1e-12)
+        assert minus[-1] == pytest.approx(-plus[-1], abs=1e-12)
 
 
 def test_residual_of_exact_solution_is_zero():
-    s = system([[2, 0], [0, 2]], [1, 1], +1, [3, 1], 2.0)
+    s = system(np.eye(2), 1.0, 1.0, +1, [3, 1], 2.0)
     assert residual(s, [1.5, 0.5, 0.0]) <= 1e-12
 
 
 def test_residual_scales_linearly_in_perturbation():
-    s = system(np.eye(2), [1, 1], +1, [1, 1], 2.0)
+    s = system(np.eye(2), 2.0, 0.5, +1, [1, 1], 2.0)
     exact = np.array([1.0, 1.0, 0.0])
     for eps in (1e-6, 1e-3, 1e-1):
         r = residual(s, exact + np.array([eps, 0.0, 0.0]))
@@ -77,7 +82,7 @@ def test_residual_scales_linearly_in_perturbation():
 
 
 def test_residual_of_zero_vector_is_rhs_norm():
-    s = system(np.eye(3), [1, 1, 1], +1, [2, -7, 3], 4.0)
+    s = system(np.eye(3), 1.0, 1.0, +1, [2, -7, 3], 4.0)
     assert residual(s, np.zeros(4)) == 7.0
 
 
@@ -86,10 +91,11 @@ def test_solve_then_residual_bound():
     for _ in range(50):
         s = random_system(rng, int(rng.integers(1, 25)))
         rep = solve_bordered(s, "test system")
-        _, b = assemble(s)
+        _, b = system_matrix(s)
         bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
         assert rep.residual_norm <= bound
-        assert residual(s, rep.solution) <= bound
+        # the reported residual is the residual of the formed augmented system
+        assert rep.residual_norm == residual(s, rep.solution)
 
 
 def test_permutation_equivariance():
@@ -99,7 +105,7 @@ def test_permutation_equivariance():
         s = random_system(rng, n)
         perm = rng.permutation(n)
         permuted = system(
-            s.core[np.ix_(perm, perm)], s.border[perm], s.border_sign,
+            s.kernel[np.ix_(perm, perm)], s.gamma, s.eta, s.border_sign,
             s.rhs_top[perm], s.rhs_bottom,
         )
         base = solve_bordered(s, "test system").solution
@@ -111,16 +117,14 @@ def test_permutation_equivariance():
 def test_matches_full_pivot_oracle_small():
     rng = np.random.default_rng(21)
     for _ in range(60):
-        n = int(rng.integers(1, 9))
-        s = random_system(rng, n)
-        a, b = assemble(s)
-        expected = solve_full_pivot(a, b)
+        s = random_system(rng, int(rng.integers(1, 9)))
+        expected = solve_full_pivot(*system_matrix(s))
         got = solve_bordered(s, "test system").solution
         assert np.allclose(got, expected, atol=1e-9)
 
 
 def test_report_carries_condition_estimate():
-    rep = solve_bordered(system(np.eye(2), [1, 1], +1, [1, 1], 2.0), "test system")
+    rep = solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1, 1], 2.0), "test system")
     assert np.isfinite(rep.condition_estimate)
     assert rep.condition_estimate >= 1.0
     assert rep.name == "test system" and rep.balance_target == 2.0
@@ -138,4 +142,4 @@ def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
 
     monkeypatch.setattr(trkm.solver, "lu_solve", off_by_1e5)
     with pytest.raises(SingularSystem, match="^test system: balance"):
-        solve_bordered(system(np.eye(2), [1, 1], +1, [1e4, 1e4], 0.0), "test system")
+        solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
