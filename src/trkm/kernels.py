@@ -55,6 +55,8 @@ def gram(spec: KernelSpec, left, right) -> np.ndarray:
     if spec.family == GAUSSIAN:
         return np.exp(-cdist(lm, rm, "sqeuclidean") / (2.0 * spec.sigma * spec.sigma))
     values = np.zeros((lm.shape[0], rm.shape[0]))
-    for k in range(lm.shape[1]):
-        values += np.outer(lm[:, k], rm[:, k])
+    # Huge features overflow to inf or nan here; the solver's finiteness check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(lm.shape[1]):
+            values += np.outer(lm[:, k], rm[:, k])
     return values

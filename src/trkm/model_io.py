@@ -200,6 +200,11 @@ def _reconstruct(payload: dict) -> SavedModel:
         if fields[rows].ndim != 2 or fields[vector].shape != fields[rows].shape[:1]:
             raise ValueError(f"{vector} of shape {fields[vector].shape} does not match "
                              f"{rows} of shape {fields[rows].shape}")
+    first, *others = dict.fromkeys(rows for _, rows in entry.per_row)
+    for rows in others:
+        if fields[rows].shape[1] != fields[first].shape[1]:
+            raise ValueError(f"{rows} of shape {fields[rows].shape} has another column count "
+                             f"than {first} of shape {fields[first].shape}")
     if entry.hyperparams_class is None:
         fields.update(hyperparams)
     else:

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trkm.models as models
+import trkm.selection as sel
 from trkm.data import CLASSIFY, REGRESS, Dataset
-from trkm.errors import DegenerateSplit, TooFewSamples
+from trkm.errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
+from trkm.models import RKM, TRKM
 from trkm.selection import (
     GridSpec,
     PENALTY_GRID,
@@ -186,27 +191,95 @@ def test_threaded_evaluation_matches_serial():
     assert serial == threaded
 
 
+def per_cell_table(ds, grid, task, model_kind, seed):
+    """(params, fold scores, error) of each cell, every cell fitted at every fold."""
+    folds = kfold_indices(ds.n, grid.folds, seed)
+    x, y = ds.X, np.asarray(ds.target, dtype=float)
+    table = []
+    for params in sel._grid_points(grid):
+        scores, error = [], ""
+        for train_idx, valid_idx in folds:
+            try:
+                scores.append(sel._fit_score(x[train_idx], y[train_idx], x[valid_idx],
+                                             y[valid_idx], params, task, model_kind))
+            except (SingularSystem, EmptyClass) as exc:
+                error = str(exc)
+                break
+        table.append((params, tuple(scores), error))
+    return table
+
+
+def cells_of(result):
+    return [(c.params, c.fold_scores, c.error) for c in result.table]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model_kind=st.sampled_from([TRKM, RKM]),
+    n=st.integers(6, 24),
+    m=st.integers(1, 3),
+    folds=st.integers(2, 3),
+    data_seed=st.integers(0, 2**16),
+    gammas=st.lists(st.sampled_from(PENALTY_GRID), min_size=1, max_size=3, unique=True),
+    etas=st.lists(st.sampled_from(PENALTY_GRID), min_size=1, max_size=3, unique=True),
+    sigmas=st.lists(st.sampled_from(SIGMA_GRID), min_size=1, max_size=2, unique=True),
+)
+def test_batched_grid_equals_per_cell_fits(model_kind, n, m, folds, data_seed, gammas, etas,
+                                           sigmas):
+    rng = np.random.default_rng(data_seed)
+    y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
+    y[:2] = (1, -1)
+    ds = Dataset(X=rng.normal(size=(n, m)), target=y, task=CLASSIFY)
+    grid = GridSpec(gamma_values=tuple(gammas), eta_values=tuple(etas),
+                    sigma_values=tuple(sigmas), folds=folds)
+    result = grid_search(ds, grid, CLASSIFY, model_kind=model_kind, seed=data_seed)
+    assert cells_of(result) == per_cell_table(ds, grid, CLASSIFY, model_kind, data_seed)
+
+
+@pytest.mark.parametrize("model_kind", [TRKM, RKM])
+def test_per_class_penalties_equal_per_cell_fits(model_kind):
+    grid = GridSpec(gamma_values=(1e-2, 10.0), eta_values=(1e-3, 1.0), sigma_values=(1.0,),
+                    equal_penalties=False, folds=3)
+    result = grid_search(small_dataset(), grid, CLASSIFY, model_kind=model_kind, seed=1)
+    assert len(result.table) == 16
+    assert cells_of(result) == per_cell_table(small_dataset(), grid, CLASSIFY, model_kind, 1)
+
+
 def test_failed_cells_recorded_not_fatal(monkeypatch):
-    import trkm.selection as sel
-    from trkm.errors import SingularSystem
+    # The batched gate rejects every gamma=0.1 solve, so the LU fit decides
+    # those cells, and here it fails them.
+    real_solve, real_fit = models.solve_spectral, sel._fit_score
+    refitted = []
 
-    calls = {"n": 0}
-    real = sel._fit_score
+    def rejecting(kernel, gammas, etas, *args):
+        solved = real_solve(kernel, gammas, etas, *args)
+        return dataclasses.replace(solved, passed=solved.passed & (gammas != 0.1))
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        params = args[4]
-        if params["gamma"] == 0.1:
+    def failing(*args):
+        refitted.append(args[4])
+        if args[4]["gamma"] == 0.1:
             raise SingularSystem("synthetic failure")
-        return real(*args, **kwargs)
+        return real_fit(*args)
 
-    monkeypatch.setattr(sel, "_fit_score", flaky)
+    monkeypatch.setattr(models, "solve_spectral", rejecting)
+    monkeypatch.setattr(sel, "_fit_score", failing)
     grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
     result = grid_search(small_dataset(), grid, CLASSIFY, seed=0)
     failed = [c for c in result.table if c.error]
-    assert len(failed) == 1
-    assert failed[0].mean_score == float("-inf")
+    assert len(failed) == 1 and failed[0].error == "synthetic failure"
+    assert failed[0].mean_score == float("-inf") and failed[0].fold_scores == ()
     assert result.best_params["gamma"] == 1.0
+    assert [p["gamma"] for p in refitted] == [0.1]  # the healthy cell was never refitted
+
+
+def test_fold_without_a_class_records_empty_class():
+    # One negative sample: the fold that validates it trains on positives only.
+    ds = class_dataset(9, 1, seed=3)
+    grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
+    result = grid_search(ds, grid, CLASSIFY, seed=0)
+    assert {c.error for c in result.table} == {"class -1 has no samples"}
+    assert all(c.mean_score == float("-inf") for c in result.table)
+    assert cells_of(result) == per_cell_table(ds, grid, CLASSIFY, TRKM, 0)
 
 
 def test_regression_grid_minimizes_rmse():

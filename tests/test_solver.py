@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,30 @@ def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
     monkeypatch.setattr(trkm.solver, "lu_solve", off_by_1e5)
     with pytest.raises(SingularSystem, match="^test system: balance"):
         solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
+    from trkm.kernels import gaussian, gram
+
+    x = rng.normal(size=(7, 2))
+    kernel = gram(gaussian(1.0), x, x)
+    gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
+    rhs = rng.normal(size=(7, 3))
+    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5)
+    assert solved.passed.all() and (solved.residual_ratio <= 1.0).all()
+    assert np.allclose(solved.h.sum(axis=0), 1.5, rtol=0, atol=1e-10)
+    for j in range(3):
+        oracle = solve_full_pivot(*system_matrix(system(kernel, gammas[j], etas[j], sign,
+                                                        rhs[:, j], 1.5)))
+        assert np.allclose(np.append(solved.h[:, j], solved.b[j]), oracle, rtol=1e-9, atol=1e-9)
+        assert abs(solved.b[j]) <= solved.b_size[j]
+
+
+def test_spectral_column_with_a_zero_shifted_eigenvalue_fails_its_gates():
+    kernel = np.diag([-1.0, 1.0, 2.0])  # d = lambda/gamma + eta is 0 in the first column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = trkm.solver.solve_spectral(kernel, [1.0, 1.0], [1.0, 2.0], +1,
+                                            np.ones((3, 2)), 0.0)
+    assert solved.passed.tolist() == [False, True]
