@@ -10,10 +10,11 @@ The entries call the model modules' functions through the module attributes
 objects captured at import, so a wrapper installed on those attributes sees
 every fit and predict.
 
-The classification entries also state a cross-validation fold's systems as
-data, for every grid cell at once (``grid_fold``); ``fold_predictions``
-solves them with one eigendecomposition per kernel block and predicts the
-fold's validation rows for all cells with matrix products.
+Every entry also states a cross-validation fold's systems as data, for every
+grid cell at once (``grid_fold``); ``fold_predictions`` solves them with one
+eigendecomposition per kernel block (TRKM-R's two systems share the fold's
+K, so one) and predicts the fold's validation rows for all cells with matrix
+products: labels for classification, values for regression.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .kernels import KernelSpec, gaussian, gram
 from .metrics import classification_accuracy, regression_errors
 from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
-from .solver import solve_spectral
+from .solver import kernel_spectrum, solve_spectral
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -44,6 +45,17 @@ KIND_RKM = "rkm"
 # A decision value within this fraction of the size of the terms summed into
 # it is a tie that rounding breaks: its cell is left to the fit.
 TIE_RTOL = 1e-12
+
+# A regression cell whose core has a spread d_max/d_min (its condition
+# number) above this is left to the fit. Rounding in the spectral solve grows
+# with the spread: at 1e12 (sigma=32, gamma=eta=1e-5 on a smooth 150-row
+# problem) its RMSE missed the LU one by 2.1e-5 relative, and at 9.6e9 (a
+# 104-row crossplane fold) it missed the exact RMSE by 2.5e-6 where LU missed
+# by 1.7e-7. Below 1e9 the largest drift seen on the default grid, 5.7e-5 at
+# an RMSE of 3.3e-6, is LU's own rounding: LU missed the exact RMSE by 4.6e-5
+# there and the spectral solve by 5.8e-6. Labels only need signs, so
+# classification is not held to it.
+SPREAD_LIMIT = 1e9
 
 # Encodings of saved body fields.
 ARRAY = "array"
@@ -87,8 +99,9 @@ class GridSystem:
 
     and adds ``(cross @ h + offset)/g + b`` to the decision value of each
     validation row; ``cross`` is the kernel between the validation rows and
-    the system's rows. A row is labelled +1 when its summed decision value is
-    at least zero, as ``predict`` labels it.
+    the system's rows. A classifier labels a row +1 when its summed decision
+    value is at least zero, and a regressor predicts half the sum, as
+    ``predict`` does.
     """
 
     kernel: np.ndarray
@@ -139,6 +152,19 @@ def _rkm_grid_fold(x, y, x_valid, kernel):
                        np.zeros(len(x_valid)), _first_penalties),)
 
 
+def _regressor_grid_fold(x, y, x_valid, kernel):
+    """The systems of ``regressor.fit_regressor``, both on K, and the terms of its predictor."""
+    if len(x) < 2:
+        return None  # the fit refuses it
+    k, k_v = gram(kernel, x, x), gram(kernel, x_valid, x)
+    e = np.ones(len(x))
+    ke, k_ve = k @ e, k_v @ e
+    return (
+        GridSystem(k, -1, -y, ke, float(len(x)), -k_v, k_ve, _first_penalties),
+        GridSystem(k, +1, y, ke, float(len(x)), k_v, -k_ve, _second_penalties),
+    )
+
+
 _TWIN_PENALTIES = ("gamma1", "gamma2", "eta1", "eta2")
 
 MODEL_TYPES = (
@@ -166,6 +192,7 @@ MODEL_TYPES = (
             x, y, _twin_hyperparams(params, kernel)
         ),
         predict=lambda model, x: regressor.predict_regression(model, x),
+        grid_fold=_regressor_grid_fold,
     ),
     ModelType(
         kind=KIND_RKM, model_kind=RKM, task=CLASSIFY,
@@ -231,34 +258,44 @@ def predict(model, X) -> np.ndarray:
 
 
 def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, cells: list[dict]):
-    """Labels at the rows of ``X_valid`` of every cell fitted on (X, y), without fitting.
+    """Predictions at the rows of ``X_valid`` of every cell fitted on (X, y), without fitting.
 
     ``cells`` are grid params sharing the Gaussian bandwidth ``sigma``.
-    Returns a (rows x cells) label matrix and a mask of the cells whose
-    solves met every gate of ``solve_spectral``, or None when the pair or
-    this fold has no batched form. A cell outside the mask must be decided
-    by ``fit``.
+    Returns a (rows x cells) matrix, labels for classification and values for
+    regression, and a mask of the cells whose solves met every gate of
+    ``solve_spectral``; or None when the pair or this fold has no batched
+    form. A cell outside the mask must be decided by ``fit``. Besides those
+    gates, a classification cell with a tied decision value (``TIE_RTOL``)
+    and a regression cell whose spread exceeds ``SPREAD_LIMIT`` fall outside.
     """
     entry = model_type(model_kind, task)
     systems = entry.grid_fold and entry.grid_fold(X, y, X_valid, gaussian(sigma))
     if not systems:
         return None
     decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)
+    spectra = {}
     for system in systems:
         pairs = [system.penalties(params) for params in cells]
         index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
         column = np.array([index[pair] for pair in pairs])
         gammas, etas = np.array(list(index)).T
         rhs = system.rhs_fixed[:, None] + system.rhs_scaled[:, None] / gammas
+        if id(system.kernel) not in spectra:
+            spectra[id(system.kernel)] = kernel_spectrum(system.kernel)
         solved = solve_spectral(system.kernel, gammas, etas, system.border_sign, rhs,
-                                system.rhs_bottom)
+                                system.rhs_bottom, spectra[id(system.kernel)])
+        passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
             term = (system.cross @ solved.h + system.offset[:, None]) / gammas + solved.b
-            bound = (np.abs(system.cross) @ np.abs(solved.h) + np.abs(system.offset)[:, None]
-                     ) / gammas + solved.b_size
             decision = decision + term[:, column]
-            size = size + bound[:, column]
-        passed &= solved.passed[column]
+            if task == REGRESS:
+                passed &= solved.spread[column] <= SPREAD_LIMIT
+            else:
+                bound = (np.abs(system.cross) @ np.abs(solved.h)
+                         + np.abs(system.offset)[:, None]) / gammas + solved.b_size
+                size = size + bound[:, column]
+    if task == REGRESS:
+        return decision / 2.0, passed
     with np.errstate(invalid="ignore"):
         passed &= (np.abs(decision) > TIE_RTOL * size).all(axis=0)
     return np.where(decision >= 0.0, 1, -1), passed
@@ -274,3 +311,16 @@ def score(task: str, pred, truth) -> float:
     if task == CLASSIFY:
         return classification_accuracy(pred, truth)
     return regression_errors(pred, truth).rmse
+
+
+def column_scores(task: str, pred: np.ndarray, truth: np.ndarray) -> list[float]:
+    """``score`` of each column of a (rows x cells) prediction matrix.
+
+    The RMSEs come from one array expression that reduces each column in the
+    order ``regression_errors`` reduces a vector, so the two agree bitwise;
+    accuracies are taken by ``score`` column by column.
+    """
+    if task == CLASSIFY:
+        return [score(task, column, truth) for column in pred.T]
+    diff = np.ascontiguousarray(pred.T) - truth
+    return np.sqrt(np.mean(diff * diff, axis=1)).tolist()

@@ -11,21 +11,21 @@ sigma inner, each ascending).
 
 How a cell is solved. The kernel depends only on sigma, so the unit of work
 is one (sigma, fold): ``models.fold_predictions`` eigendecomposes each of the
-fold's kernel blocks once (K_AA and K_BB for TRKM-C, the fold's K for RKM)
-and solves every (gamma, eta) cell of that sigma from the shifted spectrum,
-then labels the validation rows of all cells with matrix products (see
-``solver.solve_spectral``). Each solve is held to the gates of the LU path:
-the residual of the formed system within 1e-8 * max(1, |rhs|_inf), the
-balance row within 1e-6, and a finite, positive shifted spectrum. A cell that
-misses a gate at a fold, or has a validation row whose decision value is a
-tie that rounding breaks (``models.TIE_RTOL``), is refitted there by
-``_fit_score``, the LU fit, and that fit alone decides its score or its error
-and message, so the table reads exactly as a per-cell search writes it.
-
-TRKM-R is not batched; every TRKM-R cell is fitted by ``_fit_score``. Its
-cell (sigma=32, gamma=1e-5, eta=1e-5) on a smooth 150-row problem has a
-condition number near 1e12, and there the spectral solution differed from
-the LU one by 2.1e-5 relative even after refinement.
+fold's kernel blocks once (K_AA and K_BB for TRKM-C; the fold's K for RKM,
+and for TRKM-R, whose two systems share it) and solves every (gamma, eta)
+cell of that sigma from the shifted spectrum, then predicts the validation
+rows of all cells with matrix products (see ``solver.solve_spectral``) and
+scores them (``models.column_scores``; the RMSEs in one array expression).
+Each solve is held to the gates of the LU path: the residual of the formed
+system within 1e-8 * max(1, |rhs|_inf), the balance row within 1e-6, and a
+finite, positive shifted spectrum. A cell that misses a gate at a fold is
+refitted there by ``_fit_score``, the LU fit, and that fit alone decides its
+score or its error and message. So is a classification cell with a
+validation row whose decision value is a tie that rounding breaks
+(``models.TIE_RTOL``), and a regression cell whose core's spread
+d_max/d_min exceeds ``models.SPREAD_LIMIT``. Labels and errors therefore read
+exactly as a per-cell search writes them; regression scores agree with it to
+rounding, within the 1e-6 relative the benchmark checks.
 """
 
 from __future__ import annotations
@@ -219,11 +219,10 @@ def grid_search(
         )
         if found is None:
             return {}
-        labels, passed = found
-        return {
-            (i, f): models.score(task, labels[:, j], y[valid_idx])
-            for j, i in enumerate(columns[sigma]) if passed[j]
-        }
+        predictions, passed = found
+        scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
+        return {(i, f): score
+                for i, score in zip(np.asarray(columns[sigma])[passed].tolist(), scores)}
 
     fast = {}
     if threads > 1:

@@ -20,15 +20,20 @@ through a shift of the kernel's spectrum: with K = Q diag(lambda) Q^T,
 
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
-so one ``eigh`` serves every pair. Each pair then takes the scalar Schur
-step of the border: u = C^-1 r, v = C^-1 e, b = (e^T u - c)/(sign * e^T v),
+so one ``eigh`` (``kernel_spectrum``) serves every pair, and every system
+on the same block. Each pair then takes the scalar Schur step of the
+border: u = C^-1 r, v = C^-1 e, b = (e^T u - c)/(sign * e^T v),
 h = u - sign*b*v. Stacking the pairs as columns turns the solves, the
 residuals and the balance rows into a few matrix products. Each column is
 held to the gates of ``solve_bordered``: the residual of the formed system
 (balance row included) within ``RESIDUAL_RTOL``, the balance within
 ``BALANCE_RTOL``, and every d finite and positive. A column that misses a
 gate is only marked; the caller decides it with ``solve_bordered``. There is
-no pivot floor here, and no refinement.
+no pivot floor here and no refinement: one round for the columns over the
+residual bound let through columns that ``solve_bordered`` rejects as
+singular, so the caller's table would no longer read as the LU fits write it.
+Each column also reports its spread d_max/d_min, the condition number of its
+core; the caller may hold it to a bound of its own.
 """
 
 from __future__ import annotations
@@ -156,7 +161,8 @@ class SpectralSolve:
     ``b_size`` bounds each |b| by the sizes of the terms it is computed
     from, cancellation ignored; a b far below it is mostly rounding.
     ``passed`` marks the columns that meet every gate, and
-    ``residual_ratio`` is each column's residual over its bound.
+    ``residual_ratio`` is each column's residual over its bound. ``spread``
+    is each column's d_max/d_min, the 2-norm condition number of its core.
     """
 
     h: np.ndarray
@@ -164,26 +170,33 @@ class SpectralSolve:
     b_size: np.ndarray
     passed: np.ndarray
     residual_ratio: np.ndarray
+    spread: np.ndarray
+
+
+def kernel_spectrum(kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a symmetric kernel block as (lambda, Q); all nan when it does not converge."""
+    kernel = np.asarray(kernel, dtype=float)
+    try:
+        return np.linalg.eigh(kernel)
+    except np.linalg.LinAlgError:
+        n = kernel.shape[0]
+        return np.full(n, np.nan), np.full((n, n), np.nan)
 
 
 def solve_spectral(
-    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float
+    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, spectrum=None
 ) -> SpectralSolve:
     """Solve the bordered system of ``kernel`` for each column (gammas[j], etas[j], rhs_top[:, j]).
 
-    One eigendecomposition of the kernel serves every column; see the module
-    docstring for the method and the gates.
+    ``spectrum`` is the kernel's ``kernel_spectrum``, computed here when not
+    given; see the module docstring for the method and the gates. A nan
+    spectrum fails every column. The spread d_max/d_min of each column is
+    reported, not gated; ``models.SPREAD_LIMIT`` holds regression cells to it.
     """
     kernel = np.asarray(kernel, dtype=float)
     gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
     rhs = np.asarray(rhs_top, dtype=float)
-    n, columns = rhs.shape
-    try:
-        lam, q = np.linalg.eigh(kernel)
-    except np.linalg.LinAlgError:
-        nan = np.full(columns, np.nan)
-        return SpectralSolve(np.full((n, columns), np.nan), nan, nan, np.zeros(columns, bool),
-                             nan)
+    lam, q = kernel_spectrum(kernel) if spectrum is None else spectrum
     # A zero or non-finite d makes inf/nan columns; the gates below reject them.
     with np.errstate(all="ignore"):
         d = lam[:, None] / gammas + etas
@@ -201,4 +214,5 @@ def solve_spectral(
             & (np.abs(balance - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
             & np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0)
         )
-    return SpectralSolve(h, b, b_size, passed, residual / bound)
+        spread = d.max(axis=0) / d.min(axis=0)
+    return SpectralSolve(h, b, b_size, passed, residual / bound, spread)

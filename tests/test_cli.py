@@ -77,6 +77,30 @@ def test_predict_regressor_prints_four_metrics(tmp_path, sine_csv, capsys):
         assert key in out
 
 
+@pytest.mark.parametrize("shift", [3.5, -1e3])
+def test_shifting_regression_targets_shifts_predictions(tmp_path, shift):
+    # Y -> Y + c*e leaves both cores and both balance rows alone and adds c*e
+    # to each right-hand side, which the border columns (-e, +e) absorb: h1
+    # and h2 stay, b1 and b2 each move by c, so g1, g2 and their mean do too.
+    x, y = sine(40, seed=3)
+    x_test, y_test = sine(15, seed=8)
+    test_csv = str(tmp_path / "test.csv")
+    write_regression_csv(test_csv, x_test, y_test)
+    predictions = []
+    for name, targets in (("base", y), ("shifted", y + shift)):
+        train_csv, model = str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}.json")
+        write_regression_csv(train_csv, x, targets)
+        assert run("train", "--task", "regress", "--no-normalize", "--data", train_csv,
+                   "--target-col", "target", "--gamma", "0.01", "--eta", "0.01",
+                   "--sigma", "1", "--model-out", model) == 0
+        out = tmp_path / f"{name}-pred.csv"
+        assert run("predict", "--model", model, "--data", test_csv, "--target-col", "target",
+                   "--output", str(out)) == 0
+        predictions.append(np.array(out.read_text().split()[1:], dtype=float))
+    base, shifted = predictions
+    assert np.abs(shifted - base - shift).max() <= 1e-9 * max(1.0, abs(shift))
+
+
 def test_missing_required_flag_exits_2(tmp_path, capsys):
     grid = ("--task", "classify", "--data", str(tmp_path / "d.csv"), "--label-col", "label")
     for argv, named in (

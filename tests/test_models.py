@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 
+import numpy as np
 import pytest
 
 from trkm import models
@@ -90,3 +91,13 @@ def test_tracer_sees_fits_and_predicts_made_through_the_table(rng):
     assert len(solves) == 5
     for span in solves:
         assert span["residual_ratio"] <= 1.0 and span["flops"] > 0, span
+
+
+def test_column_scores_equal_per_column_scores_bitwise(rng):
+    truth = rng.normal(size=37)
+    values = truth[:, None] + rng.normal(size=(37, 5)) * [1e-9, 1e-3, 1.0, 10.0, 0.0]
+    labels = rng.choice([-1, 1], size=(37, 5))
+    for task, pred, target in ((REGRESS, values, truth), (CLASSIFY, labels, np.sign(truth))):
+        assert models.column_scores(task, pred, target) == [
+            models.score(task, pred[:, j], target) for j in range(5)
+        ]

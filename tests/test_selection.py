@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from trkm.selection import (
     kfold_indices,
     split,
 )
-from trkm.synthetic import blobs
+from trkm.synthetic import blobs, sine
+
+from conftest import DATA_DIR
 
 
 def class_dataset(n_pos, n_neg, seed=0, m=2):
@@ -213,9 +217,28 @@ def cells_of(result):
     return [(c.params, c.fold_scores, c.error) for c in result.table]
 
 
-@settings(max_examples=100, deadline=None)
+# Batched regression scores agree with the LU fits to rounding, not bitwise.
+# This is the benchmark's own tolerance; 400 random examples of the shape the
+# Hypothesis test draws drifted by at most 2.7e-7.
+REGRESSION_RTOL = 1e-6
+
+
+def assert_agrees_with_lu(cells, table, rtol):
+    """Same cells, errors and messages; each fold score within ``rtol`` of the LU one."""
+    assert [(p, len(s), e) for p, s, e in cells] == [(p, len(s), e) for p, s, e in table]
+    for (params, scores, _), (_, lu, _) in zip(cells, table):
+        assert np.allclose(scores, lu, rtol=rtol, atol=0.0), params
+
+
+def regression_dataset(n, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    return Dataset(X=x, target=np.sin(x).sum(axis=1) + 0.1 * rng.normal(size=n), task=REGRESS)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    model_kind=st.sampled_from([TRKM, RKM]),
+    kind_task=st.sampled_from([(TRKM, CLASSIFY), (RKM, CLASSIFY), (TRKM, REGRESS)]),
     n=st.integers(6, 24),
     m=st.integers(1, 3),
     folds=st.integers(2, 3),
@@ -224,16 +247,24 @@ def cells_of(result):
     etas=st.lists(st.sampled_from(PENALTY_GRID), min_size=1, max_size=3, unique=True),
     sigmas=st.lists(st.sampled_from(SIGMA_GRID), min_size=1, max_size=2, unique=True),
 )
-def test_batched_grid_equals_per_cell_fits(model_kind, n, m, folds, data_seed, gammas, etas,
+def test_batched_grid_equals_per_cell_fits(kind_task, n, m, folds, data_seed, gammas, etas,
                                            sigmas):
-    rng = np.random.default_rng(data_seed)
-    y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
-    y[:2] = (1, -1)
-    ds = Dataset(X=rng.normal(size=(n, m)), target=y, task=CLASSIFY)
+    model_kind, task = kind_task
+    if task == CLASSIFY:
+        rng = np.random.default_rng(data_seed)
+        y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
+        y[:2] = (1, -1)
+        ds = Dataset(X=rng.normal(size=(n, m)), target=y, task=CLASSIFY)
+    else:
+        ds = regression_dataset(n, m, data_seed)
     grid = GridSpec(gamma_values=tuple(gammas), eta_values=tuple(etas),
                     sigma_values=tuple(sigmas), folds=folds)
-    result = grid_search(ds, grid, CLASSIFY, model_kind=model_kind, seed=data_seed)
-    assert cells_of(result) == per_cell_table(ds, grid, CLASSIFY, model_kind, data_seed)
+    result = grid_search(ds, grid, task, model_kind=model_kind, seed=data_seed)
+    table = per_cell_table(ds, grid, task, model_kind, data_seed)
+    if task == CLASSIFY:
+        assert cells_of(result) == table
+    else:
+        assert_agrees_with_lu(cells_of(result), table, REGRESSION_RTOL)
 
 
 @pytest.mark.parametrize("model_kind", [TRKM, RKM])
@@ -293,3 +324,52 @@ def test_regression_grid_minimizes_rmse():
     result = grid_search(ds, grid, REGRESS, seed=0)
     assert result.best_params["eta"] == 1e-3
     assert result.best_cv_score == min(c.mean_score for c in result.table)
+
+
+def test_regression_golden_grid_is_within_1e_9_of_lu_fits():
+    # The golden table's fold scores come from the spectral solves; every one
+    # is held to the per-cell LU fit of the same fold.
+    from trkm.data import load_csv, normalize_minmax
+
+    written = json.loads((Path(__file__).parent / "data" / "gridsearch" / "trkm_regress"
+                          / "grid_results.json").read_text())
+    ds = normalize_minmax(load_csv(str(DATA_DIR / "synthetic" / "sine.csv"),
+                                   target_column="target"))
+    grid = GridSpec(gamma_values=(0.01, 1.0, 100.0), eta_values=(0.01, 1.0, 100.0),
+                    sigma_values=(0.125, 1.0, 8.0), folds=written["folds"])
+    cells = [(c["params"], tuple(c["fold_scores"]), c["error"]) for c in written["cells"]]
+    assert len(cells) == 27
+    assert_agrees_with_lu(cells, per_cell_table(ds, grid, REGRESS, TRKM, written["seed"]), 1e-9)
+
+
+def test_regression_cell_over_the_spread_limit_gets_the_lu_score(monkeypatch):
+    # At sigma=32 the kernel is nearly rank one, so (gamma, eta) = (1e-5, 1e-5)
+    # spreads the core's spectrum to about 2e11, past SPREAD_LIMIT; (1, 1e-5)
+    # stays near 2e6. Every other gate passes both.
+    x, y = sine(30, seed=1)
+    ds = Dataset(X=x, target=y, task=REGRESS)
+    grid = GridSpec(gamma_values=(1e-5, 1.0), eta_values=(1e-5,), sigma_values=(32.0,), folds=3)
+    over, under = sel._grid_points(grid)
+    train_idx, valid_idx = kfold_indices(ds.n, 3, 0)[0]
+
+    def mask():
+        return models.fold_predictions(TRKM, REGRESS, x[train_idx], y[train_idx],
+                                       x[valid_idx], 32.0, [over, under])[1].tolist()
+
+    assert mask() == [False, True]
+    with monkeypatch.context() as patched:
+        patched.setattr(models, "SPREAD_LIMIT", float("inf"))
+        assert mask() == [True, True]
+    result = grid_search(ds, grid, REGRESS, seed=0)
+    table = per_cell_table(ds, grid, REGRESS, TRKM, 0)
+    assert cells_of(result)[0] == table[0]  # bitwise: the LU fit decided it
+    assert_agrees_with_lu(cells_of(result), table, REGRESSION_RTOL)
+
+
+def test_threaded_regression_grid_matches_serial():
+    x, y = sine(30, seed=2)
+    ds = Dataset(X=x, target=y, task=REGRESS)
+    grid = GridSpec(gamma_values=(1e-3, 1.0), eta_values=(1e-3, 1.0), sigma_values=(0.5, 32.0),
+                    folds=3)
+    serial = grid_search(ds, grid, REGRESS, seed=4, threads=1)
+    assert grid_search(ds, grid, REGRESS, seed=4, threads=2) == serial
