@@ -230,12 +230,6 @@ def assert_agrees_with_lu(cells, table, rtol):
         assert np.allclose(scores, lu, rtol=rtol, atol=0.0), params
 
 
-def regression_dataset(n, m, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, m))
-    return Dataset(X=x, target=np.sin(x).sum(axis=1) + 0.1 * rng.normal(size=n), task=REGRESS)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     kind_task=st.sampled_from([(TRKM, CLASSIFY), (RKM, CLASSIFY), (TRKM, REGRESS)]),
@@ -250,13 +244,14 @@ def regression_dataset(n, m, seed):
 def test_batched_grid_equals_per_cell_fits(kind_task, n, m, folds, data_seed, gammas, etas,
                                            sigmas):
     model_kind, task = kind_task
+    rng = np.random.default_rng(data_seed)
     if task == CLASSIFY:
-        rng = np.random.default_rng(data_seed)
         y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
         y[:2] = (1, -1)
         ds = Dataset(X=rng.normal(size=(n, m)), target=y, task=CLASSIFY)
     else:
-        ds = regression_dataset(n, m, data_seed)
+        x = rng.normal(size=(n, m))
+        ds = Dataset(X=x, target=np.sin(x).sum(axis=1) + 0.1 * rng.normal(size=n), task=REGRESS)
     grid = GridSpec(gamma_values=tuple(gammas), eta_values=tuple(etas),
                     sigma_values=tuple(sigmas), folds=folds)
     result = grid_search(ds, grid, task, model_kind=model_kind, seed=data_seed)
