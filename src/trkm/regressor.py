@@ -8,7 +8,10 @@ Both systems run over the full sample. With K = kernel(X, X) and e ones:
     [ (1/g2) K + eta2 I    e ] [h2]   [ Y + (1/g2) K e ]
     [ e^T                  0 ] [b2] = [ n              ]
 
-so sum(h1) = sum(h2) = n after every fit. The predictor averages the two
+so sum(h1) = sum(h2) = n after every fit. With g1 = g2 and eta1 = eta2 the
+two augmented matrices differ only in the sign of the border column, and
+``fit_regressor`` factors one of them for both (``solver.SharedFactor``);
+unequal penalties take one factorization per system. The predictor averages the two
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is
 the data layer's responsibility.
@@ -24,7 +27,7 @@ from .arrays import as_matrix, as_vector
 from .classifier import TrkmClassifierHyperparams
 from .errors import DimensionMismatch
 from .kernels import gram
-from .solver import BorderedSystem, SolveReport, solve_bordered
+from .solver import BorderedSystem, SharedFactor, SolveReport, solve_bordered
 
 
 # Both TRKM fits take the same per-system penalties.
@@ -57,8 +60,10 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
 
     sys1 = BorderedSystem(k, hp.gamma1, hp.eta1, -1, -y + ke / hp.gamma1, float(n))
     sys2 = BorderedSystem(k, hp.gamma2, hp.eta2, +1, y + ke / hp.gamma2, float(n))
-    rep1 = solve_bordered(sys1, "lower-function system")
-    rep2 = solve_bordered(sys2, "upper-function system")
+    # With equal penalties the systems differ only in border sign: one LU serves both.
+    shared = SharedFactor() if (hp.gamma1, hp.eta1) == (hp.gamma2, hp.eta2) else None
+    rep1 = solve_bordered(sys1, "lower-function system", factor=shared)
+    rep2 = solve_bordered(sys2, "upper-function system", factor=shared)
     return TrkmRegressorModel(
         X=x,
         Y=y,

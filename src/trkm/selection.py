@@ -15,7 +15,7 @@ fold's kernel blocks once (K_AA and K_BB for TRKM-C; the fold's K for RKM,
 and for TRKM-R, whose two systems share it) and solves every (gamma, eta)
 cell of that sigma from the shifted spectrum, then predicts the validation
 rows of all cells with matrix products (see ``solver.solve_spectral``) and
-scores them (``models.column_scores``; the RMSEs in one array expression).
+scores them (``models.column_scores``: one array expression for all cells).
 Each solve is held to the gates of the LU path: the residual of the formed
 system within 1e-8 * max(1, |rhs|_inf), the balance row within 1e-6, and a
 finite, positive shifted spectrum. A cell that misses a gate at a fold is

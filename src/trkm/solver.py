@@ -7,12 +7,31 @@ Every fit in this package reduces to an (n+1) x (n+1) system of the form
 
 where K is a kernel block, (gamma, eta) its regularizers and e a ones
 vector enforcing the balance constraint sum(h) = rhs_bottom. A caller
-states a system as that data; ``solve_bordered`` alone forms the core and
-the border. The bordered column breaks the symmetry of the augmented
-matrix, so we factor the full augmented matrix with partially pivoted LU
-rather than exploiting core symmetry. One or two rounds of iterative
-refinement keep the residual near machine level even for extreme
-regularizer choices.
+states a system as that data; ``solve_bordered`` alone forms the augmented
+matrix, in place: K/gamma straight into its top-left block, eta onto that
+block's diagonal, then the border. The bordered column breaks the symmetry
+of the augmented matrix, so we factor the full augmented matrix with
+partially pivoted LU rather than exploiting core symmetry. One or two
+rounds of iterative refinement keep the residual near machine level even
+for extreme regularizer choices.
+
+Systems that differ only in their border sign share one factorization.
+With D = diag(1, ..., 1, -1), the augmented matrix of sign -s is the one of
+sign s times D. Partial pivoting sees the same magnitudes in every column,
+and every product and sum of the elimination is the same up to sign, so the
+LU of sign -s is bitwise the LU of sign s with the last column of U negated
+(as 0 - u, which keeps a zero +0.0, as the elimination makes it). So a
+``SharedFactor`` carries one LU from one ``solve_bordered`` call to the
+next, and for a system of the other sign negates that column and the
+matrix's border in place, O(n). The solve then runs on bitwise the matrix
+and LU the system's own factorization gives: the same solution, residual,
+refinement rounds and condition estimate. (Solving on the unflipped LU and
+negating b gives the same solution but not always the same estimate: LAPACK's
+estimator takes the sign of an exact zero, so a -0.0 and a +0.0 part ways.)
+A factor serves only systems with the kernel, gamma and eta it was made for
+and refuses any other with a ValueError, so it never solves a different
+system. It is not part of a ``SolveReport``: a fitted model keeps no
+(n+1)^2 array alive.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once, as grid search needs. The core depends on (gamma, eta) only
@@ -44,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .arrays import as_matrix, as_vector
+from .arrays import as_vector
 from .errors import DimensionMismatch, SingularSystem
 
 # A pivot smaller than this relative to the largest pivot marks the system
@@ -89,19 +108,90 @@ class SolveReport:
     balance_target: float
 
 
-def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
+class SharedFactor:
+    """The LU of one (kernel, gamma, eta) augmented matrix, for both border signs.
+
+    Made empty. The first ``solve_bordered(system, name, factor=f)`` forms
+    and factors its system into ``f``; each later call with ``f`` solves on
+    that LU, turned to its border sign in place (see the module docstring).
+    A system with another kernel, gamma or eta is a ValueError. Keep it no
+    longer than the solves: it holds two (n+1)^2 arrays.
+    """
+
+    def __init__(self):
+        self.kernel = None  # the factored system's kernel; None while empty
+        self.gamma = self.eta = self.border_sign = None
+        self.matrix = self.lu = self.piv = self.anorm = None
+
+    def check(self, kernel: np.ndarray, gamma, eta) -> None:
+        if not (gamma == self.gamma and eta == self.eta and np.array_equal(kernel, self.kernel)):
+            raise ValueError("shared factor was made for another (kernel, gamma, eta)")
+
+    def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str) -> None:
+        """Factor ``system``'s augmented matrix ``a``; a pivot below the floor is SingularSystem."""
+        # The 1-norm first: its |a| temporary is freed before the LU copy exists.
+        anorm = float(np.max(np.abs(a).sum(axis=0)))
+        with warnings.catch_warnings():
+            # An exactly-zero pivot makes LAPACK warn; the pivot check below
+            # turns that case into a SingularSystem error.
+            warnings.simplefilter("ignore")
+            lu, piv = lu_factor(a, check_finite=False)
+        pivots = np.abs(np.diag(lu))
+        largest = float(pivots.max())
+        if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
+            raise SingularSystem(
+                f"{name}: pivot {pivots.min():.3e} below relative threshold "
+                f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
+            )
+        self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
+        self.border_sign, self.matrix, self.lu, self.piv = system.border_sign, a, lu, piv
+        self.anorm = anorm
+
+    def turn(self, border_sign: int) -> None:
+        """Make the matrix and LU those of ``border_sign``: negate both last columns."""
+        if border_sign != self.border_sign:
+            n = self.matrix.shape[0] - 1
+            self.matrix[:n, n] = border_sign
+            np.subtract(0.0, self.lu[:, n], out=self.lu[:, n])
+            self.border_sign = border_sign
+
+
+def _augmented(kernel: np.ndarray, gamma, eta, border_sign) -> np.ndarray:
+    """[[K/gamma + eta*I, sign*e], [e^T, 0]], formed in one (n+1)^2 array."""
+    n = kernel.shape[0]
+    a = np.empty((n + 1, n + 1))
+    core = a[:n, :n]
+    np.divide(kernel, gamma, out=core)
+    a.reshape(-1)[: n * (n + 2) : n + 2] += eta
+    if not np.isfinite(core).all():
+        raise ValueError("core contains non-finite entries")
+    a[:n, n] = border_sign
+    a[n, :n] = 1.0
+    a[n, n] = 0.0
+    return a
+
+
+def solve_bordered(
+    system: BorderedSystem, name: str, factor: SharedFactor | None = None
+) -> SolveReport:
     """Form and solve the bordered system named ``name`` by LU with partial pivoting.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it is a
-    ValueError. Raises SingularSystem, its message prefixed with ``name``,
-    when a pivot falls below the relative floor, the refined residual cannot
-    meet the documented bound, or the solution misses the balance row.
+    ValueError. ``factor``, when given, is filled by this call if empty and
+    reused if not; a factor of another (kernel, gamma, eta) is a ValueError.
+    Raises SingularSystem, its message prefixed with ``name``, when a pivot
+    falls below the relative floor, the refined residual cannot meet the
+    documented bound, or the solution misses the balance row.
     """
     kernel = np.asarray(system.kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
     n = kernel.shape[0]
-    core = as_matrix(kernel / system.gamma + system.eta * np.eye(n), "core")
+    factor = SharedFactor() if factor is None else factor
+    if factor.kernel is None:
+        a = _augmented(kernel, system.gamma, system.eta, system.border_sign)
+    else:
+        factor.check(kernel, system.gamma, system.eta)
     rhs_top = as_vector(system.rhs_top, "rhs_top")
     if rhs_top.shape[0] != n:
         raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has length {rhs_top.shape[0]}")
@@ -110,30 +200,18 @@ def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
     rhs_bottom = float(system.rhs_bottom)
     if not np.isfinite(rhs_bottom):
         raise ValueError("rhs_bottom is not finite")
-    a = np.zeros((n + 1, n + 1), dtype=float)
-    a[:n, :n] = core
-    a[:n, n] = system.border_sign
-    a[n, :n] = 1.0
+    if factor.kernel is None:
+        factor.fill(system, kernel, a, name)
+    factor.turn(system.border_sign)
+    a, lu = factor.matrix, (factor.lu, factor.piv)
     b = np.concatenate([rhs_top, [rhs_bottom]])
-    with warnings.catch_warnings():
-        # An exactly-zero pivot makes LAPACK warn; the pivot check below
-        # turns that case into a SingularSystem error.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    largest = float(pivots.max()) if pivots.size else 0.0
-    if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
-        raise SingularSystem(
-            f"{name}: pivot {pivots.min():.3e} below relative threshold "
-            f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
-        )
-    x = lu_solve((lu, piv), b, check_finite=False)
+    x = lu_solve(lu, b, check_finite=False)
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(b))))
     res = b - a @ x
     for _ in range(_REFINE_ROUNDS):
         if float(np.max(np.abs(res))) <= tol:
             break
-        x = x + lu_solve((lu, piv), res, check_finite=False)
+        x = x + lu_solve(lu, res, check_finite=False)
         res = b - a @ x
     res_norm = float(np.max(np.abs(res)))
     if res_norm > tol:
@@ -147,8 +225,7 @@ def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
             f"{name}: balance border.h = {total!r} deviates from {target!r}"
         )
     (gecon,) = get_lapack_funcs(("gecon",), (a,))
-    anorm = float(np.max(np.abs(a).sum(axis=0))) if a.size else 0.0
-    rcond, _ = gecon(lu, anorm, norm="1")
+    rcond, _ = gecon(lu[0], factor.anorm, norm="1")
     cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
     return SolveReport(x, res_norm, cond, name, target)
 

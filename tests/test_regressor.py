@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch
+import trkm.solver
 from trkm.kernels import gaussian, linear
 from trkm.metrics import regression_errors
 from trkm.regressor import (
@@ -160,6 +161,19 @@ def test_permuting_training_rows_keeps_predictions(seed):
         predict_regression(fit_regressor(x, y, hp), queries),
         rtol=1e-9, atol=1e-9,
     )
+
+
+@pytest.mark.parametrize("gamma2, eta2, factorizations", [
+    (0.7, 0.9, 1), (1.4, 0.9, 2), (0.7, 0.45, 2),
+])
+def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2, factorizations):
+    calls = []
+    exact = trkm.solver.lu_factor
+    monkeypatch.setattr(trkm.solver, "lu_factor", lambda *a, **k: calls.append(1) or exact(*a, **k))
+    x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+    model = fit_regressor(x, y, TrkmRegressorHyperparams(0.7, gamma2, 0.9, eta2, gaussian(1.0)))
+    assert len(calls) == factorizations
+    assert [rep.name for rep in model.fit_diag] == ["lower-function system", "upper-function system"]
 
 
 def test_preconditions():

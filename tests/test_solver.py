@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch, SingularSystem
+from trkm.kernels import gaussian, gram
 import trkm.solver
-from trkm.solver import BorderedSystem, solve_bordered
+from trkm.solver import BorderedSystem, SharedFactor, solve_bordered
 
 from oracles import residual, solve_full_pivot, system_matrix
 
@@ -147,10 +150,74 @@ def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
         solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
 
 
+def outcome(system, factor=None):
+    """The report fields of one solve as exact values, or its SingularSystem message."""
+    try:
+        rep = solve_bordered(system, "test system", factor=factor)
+    except SingularSystem as exc:
+        return str(exc)
+    return rep.solution.tobytes(), rep.residual_norm, rep.condition_estimate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    log_sigma=st.integers(-5, 5),
+    log_gamma=st.floats(-5, 5),
+    log_eta=st.one_of(st.floats(-5, 5), st.none()),
+    sign=st.sampled_from([-1, 1]),
+    repeats=st.booleans(),
+)
+def test_shared_factor_solves_the_other_sign_bitwise(
+    seed, n, log_sigma, log_gamma, log_eta, sign, repeats
+):
+    # Gaussian Gram blocks are symmetric PSD; wide bandwidths and repeated
+    # rows make them near-singular or singular, and eta = 0 (log_eta None)
+    # lets that reach the core, so the pivot and residual gates get their turn.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    if repeats and n > 1:
+        x[-1] = x[0]
+    kernel = gram(gaussian(2.0 ** log_sigma), x, x)
+    gamma, eta = 10.0 ** log_gamma, 0.0 if log_eta is None else 10.0 ** log_eta
+    first = system(kernel, gamma, eta, sign, rng.normal(size=n) * 10.0, float(n))
+    shared = SharedFactor()
+    assert outcome(first, shared) == outcome(first)
+    for other_sign in (-sign, sign):
+        other = system(kernel, gamma, eta, other_sign, rng.normal(size=n), float(rng.normal()))
+        assert outcome(other, shared) == outcome(other)
+
+
+def test_shared_factor_refuses_another_kernel_gamma_or_eta():
+    rng = np.random.default_rng(5)
+    s = random_system(rng, 5, +1)
+    shared = SharedFactor()
+    solve_bordered(s, "test system", factor=shared)
+    others = (
+        system(s.kernel + 1e-12, s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom),
+        system(s.kernel[:4, :4], s.gamma, s.eta, -1, s.rhs_top[:4], s.rhs_bottom),
+        system(s.kernel, s.gamma * 2.0, s.eta, -1, s.rhs_top, s.rhs_bottom),
+        system(s.kernel, s.gamma, s.eta + 1.0, -1, s.rhs_top, s.rhs_bottom),
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="another \\(kernel, gamma, eta\\)"):
+            solve_bordered(other, "test system", factor=shared)
+    # a copy of the same kernel is the same system
+    same = system(s.kernel.copy(), s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom)
+    assert outcome(same, shared) == outcome(same)
+
+
+def test_non_finite_core_is_refused():
+    with pytest.raises(ValueError, match="^core contains non-finite entries$"):
+        solve_bordered(system([[1.0, np.nan], [np.nan, 1.0]], 1.0, 1.0, +1, [1, 1], 0.0),
+                       "test system")
+    with pytest.raises(ValueError, match="^core contains non-finite entries$"):
+        solve_bordered(system(np.eye(2), 1.0, np.inf, +1, [1, 1], 0.0), "test system")
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
-    from trkm.kernels import gaussian, gram
-
     x = rng.normal(size=(7, 2))
     kernel = gram(gaussian(1.0), x, x)
     gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
