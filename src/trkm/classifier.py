@@ -12,6 +12,8 @@ K_aa = kernel(A, A), K_ab = kernel(A, B) and e_i ones vectors:
 The bottom rows force the balance constraints sum(h1) = n2 and
 sum(h2) = -n1. Weight vectors are never materialized for Gaussian
 kernels; prediction is dual-form throughout.
+``systems`` and ``decision_terms`` state both systems and their score
+terms once; the fit, the predictor and the grid search read only them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .arrays import as_matrix, positive_number
 from .errors import EmptyClass
 from .kernels import KernelSpec, gram
-from .solver import BorderedSystem, SolveReport, solve_bordered
+from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_bordered
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,21 @@ class TrkmClassifierModel:
     fit_diag: tuple[SolveReport, SolveReport] | None = None
 
 
+def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
+    """The two class systems on class rows A and B, for every (gamma, eta)."""
+    k_aa, k_ab, k_bb = gram(kernel, A, A), gram(kernel, A, B), gram(kernel, B, B)
+    e1, e2 = np.ones(len(A)), np.ones(len(B))
+    return (BorderedFamily(k_aa, +1, e1, k_ab @ e2, float(len(B))),
+            BorderedFamily(k_bb, +1, -e2, -(k_ab.T @ e1), -float(len(A))))
+
+
+def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:
+    """Terms of g1 = (K_xa h1 - K_xb e2)/g1 + b1 and g2 = (K_xb h2 + K_xa e1)/g2 + b2."""
+    k_xa, k_xb = gram(kernel, X, A), gram(kernel, X, B)
+    return (DecisionTerm(k_xa, -(k_xb @ np.ones(len(B)))),
+            DecisionTerm(k_xb, k_xa @ np.ones(len(A))))
+
+
 def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
     """Fit both class systems; aborts whole fit if either system is singular."""
     a = as_matrix(A, "A")
@@ -74,40 +91,18 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
         raise EmptyClass("class +1 has no samples")
     if b.shape[0] == 0:
         raise EmptyClass("class -1 has no samples")
-    n1, n2 = a.shape[0], b.shape[0]
-    k_aa = gram(hp.kernel, a, a)
-    k_ab = gram(hp.kernel, a, b)
-    k_bb = gram(hp.kernel, b, b)
-
-    rhs1 = np.ones(n1) + (k_ab @ np.ones(n2)) / hp.gamma1
-    rhs2 = -(np.ones(n2) + (k_ab.T @ np.ones(n1)) / hp.gamma2)
-    sys1 = BorderedSystem(k_aa, hp.gamma1, hp.eta1, +1, rhs1, float(n2))
-    sys2 = BorderedSystem(k_bb, hp.gamma2, hp.eta2, +1, rhs2, -float(n1))
-    rep1 = solve_bordered(sys1, "class +1 system")
-    rep2 = solve_bordered(sys2, "class -1 system")
-    return TrkmClassifierModel(
-        A=a,
-        B=b,
-        h1=rep1.solution[:n1],
-        b1=float(rep1.solution[n1]),
-        h2=rep2.solution[:n2],
-        b2=float(rep2.solution[n2]),
-        hyperparams=hp,
-        fit_diag=(rep1, rep2),
-    )
+    first, second = systems(a, b, hp.kernel)
+    rep1 = solve_bordered(first.at(hp.gamma1, hp.eta1), "class +1 system")
+    rep2 = solve_bordered(second.at(hp.gamma2, hp.eta2), "class -1 system")
+    return TrkmClassifierModel(A=a, B=b, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
+                               hyperparams=hp, fit_diag=(rep1, rep2))
 
 
 def decision_values(model: TrkmClassifierModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Dual-form scores of both hyperplanes for each row of X."""
-    x = as_matrix(X, "X")
     hp = model.hyperparams
-    k_xa = gram(hp.kernel, x, model.A)
-    k_xb = gram(hp.kernel, x, model.B)
-    e1 = np.ones(model.A.shape[0])
-    e2 = np.ones(model.B.shape[0])
-    g1 = (k_xa @ model.h1 - k_xb @ e2) / hp.gamma1 + model.b1
-    g2 = (k_xb @ model.h2 + k_xa @ e1) / hp.gamma2 + model.b2
-    return g1, g2
+    t1, t2 = decision_terms(model.A, model.B, hp.kernel, as_matrix(X, "X"))
+    return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
 
 
 def predict_labels(model: TrkmClassifierModel, X) -> np.ndarray:

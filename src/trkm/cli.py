@@ -119,7 +119,7 @@ def _fit_report(model) -> str:
     return "\n".join(
         f"{rep.name}: residual {rep.residual_norm:.3e}, "
         f"condition estimate {rep.condition_estimate:.3e}, "
-        f"balance sum(h) = {rep.solution[:-1].sum():.9g} (expected {rep.balance_target:g})"
+        f"balance sum(h) = {rep.h.sum():.9g} (expected {rep.balance_target:g})"
         for rep in model.fit_diag
     )
 
@@ -128,13 +128,11 @@ def _fit_report(model) -> str:
 # train
 
 def cmd_train(args) -> int:
+    second = {key: v for key, v in (("gamma2", args.gamma2), ("eta2", args.eta2)) if v is not None}
+    models.refuse_second_penalties(args.model_kind, args.task, [f"--{key}" for key in second])
     dataset = _load_dataset(args)
     kernel = _kernel_from_args(args.kernel, args.sigma)
-    params = {"gamma": args.gamma, "eta": args.eta}
-    if args.gamma2 is not None:
-        params["gamma2"] = args.gamma2
-    if args.eta2 is not None:
-        params["eta2"] = args.eta2
+    params = {"gamma": args.gamma, "eta": args.eta, **second}
     model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
     _save(model, dataset, args.model_out)
     print(f"task: {dataset.task}  model: {models.of_model(model).kind}")
@@ -213,6 +211,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def cmd_gridsearch(args) -> int:
+    models.refuse_second_penalties(args.model_kind, args.task,
+                                   ["--per-class-penalties"] if args.per_class_penalties else [])
     dataset = _load_dataset(args)
     grid = GridSpec(
         gamma_values=_float_list(args.gamma_grid),
@@ -431,7 +431,9 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
             raise ValueError(f"{where}.kind: {exc}") from None
         if "fixed" in m_cfg:
             fixed = _field(m_cfg, where, "fixed", _OBJECT)
-            keys = ("gamma", "eta", "sigma", *(k for k in ("gamma2", "eta2") if k in fixed))
+            second = [k for k in ("gamma2", "eta2") if k in fixed]
+            models.refuse_second_penalties(kind, task, [f"{where}.fixed.{k}" for k in second])
+            keys = ("gamma", "eta", "sigma", *second)
             params = {key: _field(fixed, f"{where}.fixed", key, _POSITIVE) for key in keys}
             plans.append((name, kind, params, None))
             continue
@@ -442,6 +444,8 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
                                  ("sigma", SIGMA_GRID))
         ]
         equal = _field(g_cfg, f"{where}.grid", "equal_penalties", _BOOL, True)
+        models.refuse_second_penalties(kind, task,
+                                       [] if equal else [f"{where}.grid.equal_penalties"])
         try:
             grid = GridSpec(*values, equal_penalties=equal, folds=g_cfg.get("folds", 5))
         except ValueError as exc:

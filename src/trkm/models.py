@@ -10,11 +10,8 @@ The entries call the model modules' functions through the module attributes
 objects captured at import, so a wrapper installed on those attributes sees
 every fit and predict.
 
-Every entry also states a cross-validation fold's systems as data, for every
-grid cell at once (``grid_fold``); ``fold_predictions`` solves them with one
-eigendecomposition per kernel block (TRKM-R's two systems share the fold's
-K, so one) and predicts the fold's validation rows for all cells with matrix
-products: labels for classification, values for regression.
+``fold_predictions`` solves and predicts all grid cells of a fold at once
+from the model module's own statement of its systems (``grid_fold``).
 """
 
 from __future__ import annotations
@@ -27,11 +24,11 @@ import numpy as np
 from . import classifier, regressor, rkm
 from .classifier import TrkmClassifierHyperparams, TrkmClassifierModel
 from .data import CLASSIFY, REGRESS
-from .kernels import KernelSpec, gaussian, gram
+from .kernels import KernelSpec, gaussian
 from .metrics import classification_accuracy, regression_errors
 from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
-from .solver import kernel_spectrum, solve_spectral
+from .solver import BorderedFamily, DecisionTerm, kernel_spectrum, solve_spectral
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -73,6 +70,9 @@ class ModelType:
     encodings; its first field holds the stored training rows. Each
     ``per_row`` pair names a vector field and the matrix field with one
     row per value of it; those matrix fields share one column count.
+    ``grid_fold`` gives the model module's statement of a fold's systems and
+    their terms at its validation rows, or None for a fold the fit refuses;
+    ``system_penalties`` picks each system's (gamma, eta) from grid params.
     """
 
     kind: str
@@ -85,33 +85,8 @@ class ModelType:
     per_row: tuple[tuple[str, str], ...]
     fit: Callable[[np.ndarray, np.ndarray, dict, KernelSpec], object]
     predict: Callable[[object, np.ndarray], np.ndarray]
-    grid_fold: Callable[[np.ndarray, np.ndarray, np.ndarray, KernelSpec],
-                        tuple[GridSystem, ...] | None] | None = None
-
-
-@dataclass(frozen=True)
-class GridSystem:
-    """One bordered system of a fit on a fold's training rows, for every grid cell.
-
-    A cell whose params give ``penalties(params) = (g, e)`` solves
-
-        (kernel/g + e*I) h + border_sign*b*ones = rhs_fixed + rhs_scaled/g,   sum(h) = rhs_bottom
-
-    and adds ``(cross @ h + offset)/g + b`` to the decision value of each
-    validation row; ``cross`` is the kernel between the validation rows and
-    the system's rows. A classifier labels a row +1 when its summed decision
-    value is at least zero, and a regressor predicts half the sum, as
-    ``predict`` does.
-    """
-
-    kernel: np.ndarray
-    border_sign: int
-    rhs_fixed: np.ndarray
-    rhs_scaled: np.ndarray
-    rhs_bottom: float
-    cross: np.ndarray
-    offset: np.ndarray
-    penalties: Callable[[dict], tuple[float, float]]
+    grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]] | None]
+    system_penalties: tuple[Callable[[dict], tuple[float, float]], ...]
 
 
 def _first_penalties(params: dict) -> tuple[float, float]:
@@ -129,43 +104,23 @@ def _twin_hyperparams(params: dict, kernel: KernelSpec) -> TrkmClassifierHyperpa
 
 
 def _twin_grid_fold(x, y, x_valid, kernel):
-    """The class systems of ``classifier.fit_classifier`` and the terms of ``decision_values``."""
     a, b = x[y == 1], x[y == -1]
     if not (len(a) and len(b)):
         return None  # the fit names the empty class
-    k_aa, k_ab, k_bb = gram(kernel, a, a), gram(kernel, a, b), gram(kernel, b, b)
-    k_va, k_vb = gram(kernel, x_valid, a), gram(kernel, x_valid, b)
-    e1, e2 = np.ones(len(a)), np.ones(len(b))
-    return (
-        GridSystem(k_aa, +1, e1, k_ab @ e2, float(len(b)), k_va, -(k_vb @ e2), _first_penalties),
-        GridSystem(k_bb, +1, -e2, -(k_ab.T @ e1), -float(len(a)), k_vb, k_va @ e1,
-                   _second_penalties),
-    )
+    return classifier.systems(a, b, kernel), classifier.decision_terms(a, b, kernel, x_valid)
 
 
-def _rkm_grid_fold(x, y, x_valid, kernel):
-    """The system of ``rkm.fit_rkm`` and the score of ``rkm.rkm_scores``."""
-    if len(x) < 2:
-        return None  # the fit refuses it
-    zeros = np.zeros(len(x))
-    return (GridSystem(gram(kernel, x, x), +1, y, zeros, 0.0, gram(kernel, x_valid, x),
-                       np.zeros(len(x_valid)), _first_penalties),)
-
-
-def _regressor_grid_fold(x, y, x_valid, kernel):
-    """The systems of ``regressor.fit_regressor``, both on K, and the terms of its predictor."""
-    if len(x) < 2:
-        return None  # the fit refuses it
-    k, k_v = gram(kernel, x, x), gram(kernel, x_valid, x)
-    e = np.ones(len(x))
-    ke, k_ve = k @ e, k_v @ e
-    return (
-        GridSystem(k, -1, -y, ke, float(len(x)), -k_v, k_ve, _first_penalties),
-        GridSystem(k, +1, y, ke, float(len(x)), k_v, -k_ve, _second_penalties),
-    )
+def _full_sample_grid_fold(module):
+    """``grid_fold`` of a model whose systems run over all of a fold's rows."""
+    def grid_fold(x, y, x_valid, kernel):
+        if len(x) < 2:
+            return None  # the fit refuses it
+        return module.systems(x, y, kernel), module.decision_terms(x, kernel, x_valid)
+    return grid_fold
 
 
 _TWIN_PENALTIES = ("gamma1", "gamma2", "eta1", "eta2")
+_TWIN_SYSTEMS = (_first_penalties, _second_penalties)
 
 MODEL_TYPES = (
     ModelType(
@@ -180,6 +135,7 @@ MODEL_TYPES = (
         ),
         predict=lambda model, x: classifier.predict_labels(model, x),
         grid_fold=_twin_grid_fold,
+        system_penalties=_TWIN_SYSTEMS,
     ),
     ModelType(
         kind=KIND_REGRESSOR, model_kind=TRKM, task=REGRESS,
@@ -192,7 +148,8 @@ MODEL_TYPES = (
             x, y, _twin_hyperparams(params, kernel)
         ),
         predict=lambda model, x: regressor.predict_regression(model, x),
-        grid_fold=_regressor_grid_fold,
+        grid_fold=_full_sample_grid_fold(regressor),
+        system_penalties=_TWIN_SYSTEMS,
     ),
     ModelType(
         kind=KIND_RKM, model_kind=RKM, task=CLASSIFY,
@@ -204,7 +161,8 @@ MODEL_TYPES = (
             x, y, params["gamma"], params["eta"], kernel
         ),
         predict=lambda model, x: rkm.predict_rkm(model, x),
-        grid_fold=_rkm_grid_fold,
+        grid_fold=_full_sample_grid_fold(rkm),
+        system_penalties=(_first_penalties,),
     ),
 )
 
@@ -241,6 +199,13 @@ def of_model(model) -> ModelType:
         raise ValueError(f"not a trkm model: {type(model).__name__}") from None
 
 
+def refuse_second_penalties(model_kind: str, task: str, given: list[str]) -> None:
+    """ValueError for an unsupported pair, or naming ``given`` for a one-system pair."""
+    if len(model_type(model_kind, task).system_penalties) < 2 and given:
+        raise ValueError(f"{', '.join(given)}: {model_kind} with {task} states one system, "
+                         "so it takes no second-system penalties")
+
+
 def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | None = None):
     """Fit the model of a (model kind, task) pair.
 
@@ -249,6 +214,7 @@ def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | Non
     unless ``kernel`` is given. Classification labels are +/-1.
     """
     entry = model_type(model_kind, task)
+    refuse_second_penalties(model_kind, task, [k for k in ("gamma2", "eta2") if k in params])
     return entry.fit(X, y, params, gaussian(params["sigma"]) if kernel is None else kernel)
 
 
@@ -263,36 +229,35 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     ``cells`` are grid params sharing the Gaussian bandwidth ``sigma``.
     Returns a (rows x cells) matrix, labels for classification and values for
     regression, and a mask of the cells whose solves met every gate of
-    ``solve_spectral``; or None when the pair or this fold has no batched
-    form. A cell outside the mask must be decided by ``fit``. Besides those
-    gates, a classification cell with a tied decision value (``TIE_RTOL``)
-    and a regression cell whose spread exceeds ``SPREAD_LIMIT`` fall outside.
+    ``solve_spectral``; or None for a fold the fit refuses. A cell outside the
+    mask must be decided by ``fit``. Besides those gates, a classification
+    cell with a tied decision value (``TIE_RTOL``) and a regression cell whose
+    spread exceeds ``SPREAD_LIMIT`` fall outside.
     """
     entry = model_type(model_kind, task)
-    systems = entry.grid_fold and entry.grid_fold(X, y, X_valid, gaussian(sigma))
-    if not systems:
+    fold = entry.grid_fold(X, y, X_valid, gaussian(sigma))
+    if fold is None:
         return None
     decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)
     spectra = {}
-    for system in systems:
-        pairs = [system.penalties(params) for params in cells]
+    for system, term, penalties in zip(*fold, entry.system_penalties):
+        pairs = [penalties(params) for params in cells]
         index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
         column = np.array([index[pair] for pair in pairs])
         gammas, etas = np.array(list(index)).T
-        rhs = system.rhs_fixed[:, None] + system.rhs_scaled[:, None] / gammas
         if id(system.kernel) not in spectra:
             spectra[id(system.kernel)] = kernel_spectrum(system.kernel)
-        solved = solve_spectral(system.kernel, gammas, etas, system.border_sign, rhs,
-                                system.rhs_bottom, spectra[id(system.kernel)])
+        solved = solve_spectral(system.kernel, gammas, etas, system.border_sign,
+                                system.rhs_top(gammas), system.rhs_bottom,
+                                spectra[id(system.kernel)])
         passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
-            term = (system.cross @ solved.h + system.offset[:, None]) / gammas + solved.b
-            decision = decision + term[:, column]
+            decision = decision + term.value(solved.h, gammas, solved.b)[:, column]
             if task == REGRESS:
                 passed &= solved.spread[column] <= SPREAD_LIMIT
             else:
-                bound = (np.abs(system.cross) @ np.abs(solved.h)
-                         + np.abs(system.offset)[:, None]) / gammas + solved.b_size
+                bound = (np.abs(term.cross) @ np.abs(term.weights(solved.h))
+                         + np.abs(term.offset)[:, None]) / gammas + solved.b_size
                 size = size + bound[:, column]
     if task == REGRESS:
         return decision / 2.0, passed

@@ -15,6 +15,8 @@ unequal penalties take one factorization per system. The predictor averages the 
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is
 the data layer's responsibility.
+``systems`` and ``decision_terms`` state both systems and both functions'
+terms once; the fit, the predictor and the grid search read only them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from .arrays import as_matrix, as_vector
 from .classifier import TrkmClassifierHyperparams
 from .errors import DimensionMismatch
-from .kernels import gram
-from .solver import BorderedSystem, SharedFactor, SolveReport, solve_bordered
+from .kernels import KernelSpec, gram
+from .solver import BorderedFamily, DecisionTerm, SharedFactor, SolveReport, solve_bordered
 
 
 # Both TRKM fits take the same per-system penalties.
@@ -46,6 +48,21 @@ class TrkmRegressorModel:
     fit_diag: tuple[SolveReport, SolveReport] | None = None
 
 
+def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
+    """The lower- and upper-function systems on one K of the rows of X, for every (gamma, eta)."""
+    k = gram(kernel, X, X)
+    ke = k @ np.ones(len(X))
+    return (BorderedFamily(k, -1, -Y, ke, float(len(X))),
+            BorderedFamily(k, +1, Y, ke, float(len(X))))
+
+
+def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTerm]:
+    """Terms of g1 = K_q (e - h1)/g1 + b1 and g2 = K_q (h2 - e)/g2 + b2 at the rows of Xq."""
+    kq = gram(kernel, Xq, X)
+    zeros = np.zeros(len(Xq))
+    return DecisionTerm(kq, zeros, -1, 1.0), DecisionTerm(kq, zeros, +1, 1.0)
+
+
 def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
     x = as_matrix(X, "X")
     y = as_vector(Y, "Y")
@@ -54,37 +71,20 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
         raise ValueError(f"need at least 2 samples, got {n}")
     if y.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but Y has length {y.shape[0]}")
-    k = gram(hp.kernel, x, x)
-    e = np.ones(n)
-    ke = k @ e
-
-    sys1 = BorderedSystem(k, hp.gamma1, hp.eta1, -1, -y + ke / hp.gamma1, float(n))
-    sys2 = BorderedSystem(k, hp.gamma2, hp.eta2, +1, y + ke / hp.gamma2, float(n))
+    lower, upper = systems(x, y, hp.kernel)
     # With equal penalties the systems differ only in border sign: one LU serves both.
     shared = SharedFactor() if (hp.gamma1, hp.eta1) == (hp.gamma2, hp.eta2) else None
-    rep1 = solve_bordered(sys1, "lower-function system", factor=shared)
-    rep2 = solve_bordered(sys2, "upper-function system", factor=shared)
-    return TrkmRegressorModel(
-        X=x,
-        Y=y,
-        h1=rep1.solution[:n],
-        b1=float(rep1.solution[n]),
-        h2=rep2.solution[:n],
-        b2=float(rep2.solution[n]),
-        hyperparams=hp,
-        fit_diag=(rep1, rep2),
-    )
+    rep1 = solve_bordered(lower.at(hp.gamma1, hp.eta1), "lower-function system", factor=shared)
+    rep2 = solve_bordered(upper.at(hp.gamma2, hp.eta2), "upper-function system", factor=shared)
+    return TrkmRegressorModel(X=x, Y=y, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
+                              hyperparams=hp, fit_diag=(rep1, rep2))
 
 
 def regression_components(model: TrkmRegressorModel, X) -> tuple[np.ndarray, np.ndarray]:
     """The two dual-form component functions g1, g2 at each row of X."""
-    x = as_matrix(X, "X")
     hp = model.hyperparams
-    kq = gram(hp.kernel, x, model.X)
-    e = np.ones(model.X.shape[0])
-    g1 = (kq @ (e - model.h1)) / hp.gamma1 + model.b1
-    g2 = (kq @ (model.h2 - e)) / hp.gamma2 + model.b2
-    return g1, g2
+    t1, t2 = decision_terms(model.X, hp.kernel, as_matrix(X, "X"))
+    return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
 
 
 def predict_regression(model: TrkmRegressorModel, X) -> np.ndarray:

@@ -9,6 +9,8 @@ solution, with unknowns reordered to [h; b]):
 The source formulation gives only the training system; the decision rule
 used here, score(x) = (1/g) kernel(x, X) h + b, is reconstructed from the
 least-squares SVM decision function that the RKM reformulates.
+``systems`` and ``decision_terms`` state the system and its score term
+once; the fit, the predictor and the grid search read only them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .arrays import as_matrix, as_vector, positive_number
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gram
-from .solver import BorderedSystem, SolveReport, solve_bordered
+from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_bordered
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,16 @@ class RkmModel:
     fit_diag: tuple[SolveReport] | None = None
 
 
+def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
+    """The one RKM system on the rows of X with labels y, for every (gamma, eta)."""
+    return (BorderedFamily(gram(kernel, X, X), +1, y, np.zeros(len(X)), 0.0),)
+
+
+def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:
+    """The system's term of the score at the rows of Xq: K_q h/g + b."""
+    return (DecisionTerm(gram(kernel, Xq, X), np.zeros(len(Xq))),)
+
+
 def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
     x = as_matrix(X, "X")
     yv = as_vector(y, "y")
@@ -47,23 +59,15 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         raise ValueError("labels must be +1 or -1")
     if not (positive_number(gamma) and positive_number(eta)):
         raise ValueError("gamma and eta must be strictly positive")
-    k = gram(kernel, x, x)
-    rep = solve_bordered(BorderedSystem(k, gamma, eta, +1, yv, 0.0), "rkm system")
-    return RkmModel(
-        X=x,
-        y=yv,
-        h=rep.solution[:n],
-        b=float(rep.solution[n]),
-        gamma=gamma,
-        eta=eta,
-        kernel=kernel,
-        fit_diag=(rep,),
-    )
+    (system,) = systems(x, yv, kernel)
+    rep = solve_bordered(system.at(gamma, eta), "rkm system")
+    return RkmModel(X=x, y=yv, h=rep.h, b=rep.b, gamma=gamma, eta=eta, kernel=kernel,
+                    fit_diag=(rep,))
 
 
 def rkm_scores(model: RkmModel, X) -> np.ndarray:
-    kq = gram(model.kernel, as_matrix(X, "X"), model.X)
-    return (kq @ model.h) / model.gamma + model.b
+    (term,) = decision_terms(model.X, model.kernel, as_matrix(X, "X"))
+    return term.value(model.h, model.gamma, model.b)
 
 
 def predict_rkm(model: RkmModel, X) -> np.ndarray:

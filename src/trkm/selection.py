@@ -9,23 +9,14 @@ hits a singular system are recorded as failures and scored as worst
 break to the first cell in iteration order (gamma outer, eta middle,
 sigma inner, each ascending).
 
-How a cell is solved. The kernel depends only on sigma, so the unit of work
-is one (sigma, fold): ``models.fold_predictions`` eigendecomposes each of the
-fold's kernel blocks once (K_AA and K_BB for TRKM-C; the fold's K for RKM,
-and for TRKM-R, whose two systems share it) and solves every (gamma, eta)
-cell of that sigma from the shifted spectrum, then predicts the validation
-rows of all cells with matrix products (see ``solver.solve_spectral``) and
-scores them (``models.column_scores``: one array expression for all cells).
-Each solve is held to the gates of the LU path: the residual of the formed
-system within 1e-8 * max(1, |rhs|_inf), the balance row within 1e-6, and a
-finite, positive shifted spectrum. A cell that misses a gate at a fold is
-refitted there by ``_fit_score``, the LU fit, and that fit alone decides its
-score or its error and message. So is a classification cell with a
-validation row whose decision value is a tie that rounding breaks
-(``models.TIE_RTOL``), and a regression cell whose core's spread
-d_max/d_min exceeds ``models.SPREAD_LIMIT``. Labels and errors therefore read
-exactly as a per-cell search writes them; regression scores agree with it to
-rounding, within the 1e-6 relative the benchmark checks.
+How a cell is solved: per (sigma, fold), ``models.fold_predictions`` solves
+every (gamma, eta) cell at once from the statement in the model's own module,
+the one its fit and predictor read, and ``models.column_scores`` scores them.
+A cell it does not vouch for at a fold is refitted there by ``_fit_score``,
+the LU fit, which alone decides the score or the error and message. Labels
+and errors therefore read exactly as a per-cell search writes them;
+regression scores agree with it to rounding, within the 1e-6 relative the
+benchmark checks.
 """
 
 from __future__ import annotations
@@ -197,7 +188,8 @@ def grid_search(
     ``threads`` workers share the (sigma, fold) units; the fits that decide
     the cells the units do not vouch for run afterwards, in table order.
     """
-    models.model_type(model_kind, task)  # ValueError for an unsupported pair
+    models.refuse_second_penalties(model_kind, task, [] if grid.equal_penalties else
+                                   ["per-class penalties"])
     if task != train_set.task:
         raise ValueError(f"dataset task is {train_set.task!r}, grid search asked for {task!r}")
     folds = kfold_indices(train_set.n, grid.folds, seed)

@@ -6,14 +6,15 @@ Every fit in this package reduces to an (n+1) x (n+1) system of the form
     [ e^T               0        ] [ b ] = [ rhs_bottom ]
 
 where K is a kernel block, (gamma, eta) its regularizers and e a ones
-vector enforcing the balance constraint sum(h) = rhs_bottom. A caller
-states a system as that data; ``solve_bordered`` alone forms the augmented
-matrix, in place: K/gamma straight into its top-left block, eta onto that
-block's diagonal, then the border. The bordered column breaks the symmetry
-of the augmented matrix, so we factor the full augmented matrix with
-partially pivoted LU rather than exploiting core symmetry. One or two
-rounds of iterative refinement keep the residual near machine level even
-for extreme regularizer choices.
+vector enforcing the balance constraint sum(h) = rhs_bottom. Each model
+module states its systems once for every (gamma, eta), as ``BorderedFamily``
+data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
+``BorderedSystem`` of one (gamma, eta). ``solve_bordered`` alone forms the
+augmented matrix, in place: K/gamma straight into its top-left block, eta
+onto that block's diagonal, then the border. The border column breaks the
+symmetry, so we factor the full augmented matrix with partially pivoted LU.
+One or two rounds of iterative refinement keep the residual near machine
+level even for extreme regularizer choices.
 
 Systems that differ only in their border sign share one factorization.
 With D = diag(1, ..., 1, -1), the augmented matrix of sign -s is the one of
@@ -28,14 +29,13 @@ and LU the system's own factorization gives: the same solution, residual,
 refinement rounds and condition estimate. (Solving on the unflipped LU and
 negating b gives the same solution but not always the same estimate: LAPACK's
 estimator takes the sign of an exact zero, so a -0.0 and a +0.0 part ways.)
-A factor serves only systems with the kernel, gamma and eta it was made for
-and refuses any other with a ValueError, so it never solves a different
-system. It is not part of a ``SolveReport``: a fitted model keeps no
-(n+1)^2 array alive.
+A factor is not part of a ``SolveReport``: a fitted model keeps no (n+1)^2
+array alive.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
-pairs at once, as grid search needs. The core depends on (gamma, eta) only
-through a shift of the kernel's spectrum: with K = Q diag(lambda) Q^T,
+pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
+grid search needs. The core depends on (gamma, eta) only through a shift of
+the kernel's spectrum: with K = Q diag(lambda) Q^T,
 
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
@@ -51,8 +51,6 @@ gate is only marked; the caller decides it with ``solve_bordered``. There is
 no pivot floor here and no refinement: one round for the columns over the
 residual bound let through columns that ``solve_bordered`` rejects as
 singular, so the caller's table would no longer read as the LU fits write it.
-Each column also reports its spread d_max/d_min, the condition number of its
-core; the caller may hold it to a bound of its own.
 """
 
 from __future__ import annotations
@@ -92,13 +90,51 @@ class BorderedSystem:
 
 
 @dataclass(frozen=True)
+class BorderedFamily:
+    """One bordered system for every (gamma, eta): rhs_top = rhs_fixed + rhs_scaled/gamma."""
+
+    kernel: np.ndarray
+    border_sign: int
+    rhs_fixed: np.ndarray
+    rhs_scaled: np.ndarray
+    rhs_bottom: float
+
+    def rhs_top(self, gammas) -> np.ndarray:
+        """One column per gamma, each bitwise the ``rhs_top`` of ``at`` that gamma."""
+        return self.rhs_fixed[:, None] + self.rhs_scaled[:, None] / np.atleast_1d(gammas)
+
+    def at(self, gamma, eta) -> BorderedSystem:
+        return BorderedSystem(self.kernel, gamma, eta, self.border_sign,
+                              self.rhs_top(gamma)[:, 0], self.rhs_bottom)
+
+
+@dataclass(frozen=True)
+class DecisionTerm:
+    """A system's term (cross @ w + offset)/gamma + b at query rows, w = h_sign*(h - h_shift);
+    ``cross`` is the kernel between the query rows and the system's rows."""
+
+    cross: np.ndarray
+    offset: np.ndarray
+    h_sign: int = 1
+    h_shift: float = 0.0
+
+    def weights(self, h: np.ndarray) -> np.ndarray:
+        return self.h_sign * (h - self.h_shift)
+
+    def value(self, h: np.ndarray, gamma, b) -> np.ndarray:
+        """The term at each query row, one column per column of a matrix ``h``."""
+        offset = self.offset if np.ndim(h) == 1 else self.offset[:, None]
+        return (self.cross @ self.weights(h) + offset) / gamma + b
+
+
+@dataclass(frozen=True)
 class SolveReport:
     """Solution plus diagnostics of one bordered solve.
 
     ``residual_norm`` is the max-abs residual of the formed augmented
     system (never of the factored form); ``condition_estimate`` is a cheap
     LAPACK 1-norm estimate, reported but never used for gating.
-    ``balance_target`` is the system's ``rhs_bottom``.
+    ``balance_target`` is the system's ``rhs_bottom``. ``solution`` is [h; b].
     """
 
     solution: np.ndarray
@@ -106,6 +142,9 @@ class SolveReport:
     condition_estimate: float
     name: str
     balance_target: float
+
+    h = property(lambda self: self.solution[:-1])
+    b = property(lambda self: float(self.solution[-1]))
 
 
 class SharedFactor:

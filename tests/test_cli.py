@@ -130,6 +130,25 @@ def test_rkm_regression_is_refused(tmp_path, sine_csv, capsys, command):
     assert not model_out.exists()
 
 
+@pytest.mark.parametrize("command, named", [
+    (["train", "--gamma", "1", "--eta", "1", "--sigma", "1", "--gamma2", "5", "--eta2", "7"],
+     "--gamma2, --eta2: "),
+    (["train", "--gamma", "1", "--eta", "1", "--sigma", "1", "--eta2", "7"], "--eta2: "),
+    (["gridsearch", "--gamma-grid", "1,2", "--eta-grid", "1", "--sigma-grid", "1", "--folds", "2",
+      "--per-class-penalties"], "--per-class-penalties: "),
+])
+def test_rkm_refuses_second_system_penalties(tmp_path, blob_csv, capsys, command, named):
+    model_out = tmp_path / "m.json"
+    assert run(
+        "--output-dir", str(tmp_path), *command,
+        "--task", "classify", "--model-kind", "rkm",
+        "--data", blob_csv, "--label-col", "label", "--model-out", str(model_out),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "one system" in err, err
+    assert not model_out.exists()
+
+
 def test_unreadable_data_exits_3(tmp_path, capsys):
     assert run(
         "train", "--task", "classify", "--data", str(tmp_path / "nope.csv"),
@@ -255,6 +274,23 @@ def test_gridsearch_writes_golden_files(tmp_path, case, model_kind, task, data, 
     golden = Path(__file__).parent / "data" / "gridsearch" / case
     for name in ("grid_results.json", "model.json"):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case, data, column", [
+    ("trkm_classify", "crossplane130.csv", ("--label-col", "label")),
+    ("rkm_classify", "crossplane130.csv", ("--label-col", "label")),
+    ("trkm_regress", "sine.csv", ("--target-col", "target")),
+])
+def test_predict_writes_golden_predictions(tmp_path, case, data, column):
+    # The golden predictions were written by an earlier version of the program
+    # from the golden model file; a change to any predicted value shows here.
+    golden = Path(__file__).parent / "data" / "gridsearch" / case
+    out = tmp_path / "predictions.csv"
+    assert run(
+        "predict", "--model", str(golden / "model.json"),
+        "--data", str(DATA_DIR / "synthetic" / data), *column, "--output", str(out),
+    ) == 0
+    assert out.read_bytes() == (golden / "predictions.csv").read_bytes()
 
 
 def test_stats_command_replicates_published_tables(tmp_path, capsys):
@@ -410,6 +446,11 @@ def _grid_model(cfg, grid):
      ["models[0].grid.equal_penalties", "'no'"]),
     (lambda cfg: cfg["models"][1].update(name="R,KM"), ["models[1].name", "'R,KM'"]),
     (lambda cfg: cfg["datasets"][1].update(name='ds"1'), ["datasets[1].name", "'ds\"1'"]),
+    (lambda cfg: cfg["models"][1]["fixed"].update(gamma2=5.0), ["models[1].fixed.gamma2", "one"]),
+    (lambda cfg: cfg["models"][1]["fixed"].update(eta2=7.0), ["models[1].fixed.eta2", "one"]),
+    (lambda cfg: cfg["models"].__setitem__(1, {"name": "RKM", "kind": "rkm",
+                                               "grid": {"equal_penalties": False}}),
+     ["models[1].grid.equal_penalties", "one"]),
 ], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
         "no-path", "no-label-column", "one-model", "top-level-array",
         "dataset-not-object", "model-not-object", "grid-not-number", "fractional-folds",
@@ -418,7 +459,8 @@ def _grid_model(cfg, grid):
         "fraction-string", "fraction-above-one", "stratified-string", "normalize-string",
         "path-not-string", "column-null", "dataset-name-number", "delimiter-number",
         "delimiter-two-characters", "header-string", "model-name-number", "duplicate-model-name",
-        "equal-penalties-string", "model-name-comma", "dataset-name-quote"])
+        "equal-penalties-string", "model-name-comma", "dataset-name-quote",
+        "rkm-fixed-gamma2", "rkm-fixed-eta2", "rkm-per-class-grid"])
 def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
     cfg_path = tmp_path / "bench.json"
     cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())

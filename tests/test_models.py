@@ -4,7 +4,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-from trkm import models
+from trkm import classifier, models, regressor, rkm
 from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
 from trkm.data import CLASSIFY, REGRESS
 from trkm.kernels import gaussian, linear
@@ -43,6 +43,45 @@ def test_table_fits_and_predicts_as_the_model_functions(rng):
         assert type(model) is type(direct)
         assert models.predict(model, data).tobytes() == predict(direct, data).tobytes()
         assert models.n_features(model) == data.shape[1]
+
+
+@pytest.mark.parametrize("entry", models.MODEL_TYPES, ids=lambda entry: entry.kind)
+def test_fit_solves_its_modules_statement_bitwise(monkeypatch, rng, entry):
+    # The fit and the grid fold read one statement of each system: every
+    # system the fit hands to solve_bordered is the statement's .at(gamma, eta).
+    if entry.task == CLASSIFY:
+        x, y = blobs(8, 2.0, seed=6)
+        y = y.astype(float)
+    else:
+        x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+    twin = len(entry.system_penalties) == 2
+    params = {**PARAMS, "gamma2": 2.0, "eta2": 0.125} if twin else PARAMS
+    received = []
+
+    def recording(solve):
+        def recorded(system, *args, **kwargs):
+            received.append(system)
+            return solve(system, *args, **kwargs)
+        return recorded
+
+    for module in (classifier, regressor, rkm):
+        monkeypatch.setattr(module, "solve_bordered", recording(module.solve_bordered))
+    models.fit(entry.model_kind, entry.task, x, y, params)
+    statement, _ = entry.grid_fold(x, y, x[:1], gaussian(params["sigma"]))
+    expected = [system.at(*penalties(params))
+                for system, penalties in zip(statement, entry.system_penalties)]
+    assert len(received) == len(expected) == len(entry.system_penalties)
+    for got, want in zip(received, expected):
+        assert (got.gamma, got.eta, got.border_sign) == (want.gamma, want.eta, want.border_sign)
+        assert got.kernel.tobytes() == want.kernel.tobytes()
+        assert got.rhs_top.tobytes() == want.rhs_top.tobytes()
+        assert float(got.rhs_bottom).hex() == float(want.rhs_bottom).hex()
+
+
+def test_one_system_fit_refuses_second_penalties():
+    x, y = blobs(6, 2.0, seed=1)
+    with pytest.raises(ValueError, match="^gamma2, eta2: rkm with classify states one system"):
+        models.fit("rkm", CLASSIFY, x, y, {**PARAMS, "gamma2": 5.0, "eta2": 7.0})
 
 
 def test_explicit_kernel_replaces_sigma():

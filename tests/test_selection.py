@@ -262,13 +262,20 @@ def test_batched_grid_equals_per_cell_fits(kind_task, n, m, folds, data_seed, ga
         assert_agrees_with_lu(cells_of(result), table, REGRESSION_RTOL)
 
 
-@pytest.mark.parametrize("model_kind", [TRKM, RKM])
-def test_per_class_penalties_equal_per_cell_fits(model_kind):
-    grid = GridSpec(gamma_values=(1e-2, 10.0), eta_values=(1e-3, 1.0), sigma_values=(1.0,),
-                    equal_penalties=False, folds=3)
-    result = grid_search(small_dataset(), grid, CLASSIFY, model_kind=model_kind, seed=1)
+PER_CLASS_GRID = GridSpec(gamma_values=(1e-2, 10.0), eta_values=(1e-3, 1.0),
+                         sigma_values=(1.0,), equal_penalties=False, folds=3)
+
+
+def test_per_class_penalties_equal_per_cell_fits():
+    result = grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=TRKM, seed=1)
     assert len(result.table) == 16
-    assert cells_of(result) == per_cell_table(small_dataset(), grid, CLASSIFY, model_kind, 1)
+    assert cells_of(result) == per_cell_table(small_dataset(), PER_CLASS_GRID, CLASSIFY, TRKM, 1)
+
+
+def test_rkm_refuses_per_class_penalties():
+    # RKM states one system, so a per-class grid would only repeat its cells.
+    with pytest.raises(ValueError, match="^per-class penalties: rkm with classify states one"):
+        grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=RKM, seed=1)
 
 
 def test_failed_cells_recorded_not_fatal(monkeypatch):
