@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +63,25 @@ from .stats import (
 # atomic output helpers
 
 def _write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=2) + "\n")
+    write_atomic(path, _json_text(obj) + "\n")
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte (for string keys); the indent
+    encoder is pure Python, here each container of scalars is one C call."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    pad = "\n" + "  " * (depth + 1)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if any(isinstance(v, (dict, list, tuple)) for v in values):
+        items = [_json_text(v, depth + 1) for v in values]
+        if isinstance(obj, dict):
+            items = [f"{json.dumps(key)}: {item}" for key, item in zip(obj, items)]
+        body = ("," + pad).join(items)
+    else:
+        body = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    return f"{opening}{pad}{body}{pad[:-2]}{closing}"
 
 
 def _out_path(args, name: str) -> str:
@@ -76,6 +93,8 @@ def _out_path(args, name: str) -> str:
 
 def _kernel_from_args(kernel: str, sigma: float | None) -> KernelSpec:
     if kernel == LINEAR:
+        if sigma is not None:
+            raise ValueError("--sigma: the linear kernel has no bandwidth")
         return linear()
     if sigma is None:
         raise ParseError("--sigma is required for the gaussian kernel")
@@ -130,8 +149,8 @@ def _fit_report(model) -> str:
 def cmd_train(args) -> int:
     second = {key: v for key, v in (("gamma2", args.gamma2), ("eta2", args.eta2)) if v is not None}
     models.refuse_second_penalties(args.model_kind, args.task, [f"--{key}" for key in second])
-    dataset = _load_dataset(args)
     kernel = _kernel_from_args(args.kernel, args.sigma)
+    dataset = _load_dataset(args)
     params = {"gamma": args.gamma, "eta": args.eta, **second}
     model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
     _save(model, dataset, args.model_out)
@@ -232,7 +251,7 @@ def cmd_gridsearch(args) -> int:
         "folds": grid.folds,
         "best_params": result.best_params,
         "best_cv_score": result.best_cv_score,
-        "cells": [asdict(cell) for cell in result.table],
+        "cells": [vars(cell) for cell in result.table],
     }
     _write_json(args.grid_out, blob)
     print(f"evaluated {len(result.table)} grid cells "

@@ -1,7 +1,9 @@
 """Nonparametric comparison of p models over N datasets.
 
 Ranks use midranks for ties (standard Friedman-test practice), with rank 1
-for the best model. The Friedman chi-square statistic is
+for the best model. Midranks come from numpy, not ``scipy.stats``: a run of
+ties at sorted positions start..end-1 shares the rank (start + 1 + end) / 2,
+and a row holding NaN ranks as all NaN. The Friedman chi-square statistic is
 
     chi2 = 12 N / (p (p+1)) * (sum_j Rbar_j^2 - p (p+1)^2 / 4)
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateStatistic, DimensionMismatch
 
@@ -72,6 +73,20 @@ def _check_better(better: str) -> str:
     return better
 
 
+def midranks(row) -> np.ndarray:
+    """Average ranks of a 1-D row (1 = smallest); all NaN if the row holds NaN."""
+    row = np.asarray(row, dtype=float)
+    if np.isnan(row).any():
+        return np.full(row.size, np.nan)
+    order = np.argsort(row, kind="stable")
+    ordered = row[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], row.size]
+    ranks = np.empty(row.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_models(scores, better: str = HIGHER) -> RankTable:
     """Rank each dataset row; midranks on ties, lower rank = better model."""
     _check_better(better)
@@ -84,7 +99,7 @@ def rank_models(scores, better: str = HIGHER) -> RankTable:
             f"need at least 1 dataset and 2 models, got {s.shape}"
         )
     signed = -s if better == HIGHER else s
-    ranks = np.vstack([rankdata(signed[i], method="average") for i in range(n_datasets)])
+    ranks = np.vstack([midranks(row) for row in signed])
     return RankTable(scores=s, ranks=ranks, average_ranks=ranks.mean(axis=0))
 
 

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trkm.cli import main
+from trkm.cli import _json_text, main
+from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
 
 from conftest import DATA_DIR
@@ -149,6 +155,19 @@ def test_rkm_refuses_second_system_penalties(tmp_path, blob_csv, capsys, command
     assert not model_out.exists()
 
 
+def test_linear_kernel_refuses_sigma(tmp_path, capsys):
+    # The refusal comes before the data file is read: this one does not exist.
+    model_out = tmp_path / "m.json"
+    assert run(
+        "train", "--task", "classify", "--data", str(tmp_path / "nope.csv"),
+        "--label-col", "label", "--kernel", "linear", "--sigma", "4",
+        "--gamma", "1", "--eta", "1", "--model-out", str(model_out),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma: ") and "linear" in err, err
+    assert not model_out.exists()
+
+
 def test_unreadable_data_exits_3(tmp_path, capsys):
     assert run(
         "train", "--task", "classify", "--data", str(tmp_path / "nope.csv"),
@@ -274,6 +293,62 @@ def test_gridsearch_writes_golden_files(tmp_path, case, model_kind, task, data, 
     golden = Path(__file__).parent / "data" / "gridsearch" / case
     for name in ("grid_results.json", "model.json"):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def indent_encoder(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def grid_blob(cells, **head):
+    """A gridsearch table as ``cmd_gridsearch`` hands it to the writer."""
+    return {**head, "cells": [vars(cell) for cell in cells]}
+
+
+@pytest.mark.parametrize("case", ["trkm_classify", "rkm_classify", "trkm_regress"])
+def test_grid_writer_matches_indent_encoder_on_golden_tables(case):
+    golden = (Path(__file__).parent / "data" / "gridsearch" / case / "grid_results.json").read_text()
+    blob = json.loads(golden)
+    cells = [GridCell(c["params"], c["mean_score"], tuple(c["fold_scores"]), c["error"])
+             for c in blob.pop("cells")]
+    table = grid_blob(cells, **blob)
+    assert _json_text(table) + "\n" == indent_encoder(table) == golden
+
+
+def test_grid_writer_matches_indent_encoder_on_failed_and_short_cells():
+    params = {"gamma": 1e-05, "eta": 100000.0, "sigma": 0.03125}
+    cells = [
+        GridCell(params, -math.inf, (), 'class +1 system: singular "core", pivot 0'),
+        GridCell(params, math.inf, (0.5,), "upper-function system: \u00e9\n\tsecond line"),
+        GridCell(params, -math.inf, (12.5, 3.0), "rkm system: ties, ranks: [1, 2]"),
+        GridCell({}, 0.0, (-0.0, 1e-300, 1.7976931348623157e308), ""),
+    ]
+    table = grid_blob(cells, task="classify", model_kind="trkm", seed=0, folds=5,
+                      best_params=params, best_cv_score=-math.inf)
+    assert _json_text(table) + "\n" == indent_encoder(table)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_indent_encoder(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("module", ["trkm", "trkm.cli"])
+def test_import_does_not_load_scipy_stats(module):
+    # The stats harness computes its own midranks; scipy.stats costs a cold
+    # start about 0.7 s on every command.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; assert 'scipy.stats' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("case, data, column", [

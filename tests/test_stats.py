@@ -9,6 +9,7 @@ from trkm.errors import DegenerateStatistic, DimensionMismatch
 from trkm.stats import (
     NEMENYI_Q_05,
     friedman_test,
+    midranks,
     nemenyi_cd,
     rank_models,
     win_tie_loss,
@@ -52,6 +53,39 @@ def test_rank_rows_sum_to_p_times_p_plus_one_half(rows):
     table = rank_models(rows, better="higher")
     p = 4
     assert np.allclose(table.ranks.sum(axis=1), p * (p + 1) / 2.0)
+
+
+# A few values so that ties are common, with both infinities and a signed zero.
+TIE_PRONE = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1.0, 2.5, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIE_PRONE | st.floats(allow_nan=False), min_size=1, max_size=9))
+def test_midranks_equal_scipy_average_ranks_bitwise(row):
+    from scipy.stats import rankdata
+
+    expected = rankdata(row, method="average")
+    got = midranks(row)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (row, got)
+
+
+@given(st.lists(TIE_PRONE, min_size=0, max_size=5), st.integers(0, 5))
+def test_a_row_holding_nan_ranks_as_all_nan(row, where):
+    from scipy.stats import rankdata
+
+    row.insert(min(where, len(row)), float("nan"))
+    assert np.isnan(midranks(row)).all() and np.isnan(rankdata(row)).all()
+    assert midranks(row).shape == (len(row),)
+
+
+@pytest.mark.parametrize("row, ranks", [
+    ([7.0], [1.0]),
+    ([2.0, 2.0], [1.5, 1.5]),
+    ([np.inf, -np.inf], [2.0, 1.0]),
+    ([np.inf, np.inf, 0.0], [2.5, 2.5, 1.0]),
+])
+def test_midranks_of_one_and_two_column_rows_and_infinite_ties(row, ranks):
+    assert np.array_equal(midranks(row), ranks)
 
 
 def test_identical_scores_give_zero_chi2():
