@@ -7,7 +7,9 @@ for the same workloads and seeds, leaving ``perfbench/out/*-trace0.json``.
 Runs pair up by (workload, seed). Per workload and end-to-end metric of
 ``BENCHMARK.json`` the record holds the parent and change medians, quartiles
 and interquartile ranges, the pairs the change won, the seeds and both
-commit ids.
+commit ids. When both directories also hold the seed-0 ``--trace 1`` results
+file of a workload, the record holds each side's integer per-layer counts
+from it (``traced_counts``), so count evidence sits next to the timings.
 """
 
 import argparse
@@ -29,6 +31,16 @@ def runs(directory: str) -> dict:
             run = json.load(fh)
         found[run["workload"], run["environment"]["seed"]] = run
     return found
+
+
+def traced_counts(directory: str, workload: str) -> dict | None:
+    """The integer counts of ``workload``'s seed-0 traced run in ``directory``, or None."""
+    path = os.path.join(directory, "perfbench", "out", f"{workload}-seed0-trace1.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        metrics = json.load(fh)["metrics"]
+    return {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
 
 
 def summary(values: list[float]) -> dict:
@@ -60,6 +72,9 @@ def record(parent_dir: str, change_dir: str) -> dict:
                 "parent": summary(p), "change": summary(c),
                 "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
             }
+        counts = [traced_counts(d, workload) for d in (parent_dir, change_dir)]
+        if None not in counts:
+            entry["traced_counts"] = dict(zip(("parent", "change"), counts))
         out["workloads"][workload] = entry
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 from .arrays import as_matrix, positive_number
 from .errors import EmptyClass
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_bordered
+from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     """The two class systems on class rows A and B, for every (gamma, eta)."""
     k_aa, k_ab, k_bb = gram(kernel, A, A), gram(kernel, A, B), gram(kernel, B, B)
     e1, e2 = np.ones(len(A)), np.ones(len(B))
-    return (BorderedFamily(k_aa, +1, e1, k_ab @ e2, float(len(B))),
-            BorderedFamily(k_bb, +1, -e2, -(k_ab.T @ e1), -float(len(A))))
+    return (BorderedFamily("class +1 system", k_aa, +1, e1, k_ab @ e2, float(len(B))),
+            BorderedFamily("class -1 system", k_bb, +1, -e2, -(k_ab.T @ e1), -float(len(A))))
 
 
 def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:
@@ -91,9 +91,8 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
         raise EmptyClass("class +1 has no samples")
     if b.shape[0] == 0:
         raise EmptyClass("class -1 has no samples")
-    first, second = systems(a, b, hp.kernel)
-    rep1 = solve_bordered(first.at(hp.gamma1, hp.eta1), "class +1 system")
-    rep2 = solve_bordered(second.at(hp.gamma2, hp.eta2), "class -1 system")
+    rep1, rep2 = solve_families(systems(a, b, hp.kernel),
+                                [(hp.gamma1, hp.eta1), (hp.gamma2, hp.eta2)])
     return TrkmClassifierModel(A=a, B=b, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
                                hyperparams=hp, fit_diag=(rep1, rep2))
 

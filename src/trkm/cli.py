@@ -388,6 +388,15 @@ def _field(obj: dict, where: str, key: str, rule, default=None):
     return _check(obj.get(key, default), rule, f"{where}.{key}" if where else key)
 
 
+def _known(obj: dict, where: str, *keys: str) -> dict:
+    """``obj`` if it holds only ``keys``, else a ValueError naming its first other key."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{f'{where}.{key}' if where else key}: unknown key "
+                             f"(expected one of {', '.join(keys)})")
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -411,8 +420,10 @@ class _Plan(NamedTuple):
 
 def _checked_config(cfg: dict, default_seed: int) -> _Plan:
     """Every value of a benchmark config, checked before any fit; ValueError names the key."""
+    _known(cfg, "", "task", "seed", "normalize", "split", "datasets", "models")
     task = _field(cfg, "", "task", _TASK, CLASSIFY)
-    split_cfg = _field(cfg, "", "split", _OBJECT, {})
+    split_cfg = _known(_field(cfg, "", "split", _OBJECT, {}), "split",
+                       "seeds", "train_fraction", "stratified")
     seed = _field(cfg, "", "seed", _SEED, default_seed)
     seeds = _field(split_cfg, "split", "seeds", _SEEDS, [seed])
     fraction = _field(split_cfg, "split", "train_fraction", _POSITIVE, 0.7)
@@ -426,7 +437,9 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
     datasets = []
     for i, ds_cfg in enumerate(_field(cfg, "", "datasets", _LIST, [])):
         where = f"datasets[{i}]"
-        path = _field(_check(ds_cfg, _OBJECT, where), where, "path", _STRING)
+        _known(_check(ds_cfg, _OBJECT, where), where,
+               "path", _COLUMN_KEY[task], "name", "delimiter", "header")
+        path = _field(ds_cfg, where, "path", _STRING)
         column = _field(ds_cfg, where, _COLUMN_KEY[task], _COLUMN)
         datasets.append((_field(ds_cfg, where, "name", _NAME, path), {
             "path": path, _COLUMN_KEY[task]: _column(str(column)),
@@ -440,7 +453,10 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
     plans = []
     for i, m_cfg in enumerate(entries):
         where = f"models[{i}]"
-        name = _field(_check(m_cfg, _OBJECT, where), where, "name", _NAME)
+        _known(_check(m_cfg, _OBJECT, where), where, "name", "kind", "fixed", "grid")
+        if "fixed" in m_cfg and "grid" in m_cfg:
+            raise ValueError(f"{where}.fixed, {where}.grid: give one of them, not both")
+        name = _field(m_cfg, where, "name", _NAME)
         if name in [plan[0] for plan in plans]:
             raise ValueError(f"{where}.name: {name!r} also names an earlier model")
         kind = m_cfg.get("kind", TRKM)
@@ -449,14 +465,16 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
         except ValueError as exc:
             raise ValueError(f"{where}.kind: {exc}") from None
         if "fixed" in m_cfg:
-            fixed = _field(m_cfg, where, "fixed", _OBJECT)
+            fixed = _known(_field(m_cfg, where, "fixed", _OBJECT), f"{where}.fixed",
+                           "gamma", "eta", "sigma", "gamma2", "eta2")
             second = [k for k in ("gamma2", "eta2") if k in fixed]
             models.refuse_second_penalties(kind, task, [f"{where}.fixed.{k}" for k in second])
             keys = ("gamma", "eta", "sigma", *second)
             params = {key: _field(fixed, f"{where}.fixed", key, _POSITIVE) for key in keys}
             plans.append((name, kind, params, None))
             continue
-        g_cfg = _field(m_cfg, where, "grid", _OBJECT, {})
+        g_cfg = _known(_field(m_cfg, where, "grid", _OBJECT, {}), f"{where}.grid",
+                       "gamma", "eta", "sigma", "equal_penalties", "folds")
         values = [
             tuple(_field(g_cfg, f"{where}.grid", key, _LIST, list(default)))
             for key, default in (("gamma", PENALTY_GRID), ("eta", PENALTY_GRID),

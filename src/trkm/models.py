@@ -11,7 +11,8 @@ objects captured at import, so a wrapper installed on those attributes sees
 every fit and predict.
 
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
-from the model module's own statement of its systems (``grid_fold``).
+from the model module's own statement of its systems (``grid_fold``), and
+refits any one cell from that statement by LU, as the fit and predictor do.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .kernels import KernelSpec, gaussian
 from .metrics import classification_accuracy, regression_errors
 from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
-from .solver import BorderedFamily, DecisionTerm, kernel_spectrum, solve_spectral
+from .solver import BorderedFamily, DecisionTerm, kernel_spectrum, solve_families, solve_spectral
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -228,19 +229,24 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
 
     ``cells`` are grid params sharing the Gaussian bandwidth ``sigma``.
     Returns a (rows x cells) matrix, labels for classification and values for
-    regression, and a mask of the cells whose solves met every gate of
-    ``solve_spectral``; or None for a fold the fit refuses. A cell outside the
-    mask must be decided by ``fit``. Besides those gates, a classification
-    cell with a tied decision value (``TIE_RTOL``) and a regression cell whose
-    spread exceeds ``SPREAD_LIMIT`` fall outside.
+    regression, a mask of the cells whose solves met every gate of
+    ``solve_spectral``, and ``refit``; or None for a fold the fit refuses. A
+    cell outside the mask must be decided by ``refit(params)``, the LU solves
+    of the same statement: bitwise ``predict(fit(...))``, or its
+    SingularSystem. Besides those gates, a classification cell with a tied
+    decision value (``TIE_RTOL``) and a regression cell whose spread exceeds
+    ``SPREAD_LIMIT`` fall outside.
     """
     entry = model_type(model_kind, task)
     fold = entry.grid_fold(X, y, X_valid, gaussian(sigma))
     if fold is None:
         return None
+    families, terms = fold
+    # the predictors' rule: the sign of the summed terms, or TRKM-R's mean of its two
+    decided = (lambda d: d / 2.0) if task == REGRESS else (lambda d: np.where(d >= 0.0, 1, -1))
     decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)
     spectra = {}
-    for system, term, penalties in zip(*fold, entry.system_penalties):
+    for system, term, penalties in zip(families, terms, entry.system_penalties):
         pairs = [penalties(params) for params in cells]
         index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
         column = np.array([index[pair] for pair in pairs])
@@ -259,11 +265,17 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
                 bound = (np.abs(term.cross) @ np.abs(term.weights(solved.h))
                          + np.abs(term.offset)[:, None]) / gammas + solved.b_size
                 size = size + bound[:, column]
-    if task == REGRESS:
-        return decision / 2.0, passed
-    with np.errstate(invalid="ignore"):
-        passed &= (np.abs(decision) > TIE_RTOL * size).all(axis=0)
-    return np.where(decision >= 0.0, 1, -1), passed
+    if task == CLASSIFY:
+        with np.errstate(invalid="ignore"):
+            passed &= (np.abs(decision) > TIE_RTOL * size).all(axis=0)
+
+    def refit(params: dict) -> np.ndarray:
+        penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
+        values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
+                  in zip(terms, solve_families(families, penalties), penalties)]
+        return decided(sum(values[1:], values[0]))
+
+    return decided(decision), passed, refit
 
 
 def n_features(model) -> int:

@@ -10,7 +10,7 @@ Both systems run over the full sample. With K = kernel(X, X) and e ones:
 
 so sum(h1) = sum(h2) = n after every fit. With g1 = g2 and eta1 = eta2 the
 two augmented matrices differ only in the sign of the border column, and
-``fit_regressor`` factors one of them for both (``solver.SharedFactor``);
+``solver.solve_families`` factors one of them for both (``SharedFactor``);
 unequal penalties take one factorization per system. The predictor averages the two
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is
@@ -29,7 +29,7 @@ from .arrays import as_matrix, as_vector
 from .classifier import TrkmClassifierHyperparams
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SharedFactor, SolveReport, solve_bordered
+from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
 
 
 # Both TRKM fits take the same per-system penalties.
@@ -52,8 +52,8 @@ def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     """The lower- and upper-function systems on one K of the rows of X, for every (gamma, eta)."""
     k = gram(kernel, X, X)
     ke = k @ np.ones(len(X))
-    return (BorderedFamily(k, -1, -Y, ke, float(len(X))),
-            BorderedFamily(k, +1, Y, ke, float(len(X))))
+    return (BorderedFamily("lower-function system", k, -1, -Y, ke, float(len(X))),
+            BorderedFamily("upper-function system", k, +1, Y, ke, float(len(X))))
 
 
 def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTerm]:
@@ -71,11 +71,8 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
         raise ValueError(f"need at least 2 samples, got {n}")
     if y.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but Y has length {y.shape[0]}")
-    lower, upper = systems(x, y, hp.kernel)
-    # With equal penalties the systems differ only in border sign: one LU serves both.
-    shared = SharedFactor() if (hp.gamma1, hp.eta1) == (hp.gamma2, hp.eta2) else None
-    rep1 = solve_bordered(lower.at(hp.gamma1, hp.eta1), "lower-function system", factor=shared)
-    rep2 = solve_bordered(upper.at(hp.gamma2, hp.eta2), "upper-function system", factor=shared)
+    rep1, rep2 = solve_families(systems(x, y, hp.kernel),
+                                [(hp.gamma1, hp.eta1), (hp.gamma2, hp.eta2)])
     return TrkmRegressorModel(X=x, Y=y, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
                               hyperparams=hp, fit_diag=(rep1, rep2))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .arrays import as_matrix, as_vector, positive_number
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_bordered
+from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class RkmModel:
 
 def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
     """The one RKM system on the rows of X with labels y, for every (gamma, eta)."""
-    return (BorderedFamily(gram(kernel, X, X), +1, y, np.zeros(len(X)), 0.0),)
+    return (BorderedFamily("rkm system", gram(kernel, X, X), +1, y, np.zeros(len(X)), 0.0),)
 
 
 def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:
@@ -59,8 +59,7 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
         raise ValueError("labels must be +1 or -1")
     if not (positive_number(gamma) and positive_number(eta)):
         raise ValueError("gamma and eta must be strictly positive")
-    (system,) = systems(x, yv, kernel)
-    rep = solve_bordered(system.at(gamma, eta), "rkm system")
+    (rep,) = solve_families(systems(x, yv, kernel), [(gamma, eta)])
     return RkmModel(X=x, y=yv, h=rep.h, b=rep.b, gamma=gamma, eta=eta, kernel=kernel,
                     fit_diag=(rep,))
 

@@ -12,9 +12,11 @@ sigma inner, each ascending).
 How a cell is solved: per (sigma, fold), ``models.fold_predictions`` solves
 every (gamma, eta) cell at once from the statement in the model's own module,
 the one its fit and predictor read, and ``models.column_scores`` scores them.
-A cell it does not vouch for at a fold is refitted there by ``_fit_score``,
-the LU fit, which alone decides the score or the error and message. Labels
-and errors therefore read exactly as a per-cell search writes them;
+A cell it does not vouch for at a fold is refitted there by LU from the same
+statement, bitwise ``_fit_score``, and that refit alone decides the score or
+the error and message; a cell that failed is not refitted at later folds. A
+fold with no statement (an empty class, under 2 rows) goes to ``_fit_score``.
+Labels and errors therefore read exactly as a per-cell search writes them;
 regression scores agree with it to rounding, within the 1e-6 relative the
 benchmark checks.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import models
 from .arrays import positive_number
-from .data import CLASSIFY, REGRESS, Dataset
+from .data import CLASSIFY, Dataset
 from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
 from .models import TRKM
 
@@ -140,17 +142,9 @@ def kfold_indices(n: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.nd
         raise ValueError(f"folds must be >= 2, got {k}")
     if k > n:
         raise TooFewSamples(f"cannot make {k} folds from {n} samples")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        valid = np.sort(perm[start:start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size:]]))
-        folds.append((train, valid))
-        start += size
-    return folds
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), np.sort(part))
+            for i, part in enumerate(parts)]
 
 
 def _grid_points(grid: GridSpec) -> list[dict]:
@@ -185,8 +179,7 @@ def grid_search(
 ) -> GridResult:
     """Evaluate every grid cell by k-fold cross-validation on the training set.
 
-    ``threads`` workers share the (sigma, fold) units; the fits that decide
-    the cells the units do not vouch for run afterwards, in table order.
+    ``threads`` workers share the sigma columns; each runs its folds in order.
     """
     models.refuse_second_penalties(model_kind, task, [] if grid.equal_penalties else
                                    ["per-class penalties"])
@@ -199,65 +192,50 @@ def grid_search(
     columns: dict[float, list[int]] = {}
     for i, params in enumerate(points):
         columns.setdefault(params["sigma"], []).append(i)
-    units = [(sigma, f) for sigma in columns for f in range(len(folds))]
 
-    def batch(unit) -> dict:
-        """Scores at one fold of the cells of one sigma that passed every gate."""
-        sigma, f = unit
-        train_idx, valid_idx = folds[f]
-        found = models.fold_predictions(
-            model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
-            [points[i] for i in columns[sigma]],
-        )
-        if found is None:
-            return {}
-        predictions, passed = found
-        scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
-        return {(i, f): score
-                for i, score in zip(np.asarray(columns[sigma])[passed].tolist(), scores)}
+    def column(sigma) -> dict:
+        """Score or SingularSystem message of each cell of ``sigma`` at each fold it reaches."""
+        cells, found, failed = np.asarray(columns[sigma]), {}, set()
+        for f, (train_idx, valid_idx) in enumerate(folds):
+            fold = models.fold_predictions(model_kind, task, x[train_idx], y[train_idx],
+                                           x[valid_idx], sigma, [points[i] for i in cells])
+            if fold is None:
+                break  # every cell stops at this fold, in _fit_score
+            predictions, passed, refit = fold
+            scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
+            found.update(zip([(i, f) for i in cells[passed].tolist()], scores))
+            for i in [i for i in cells[~passed].tolist() if i not in failed]:
+                try:
+                    found[i, f] = models.score(task, refit(points[i]), y[valid_idx])
+                except SingularSystem as exc:
+                    found[i, f] = str(exc)
+                    failed.add(i)
+        return found
 
-    fast = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for scores in pool.map(batch, units):
-                fast.update(scores)
-    else:
-        for unit in units:
-            fast.update(batch(unit))
+    found = {}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in (pool.map if threads > 1 else map)(column, columns):
+            found.update(part)
 
     def eval_cell(i: int, params: dict) -> GridCell:
         scores = []
         for f, (train_idx, valid_idx) in enumerate(folds):
-            score = fast.get((i, f))
-            if score is None:
+            score = found.get((i, f))
+            if score is None:  # a fold with no statement
                 try:
-                    score = _fit_score(
-                        x[train_idx], y[train_idx], x[valid_idx], y[valid_idx],
-                        params, task, model_kind,
-                    )
-                except (SingularSystem, EmptyClass) as exc:
-                    return GridCell(
-                        params=params, mean_score=worst,
-                        fold_scores=tuple(scores), error=str(exc),
-                    )
+                    score = _fit_score(x[train_idx], y[train_idx], x[valid_idx], y[valid_idx],
+                                       params, task, model_kind)
+                except EmptyClass as exc:
+                    score = str(exc)
+            if isinstance(score, str):
+                return GridCell(params=params, mean_score=worst,
+                                fold_scores=tuple(scores), error=score)
             scores.append(score)
-        return GridCell(
-            params=params,
-            mean_score=float(np.mean(scores)),
-            fold_scores=tuple(scores),
-        )
+        return GridCell(params=params, mean_score=float(np.mean(scores)), fold_scores=tuple(scores))
 
     table = tuple(eval_cell(i, params) for i, params in enumerate(points))
 
-    best = table[0]
-    for cell in table[1:]:
-        if (task == CLASSIFY and cell.mean_score > best.mean_score) or (
-            task == REGRESS and cell.mean_score < best.mean_score
-        ):
-            best = cell
-    return GridResult(
-        best_params=best.params,
-        best_cv_score=best.mean_score,
-        table=table,
-        task=task,
-    )
+    # the first best cell: max and min keep the first of equal scores
+    best = (max if task == CLASSIFY else min)(table, key=lambda cell: cell.mean_score)
+    return GridResult(best_params=best.params, best_cv_score=best.mean_score, table=table,
+                      task=task)

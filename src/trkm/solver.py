@@ -12,9 +12,11 @@ data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 ``BorderedSystem`` of one (gamma, eta). ``solve_bordered`` alone forms the
 augmented matrix, in place: K/gamma straight into its top-left block, eta
 onto that block's diagonal, then the border. The border column breaks the
-symmetry, so we factor the full augmented matrix with partially pivoted LU.
-One or two rounds of iterative refinement keep the residual near machine
-level even for extreme regularizer choices.
+symmetry, so we factor the full augmented matrix with partially pivoted LU,
+calling LAPACK's getrf/getrs/gecon directly (scipy's lu_factor/lu_solve
+wrappers, bitwise the same, cost more per call than the work at grid-fold
+sizes). One or two rounds of iterative refinement keep the residual near
+machine level even for extreme regularizer choices.
 
 Systems that differ only in their border sign share one factorization.
 With D = diag(1, ..., 1, -1), the augmented matrix of sign -s is the one of
@@ -30,7 +32,7 @@ refinement rounds and condition estimate. (Solving on the unflipped LU and
 negating b gives the same solution but not always the same estimate: LAPACK's
 estimator takes the sign of an exact zero, so a -0.0 and a +0.0 part ways.)
 A factor is not part of a ``SolveReport``: a fitted model keeps no (n+1)^2
-array alive.
+array alive. Every fit and grid refit solves through ``solve_families``.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
@@ -55,11 +57,10 @@ singular, so the caller's table would no longer read as the LU fits write it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .arrays import as_vector
 from .errors import DimensionMismatch, SingularSystem
@@ -76,6 +77,8 @@ BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
 
+_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class BorderedSystem:
@@ -91,8 +94,9 @@ class BorderedSystem:
 
 @dataclass(frozen=True)
 class BorderedFamily:
-    """One bordered system for every (gamma, eta): rhs_top = rhs_fixed + rhs_scaled/gamma."""
+    """The system named ``name`` for every (gamma, eta): rhs_top = rhs_fixed + rhs_scaled/gamma."""
 
+    name: str
     kernel: np.ndarray
     border_sign: int
     rhs_fixed: np.ndarray
@@ -163,18 +167,15 @@ class SharedFactor:
         self.matrix = self.lu = self.piv = self.anorm = None
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
-        if not (gamma == self.gamma and eta == self.eta and np.array_equal(kernel, self.kernel)):
+        if not (gamma == self.gamma and eta == self.eta
+                and (kernel is self.kernel or np.array_equal(kernel, self.kernel))):
             raise ValueError("shared factor was made for another (kernel, gamma, eta)")
 
     def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str) -> None:
         """Factor ``system``'s augmented matrix ``a``; a pivot below the floor is SingularSystem."""
         # The 1-norm first: its |a| temporary is freed before the LU copy exists.
         anorm = float(np.max(np.abs(a).sum(axis=0)))
-        with warnings.catch_warnings():
-            # An exactly-zero pivot makes LAPACK warn; the pivot check below
-            # turns that case into a SingularSystem error.
-            warnings.simplefilter("ignore")
-            lu, piv = lu_factor(a, check_finite=False)
+        lu, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
         pivots = np.abs(np.diag(lu))
         largest = float(pivots.max())
         if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
@@ -242,15 +243,15 @@ def solve_bordered(
     if factor.kernel is None:
         factor.fill(system, kernel, a, name)
     factor.turn(system.border_sign)
-    a, lu = factor.matrix, (factor.lu, factor.piv)
+    a, lu, piv = factor.matrix, factor.lu, factor.piv
     b = np.concatenate([rhs_top, [rhs_bottom]])
-    x = lu_solve(lu, b, check_finite=False)
+    x = _getrs(lu, piv, b)[0]
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(b))))
     res = b - a @ x
     for _ in range(_REFINE_ROUNDS):
         if float(np.max(np.abs(res))) <= tol:
             break
-        x = x + lu_solve(lu, res, check_finite=False)
+        x = x + _getrs(lu, piv, res)[0]
         res = b - a @ x
     res_norm = float(np.max(np.abs(res)))
     if res_norm > tol:
@@ -263,10 +264,18 @@ def solve_bordered(
         raise SingularSystem(
             f"{name}: balance border.h = {total!r} deviates from {target!r}"
         )
-    (gecon,) = get_lapack_funcs(("gecon",), (a,))
-    rcond, _ = gecon(lu[0], factor.anorm, norm="1")
+    rcond, _ = _gecon(lu, factor.anorm, norm="1")
     cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
     return SolveReport(x, res_norm, cond, name, target)
+
+
+def solve_families(families, penalties) -> tuple[SolveReport, ...]:
+    """Solve each family at its (gamma, eta), in order and under its name; families on the
+    same kernel object at the same (gamma, eta) share one ``SharedFactor``."""
+    factors = {}
+    return tuple(solve_bordered(f.at(g, e), f.name, factors.setdefault((id(f.kernel), g, e),
+                                                                       SharedFactor()))
+                 for f, (g, e) in zip(families, penalties))
 
 
 @dataclass(frozen=True)

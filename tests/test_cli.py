@@ -295,6 +295,27 @@ def test_gridsearch_writes_golden_files(tmp_path, case, model_kind, task, data, 
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("model_kind, task, data, column", [
+    ("rkm", "classify", "crossplane130.csv", ("--label-col", "label")),
+    ("trkm", "regress", "sine.csv", ("--target-col", "target")),
+])
+def test_gridsearch_with_fallbacks_writes_the_same_files_on_two_threads(
+        tmp_path, model_kind, task, data, column):
+    # sigma = 32 with penalties down to 1e-5 sends cells to the LU refit: two
+    # RKM cells fail there, and ten TRKM-R cell-folds spread over the limit.
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert run(
+            "--output-dir", str(out), "--threads", threads,
+            "gridsearch", "--task", task, "--model-kind", model_kind,
+            "--data", str(DATA_DIR / "synthetic" / data), *column,
+            "--gamma-grid", "1e-5,1", "--eta-grid", "1e-5,1", "--sigma-grid", "0.5,32",
+        ) == 0
+        written.append([(out / name).read_bytes() for name in ("grid_results.json", "model.json")])
+    assert written[0] == written[1]
+
+
 def indent_encoder(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -526,6 +547,15 @@ def _grid_model(cfg, grid):
     (lambda cfg: cfg["models"].__setitem__(1, {"name": "RKM", "kind": "rkm",
                                                "grid": {"equal_penalties": False}}),
      ["models[1].grid.equal_penalties", "one"]),
+    (lambda cfg: cfg["models"][0]["fixed"].update(kernel="linear"),
+     ["models[0].fixed.kernel: unknown key"]),
+    (lambda cfg: cfg.update(seeds=[1, 2]), ["error: seeds: unknown key"]),
+    (lambda cfg: cfg["split"].update(fraction=0.5), ["split.fraction: unknown key"]),
+    (lambda cfg: cfg["datasets"][1].update(target_column="label"),
+     ["datasets[1].target_column: unknown key"]),
+    (lambda cfg: cfg["models"][1].update(sigma=1.0), ["models[1].sigma: unknown key"]),
+    (lambda cfg: _grid_model(cfg, {"gammas": [1.0]}), ["models[0].grid.gammas: unknown key"]),
+    (lambda cfg: cfg["models"][0].update(grid={}), ["models[0].fixed", "models[0].grid", "both"]),
 ], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
         "no-path", "no-label-column", "one-model", "top-level-array",
         "dataset-not-object", "model-not-object", "grid-not-number", "fractional-folds",
@@ -535,7 +565,9 @@ def _grid_model(cfg, grid):
         "path-not-string", "column-null", "dataset-name-number", "delimiter-number",
         "delimiter-two-characters", "header-string", "model-name-number", "duplicate-model-name",
         "equal-penalties-string", "model-name-comma", "dataset-name-quote",
-        "rkm-fixed-gamma2", "rkm-fixed-eta2", "rkm-per-class-grid"])
+        "rkm-fixed-gamma2", "rkm-fixed-eta2", "rkm-per-class-grid",
+        "fixed-unknown-key", "top-level-unknown-key", "split-unknown-key",
+        "dataset-unknown-key", "model-unknown-key", "grid-unknown-key", "fixed-and-grid"])
 def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
     cfg_path = tmp_path / "bench.json"
     cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())

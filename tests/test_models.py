@@ -4,7 +4,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-from trkm import classifier, models, regressor, rkm
+from trkm import classifier, models, regressor, rkm, solver
 from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
 from trkm.data import CLASSIFY, REGRESS
 from trkm.kernels import gaussian, linear
@@ -64,8 +64,7 @@ def test_fit_solves_its_modules_statement_bitwise(monkeypatch, rng, entry):
             return solve(system, *args, **kwargs)
         return recorded
 
-    for module in (classifier, regressor, rkm):
-        monkeypatch.setattr(module, "solve_bordered", recording(module.solve_bordered))
+    monkeypatch.setattr(solver, "solve_bordered", recording(solver.solve_bordered))
     models.fit(entry.model_kind, entry.task, x, y, params)
     statement, _ = entry.grid_fold(x, y, x[:1], gaussian(params["sigma"]))
     expected = [system.at(*penalties(params))

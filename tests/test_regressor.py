@@ -168,8 +168,8 @@ def test_permuting_training_rows_keeps_predictions(seed):
 ])
 def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2, factorizations):
     calls = []
-    exact = trkm.solver.lu_factor
-    monkeypatch.setattr(trkm.solver, "lu_factor", lambda *a, **k: calls.append(1) or exact(*a, **k))
+    exact = trkm.solver._getrf
+    monkeypatch.setattr(trkm.solver, "_getrf", lambda *a, **k: calls.append(1) or exact(*a, **k))
     x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
     model = fit_regressor(x, y, TrkmRegressorHyperparams(0.7, gamma2, 0.9, eta2, gaussian(1.0)))
     assert len(calls) == factorizations

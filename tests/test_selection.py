@@ -279,30 +279,30 @@ def test_rkm_refuses_per_class_penalties():
 
 
 def test_failed_cells_recorded_not_fatal(monkeypatch):
-    # The batched gate rejects every gamma=0.1 solve, so the LU fit decides
+    # The batched gate rejects every gamma=0.1 solve, so the LU refit decides
     # those cells, and here it fails them.
-    real_solve, real_fit = models.solve_spectral, sel._fit_score
+    real_solve, real_refit = models.solve_spectral, models.solve_families
     refitted = []
 
     def rejecting(kernel, gammas, etas, *args):
         solved = real_solve(kernel, gammas, etas, *args)
         return dataclasses.replace(solved, passed=solved.passed & (gammas != 0.1))
 
-    def failing(*args):
-        refitted.append(args[4])
-        if args[4]["gamma"] == 0.1:
+    def failing(families, penalties):
+        refitted.append(penalties[0][0])
+        if penalties[0][0] == 0.1:
             raise SingularSystem("synthetic failure")
-        return real_fit(*args)
+        return real_refit(families, penalties)
 
     monkeypatch.setattr(models, "solve_spectral", rejecting)
-    monkeypatch.setattr(sel, "_fit_score", failing)
+    monkeypatch.setattr(models, "solve_families", failing)
     grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
     result = grid_search(small_dataset(), grid, CLASSIFY, seed=0)
     failed = [c for c in result.table if c.error]
     assert len(failed) == 1 and failed[0].error == "synthetic failure"
     assert failed[0].mean_score == float("-inf") and failed[0].fold_scores == ()
     assert result.best_params["gamma"] == 1.0
-    assert [p["gamma"] for p in refitted] == [0.1]  # the healthy cell was never refitted
+    assert refitted == [0.1]  # the healthy cell was never refitted
 
 
 def test_fold_without_a_class_records_empty_class():
@@ -375,3 +375,107 @@ def test_threaded_regression_grid_matches_serial():
                     folds=3)
     serial = grid_search(ds, grid, REGRESS, seed=4, threads=1)
     assert grid_search(ds, grid, REGRESS, seed=4, threads=2) == serial
+
+
+def fold_data(task, n, m, data_seed):
+    """Rows of one fold, both classes in its training rows; the last 4 rows validate."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(n, m))
+    if task == CLASSIFY:
+        y = rng.choice(np.array([-1.0, 1.0]), size=n)
+        y[:2] = (1.0, -1.0)
+    else:
+        y = np.sin(x).sum(axis=1) + 0.1 * rng.normal(size=n)
+    return x[:-4], y[:-4], x[-4:], y[-4:]
+
+
+REFIT_PENALTIES = (1e-5, 1e-3, 1.0, 1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind_task=st.sampled_from([(TRKM, CLASSIFY), (RKM, CLASSIFY), (TRKM, REGRESS)]),
+    per_class=st.booleans(),
+    n=st.integers(8, 24),
+    m=st.integers(1, 3),
+    data_seed=st.integers(0, 2**16),
+    sigma=st.sampled_from((0.25, 1.0, 32.0)),
+    penalties=st.lists(st.tuples(*[st.sampled_from(REFIT_PENALTIES)] * 4),
+                       min_size=1, max_size=4),
+)
+def test_statement_refit_equals_fit_score(kind_task, per_class, n, m, data_seed, sigma,
+                                          penalties):
+    # The grid search's refit of a cell solves the fold's own statement; its
+    # predictions, score and SingularSystem message are the LU fit's, bitwise.
+    model_kind, task = kind_task
+    per_class = per_class and model_kind == TRKM
+    x, y, x_valid, y_valid = fold_data(task, n, m, data_seed)
+    cells = [{"gamma": g, "eta": e, "sigma": sigma, **({"gamma2": g2, "eta2": e2} if per_class
+                                                        else {})}
+             for g, e, g2, e2 in penalties]
+    _, _, refit = models.fold_predictions(model_kind, task, x, y, x_valid, sigma, cells)
+    for params in cells:
+        try:
+            fitted = models.predict(models.fit(model_kind, task, x, y, params), x_valid)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as raised:
+                refit(params)
+            assert str(raised.value) == str(exc)
+            continue
+        refitted = refit(params)
+        assert refitted.dtype == fitted.dtype and refitted.tobytes() == fitted.tobytes()
+        score = models.score(task, refitted, y_valid)
+        assert score == sel._fit_score(x, y, x_valid, y_valid, params, task, model_kind)
+
+
+def test_fold_with_an_empty_class_has_no_statement(monkeypatch):
+    # Only the fold that trains on positives alone goes to _fit_score, which
+    # names the empty class; no other fold fits.
+    ds = class_dataset(9, 1, seed=3)
+    (first, _), (second, _) = kfold_indices(ds.n, 2, 0)
+    empty = first if (ds.target[first] == 1).all() else second
+    x, y = ds.X, ds.target.astype(float)
+    assert models.fold_predictions(TRKM, CLASSIFY, x[empty], y[empty], x[:1], 1.0,
+                                   [{"gamma": 1.0, "eta": 1.0, "sigma": 1.0}]) is None
+    real_fit, fits = models.fit, []
+    monkeypatch.setattr(models, "fit", lambda *args: fits.append(args[2]) or real_fit(*args))
+    grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
+    result = grid_search(ds, grid, CLASSIFY, seed=0)
+    assert [c.error for c in result.table] == ["class -1 has no samples"] * 2
+    assert len(fits) == 2 and all(len(rows) == len(empty) for rows in fits)
+
+
+@pytest.mark.parametrize("model_kind, task, grams_per_unit", [
+    (TRKM, CLASSIFY, 5), (RKM, CLASSIFY, 2), (TRKM, REGRESS, 2),
+])
+def test_fallbacks_reuse_the_units_gram_blocks(monkeypatch, model_kind, task, grams_per_unit):
+    # With every spectral solve rejected, every cell-fold is refitted, yet Gram
+    # blocks are formed only in the (sigma, fold) units and models.fit never runs.
+    import sys
+
+    from trkm import kernels
+
+    x, y = (blobs(12, 2.0, seed=5) if task == CLASSIFY else sine(24, seed=5))
+    ds = Dataset(X=x, target=y, task=task)
+    grid = GridSpec(gamma_values=(1e-5, 1.0), eta_values=(1e-3, 1.0), sigma_values=(1.0, 32.0),
+                    folds=3)
+    expected = per_cell_table(ds, grid, task, model_kind, 0)
+    real_spectral, real_refit, real_gram = models.solve_spectral, models.solve_families, kernels.gram
+    grams, refits = [], []
+
+    def rejecting(kernel, gammas, *args):
+        return dataclasses.replace(real_spectral(kernel, gammas, *args),
+                                   passed=np.zeros(len(gammas), dtype=bool))
+
+    monkeypatch.setattr(models, "solve_spectral", rejecting)
+    monkeypatch.setattr(models, "solve_families",
+                        lambda *args: refits.append(1) or real_refit(*args))
+    monkeypatch.setattr(models, "fit", lambda *args, **kw: pytest.fail("models.fit ran"))
+    for module in [m for name, m in sys.modules.items() if name.startswith("trkm.")]:
+        if getattr(module, "gram", None) is real_gram:
+            monkeypatch.setattr(module, "gram", lambda *args: grams.append(1) or real_gram(*args))
+    result = grid_search(ds, grid, task, model_kind=model_kind, seed=0)
+    units = len(grid.sigma_values) * grid.folds
+    assert len(grams) == units * grams_per_unit
+    assert len(refits) >= len(result.table)
+    assert cells_of(result) == expected  # bitwise, regression included: LU decided every cell

@@ -138,14 +138,14 @@ def test_report_carries_condition_estimate():
 def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
     # A 1e-5 error in h passes the residual bound 1e-8 * 1e4 of this system
     # but not the balance bound 1e-6, so only the balance gate can catch it.
-    exact = trkm.solver.lu_solve
+    exact = trkm.solver._getrs
 
     def off_by_1e5(*args, **kwargs):
-        x = exact(*args, **kwargs)
+        x, info = exact(*args, **kwargs)
         x[0] += 1e-5
-        return x
+        return x, info
 
-    monkeypatch.setattr(trkm.solver, "lu_solve", off_by_1e5)
+    monkeypatch.setattr(trkm.solver, "_getrs", off_by_1e5)
     with pytest.raises(SingularSystem, match="^test system: balance"):
         solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
 
