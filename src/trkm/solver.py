@@ -13,10 +13,10 @@ data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 augmented matrix, in place: K/gamma straight into its top-left block, eta
 onto that block's diagonal, then the border. The border column breaks the
 symmetry, so we factor the full augmented matrix with partially pivoted LU,
-calling LAPACK's getrf/getrs/gecon directly (scipy's lu_factor/lu_solve
-wrappers, bitwise the same, cost more per call than the work at grid-fold
-sizes). One or two rounds of iterative refinement keep the residual near
-machine level even for extreme regularizer choices.
+calling LAPACK's getrf/getrs/gecon directly (scipy's lu_solve wrapper, the
+same bits, costs more per call than the solve itself at grid-fold sizes).
+One or two rounds of iterative refinement keep the residual near machine
+level even for extreme regularizer choices.
 
 Systems that differ only in their border sign share one factorization.
 With D = diag(1, ..., 1, -1), the augmented matrix of sign -s is the one of
