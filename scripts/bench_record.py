@@ -7,7 +7,7 @@ for the same workloads and seeds, leaving ``perfbench/out/*-trace0.json``.
 Runs pair up by (workload, seed). Per workload and end-to-end metric of
 ``BENCHMARK.json`` the record holds the parent and change medians, quartiles
 and interquartile ranges, the pairs the change won, the seeds and both
-commit ids. When both directories also hold the seed-0 ``--trace 1`` results
+commit ids, and a ``verdict`` (see ``verdict``). When both directories also hold the seed-0 ``--trace 1`` results
 file of a workload, the record holds each side's integer per-layer counts
 from it (``traced_counts``), so count evidence sits next to the timings.
 """
@@ -48,6 +48,39 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better than the parent; ties count for neither."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            failed: list[int]) -> str:
+    """One metric's reading by the simplicity guide's rules, ``bound`` relative to the parent.
+
+    ``gain``: the change wins at least 9 in 10 pairs, its median beats the
+    parent's by more than the parent's IQR, and no more runs failed.
+    ``worse``: its median is worse than the parent's by more than the bound.
+    ``unresolved``: otherwise, when either side's IQR exceeds the bound (as a
+    share of its median), unless every change run beats every parent run.
+    ``within_bound``: the rest.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = summary(parent), summary(change)
+    wins = change_wins(parent, change, better)
+    ahead = sign * (p["median"] - c["median"])
+    if 10 * wins >= 9 * len(parent) and ahead > p["iqr"] and failed[1] <= failed[0]:
+        return "gain"
+    if -ahead > bound * abs(p["median"]):
+        return "worse"
+    spread = max(side["iqr"] / abs(side["median"]) if side["median"] else float("inf")
+                 for side in (p, c))
+    every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
+    if spread > bound and not every_run_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def record(parent_dir: str, change_dir: str) -> dict:
     with open(os.path.join(change_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -66,11 +99,11 @@ def record(parent_dir: str, change_dir: str) -> dict:
             name = metric["name"]
             p = [run["metrics"][name]["value"] for run, _ in both]
             c = [run["metrics"][name]["value"] for _, run in both]
-            sign = 1.0 if metric["better"] == "lower" else -1.0
             entry["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": summary(p), "change": summary(c),
-                "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+                "change_better_pairs": change_wins(p, c, metric["better"]),
+                "verdict": verdict(p, c, metric["better"], metric["bound"], entry["failed"]),
             }
         counts = [traced_counts(d, workload) for d in (parent_dir, change_dir)]
         if None not in counts:

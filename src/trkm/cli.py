@@ -63,25 +63,7 @@ from .stats import (
 # atomic output helpers
 
 def _write_json(path: str, obj) -> None:
-    write_atomic(path, _json_text(obj) + "\n")
-
-
-def _json_text(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte (for string keys); the indent
-    encoder is pure Python, here each container of scalars is one C call."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    pad = "\n" + "  " * (depth + 1)
-    values = obj.values() if isinstance(obj, dict) else obj
-    if any(isinstance(v, (dict, list, tuple)) for v in values):
-        items = [_json_text(v, depth + 1) for v in values]
-        if isinstance(obj, dict):
-            items = [f"{json.dumps(key)}: {item}" for key, item in zip(obj, items)]
-        body = ("," + pad).join(items)
-    else:
-        body = json.dumps(obj, separators=("," + pad, ": "))[1:-1]
-    opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    return f"{opening}{pad}{body}{pad[:-2]}{closing}"
+    write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _out_path(args, name: str) -> str:

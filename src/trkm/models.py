@@ -233,7 +233,8 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     ``solve_spectral``, and ``refit``; or None for a fold the fit refuses. A
     cell outside the mask must be decided by ``refit(params)``, the LU solves
     of the same statement: bitwise ``predict(fit(...))``, or its
-    SingularSystem. Besides those gates, a classification cell with a tied
+    SingularSystem; it computes no condition estimate, which nothing reads
+    there. Besides those gates, a classification cell with a tied
     decision value (``TIE_RTOL``) and a regression cell whose spread exceeds
     ``SPREAD_LIMIT`` fall outside.
     """
@@ -272,7 +273,7 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     def refit(params: dict) -> np.ndarray:
         penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
         values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
-                  in zip(terms, solve_families(families, penalties), penalties)]
+                  in zip(terms, solve_families(families, penalties, estimate=False), penalties)]
         return decided(sum(values[1:], values[0]))
 
     return decided(decision), passed, refit

@@ -15,7 +15,8 @@ the one its fit and predictor read, and ``models.column_scores`` scores them.
 A cell it does not vouch for at a fold is refitted there by LU from the same
 statement, bitwise ``_fit_score``, and that refit alone decides the score or
 the error and message; a cell that failed is not refitted at later folds. A
-fold with no statement (an empty class, under 2 rows) goes to ``_fit_score``.
+fold with no statement (an empty class) goes to ``_fit_score``. A fold that
+trains on fewer than 2 rows, which no model can fit, is TooFewSamples.
 Labels and errors therefore read exactly as a per-cell search writes them;
 regression scores agree with it to rounding, within the 1e-6 relative the
 benchmark checks.
@@ -186,6 +187,10 @@ def grid_search(
     if task != train_set.task:
         raise ValueError(f"dataset task is {train_set.task!r}, grid search asked for {task!r}")
     folds = kfold_indices(train_set.n, grid.folds, seed)
+    for f, (train_idx, _) in enumerate(folds):
+        if len(train_idx) < 2:
+            raise TooFewSamples(f"fold {f + 1} of {grid.folds} trains on {len(train_idx)} row, "
+                                "and a fit needs at least 2: use fewer folds (--folds)")
     points = _grid_points(grid)
     worst = float("-inf") if task == CLASSIFY else float("inf")
     x, y = train_set.X, np.asarray(train_set.target, dtype=float)

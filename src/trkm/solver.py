@@ -34,6 +34,14 @@ estimator takes the sign of an exact zero, so a -0.0 and a +0.0 part ways.)
 A factor is not part of a ``SolveReport``: a fitted model keeps no (n+1)^2
 array alive. Every fit and grid refit solves through ``solve_families``.
 
+The condition estimate (the 1-norm of the augmented matrix, then ``gecon``)
+is the one part of a solve that gates nothing, and at grid-fold sizes it
+costs about half a ``getrf``. Fits compute it, since their ``fit_diag``
+reports it; a grid refit, which reads only h and b, asks for none
+(``estimate=False``) and gets a report whose estimate is None. Every gate
+runs either way, and the solution, residual and any SingularSystem message
+are bitwise the same.
+
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
 grid search needs. The core depends on (gamma, eta) only through a shift of
@@ -137,13 +145,14 @@ class SolveReport:
 
     ``residual_norm`` is the max-abs residual of the formed augmented
     system (never of the factored form); ``condition_estimate`` is a cheap
-    LAPACK 1-norm estimate, reported but never used for gating.
+    LAPACK 1-norm estimate, reported but never used for gating, or None for
+    a solve that asked for none.
     ``balance_target`` is the system's ``rhs_bottom``. ``solution`` is [h; b].
     """
 
     solution: np.ndarray
     residual_norm: float
-    condition_estimate: float
+    condition_estimate: float | None
     name: str
     balance_target: float
 
@@ -158,7 +167,8 @@ class SharedFactor:
     and factors its system into ``f``; each later call with ``f`` solves on
     that LU, turned to its border sign in place (see the module docstring).
     A system with another kernel, gamma or eta is a ValueError. Keep it no
-    longer than the solves: it holds two (n+1)^2 arrays.
+    longer than the solves: it holds two (n+1)^2 arrays. ``anorm``, the
+    matrix's 1-norm, is None until a solve asks for a condition estimate.
     """
 
     def __init__(self):
@@ -171,10 +181,12 @@ class SharedFactor:
                 and (kernel is self.kernel or np.array_equal(kernel, self.kernel))):
             raise ValueError("shared factor was made for another (kernel, gamma, eta)")
 
-    def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str) -> None:
-        """Factor ``system``'s augmented matrix ``a``; a pivot below the floor is SingularSystem."""
+    def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str,
+             estimate: bool) -> None:
+        """Factor ``system``'s augmented matrix ``a``, taking its 1-norm first when ``estimate``;
+        a pivot below the floor is SingularSystem."""
         # The 1-norm first: its |a| temporary is freed before the LU copy exists.
-        anorm = float(np.max(np.abs(a).sum(axis=0)))
+        anorm = _one_norm(a) if estimate else None
         lu, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
         pivots = np.abs(np.diag(lu))
         largest = float(pivots.max())
@@ -196,6 +208,11 @@ class SharedFactor:
             self.border_sign = border_sign
 
 
+def _one_norm(a: np.ndarray) -> float:
+    """The largest column sum of |a|; border signs do not change it."""
+    return float(np.max(np.abs(a).sum(axis=0)))
+
+
 def _augmented(kernel: np.ndarray, gamma, eta, border_sign) -> np.ndarray:
     """[[K/gamma + eta*I, sign*e], [e^T, 0]], formed in one (n+1)^2 array."""
     n = kernel.shape[0]
@@ -212,7 +229,8 @@ def _augmented(kernel: np.ndarray, gamma, eta, border_sign) -> np.ndarray:
 
 
 def solve_bordered(
-    system: BorderedSystem, name: str, factor: SharedFactor | None = None
+    system: BorderedSystem, name: str, factor: SharedFactor | None = None, *,
+    estimate: bool = True,
 ) -> SolveReport:
     """Form and solve the bordered system named ``name`` by LU with partial pivoting.
 
@@ -221,7 +239,9 @@ def solve_bordered(
     reused if not; a factor of another (kernel, gamma, eta) is a ValueError.
     Raises SingularSystem, its message prefixed with ``name``, when a pivot
     falls below the relative floor, the refined residual cannot meet the
-    documented bound, or the solution misses the balance row.
+    documented bound, or the solution misses the balance row. With
+    ``estimate`` false the report's condition estimate is None and nothing
+    else changes.
     """
     kernel = np.asarray(system.kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
@@ -241,7 +261,7 @@ def solve_bordered(
     if not np.isfinite(rhs_bottom):
         raise ValueError("rhs_bottom is not finite")
     if factor.kernel is None:
-        factor.fill(system, kernel, a, name)
+        factor.fill(system, kernel, a, name, estimate)
     factor.turn(system.border_sign)
     a, lu, piv = factor.matrix, factor.lu, factor.piv
     b = np.concatenate([rhs_top, [rhs_bottom]])
@@ -264,17 +284,23 @@ def solve_bordered(
         raise SingularSystem(
             f"{name}: balance border.h = {total!r} deviates from {target!r}"
         )
+    if not estimate:
+        return SolveReport(x, res_norm, None, name, target)
+    if factor.anorm is None:  # filled by a solve that asked for no estimate
+        factor.anorm = _one_norm(a)
     rcond, _ = _gecon(lu, factor.anorm, norm="1")
     cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
     return SolveReport(x, res_norm, cond, name, target)
 
 
-def solve_families(families, penalties) -> tuple[SolveReport, ...]:
+def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:
     """Solve each family at its (gamma, eta), in order and under its name; families on the
-    same kernel object at the same (gamma, eta) share one ``SharedFactor``."""
+    same kernel object at the same (gamma, eta) share one ``SharedFactor``. ``estimate``
+    goes to every ``solve_bordered``."""
     factors = {}
-    return tuple(solve_bordered(f.at(g, e), f.name, factors.setdefault((id(f.kernel), g, e),
-                                                                       SharedFactor()))
+    return tuple(solve_bordered(f.at(g, e), f.name,
+                                factors.setdefault((id(f.kernel), g, e), SharedFactor()),
+                                estimate=estimate)
                  for f, (g, e) in zip(families, penalties))
 
 

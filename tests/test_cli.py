@@ -9,10 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from trkm.cli import _json_text, main
+from trkm.cli import _write_json, main
 from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
 
@@ -316,26 +314,28 @@ def test_gridsearch_with_fallbacks_writes_the_same_files_on_two_threads(
     assert written[0] == written[1]
 
 
-def indent_encoder(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def grid_blob(cells, **head):
     """A gridsearch table as ``cmd_gridsearch`` hands it to the writer."""
     return {**head, "cells": [vars(cell) for cell in cells]}
 
 
+def written(tmp_path, obj) -> bytes:
+    """The bytes ``_write_json`` writes for ``obj``."""
+    path = tmp_path / "table.json"
+    _write_json(str(path), obj)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("case", ["trkm_classify", "rkm_classify", "trkm_regress"])
-def test_grid_writer_matches_indent_encoder_on_golden_tables(case):
-    golden = (Path(__file__).parent / "data" / "gridsearch" / case / "grid_results.json").read_text()
+def test_grid_writer_matches_indent_encoder_on_golden_tables(tmp_path, case):
+    golden = (Path(__file__).parent / "data" / "gridsearch" / case / "grid_results.json").read_bytes()
     blob = json.loads(golden)
     cells = [GridCell(c["params"], c["mean_score"], tuple(c["fold_scores"]), c["error"])
              for c in blob.pop("cells")]
-    table = grid_blob(cells, **blob)
-    assert _json_text(table) + "\n" == indent_encoder(table) == golden
+    assert written(tmp_path, grid_blob(cells, **blob)) == golden
 
 
-def test_grid_writer_matches_indent_encoder_on_failed_and_short_cells():
+def test_grid_writer_matches_indent_encoder_on_failed_and_short_cells(tmp_path):
     params = {"gamma": 1e-05, "eta": 100000.0, "sigma": 0.03125}
     cells = [
         GridCell(params, -math.inf, (), 'class +1 system: singular "core", pivot 0'),
@@ -345,21 +345,7 @@ def test_grid_writer_matches_indent_encoder_on_failed_and_short_cells():
     ]
     table = grid_blob(cells, task="classify", model_kind="trkm", seed=0, folds=5,
                       best_params=params, best_cv_score=-math.inf)
-    assert _json_text(table) + "\n" == indent_encoder(table)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
-def test_json_writer_matches_indent_encoder(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
+    assert written(tmp_path, table) == (json.dumps(table, indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize("module", ["trkm", "trkm.cli"])
@@ -370,6 +356,56 @@ def test_import_does_not_load_scipy_stats(module):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, {module}; assert 'scipy.stats' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("args, report", [
+    (("--task", "classify", "--label-col", "label", "--data", "blobs.csv"), [
+        "task: classify  model: trkm_classifier",
+        "data: {data} (n=40, features=2)",
+        "class +1 system: residual 5.400e-13, condition estimate 4.486e+04, "
+        "balance sum(h) = 20 (expected 20)",
+        "class -1 system: residual 6.395e-13, condition estimate 4.089e+04, "
+        "balance sum(h) = -20 (expected -20)",
+    ]),
+    (("--task", "classify", "--model-kind", "rkm", "--label-col", "label", "--data", "blobs.csv"), [
+        "task: classify  model: rkm",
+        "data: {data} (n=40, features=2)",
+        "rkm system: residual 8.482e-14, condition estimate 8.576e+04, "
+        "balance sum(h) = 7.10542736e-15 (expected 0)",
+    ]),
+    (("--task", "regress", "--target-col", "target", "--data", "sine.csv"), [
+        "task: regress  model: trkm_regressor",
+        "data: {data} (n=50, features=1)",
+        "lower-function system: residual 6.821e-13, condition estimate 1.039e+05, "
+        "balance sum(h) = 50 (expected 50)",
+        "upper-function system: residual 6.253e-13, condition estimate 1.039e+05, "
+        "balance sum(h) = 50 (expected 50)",
+    ]),
+])
+def test_train_prints_each_solves_report(tmp_path, capsys, args, report):
+    # Every fit's solves carry their condition estimate; grid refits skip it.
+    data = str(DATA_DIR / "synthetic" / args[-1])
+    model_out = str(tmp_path / "m.json")
+    assert run("train", *args[:-1], data, "--gamma", "0.1", "--eta", "0.01", "--sigma", "1",
+               "--model-out", model_out) == 0
+    expected = [line.format(data=data) for line in report] + [f"model written to {model_out}"]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("model_kind, task, rows, column", [
+    ("trkm", "regress", "f0,target\n0.1,1.0\n0.5,2.0\n", ("--target-col", "target")),
+    ("rkm", "classify", "f0,label\n0.1,a\n0.5,b\n", ("--label-col", "label")),
+])
+def test_gridsearch_with_a_one_row_training_fold_exits_3(tmp_path, capsys, model_kind, task,
+                                                          rows, column):
+    data = tmp_path / "two.csv"
+    data.write_text(rows)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", task,
+               "--model-kind", model_kind, "--data", str(data), *column,
+               "--folds", "2", "--gamma-grid", "1", "--eta-grid", "1", "--sigma-grid", "1") == 3
+    assert capsys.readouterr().err == ("error: fold 1 of 2 trains on 1 row, and a fit needs at "
+                                       "least 2: use fewer folds (--folds)\n")
+    assert not (tmp_path / "grid_results.json").exists()
 
 
 @pytest.mark.parametrize("case, data, column", [

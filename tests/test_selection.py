@@ -288,11 +288,11 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
         solved = real_solve(kernel, gammas, etas, *args)
         return dataclasses.replace(solved, passed=solved.passed & (gammas != 0.1))
 
-    def failing(families, penalties):
+    def failing(families, penalties, **kwargs):
         refitted.append(penalties[0][0])
         if penalties[0][0] == 0.1:
             raise SingularSystem("synthetic failure")
-        return real_refit(families, penalties)
+        return real_refit(families, penalties, **kwargs)
 
     monkeypatch.setattr(models, "solve_spectral", rejecting)
     monkeypatch.setattr(models, "solve_families", failing)
@@ -303,6 +303,32 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     assert failed[0].mean_score == float("-inf") and failed[0].fold_scores == ()
     assert result.best_params["gamma"] == 1.0
     assert refitted == [0.1]  # the healthy cell was never refitted
+
+
+def test_grid_refits_compute_no_condition_estimate(monkeypatch):
+    # At sigma = 32 and penalties near 1e-5 every TRKM-R cell spreads over
+    # SPREAD_LIMIT, so LU refits decide the table; none of them may reach gecon.
+    from trkm import solver
+
+    x, y = sine(30, seed=2)
+    ds = Dataset(X=x, target=y, task=REGRESS)
+    grid = GridSpec(gamma_values=(1e-5, 1e-4), eta_values=(1e-5, 1e-4), sigma_values=(32.0,),
+                    folds=3)
+    expected = per_cell_table(ds, grid, REGRESS, TRKM, 0)
+    real_getrf, factorizations = solver._getrf, []
+    monkeypatch.setattr(solver, "_getrf", lambda *a: factorizations.append(1) or real_getrf(*a))
+    monkeypatch.setattr(solver, "_gecon", lambda *a, **kw: pytest.fail("gecon ran"))
+    result = grid_search(ds, grid, REGRESS, model_kind=TRKM, seed=0)
+    assert len(factorizations) == len(result.table) * grid.folds
+    assert cells_of(result) == expected  # bitwise: LU decided every cell
+
+
+@pytest.mark.parametrize("model_kind, task", [(TRKM, REGRESS), (RKM, CLASSIFY), (TRKM, CLASSIFY)])
+def test_fold_training_on_one_row_is_too_few_samples(model_kind, task):
+    x, y = (blobs(1, 2.0, seed=0) if task == CLASSIFY else sine(2, seed=0))
+    grid = GridSpec(gamma_values=(1.0,), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
+    with pytest.raises(TooFewSamples, match=r"^fold 1 of 2 trains on 1 row, .*\(--folds\)$"):
+        grid_search(Dataset(X=x, target=y, task=task), grid, task, model_kind=model_kind)
 
 
 def test_fold_without_a_class_records_empty_class():
@@ -469,7 +495,7 @@ def test_fallbacks_reuse_the_units_gram_blocks(monkeypatch, model_kind, task, gr
 
     monkeypatch.setattr(models, "solve_spectral", rejecting)
     monkeypatch.setattr(models, "solve_families",
-                        lambda *args: refits.append(1) or real_refit(*args))
+                        lambda *args, **kw: refits.append(1) or real_refit(*args, **kw))
     monkeypatch.setattr(models, "fit", lambda *args, **kw: pytest.fail("models.fit ran"))
     for module in [m for name, m in sys.modules.items() if name.startswith("trkm.")]:
         if getattr(module, "gram", None) is real_gram:

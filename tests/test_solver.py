@@ -150,13 +150,18 @@ def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
         solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
 
 
-def outcome(system, factor=None):
+def outcome(system, factor=None, estimate=True):
     """The report fields of one solve as exact values, or its SingularSystem message."""
     try:
-        rep = solve_bordered(system, "test system", factor=factor)
+        rep = solve_bordered(system, "test system", factor=factor, estimate=estimate)
     except SingularSystem as exc:
         return str(exc)
     return rep.solution.tobytes(), rep.residual_norm, rep.condition_estimate
+
+
+def without_estimate(fields):
+    """``outcome`` of the same solve with ``estimate=False``: only the estimate goes."""
+    return fields if isinstance(fields, str) else (*fields[:2], None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,12 +186,20 @@ def test_shared_factor_solves_the_other_sign_bitwise(
         x[-1] = x[0]
     kernel = gram(gaussian(2.0 ** log_sigma), x, x)
     gamma, eta = 10.0 ** log_gamma, 0.0 if log_eta is None else 10.0 ** log_eta
+    # ``lean`` is filled by a solve that asks for no estimate, as grid refits
+    # fill theirs; a later solve on it that asks for one still gets it bitwise.
     first = system(kernel, gamma, eta, sign, rng.normal(size=n) * 10.0, float(n))
-    shared = SharedFactor()
-    assert outcome(first, shared) == outcome(first)
+    shared, lean = SharedFactor(), SharedFactor()
+    fresh = outcome(first)
+    assert outcome(first, shared) == fresh
+    assert outcome(first, lean, estimate=False) == outcome(first, estimate=False)
+    assert outcome(first, estimate=False) == without_estimate(fresh)
     for other_sign in (-sign, sign):
         other = system(kernel, gamma, eta, other_sign, rng.normal(size=n), float(rng.normal()))
-        assert outcome(other, shared) == outcome(other)
+        fresh = outcome(other)
+        assert outcome(other, shared) == fresh
+        assert outcome(other, lean, estimate=False) == without_estimate(fresh)
+    assert outcome(other, lean) == fresh
 
 
 def test_shared_factor_refuses_another_kernel_gamma_or_eta():
