@@ -18,6 +18,11 @@ import json
 import os
 import statistics
 import subprocess
+import sys
+
+
+class TooFewPairs(ValueError):
+    """A workload has fewer than the 2 pairs of runs its quartiles need."""
 
 
 def commit(directory: str) -> str:
@@ -58,8 +63,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
             failed: list[int]) -> str:
     """One metric's reading by the simplicity guide's rules, ``bound`` relative to the parent.
 
-    ``gain``: the change wins at least 9 in 10 pairs, its median beats the
-    parent's by more than the parent's IQR, and no more runs failed.
+    ``gain``: at least 10 pairs, the change wins at least 9 in 10 of them, its
+    median beats the parent's by more than the parent's IQR, and no more runs
+    failed.
     ``worse``: its median is worse than the parent's by more than the bound.
     ``unresolved``: otherwise, when either side's IQR exceeds the bound (as a
     share of its median), unless every change run beats every parent run.
@@ -69,7 +75,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     p, c = summary(parent), summary(change)
     wins = change_wins(parent, change, better)
     ahead = sign * (p["median"] - c["median"])
-    if 10 * wins >= 9 * len(parent) and ahead > p["iqr"] and failed[1] <= failed[0]:
+    if (len(parent) >= 10 and 10 * wins >= 9 * len(parent) and ahead > p["iqr"]
+            and failed[1] <= failed[0]):
         return "gain"
     if -ahead > bound * abs(p["median"]):
         return "worse"
@@ -90,6 +97,9 @@ def record(parent_dir: str, change_dir: str) -> dict:
            "workloads": {}}
     for workload in sorted({w for w, _ in pairs}):
         seeds = [s for w, s in pairs if w == workload]
+        if len(seeds) < 2:
+            raise TooFewPairs(f"{workload}: {len(seeds)} pair of runs, and quartiles need at "
+                              "least 2")
         both = [(parent[workload, s], change[workload, s]) for s in seeds]
         entry = {"seeds": seeds,
                  "all_correct": all(p["correct"] and c["correct"] for p, c in both),
@@ -118,8 +128,13 @@ def main(argv=None) -> int:
     parser.add_argument("change_dir")
     parser.add_argument("--out", required=True, help="record file to write")
     args = parser.parse_args(argv)
+    try:
+        text = json.dumps(record(args.parent_dir, args.change_dir), indent=1) + "\n"
+    except TooFewPairs as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record(args.parent_dir, args.change_dir), indent=1) + "\n")
+        fh.write(text)
     return 0
 
 

@@ -69,7 +69,13 @@ class TrkmClassifierModel:
 
 
 def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
-    """The two class systems on class rows A and B, for every (gamma, eta)."""
+    """The two class systems on class rows A and B, for every (gamma, eta).
+
+    EmptyClass names a class with no rows, +1 first.
+    """
+    for label, rows in (("+1", A), ("-1", B)):
+        if len(rows) == 0:
+            raise EmptyClass(f"class {label} has no samples")
     k_aa, k_ab, k_bb = gram(kernel, A, A), gram(kernel, A, B), gram(kernel, B, B)
     e1, e2 = np.ones(len(A)), np.ones(len(B))
     return (BorderedFamily("class +1 system", k_aa, +1, e1, k_ab @ e2, float(len(B))),
@@ -87,10 +93,6 @@ def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
     """Fit both class systems; aborts whole fit if either system is singular."""
     a = as_matrix(A, "A")
     b = as_matrix(B, "B")
-    if a.shape[0] == 0:
-        raise EmptyClass("class +1 has no samples")
-    if b.shape[0] == 0:
-        raise EmptyClass("class -1 has no samples")
     rep1, rep2 = solve_families(systems(a, b, hp.kernel),
                                 [(hp.gamma1, hp.eta1), (hp.gamma2, hp.eta2)])
     return TrkmClassifierModel(A=a, B=b, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,

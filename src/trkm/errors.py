@@ -27,7 +27,7 @@ class DegenerateSplit(TrkmError):
 
 
 class TooFewSamples(TrkmError):
-    """Fewer samples than cross-validation folds."""
+    """Fewer samples than cross-validation folds, or than a fit needs."""
 
 
 class DegenerateStatistic(TrkmError):

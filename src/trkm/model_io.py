@@ -24,7 +24,6 @@ from . import models
 from .classifier import TrkmClassifierModel
 from .errors import CorruptModel, IoError, VersionMismatch
 from .kernels import KernelSpec
-from .models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM  # noqa: F401  (re-exported)
 from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
 

@@ -72,8 +72,9 @@ class ModelType:
     ``per_row`` pair names a vector field and the matrix field with one
     row per value of it; those matrix fields share one column count.
     ``grid_fold`` gives the model module's statement of a fold's systems and
-    their terms at its validation rows, or None for a fold the fit refuses;
-    ``system_penalties`` picks each system's (gamma, eta) from grid params.
+    their terms at its validation rows, and raises what the fit raises for
+    those rows; ``system_penalties`` picks each system's (gamma, eta) from
+    grid params.
     """
 
     kind: str
@@ -86,7 +87,7 @@ class ModelType:
     per_row: tuple[tuple[str, str], ...]
     fit: Callable[[np.ndarray, np.ndarray, dict, KernelSpec], object]
     predict: Callable[[object, np.ndarray], np.ndarray]
-    grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]] | None]
+    grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]]]
     system_penalties: tuple[Callable[[dict], tuple[float, float]], ...]
 
 
@@ -106,16 +107,12 @@ def _twin_hyperparams(params: dict, kernel: KernelSpec) -> TrkmClassifierHyperpa
 
 def _twin_grid_fold(x, y, x_valid, kernel):
     a, b = x[y == 1], x[y == -1]
-    if not (len(a) and len(b)):
-        return None  # the fit names the empty class
     return classifier.systems(a, b, kernel), classifier.decision_terms(a, b, kernel, x_valid)
 
 
 def _full_sample_grid_fold(module):
     """``grid_fold`` of a model whose systems run over all of a fold's rows."""
     def grid_fold(x, y, x_valid, kernel):
-        if len(x) < 2:
-            return None  # the fit refuses it
         return module.systems(x, y, kernel), module.decision_terms(x, kernel, x_valid)
     return grid_fold
 
@@ -230,19 +227,16 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     ``cells`` are grid params sharing the Gaussian bandwidth ``sigma``.
     Returns a (rows x cells) matrix, labels for classification and values for
     regression, a mask of the cells whose solves met every gate of
-    ``solve_spectral``, and ``refit``; or None for a fold the fit refuses. A
-    cell outside the mask must be decided by ``refit(params)``, the LU solves
-    of the same statement: bitwise ``predict(fit(...))``, or its
-    SingularSystem; it computes no condition estimate, which nothing reads
-    there. Besides those gates, a classification cell with a tied
-    decision value (``TIE_RTOL``) and a regression cell whose spread exceeds
-    ``SPREAD_LIMIT`` fall outside.
+    ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
+    (EmptyClass, TooFewSamples) from the model's statement. A cell outside
+    the mask must be decided by ``refit(params)``, the LU solves of the same
+    statement: bitwise ``predict(fit(...))``, or its SingularSystem; it
+    computes no condition estimate, which nothing reads there. Besides those
+    gates, a classification cell with a tied decision value (``TIE_RTOL``)
+    and a regression cell whose spread exceeds ``SPREAD_LIMIT`` fall outside.
     """
     entry = model_type(model_kind, task)
-    fold = entry.grid_fold(X, y, X_valid, gaussian(sigma))
-    if fold is None:
-        return None
-    families, terms = fold
+    families, terms = entry.grid_fold(X, y, X_valid, gaussian(sigma))
     # the predictors' rule: the sign of the summed terms, or TRKM-R's mean of its two
     decided = (lambda d: d / 2.0) if task == REGRESS else (lambda d: np.where(d >= 0.0, 1, -1))
     decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .arrays import as_matrix, as_vector
 from .classifier import TrkmClassifierHyperparams
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooFewSamples
 from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
 
@@ -49,7 +49,12 @@ class TrkmRegressorModel:
 
 
 def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
-    """The lower- and upper-function systems on one K of the rows of X, for every (gamma, eta)."""
+    """The lower- and upper-function systems on one K of the rows of X, for every (gamma, eta).
+
+    TooFewSamples for fewer than 2 rows.
+    """
+    if len(X) < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
     k = gram(kernel, X, X)
     ke = k @ np.ones(len(X))
     return (BorderedFamily("lower-function system", k, -1, -Y, ke, float(len(X))),
@@ -67,8 +72,6 @@ def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
     x = as_matrix(X, "X")
     y = as_vector(Y, "Y")
     n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if y.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but Y has length {y.shape[0]}")
     rep1, rep2 = solve_families(systems(x, y, hp.kernel),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_matrix, as_vector, positive_number
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooFewSamples
 from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
 
@@ -38,7 +38,12 @@ class RkmModel:
 
 
 def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
-    """The one RKM system on the rows of X with labels y, for every (gamma, eta)."""
+    """The one RKM system on the rows of X with labels y, for every (gamma, eta).
+
+    TooFewSamples for fewer than 2 rows.
+    """
+    if len(X) < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
     return (BorderedFamily("rkm system", gram(kernel, X, X), +1, y, np.zeros(len(X)), 0.0),)
 
 
@@ -51,8 +56,6 @@ def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
     x = as_matrix(X, "X")
     yv = as_vector(y, "y")
     n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if yv.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but y has length {yv.shape[0]}")
     if not np.all(np.isin(yv, (-1.0, 1.0))):

@@ -13,13 +13,14 @@ How a cell is solved: per (sigma, fold), ``models.fold_predictions`` solves
 every (gamma, eta) cell at once from the statement in the model's own module,
 the one its fit and predictor read, and ``models.column_scores`` scores them.
 A cell it does not vouch for at a fold is refitted there by LU from the same
-statement, bitwise ``_fit_score``, and that refit alone decides the score or
-the error and message; a cell that failed is not refitted at later folds. A
-fold with no statement (an empty class) goes to ``_fit_score``. A fold that
-trains on fewer than 2 rows, which no model can fit, is TooFewSamples.
-Labels and errors therefore read exactly as a per-cell search writes them;
-regression scores agree with it to rounding, within the 1e-6 relative the
-benchmark checks.
+statement, bitwise ``predict(fit(...))``, and that refit alone decides the
+score or the error and message; a cell that failed is not refitted at later
+folds. A fold whose statement refuses its rows as the fit would (an empty
+class) fails every cell still alive there with the statement's message. A
+fold that trains on fewer than 2 rows, which no model can fit, is
+TooFewSamples before any statement is built. Labels and errors therefore
+read exactly as a per-cell search writes them; regression scores agree with
+it to rounding, within the 1e-6 relative the benchmark checks.
 """
 
 from __future__ import annotations
@@ -165,11 +166,6 @@ def _grid_points(grid: GridSpec) -> list[dict]:
     ]
 
 
-def _fit_score(x_train, y_train, x_valid, y_valid, params, task, model_kind):
-    model = models.fit(model_kind, task, x_train, y_train, params)
-    return models.score(task, models.predict(model, x_valid), y_valid)
-
-
 def grid_search(
     train_set: Dataset,
     grid: GridSpec,
@@ -199,14 +195,16 @@ def grid_search(
         columns.setdefault(params["sigma"], []).append(i)
 
     def column(sigma) -> dict:
-        """Score or SingularSystem message of each cell of ``sigma`` at each fold it reaches."""
+        """Score or error message of each cell of ``sigma`` at each fold it reaches."""
         cells, found, failed = np.asarray(columns[sigma]), {}, set()
         for f, (train_idx, valid_idx) in enumerate(folds):
-            fold = models.fold_predictions(model_kind, task, x[train_idx], y[train_idx],
-                                           x[valid_idx], sigma, [points[i] for i in cells])
-            if fold is None:
-                break  # every cell stops at this fold, in _fit_score
-            predictions, passed, refit = fold
+            try:
+                predictions, passed, refit = models.fold_predictions(
+                    model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
+                    [points[i] for i in cells])
+            except EmptyClass as exc:  # every cell still alive stops at this fold
+                found.update({(i, f): str(exc) for i in cells.tolist() if i not in failed})
+                break
             scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
             found.update(zip([(i, f) for i in cells[passed].tolist()], scores))
             for i in [i for i in cells[~passed].tolist() if i not in failed]:
@@ -224,14 +222,8 @@ def grid_search(
 
     def eval_cell(i: int, params: dict) -> GridCell:
         scores = []
-        for f, (train_idx, valid_idx) in enumerate(folds):
-            score = found.get((i, f))
-            if score is None:  # a fold with no statement
-                try:
-                    score = _fit_score(x[train_idx], y[train_idx], x[valid_idx], y[valid_idx],
-                                       params, task, model_kind)
-                except EmptyClass as exc:
-                    score = str(exc)
+        for f in range(len(folds)):
+            score = found[i, f]
             if isinstance(score, str):
                 return GridCell(params=params, mean_score=worst,
                                 fold_scores=tuple(scores), error=score)

@@ -9,10 +9,13 @@
 - ``classifier_slacks`` and ``regressor_slacks``: the fitted error vectors of
   the TRKM systems in kernel form, for the stationarity (eta_i * h_i = xi_i)
   and Fenchel-Young checks.
+- ``fit_score``: one grid cell at one fold the plain way, an ordinary fit
+  and predict, the per-cell search the batched grid search must agree with.
 """
 
 import numpy as np
 
+from trkm import models
 from trkm.errors import DimensionMismatch
 from trkm.kernels import LINEAR, gram
 
@@ -124,3 +127,8 @@ def regressor_slacks(model):
     phi_w1 = (k @ (e - model.h1)) / hp.gamma1
     phi_w2 = (k @ (model.h2 - e)) / hp.gamma2
     return phi_w1 + e * model.b1 - model.Y, model.Y - phi_w2 - e * model.b2
+
+
+def fit_score(x_train, y_train, x_valid, y_valid, params, task, model_kind):
+    model = models.fit(model_kind, task, x_train, y_train, params)
+    return models.score(task, models.predict(model, x_valid), y_valid)

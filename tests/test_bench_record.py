@@ -14,11 +14,11 @@ SEEDS = range(1, 11)
 JITTER = [0.0, 0.01, -0.01, 0.02, -0.02, 0.005, -0.005, 0.015, -0.015, 0.0]
 
 
-def write_runs(directory: Path, values: dict, failed: int = 0) -> None:
+def write_runs(directory: Path, values: dict, failed: int = 0, seeds=SEEDS) -> None:
     """One ``perfbench/run.py --trace 0`` results file per seed; ``values[name]`` per seed."""
     out = directory / "perfbench" / "out"
     out.mkdir(parents=True)
-    for i, seed in enumerate(SEEDS):
+    for i, seed in enumerate(seeds):
         run = {"workload": "grid_regress", "environment": {"seed": seed}, "correct": True,
                "failed": failed,
                "metrics": {name: {"value": v[i]} for name, v in values.items()}}
@@ -65,6 +65,9 @@ def test_record_gives_each_metric_its_verdict(tmp_path, monkeypatch):
     # a win in 9 of 10 pairs is, unless more runs failed
     ([1.0] * 10, [0.9] * 9 + [1.1], [0, 0], "gain"),
     ([1.0] * 10, [0.9] * 9 + [1.1], [0, 1], "within_bound"),
+    # fewer than 10 pairs is never a gain, even if the change won them all
+    ([1.0] * 3, [0.9] * 3, [0, 0], "within_bound"),
+    ([1.0] * 9, [0.9] * 9, [0, 0], "within_bound"),
     # a wide spread is unresolved unless every change run beats every parent run
     ([1.0, 2.0] * 5, [0.95, 1.9] * 5, [0, 0], "unresolved"),
     ([1.0, 2.0] * 5, [0.95, 0.99] * 5, [0, 0], "within_bound"),
@@ -76,3 +79,16 @@ def test_verdict_rules(parent, change, failed, expected):
 def test_verdict_for_a_metric_where_higher_is_better():
     assert bench_record.verdict([1.0] * 10, [1.1] * 10, "higher", 0.25, [0, 0]) == "gain"
     assert bench_record.verdict([1.0] * 10, [0.7] * 10, "higher", 0.25, [0, 0]) == "worse"
+
+
+def test_a_workload_with_one_pair_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_record, "commit", lambda directory: "0" * 40)
+    one = {name: v[:1] for name, v in PARENT.items()}
+    write_runs(tmp_path / "parent", one, seeds=[1])
+    write_runs(tmp_path / "change", one, seeds=[1])
+    (tmp_path / "change" / "BENCHMARK.json").write_bytes((REPO / "BENCHMARK.json").read_bytes())
+    out = tmp_path / "record.json"
+    assert bench_record.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                              "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid_regress: 1 pair of runs")
+    assert not out.exists()

@@ -408,6 +408,19 @@ def test_gridsearch_with_a_one_row_training_fold_exits_3(tmp_path, capsys, model
     assert not (tmp_path / "grid_results.json").exists()
 
 
+def test_train_on_a_one_row_file_exits_3(tmp_path, capsys):
+    # TRKM-R's statement refuses a single row as a data error. (A one-row
+    # classification file holds one label, which the label mapping refuses
+    # before any model is built.)
+    data = tmp_path / "one.csv"
+    data.write_text("f0,target\n0.1,1.0\n")
+    model_out = tmp_path / "m.json"
+    assert run("train", "--task", "regress", "--data", str(data), "--target-col", "target",
+               "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_out)) == 3
+    assert capsys.readouterr().err == "error: need at least 2 samples, got 1\n"
+    assert not model_out.exists()
+
+
 @pytest.mark.parametrize("case, data, column", [
     ("trkm_classify", "crossplane130.csv", ("--label-col", "label")),
     ("rkm_classify", "crossplane130.csv", ("--label-col", "label")),

@@ -24,14 +24,8 @@ from trkm.errors import (
     VersionMismatch,
 )
 from trkm.kernels import gaussian
-from trkm.model_io import (
-    KIND_CLASSIFIER,
-    KIND_REGRESSOR,
-    KIND_RKM,
-    SavedModel,
-    load_model,
-    save_model,
-)
+from trkm.model_io import SavedModel, load_model, save_model
+from trkm.models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM
 from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
 from trkm.rkm import fit_rkm, predict_rkm
 from trkm.synthetic import blobs

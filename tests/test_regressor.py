@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trkm.errors import DimensionMismatch
+from trkm.errors import DimensionMismatch, TooFewSamples
 import trkm.solver
 from trkm.kernels import gaussian, linear
 from trkm.metrics import regression_errors
@@ -177,7 +177,7 @@ def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2,
 
 
 def test_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewSamples):
         fit_regressor(np.zeros((1, 2)), np.zeros(1), equal_hp())
     with pytest.raises(DimensionMismatch):
         fit_regressor(np.zeros((3, 2)), np.zeros(4), equal_hp())

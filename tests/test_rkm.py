@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trkm.errors import DimensionMismatch, SingularSystem
+from trkm.errors import DimensionMismatch, SingularSystem, TooFewSamples
 from trkm.kernels import gaussian, linear
 from trkm.metrics import classification_accuracy
 from trkm.rkm import RkmModel, fit_rkm, predict_rkm, rkm_scores
@@ -86,7 +86,7 @@ def test_preconditions(rng):
     x, _ = random_two_class(rng)
     with pytest.raises(ValueError):
         fit_rkm(x, np.zeros(len(x)), 1.0, 1.0, linear())  # labels not +/-1
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewSamples):
         fit_rkm(x[:1], np.array([1.0]), 1.0, 1.0, linear())
     with pytest.raises(ValueError):
         fit_rkm(x, np.ones(len(x)) * np.where(np.arange(len(x)) % 2, 1, -1), -1.0, 1.0, linear())

@@ -23,6 +23,7 @@ from trkm.selection import (
 )
 from trkm.synthetic import blobs, sine
 
+import oracles
 from conftest import DATA_DIR
 
 
@@ -204,8 +205,8 @@ def per_cell_table(ds, grid, task, model_kind, seed):
         scores, error = [], ""
         for train_idx, valid_idx in folds:
             try:
-                scores.append(sel._fit_score(x[train_idx], y[train_idx], x[valid_idx],
-                                             y[valid_idx], params, task, model_kind))
+                scores.append(oracles.fit_score(x[train_idx], y[train_idx], x[valid_idx],
+                                                y[valid_idx], params, task, model_kind))
             except (SingularSystem, EmptyClass) as exc:
                 error = str(exc)
                 break
@@ -451,24 +452,26 @@ def test_statement_refit_equals_fit_score(kind_task, per_class, n, m, data_seed,
         refitted = refit(params)
         assert refitted.dtype == fitted.dtype and refitted.tobytes() == fitted.tobytes()
         score = models.score(task, refitted, y_valid)
-        assert score == sel._fit_score(x, y, x_valid, y_valid, params, task, model_kind)
+        assert score == oracles.fit_score(x, y, x_valid, y_valid, params, task, model_kind)
 
 
-def test_fold_with_an_empty_class_has_no_statement(monkeypatch):
-    # Only the fold that trains on positives alone goes to _fit_score, which
-    # names the empty class; no other fold fits.
+def test_fold_with_an_empty_class_fails_in_its_statement(monkeypatch):
+    # The fold that trains on positives alone is refused by TRKM-C's own
+    # statement, with the fit's message; the search never calls models.fit
+    # and writes the per-cell table.
     ds = class_dataset(9, 1, seed=3)
     (first, _), (second, _) = kfold_indices(ds.n, 2, 0)
     empty = first if (ds.target[first] == 1).all() else second
     x, y = ds.X, ds.target.astype(float)
-    assert models.fold_predictions(TRKM, CLASSIFY, x[empty], y[empty], x[:1], 1.0,
-                                   [{"gamma": 1.0, "eta": 1.0, "sigma": 1.0}]) is None
-    real_fit, fits = models.fit, []
-    monkeypatch.setattr(models, "fit", lambda *args: fits.append(args[2]) or real_fit(*args))
+    with pytest.raises(EmptyClass, match="^class -1 has no samples$"):
+        models.fold_predictions(TRKM, CLASSIFY, x[empty], y[empty], x[:1], 1.0,
+                                [{"gamma": 1.0, "eta": 1.0, "sigma": 1.0}])
     grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
+    expected = per_cell_table(ds, grid, CLASSIFY, TRKM, 0)
+    monkeypatch.setattr(models, "fit", lambda *args, **kw: pytest.fail("models.fit ran"))
     result = grid_search(ds, grid, CLASSIFY, seed=0)
+    assert cells_of(result) == expected
     assert [c.error for c in result.table] == ["class -1 has no samples"] * 2
-    assert len(fits) == 2 and all(len(rows) == len(empty) for rows in fits)
 
 
 @pytest.mark.parametrize("model_kind, task, grams_per_unit", [
