@@ -106,7 +106,12 @@ def decision_values(model: TrkmClassifierModel, X) -> tuple[np.ndarray, np.ndarr
     return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
 
 
+def decide(total) -> np.ndarray:
+    """The +/-1 label of each summed decision value: its sign, a zero read as +1."""
+    return np.where(total >= 0.0, 1, -1).astype(np.int64)
+
+
 def predict_labels(model: TrkmClassifierModel, X) -> np.ndarray:
-    """Predict +/-1 labels; a zero combined score maps to +1."""
+    """Predict +/-1 labels: ``decide`` of the combined score g1 + g2."""
     g1, g2 = decision_values(model, X)
-    return np.where(g1 + g2 >= 0.0, 1, -1).astype(np.int64)
+    return decide(g1 + g2)

@@ -242,7 +242,7 @@ def cmd_gridsearch(args) -> int:
     print(f"grid table written to {args.grid_out}")
 
     model = models.fit(
-        args.model_kind, dataset.task, dataset.X, dataset.target, result.best_params
+        args.model_kind, dataset.task, dataset.X, dataset.target, result.fit_params()
     )
     _save(model, dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
@@ -270,14 +270,11 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
         "scores": [[float(v) for v in row] for row in matrix],
         "average_ranks": [float(v) for v in ranks.average_ranks],
     }
-    lines = []
     n_datasets, p = matrix.shape
-    lines.append(f"{p} models compared over {n_datasets} datasets "
-                 f"({'higher' if better == HIGHER else 'lower'} scores are better)")
-    lines.append("")
-    lines.append("average ranks (1 = best):")
-    for name, rank in zip(model_names, ranks.average_ranks):
-        lines.append(f"  {name:<24s} {rank:.4f}")
+    lines = [f"{p} models compared over {n_datasets} datasets "
+             f"({'higher' if better == HIGHER else 'lower'} scores are better)",
+             "", "average ranks (1 = best):"]
+    lines += [f"  {name:<24s} {rank:.4f}" for name, rank in zip(model_names, ranks.average_ranks)]
 
     if n_datasets >= 2:
         fr = friedman_test(ranks, args.critical_value)
@@ -285,9 +282,7 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
             "chi2": fr.chi2, "ff": fr.ff, "df1": fr.df1, "df2": fr.df2,
             "critical_value": fr.critical_value, "reject_null": fr.reject_null,
         }
-        lines.append("")
-        lines.append(f"friedman: chi2 = {fr.chi2:.4f}, F = {fr.ff:.4f} "
-                     f"(df {fr.df1}, {fr.df2})")
+        lines += ["", f"friedman: chi2 = {fr.chi2:.4f}, F = {fr.ff:.4f} (df {fr.df1}, {fr.df2})"]
         if args.critical_value is not None:
             verdict = "rejected" if fr.reject_null else "not rejected"
             lines.append(f"null hypothesis {verdict} at critical value {args.critical_value:g}")
@@ -299,10 +294,8 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
         lines.append(f"nemenyi critical difference (q = {q:g}): {cd:.4f}")
 
     wtl_rows = []
-    lines.append("")
-    lines.append("pairwise win-tie-loss (row model vs column model):")
-    header = " " * 26 + "".join(f"{name:>18s}" for name in model_names[:-1])
-    lines.append(header)
+    lines += ["", "pairwise win-tie-loss (row model vs column model):",
+              " " * 26 + "".join(f"{name:>18s}" for name in model_names[:-1])]
     for i in range(1, p):
         cells = []
         for j in range(i):
@@ -316,8 +309,7 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
         lines.append(f"  {model_names[i]:<24s}" + "".join(f"{c:>18s}" for c in cells))
     threshold = n_datasets / 2.0 + 1.96 * np.sqrt(n_datasets) / 2.0
     lines.append(f"significance threshold: more than {threshold:.2f} wins")
-    report["win_tie_loss"] = wtl_rows
-    report["win_threshold"] = threshold
+    report.update(win_tie_loss=wtl_rows, win_threshold=threshold)
     if failures is not None:
         report["failures"] = failures
     if failures:
@@ -485,7 +477,7 @@ def _benchmark_dataset(load_args: dict, plan: _Plan, threads: int) -> list[float
         for model_scores, (_, kind, params, grid) in zip(scores, plan.models):
             if grid is not None:
                 params = grid_search(train, grid, plan.task, model_kind=kind,
-                                     seed=spec.seed, threads=threads).best_params
+                                     seed=spec.seed, threads=threads).fit_params()
             model = models.fit(kind, plan.task, train.X, train.target, params)
             model_scores.append(models.score(plan.task, models.predict(model, test.X), test.target))
     return [float(np.mean(s)) for s in scores]
@@ -513,8 +505,8 @@ def cmd_benchmark(args) -> int:
         matrix = np.array(rows, dtype=float)
 
     scores_lines = ["dataset," + ",".join(model_names)]
-    for name, row in zip(dataset_names, matrix):
-        scores_lines.append(name + "," + ",".join(repr(float(v)) for v in row))
+    scores_lines += [name + "," + ",".join(repr(float(v)) for v in row)
+                     for name, row in zip(dataset_names, matrix)]
     write_atomic(_out_path(args, "scores.csv"), "\n".join(scores_lines) + "\n")
     _write_stats_report(args, model_names, dataset_names, matrix, better, failures)
     print(f"score matrix written to {_out_path(args, 'scores.csv')}")
@@ -623,12 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_default_paths(args) -> None:
-    if getattr(args, "model_out", None) is None and hasattr(args, "model_out"):
-        args.model_out = _out_path(args, "model.json")
-    if getattr(args, "grid_out", None) is None and hasattr(args, "grid_out"):
-        args.grid_out = _out_path(args, "grid_results.json")
-    if getattr(args, "output", None) is None and hasattr(args, "output"):
-        args.output = _out_path(args, "predictions.csv")
+    for key, name in (("model_out", "model.json"), ("grid_out", "grid_results.json"),
+                      ("output", "predictions.csv")):
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, _out_path(args, name))
 
 
 def main(argv=None) -> int:

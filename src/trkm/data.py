@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyClass,
     MissingColumn,
     MoreThanTwoClasses,
     NonNumericFeature,
@@ -60,7 +61,7 @@ def map_labels(raw_labels) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
             f"expected two distinct labels, found {len(distinct)}: {distinct}"
         )
     if len(distinct) < 2:
-        raise ValueError(f"expected two distinct labels, found {distinct}")
+        raise EmptyClass(f"expected two distinct labels, found {distinct}")
     mapping = ((distinct[0], -1), (distinct[1], +1))
     lookup = dict(mapping)
     return np.array([lookup[t] for t in tokens], dtype=np.int64), mapping

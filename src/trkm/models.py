@@ -74,7 +74,7 @@ class ModelType:
     ``grid_fold`` gives the model module's statement of a fold's systems and
     their terms at its validation rows, and raises what the fit raises for
     those rows; ``system_penalties`` picks each system's (gamma, eta) from
-    grid params.
+    grid params, and ``decide`` is the predictor's rule on the summed terms.
     """
 
     kind: str
@@ -89,6 +89,7 @@ class ModelType:
     predict: Callable[[object, np.ndarray], np.ndarray]
     grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]]]
     system_penalties: tuple[Callable[[dict], tuple[float, float]], ...]
+    decide: Callable[[np.ndarray], np.ndarray]
 
 
 def _first_penalties(params: dict) -> tuple[float, float]:
@@ -134,6 +135,7 @@ MODEL_TYPES = (
         predict=lambda model, x: classifier.predict_labels(model, x),
         grid_fold=_twin_grid_fold,
         system_penalties=_TWIN_SYSTEMS,
+        decide=lambda total: classifier.decide(total),
     ),
     ModelType(
         kind=KIND_REGRESSOR, model_kind=TRKM, task=REGRESS,
@@ -148,6 +150,7 @@ MODEL_TYPES = (
         predict=lambda model, x: regressor.predict_regression(model, x),
         grid_fold=_full_sample_grid_fold(regressor),
         system_penalties=_TWIN_SYSTEMS,
+        decide=lambda total: regressor.decide(total),
     ),
     ModelType(
         kind=KIND_RKM, model_kind=RKM, task=CLASSIFY,
@@ -161,6 +164,7 @@ MODEL_TYPES = (
         predict=lambda model, x: rkm.predict_rkm(model, x),
         grid_fold=_full_sample_grid_fold(rkm),
         system_penalties=(_first_penalties,),
+        decide=lambda total: rkm.decide(total),
     ),
 )
 
@@ -237,8 +241,6 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     """
     entry = model_type(model_kind, task)
     families, terms = entry.grid_fold(X, y, X_valid, gaussian(sigma))
-    # the predictors' rule: the sign of the summed terms, or TRKM-R's mean of its two
-    decided = (lambda d: d / 2.0) if task == REGRESS else (lambda d: np.where(d >= 0.0, 1, -1))
     decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)
     spectra = {}
     for system, term, penalties in zip(families, terms, entry.system_penalties):
@@ -268,9 +270,9 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
         penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
         values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
                   in zip(terms, solve_families(families, penalties, estimate=False), penalties)]
-        return decided(sum(values[1:], values[0]))
+        return entry.decide(sum(values[1:], values[0]))
 
-    return decided(decision), passed, refit
+    return entry.decide(decision), passed, refit
 
 
 def n_features(model) -> int:

@@ -9,8 +9,8 @@ Both systems run over the full sample. With K = kernel(X, X) and e ones:
     [ e^T                  0 ] [b2] = [ n              ]
 
 so sum(h1) = sum(h2) = n after every fit. With g1 = g2 and eta1 = eta2 the
-two augmented matrices differ only in the sign of the border column, and
-``solver.solve_families`` factors one of them for both (``SharedFactor``);
+two systems share their core, and a border sign only negates b, so
+``solver.solve_families`` factors one +e matrix for both (``SharedFactor``);
 unequal penalties take one factorization per system. The predictor averages the two
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is
@@ -87,7 +87,12 @@ def regression_components(model: TrkmRegressorModel, X) -> tuple[np.ndarray, np.
     return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
 
 
+def decide(total) -> np.ndarray:
+    """The prediction of the sum of the two component functions: their mean."""
+    return total / 2.0
+
+
 def predict_regression(model: TrkmRegressorModel, X) -> np.ndarray:
     """Elementwise mean of the two component functions."""
     g1, g2 = regression_components(model, X)
-    return (g1 + g2) / 2.0
+    return decide(g1 + g2)

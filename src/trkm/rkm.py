@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_matrix, as_vector, positive_number
+from .classifier import decide
 from .errors import DimensionMismatch, TooFewSamples
 from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
@@ -73,5 +74,5 @@ def rkm_scores(model: RkmModel, X) -> np.ndarray:
 
 
 def predict_rkm(model: RkmModel, X) -> np.ndarray:
-    """Predict +/-1 labels; a zero score maps to +1."""
-    return np.where(rkm_scores(model, X) >= 0.0, 1, -1).astype(np.int64)
+    """Predict +/-1 labels by TRKM-C's ``decide``; a zero score maps to +1."""
+    return decide(rkm_scores(model, X))

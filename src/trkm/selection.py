@@ -34,7 +34,7 @@ import numpy as np
 from . import models
 from .arrays import positive_number
 from .data import CLASSIFY, Dataset
-from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
+from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples, TrkmError
 from .models import TRKM
 
 # Published benchmark search ranges: penalties 10^-5..10^5, bandwidth 2^-5..2^5.
@@ -86,6 +86,14 @@ class GridResult:
     best_cv_score: float
     table: tuple[GridCell, ...] = field(repr=False)
     task: str = CLASSIFY
+    # when every cell failed: the first cell's error class, with a message naming its params
+    failure: TrkmError | None = field(default=None, compare=False)
+
+    def fit_params(self) -> dict:
+        """``best_params``, unless every cell failed: then ``failure`` is raised."""
+        if self.failure is not None:
+            raise self.failure
+        return self.best_params
 
 
 def _largest_remainder(counts: np.ndarray, total: int) -> np.ndarray:
@@ -203,7 +211,7 @@ def grid_search(
                     model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
                     [points[i] for i in cells])
             except EmptyClass as exc:  # every cell still alive stops at this fold
-                found.update({(i, f): str(exc) for i in cells.tolist() if i not in failed})
+                found.update({(i, f): exc for i in cells.tolist() if i not in failed})
                 break
             scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
             found.update(zip([(i, f) for i in cells[passed].tolist()], scores))
@@ -211,7 +219,7 @@ def grid_search(
                 try:
                     found[i, f] = models.score(task, refit(points[i]), y[valid_idx])
                 except SingularSystem as exc:
-                    found[i, f] = str(exc)
+                    found[i, f] = exc
                     failed.add(i)
         return found
 
@@ -224,15 +232,20 @@ def grid_search(
         scores = []
         for f in range(len(folds)):
             score = found[i, f]
-            if isinstance(score, str):
+            if isinstance(score, TrkmError):
                 return GridCell(params=params, mean_score=worst,
-                                fold_scores=tuple(scores), error=score)
+                                fold_scores=tuple(scores), error=str(score))
             scores.append(score)
         return GridCell(params=params, mean_score=float(np.mean(scores)), fold_scores=tuple(scores))
 
     table = tuple(eval_cell(i, params) for i, params in enumerate(points))
+    failure = None
+    if all(cell.error for cell in table):  # no cell to retrain: the first one's error says why
+        first = next(found[0, f] for f in range(len(folds)) if isinstance(found[0, f], TrkmError))
+        failure = type(first)(f"no grid cell could be fitted; the first, {points[0]}, "
+                              f"failed with: {first}")
 
     # the first best cell: max and min keep the first of equal scores
     best = (max if task == CLASSIFY else min)(table, key=lambda cell: cell.mean_score)
     return GridResult(best_params=best.params, best_cv_score=best.mean_score, table=table,
-                      task=task)
+                      task=task, failure=failure)

@@ -18,21 +18,13 @@ same bits, costs more per call than the solve itself at grid-fold sizes).
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices.
 
-Systems that differ only in their border sign share one factorization.
-With D = diag(1, ..., 1, -1), the augmented matrix of sign -s is the one of
-sign s times D. Partial pivoting sees the same magnitudes in every column,
-and every product and sum of the elimination is the same up to sign, so the
-LU of sign -s is bitwise the LU of sign s with the last column of U negated
-(as 0 - u, which keeps a zero +0.0, as the elimination makes it). So a
-``SharedFactor`` carries one LU from one ``solve_bordered`` call to the
-next, and for a system of the other sign negates that column and the
-matrix's border in place, O(n). The solve then runs on bitwise the matrix
-and LU the system's own factorization gives: the same solution, residual,
-refinement rounds and condition estimate. (Solving on the unflipped LU and
-negating b gives the same solution but not always the same estimate: LAPACK's
-estimator takes the sign of an exact zero, so a -0.0 and a +0.0 part ways.)
-A factor is not part of a ``SolveReport``: a fitted model keeps no (n+1)^2
-array alive. Every fit and grid refit solves through ``solve_families``.
+A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
+exactly. So only the +e matrix is formed and factored, and systems on one
+(kernel, gamma, eta) share it and its LU (``SharedFactor``), which no solve
+changes. A -e system's condition estimate is its +e matrix's, the same in
+exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
+||(AD)^-1||_1 = ||A^-1||_1. Every fit and grid refit solves through
+``solve_families``; a fitted model keeps no factor, so no (n+1)^2 array.
 
 The condition estimate (the 1-norm of the augmented matrix, then ``gecon``)
 is the one part of a solve that gates nothing, and at grid-fold sizes it
@@ -50,9 +42,9 @@ the kernel's spectrum: with K = Q diag(lambda) Q^T,
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
 so one ``eigh`` (``kernel_spectrum``) serves every pair, and every system
-on the same block. Each pair then takes the scalar Schur step of the
-border: u = C^-1 r, v = C^-1 e, b = (e^T u - c)/(sign * e^T v),
-h = u - sign*b*v. Stacking the pairs as columns turns the solves, the
+on the same block. Each pair then takes the scalar Schur step of the +e
+border: u = C^-1 r, v = C^-1 e, b = (e^T u - c)/(e^T v), h = u - b*v, and
+returns sign * b. Stacking the pairs as columns turns the solves, the
 residuals and the balance rows into a few matrix products. Each column is
 held to the gates of ``solve_bordered``: the residual of the formed system
 (balance row included) within ``RESIDUAL_RTOL``, the balance within
@@ -161,19 +153,19 @@ class SolveReport:
 
 
 class SharedFactor:
-    """The LU of one (kernel, gamma, eta) augmented matrix, for both border signs.
+    """The +e augmented matrix of one (kernel, gamma, eta) and its LU, for both border signs.
 
     Made empty. The first ``solve_bordered(system, name, factor=f)`` forms
-    and factors its system into ``f``; each later call with ``f`` solves on
-    that LU, turned to its border sign in place (see the module docstring).
-    A system with another kernel, gamma or eta is a ValueError. Keep it no
-    longer than the solves: it holds two (n+1)^2 arrays. ``anorm``, the
-    matrix's 1-norm, is None until a solve asks for a condition estimate.
+    and factors its system's +e matrix into ``f``; each later call with ``f``
+    solves on that LU, and no call changes the matrix or the LU. A system
+    with another kernel, gamma or eta is a ValueError. Keep it no longer
+    than the solves: it holds two (n+1)^2 arrays. ``anorm``, the matrix's
+    1-norm, is None until a solve asks for a condition estimate.
     """
 
     def __init__(self):
         self.kernel = None  # the factored system's kernel; None while empty
-        self.gamma = self.eta = self.border_sign = None
+        self.gamma = self.eta = None
         self.matrix = self.lu = self.piv = self.anorm = None
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
@@ -183,8 +175,8 @@ class SharedFactor:
 
     def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str,
              estimate: bool) -> None:
-        """Factor ``system``'s augmented matrix ``a``, taking its 1-norm first when ``estimate``;
-        a pivot below the floor is SingularSystem."""
+        """Factor ``system``'s +e augmented matrix ``a``, taking its 1-norm first when
+        ``estimate``; a pivot below the floor is SingularSystem."""
         # The 1-norm first: its |a| temporary is freed before the LU copy exists.
         anorm = _one_norm(a) if estimate else None
         lu, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
@@ -196,25 +188,16 @@ class SharedFactor:
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
         self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
-        self.border_sign, self.matrix, self.lu, self.piv = system.border_sign, a, lu, piv
-        self.anorm = anorm
-
-    def turn(self, border_sign: int) -> None:
-        """Make the matrix and LU those of ``border_sign``: negate both last columns."""
-        if border_sign != self.border_sign:
-            n = self.matrix.shape[0] - 1
-            self.matrix[:n, n] = border_sign
-            np.subtract(0.0, self.lu[:, n], out=self.lu[:, n])
-            self.border_sign = border_sign
+        self.matrix, self.lu, self.piv, self.anorm = a, lu, piv, anorm
 
 
 def _one_norm(a: np.ndarray) -> float:
-    """The largest column sum of |a|; border signs do not change it."""
+    """The largest column sum of |a|."""
     return float(np.max(np.abs(a).sum(axis=0)))
 
 
-def _augmented(kernel: np.ndarray, gamma, eta, border_sign) -> np.ndarray:
-    """[[K/gamma + eta*I, sign*e], [e^T, 0]], formed in one (n+1)^2 array."""
+def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
+    """[[K/gamma + eta*I, e], [e^T, 0]], formed in one (n+1)^2 array."""
     n = kernel.shape[0]
     a = np.empty((n + 1, n + 1))
     core = a[:n, :n]
@@ -222,8 +205,7 @@ def _augmented(kernel: np.ndarray, gamma, eta, border_sign) -> np.ndarray:
     a.reshape(-1)[: n * (n + 2) : n + 2] += eta
     if not np.isfinite(core).all():
         raise ValueError("core contains non-finite entries")
-    a[:n, n] = border_sign
-    a[n, :n] = 1.0
+    a[:n, n] = a[n, :n] = 1.0
     a[n, n] = 0.0
     return a
 
@@ -249,7 +231,7 @@ def solve_bordered(
     n = kernel.shape[0]
     factor = SharedFactor() if factor is None else factor
     if factor.kernel is None:
-        a = _augmented(kernel, system.gamma, system.eta, system.border_sign)
+        a = _augmented(kernel, system.gamma, system.eta)
     else:
         factor.check(kernel, system.gamma, system.eta)
     rhs_top = as_vector(system.rhs_top, "rhs_top")
@@ -262,7 +244,6 @@ def solve_bordered(
         raise ValueError("rhs_bottom is not finite")
     if factor.kernel is None:
         factor.fill(system, kernel, a, name, estimate)
-    factor.turn(system.border_sign)
     a, lu, piv = factor.matrix, factor.lu, factor.piv
     b = np.concatenate([rhs_top, [rhs_bottom]])
     x = _getrs(lu, piv, b)[0]
@@ -273,6 +254,7 @@ def solve_bordered(
             break
         x = x + _getrs(lu, piv, res)[0]
         res = b - a @ x
+    x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
     if res_norm > tol:
         raise SingularSystem(
@@ -335,29 +317,29 @@ def kernel_spectrum(kernel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_spectral(
-    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, spectrum=None
+    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, spectrum
 ) -> SpectralSolve:
     """Solve the bordered system of ``kernel`` for each column (gammas[j], etas[j], rhs_top[:, j]).
 
-    ``spectrum`` is the kernel's ``kernel_spectrum``, computed here when not
-    given; see the module docstring for the method and the gates. A nan
-    spectrum fails every column. The spread d_max/d_min of each column is
-    reported, not gated; ``models.SPREAD_LIMIT`` holds regression cells to it.
+    ``spectrum`` is the kernel's ``kernel_spectrum``; see the module
+    docstring for the method and the gates. A nan spectrum fails every
+    column. The spread d_max/d_min of each column is reported, not gated;
+    ``models.SPREAD_LIMIT`` holds regression cells to it.
     """
     kernel = np.asarray(kernel, dtype=float)
     gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
     rhs = np.asarray(rhs_top, dtype=float)
-    lam, q = kernel_spectrum(kernel) if spectrum is None else spectrum
+    lam, q = spectrum
     # A zero or non-finite d makes inf/nan columns; the gates below reject them.
     with np.errstate(all="ignore"):
         d = lam[:, None] / gammas + etas
         u = q @ ((q.T @ rhs) / d)
         v = q @ (q.sum(axis=0)[:, None] / d)
-        b = (u.sum(axis=0) - rhs_bottom) / (border_sign * v.sum(axis=0))
+        b = (u.sum(axis=0) - rhs_bottom) / v.sum(axis=0)  # the +e twin's b
         b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(v.sum(axis=0))
-        h = u - border_sign * b * v
+        h = u - b * v
         balance = h.sum(axis=0)
-        top = (kernel @ h) / gammas + etas * h + border_sign * b - rhs
+        top = (kernel @ h) / gammas + etas * h + b - rhs
         residual = np.maximum(np.abs(top).max(axis=0), np.abs(balance - rhs_bottom))
         bound = RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)), np.abs(rhs).max(axis=0))
         passed = (
@@ -366,4 +348,4 @@ def solve_spectral(
             & np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0)
         )
         spread = d.max(axis=0) / d.min(axis=0)
-    return SpectralSolve(h, b, b_size, passed, residual / bound, spread)
+    return SpectralSolve(h, border_sign * b, b_size, passed, residual / bound, spread)

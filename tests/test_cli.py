@@ -421,6 +421,46 @@ def test_train_on_a_one_row_file_exits_3(tmp_path, capsys):
     assert not model_out.exists()
 
 
+@pytest.mark.parametrize("model_kind", ["trkm", "rkm"])
+def test_train_on_a_one_label_file_exits_3(tmp_path, capsys, model_kind):
+    # one label leaves a class with no samples: a data error, as three labels are
+    data = tmp_path / "one.csv"
+    data.write_text("f0,label\n0.1,a\n0.5,a\n")
+    model_out = tmp_path / "m.json"
+    assert run("train", "--task", "classify", "--model-kind", model_kind, "--data", str(data),
+               "--label-col", "label", "--gamma", "1", "--eta", "1", "--sigma", "1",
+               "--model-out", str(model_out)) == 3
+    assert capsys.readouterr().err == "error: expected two distinct labels, found ['a']\n"
+    assert not model_out.exists()
+
+
+# Six rows, one of them a negative: the fold that validates it trains on positives alone.
+ONE_NEGATIVE = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,b\n0.7,0.4,b\n0.2,0.8,b\n0.9,0.6,b\n"
+# Three of each class, at penalties that put a class system's pivot below the floor.
+BALANCED = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,a\n0.7,0.4,b\n0.2,0.8,a\n0.9,0.6,b\n"
+
+
+@pytest.mark.parametrize("rows, penalties, code, reason", [
+    (ONE_NEGATIVE, ("1,10", "1"), 3, "class -1 has no samples"),
+    (BALANCED, ("1e300", "1e-300"), 4, "class +1 system: pivot "),
+], ids=["empty_class", "singular"])
+def test_gridsearch_with_no_fittable_cell_writes_the_table_and_no_model(
+    tmp_path, capsys, rows, penalties, code, reason
+):
+    # The table holds each cell's reason; no cell is retrained, and the first
+    # failed cell's error gives the exit code.
+    data = tmp_path / "d.csv"
+    data.write_text(rows)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "classify",
+               "--label-col", "label", "--data", str(data), "--folds", "3", "--sigma-grid", "1",
+               "--gamma-grid", penalties[0], "--eta-grid", penalties[1]) == code
+    cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
+    assert all(cell["error"] for cell in cells) and cells[0]["error"].startswith(reason)
+    assert capsys.readouterr().err == (f"error: no grid cell could be fitted; the first, "
+                                       f"{cells[0]['params']}, failed with: {cells[0]['error']}\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("case, data, column", [
     ("trkm_classify", "crossplane130.csv", ("--label-col", "label")),
     ("rkm_classify", "crossplane130.csv", ("--label-col", "label")),
@@ -523,6 +563,27 @@ def test_benchmark_missing_dataset_warns_but_succeeds(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
     report = json.load(open(out / "stats_report.json"))
     assert [f["dataset"] for f in report["failures"]] == ["ghost"]
+    assert report["datasets"] == ["ds0", "ds1"]
+
+
+def test_benchmark_records_a_dataset_with_no_fittable_grid_cell_as_failed(tmp_path):
+    # "lone" keeps one negative in its 8 training rows, so a 2-fold grid fails
+    # every cell; the dataset is not fitted, and the others are ranked.
+    cfg_path = benchmark_config(tmp_path)
+    cfg = json.load(open(cfg_path))
+    lone = tmp_path / "lone.csv"
+    lone.write_text("f0,label\n" + "".join(f"{i / 12},{'-1' if i in (3, 9) else '1'}\n"
+                                           for i in range(12)))
+    cfg["datasets"].append({"name": "lone", "path": str(lone), "label_column": "label"})
+    cfg["models"][0] = {"name": "TRKM-C", "kind": "trkm",
+                        "grid": {"gamma": [1.0], "eta": [1.0], "sigma": [1.0], "folds": 2}}
+    open(cfg_path, "w").write(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", cfg_path) == 0
+    report = json.load(open(out / "stats_report.json"))
+    assert report["failures"] == [{"dataset": "lone", "error": (
+        "no grid cell could be fitted; the first, {'gamma': 1.0, 'eta': 1.0, 'sigma': 1.0}, "
+        "failed with: class -1 has no samples")}]
     assert report["datasets"] == ["ds0", "ds1"]
 
 

@@ -17,6 +17,7 @@ from trkm.data import (
 )
 from trkm.errors import (
     CorruptModel,
+    EmptyClass,
     MissingColumn,
     MoreThanTwoClasses,
     NonNumericFeature,
@@ -104,7 +105,7 @@ def test_load_feature_matrix(tmp_path):
 
 
 def test_map_labels_single_class_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyClass, match=r"^expected two distinct labels, found \['a'\]$"):
         map_labels(["a", "a", "a"])
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trkm.errors import DimensionMismatch, SingularSystem
 from trkm.kernels import gaussian, gram
 import trkm.solver
-from trkm.solver import BorderedSystem, SharedFactor, solve_bordered
+from trkm.solver import BorderedSystem, SharedFactor, kernel_spectrum, solve_bordered
 
 from oracles import residual, solve_full_pivot, system_matrix
 
@@ -61,15 +61,18 @@ def test_dimension_mismatch():
 
 
 def test_border_sign_flips_column_only():
-    # the sign sits on the border column only, so flipping it negates b and keeps h
+    # the sign sits on the border column only, so flipping it negates b and keeps h,
+    # bitwise; both signs solve on the one +e matrix, so residual and estimate agree too
     rng = np.random.default_rng(3)
     for _ in range(10):
         s = random_system(rng, int(rng.integers(1, 8)), +1)
-        plus = solve_bordered(s, "test system").solution
+        plus = solve_bordered(s, "test system")
         minus = solve_bordered(system(s.kernel, s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom),
-                               "test system").solution
-        assert np.allclose(minus[:-1], plus[:-1], atol=1e-12)
-        assert minus[-1] == pytest.approx(-plus[-1], abs=1e-12)
+                               "test system")
+        assert minus.h.tobytes() == plus.h.tobytes()
+        assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
+        assert minus.residual_norm == plus.residual_norm
+        assert minus.condition_estimate == plus.condition_estimate
 
 
 def test_residual_of_exact_solution_is_zero():
@@ -164,6 +167,13 @@ def without_estimate(fields):
     return fields if isinstance(fields, str) else (*fields[:2], None)
 
 
+def contents(factor):
+    """A factor's matrix, LU and pivots as bytes; None while it is empty."""
+    if factor.kernel is None:
+        return None
+    return factor.matrix.tobytes(), factor.lu.tobytes(), factor.piv.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -194,12 +204,16 @@ def test_shared_factor_solves_the_other_sign_bitwise(
     assert outcome(first, shared) == fresh
     assert outcome(first, lean, estimate=False) == outcome(first, estimate=False)
     assert outcome(first, estimate=False) == without_estimate(fresh)
+    filled = (contents(shared), contents(lean))
     for other_sign in (-sign, sign):
         other = system(kernel, gamma, eta, other_sign, rng.normal(size=n), float(rng.normal()))
         fresh = outcome(other)
         assert outcome(other, shared) == fresh
         assert outcome(other, lean, estimate=False) == without_estimate(fresh)
+        # no solve of either sign changes a filled factor's matrix or LU
+        assert (contents(shared), contents(lean)) == filled
     assert outcome(other, lean) == fresh
+    assert (contents(shared), contents(lean)) == filled
 
 
 def test_shared_factor_refuses_another_kernel_gamma_or_eta():
@@ -235,7 +249,11 @@ def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     kernel = gram(gaussian(1.0), x, x)
     gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
     rhs = rng.normal(size=(7, 3))
-    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5)
+    spectrum = kernel_spectrum(kernel)
+    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5, spectrum)
+    twin = trkm.solver.solve_spectral(kernel, gammas, etas, -sign, rhs, 1.5, spectrum)
+    # the other sign negates b and keeps h, bitwise
+    assert twin.h.tobytes() == solved.h.tobytes() and twin.b.tobytes() == (-solved.b).tobytes()
     assert solved.passed.all() and (solved.residual_ratio <= 1.0).all()
     assert np.allclose(solved.h.sum(axis=0), 1.5, rtol=0, atol=1e-10)
     for j in range(3):
@@ -250,5 +268,5 @@ def test_spectral_column_with_a_zero_shifted_eigenvalue_fails_its_gates():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solved = trkm.solver.solve_spectral(kernel, [1.0, 1.0], [1.0, 2.0], +1,
-                                            np.ones((3, 2)), 0.0)
+                                            np.ones((3, 2)), 0.0, kernel_spectrum(kernel))
     assert solved.passed.tolist() == [False, True]
