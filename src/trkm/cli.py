@@ -103,11 +103,9 @@ def _load_dataset(args) -> Dataset:
 
 
 def _column(ref: str):
-    """Column flags accept a 0-based index or a header name."""
-    try:
-        return int(ref)
-    except ValueError:
-        return ref
+    """A string of ASCII digits is a 0-based column index; any other string, ``-1`` too,
+    is a header name."""
+    return int(ref) if ref.isascii() and ref.isdigit() else ref
 
 
 def _save(model, dataset: Dataset, path: str) -> None:
@@ -182,11 +180,12 @@ def cmd_predict(args) -> int:
     pred = models.predict(saved.model, x)
 
     lines = ["prediction"]
+    values = pred.tolist()  # Python ints (labels) or floats (regression values)
     if saved.task == CLASSIFY and saved.label_mapping is not None:
         inverse = {code: raw for raw, code in saved.label_mapping}
-        lines += [inverse[int(v)] for v in pred]
+        lines += [inverse[v] for v in values]
     else:
-        lines += [repr(float(v)) if saved.task == REGRESS else str(int(v)) for v in pred]
+        lines += map(repr if saved.task == REGRESS else str, values)
     write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"{len(pred)} predictions written to {args.output}")
 
@@ -238,12 +237,11 @@ def cmd_gridsearch(args) -> int:
     _write_json(args.grid_out, blob)
     print(f"evaluated {len(result.table)} grid cells "
           f"({grid.folds}-fold cross-validation)")
-    print(f"best params: {result.best_params}  cv score: {result.best_cv_score:.6g}")
     print(f"grid table written to {args.grid_out}")
+    params = result.fit_params()  # raises when every cell failed: there is no best cell
+    print(f"best params: {params}  cv score: {result.best_cv_score:.6g}")
 
-    model = models.fit(
-        args.model_kind, dataset.task, dataset.X, dataset.target, result.fit_params()
-    )
+    model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params)
     _save(model, dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
     return 0
@@ -345,7 +343,8 @@ _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _SEEDS = (lambda v: _LIST[0](v) and all(map(_SEED[0], v)),
           "a non-empty list of non-negative integers")
 _THREADS = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
-_COLUMN = (lambda v: isinstance(v, str) or type(v) is int, "a column name or index")
+_COLUMN = (lambda v: isinstance(v, str) or (type(v) is int and v >= 0),
+           "a column name or non-negative index")
 
 
 def _check(value, rule, where: str):

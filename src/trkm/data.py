@@ -1,6 +1,9 @@
 """Dataset ingestion and min-max normalization.
 
-CSV files are parsed with exact row/column error locations. Classification
+CSV files are read once by the csv module and converted a column at a time:
+one ``map(float, ...)`` per feature column. Only a file with a ragged row or
+a bad cell is walked row by row, to raise the error of the first one with its
+exact line and column. A column given by index counts from 0. Classification
 labels are kept as raw text tokens and mapped to -1/+1 by ascending byte
 order of their UTF-8 encoding (the smaller token becomes -1); the mapping
 is recorded on the dataset and travels with saved models. Features are
@@ -85,8 +88,6 @@ def _resolve_column(column, names: list[str] | None, arity: int, path: str) -> i
             raise MissingColumn(f"{path}: no column named {column!r} in header {names}")
         return names.index(column)
     idx = int(column)
-    if idx < 0:
-        idx += arity
     if not 0 <= idx < arity:
         raise MissingColumn(f"{path}: column index {column} out of range for {arity} columns")
     return idx
@@ -115,30 +116,21 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
     arity = len(rows[0])
     col_idx = None if column is None else _resolve_column(column, names, arity, path)
 
-    features: list[list[float]] = []
-    raw_targets: list[str] = []
-    for i, row in enumerate(rows):
-        line = first_data_line + i
-        if len(row) != arity:
-            raise ParseError(
-                f"{path}: line {line} has {len(row)} columns, expected {arity}"
-            )
-        feat_row = []
-        for j, cell in enumerate(row):
-            if j == col_idx:
-                raw_targets.append(cell.strip())
-                continue
-            try:
-                feat_row.append(float(cell))
-            except ValueError:
-                raise NonNumericFeature(
-                    f"{path}: line {line}, column {j + 1}: {cell!r} is not numeric"
-                ) from None
-        features.append(feat_row)
-
-    x = np.array(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] == 0:
+    # One map(float, ...) per feature column; a bad row or cell is found by walking the rows.
+    if {*map(len, rows)} != {arity}:
+        _raise_first_bad_cell(path, rows, arity, col_idx, first_data_line)
+    columns = list(zip(*rows))
+    try:
+        features = [list(map(float, cells)) for j, cells in enumerate(columns) if j != col_idx]
+    except ValueError:
+        _raise_first_bad_cell(path, rows, arity, col_idx, first_data_line)
+    if not features:
         raise ParseError(f"{path}: no feature columns")
+    # A header name may select a column past the rows' width; then no row has a target.
+    has_targets = col_idx is not None and col_idx < arity
+    raw_targets = list(map(str.strip, columns[col_idx])) if has_targets else []
+
+    x = np.ascontiguousarray(np.array(features, dtype=float).T)
     if not np.isfinite(x).all():
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ParseError(
@@ -148,6 +140,24 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
     if names is not None:
         feature_names = tuple(c for j, c in enumerate(names) if j != col_idx)
     return x, raw_targets, feature_names
+
+
+def _raise_first_bad_cell(path: str, rows, arity: int, col_idx, first_data_line: int):
+    """Raise the error of the first ragged row or non-numeric feature cell, in file order."""
+    for i, row in enumerate(rows):
+        line = first_data_line + i
+        if len(row) != arity:
+            raise ParseError(f"{path}: line {line} has {len(row)} columns, expected {arity}")
+        for j, cell in enumerate(row):
+            if j == col_idx:
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                raise NonNumericFeature(
+                    f"{path}: line {line}, column {j + 1}: {cell!r} is not numeric"
+                ) from None
+    raise AssertionError("no bad row or cell to report")
 
 
 def load_csv(
@@ -181,7 +191,7 @@ def load_csv(
 def parse_targets(path: str, tokens) -> np.ndarray:
     """Regression targets from their raw tokens; ParseError names the file and the bad value."""
     try:
-        target = np.array([float(t) for t in tokens], dtype=float)
+        target = np.array(list(map(float, tokens)), dtype=float)
     except ValueError:
         target = None
     if target is None or not np.isfinite(target).all():

@@ -18,6 +18,11 @@ class SingularSystem(TrkmError):
     """A bordered linear system is numerically singular (degenerate eta/gamma)."""
 
 
+class NonFiniteSystem(TrkmError, ValueError):
+    """A bordered system's core or right-hand side holds an inf or nan: a penalty or
+    bandwidth too extreme for floating point. A usage error, as the values causing it."""
+
+
 class EmptyClass(TrkmError):
     """One of the two class matrices has no samples."""
 

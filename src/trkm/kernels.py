@@ -53,9 +53,11 @@ def gram(spec: KernelSpec, left, right) -> np.ndarray:
             f"feature counts differ: left has {lm.shape[1]}, right has {rm.shape[1]}"
         )
     if spec.family == GAUSSIAN:
-        # In the cdist buffer: d / -(2 s^2) equals -d / (2 s^2) bitwise.
+        # In the cdist buffer: d / -(2 s^2) equals -d / (2 s^2) bitwise. A bandwidth
+        # whose 2 s^2 underflows gives inf or nan; the solver's finiteness check reports it.
         values = cdist(lm, rm, "sqeuclidean")
-        np.divide(values, -(2.0 * spec.sigma * spec.sigma), out=values)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(values, -(2.0 * spec.sigma * spec.sigma), out=values)
         return np.exp(values, out=values)
     values = np.zeros((lm.shape[0], rm.shape[0]))
     # Huge features overflow to inf or nan here; the solver's finiteness check reports it.

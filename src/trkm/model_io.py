@@ -4,7 +4,8 @@ Layout: a JSON document ``{"format_version": 1, "checksum": "...",
 "payload": {...}}``. Every real number in the payload is stored as C99
 hexadecimal float text (``float.hex()``), so loading reproduces each value
 bit for bit and predictions after a save/load round trip are bitwise
-identical. The checksum is the SHA-256 of the canonical payload encoding
+identical. An array is decoded with one ``map(float.fromhex, ...)``; only an
+array with a bad field is walked value by value, to name the first one. The checksum is the SHA-256 of the canonical payload encoding
 (sorted keys, no whitespace). Files are written atomically
 (temp file + rename). Loading rejects unknown versions before anything
 else, then verifies the checksum.
@@ -64,12 +65,20 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(blob) -> np.ndarray:
+    """One ``map(float.fromhex, ...)`` over the stored values; the first bad one is
+    CorruptModel, as ``_unhex`` reports it."""
     try:
         shape = tuple(int(s) for s in blob["shape"])
-        values = [_unhex(v) for v in blob["values"]]
+        values = blob["values"]
+        decoded = map(float.fromhex, values)
     except (KeyError, TypeError) as exc:
         raise CorruptModel(f"malformed array field: {exc}") from exc
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(list(decoded), dtype=float)
+    except (TypeError, ValueError):
+        for v in values:
+            _unhex(v)
+        raise
     if arr.size != int(np.prod(shape)):
         raise CorruptModel("array size does not match its shape")
     return arr.reshape(shape)

@@ -4,9 +4,9 @@ The protocol mirrors the usual benchmark setup: a random 70:30 split,
 then five-fold cross-validation over the full penalty/bandwidth grid on
 the training side. Grid cells are scored by mean fold accuracy
 (classification, percent) or mean fold RMSE (regression). Cells whose fit
-hits a singular system are recorded as failures and scored as worst
-(-inf accuracy / +inf RMSE) rather than aborting the sweep; best-cell ties
-break to the first cell in iteration order (gamma outer, eta middle,
+hits a singular or non-finite system are recorded as failures and scored as
+worst (-inf accuracy / +inf RMSE) rather than aborting the sweep; best-cell
+ties break to the first cell in iteration order (gamma outer, eta middle,
 sigma inner, each ascending).
 
 How a cell is solved: per (sigma, fold), ``models.fold_predictions`` solves
@@ -34,7 +34,14 @@ import numpy as np
 from . import models
 from .arrays import positive_number
 from .data import CLASSIFY, Dataset
-from .errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples, TrkmError
+from .errors import (
+    DegenerateSplit,
+    EmptyClass,
+    NonFiniteSystem,
+    SingularSystem,
+    TooFewSamples,
+    TrkmError,
+)
 from .models import TRKM
 
 # Published benchmark search ranges: penalties 10^-5..10^5, bandwidth 2^-5..2^5.
@@ -218,7 +225,7 @@ def grid_search(
             for i in [i for i in cells[~passed].tolist() if i not in failed]:
                 try:
                     found[i, f] = models.score(task, refit(points[i]), y[valid_idx])
-                except SingularSystem as exc:
+                except (SingularSystem, NonFiniteSystem) as exc:
                     found[i, f] = exc
                     failed.add(i)
         return found

@@ -26,7 +26,8 @@ exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
 ||(AD)^-1||_1 = ||A^-1||_1. Every fit and grid refit solves through
 ``solve_families``; a fitted model keeps no factor, so no (n+1)^2 array.
 
-The condition estimate (the 1-norm of the augmented matrix, then ``gecon``)
+The condition estimate (the 1-norm of the augmented matrix by ``lange``,
+then ``gecon``), kept on the factor so that both signs' systems share one,
 is the one part of a solve that gates nothing, and at grid-fold sizes it
 costs about half a ``getrf``. Fits compute it, since their ``fit_diag``
 reports it; a grid refit, which reads only h and b, asks for none
@@ -62,8 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .arrays import as_vector
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 
 # A pivot smaller than this relative to the largest pivot marks the system
 # as numerically singular (degenerate eta/gamma choice upstream).
@@ -77,7 +77,8 @@ BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
 
-_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=np.float64)
+_getrf, _getrs, _gecon, _lange = get_lapack_funcs(("getrf", "getrs", "gecon", "lange"),
+                                                  dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ class BorderedFamily:
 
     def rhs_top(self, gammas) -> np.ndarray:
         """One column per gamma, each bitwise the ``rhs_top`` of ``at`` that gamma."""
-        return self.rhs_fixed[:, None] + self.rhs_scaled[:, None] / np.atleast_1d(gammas)
+        with np.errstate(over="ignore"):  # an inf here is NonFiniteSystem in solve_bordered
+            return self.rhs_fixed[:, None] + self.rhs_scaled[:, None] / np.atleast_1d(gammas)
 
     def at(self, gamma, eta) -> BorderedSystem:
         return BorderedSystem(self.kernel, gamma, eta, self.border_sign,
@@ -159,14 +161,14 @@ class SharedFactor:
     and factors its system's +e matrix into ``f``; each later call with ``f``
     solves on that LU, and no call changes the matrix or the LU. A system
     with another kernel, gamma or eta is a ValueError. Keep it no longer
-    than the solves: it holds two (n+1)^2 arrays. ``anorm``, the matrix's
-    1-norm, is None until a solve asks for a condition estimate.
+    than the solves: it holds two (n+1)^2 arrays. ``cond``, the matrix's
+    condition estimate, is None until a solve asks for one, and is computed once.
     """
 
     def __init__(self):
         self.kernel = None  # the factored system's kernel; None while empty
         self.gamma = self.eta = None
-        self.matrix = self.lu = self.piv = self.anorm = None
+        self.matrix = self.lu = self.piv = self.cond = None
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
         if not (gamma == self.gamma and eta == self.eta
@@ -175,10 +177,8 @@ class SharedFactor:
 
     def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str,
              estimate: bool) -> None:
-        """Factor ``system``'s +e augmented matrix ``a``, taking its 1-norm first when
+        """Factor ``system``'s +e augmented matrix ``a``, and estimate its condition when
         ``estimate``; a pivot below the floor is SingularSystem."""
-        # The 1-norm first: its |a| temporary is freed before the LU copy exists.
-        anorm = _one_norm(a) if estimate else None
         lu, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
         pivots = np.abs(np.diag(lu))
         largest = float(pivots.max())
@@ -188,12 +188,20 @@ class SharedFactor:
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
         self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
-        self.matrix, self.lu, self.piv, self.anorm = a, lu, piv, anorm
+        self.matrix, self.lu, self.piv = a, lu, piv
+        self.cond = _condition(lu, a) if estimate else None
 
 
 def _one_norm(a: np.ndarray) -> float:
-    """The largest column sum of |a|."""
-    return float(np.max(np.abs(a).sum(axis=0)))
+    """The largest column sum of |a|: LAPACK's infinity norm of the Fortran-ordered a.T,
+    bitwise ``np.max(np.abs(a).sum(axis=0))`` without its (n+1)^2 temporary."""
+    return float(_lange("I", a.T))
+
+
+def _condition(lu: np.ndarray, a: np.ndarray) -> float:
+    """1/rcond of LAPACK ``gecon`` on ``a``'s LU and 1-norm; inf for an rcond of 0."""
+    rcond, _ = _gecon(lu, _one_norm(a), norm="1")
+    return float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
 
 def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
@@ -201,10 +209,11 @@ def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
     n = kernel.shape[0]
     a = np.empty((n + 1, n + 1))
     core = a[:n, :n]
-    np.divide(kernel, gamma, out=core)
-    a.reshape(-1)[: n * (n + 2) : n + 2] += eta
+    with np.errstate(over="ignore"):  # an inf here is the NonFiniteSystem below
+        np.divide(kernel, gamma, out=core)
+        a.reshape(-1)[: n * (n + 2) : n + 2] += eta
     if not np.isfinite(core).all():
-        raise ValueError("core contains non-finite entries")
+        raise NonFiniteSystem("core contains non-finite entries")
     a[:n, n] = a[n, :n] = 1.0
     a[n, n] = 0.0
     return a
@@ -216,8 +225,8 @@ def solve_bordered(
 ) -> SolveReport:
     """Form and solve the bordered system named ``name`` by LU with partial pivoting.
 
-    The core is ``kernel / gamma + eta * I``; a non-finite entry in it is a
-    ValueError. ``factor``, when given, is filled by this call if empty and
+    The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
+    ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is filled by this call if empty and
     reused if not; a factor of another (kernel, gamma, eta) is a ValueError.
     Raises SingularSystem, its message prefixed with ``name``, when a pivot
     falls below the relative floor, the refined residual cannot meet the
@@ -234,9 +243,11 @@ def solve_bordered(
         a = _augmented(kernel, system.gamma, system.eta)
     else:
         factor.check(kernel, system.gamma, system.eta)
-    rhs_top = as_vector(system.rhs_top, "rhs_top")
-    if rhs_top.shape[0] != n:
-        raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has length {rhs_top.shape[0]}")
+    rhs_top = np.asarray(system.rhs_top, dtype=float)
+    if rhs_top.shape != (n,):
+        raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has shape {rhs_top.shape}")
+    if not np.isfinite(rhs_top).all():
+        raise NonFiniteSystem("rhs_top contains non-finite entries")
     if system.border_sign not in (+1, -1):
         raise ValueError(f"border_sign must be +1 or -1, got {system.border_sign}")
     rhs_bottom = float(system.rhs_bottom)
@@ -268,11 +279,9 @@ def solve_bordered(
         )
     if not estimate:
         return SolveReport(x, res_norm, None, name, target)
-    if factor.anorm is None:  # filled by a solve that asked for no estimate
-        factor.anorm = _one_norm(a)
-    rcond, _ = _gecon(lu, factor.anorm, norm="1")
-    cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
-    return SolveReport(x, res_norm, cond, name, target)
+    if factor.cond is None:  # filled by a solve that asked for no estimate
+        factor.cond = _condition(lu, a)
+    return SolveReport(x, res_norm, factor.cond, name, target)
 
 
 def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:

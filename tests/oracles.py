@@ -11,12 +11,16 @@
   and Fenchel-Young checks.
 - ``fit_score``: one grid cell at one fold the plain way, an ordinary fit
   and predict, the per-cell search the batched grid search must agree with.
+- ``parse_feature_table``: the CSV parser converting one cell at a time, in
+  file order, which ``trkm.data.parse_feature_table`` (one column at a time)
+  must match in its result or its exception type and message.
 """
 
 import numpy as np
 
 from trkm import models
-from trkm.errors import DimensionMismatch
+from trkm.data import _read_rows, _resolve_column
+from trkm.errors import DimensionMismatch, NonNumericFeature, ParseError
 from trkm.kernels import LINEAR, gram
 
 
@@ -132,3 +136,49 @@ def regressor_slacks(model):
 def fit_score(x_train, y_train, x_valid, y_valid, params, task, model_kind):
     model = models.fit(model_kind, task, x_train, y_train, params)
     return models.score(task, models.predict(model, x_valid), y_valid)
+
+
+def parse_feature_table(path, column, delimiter=",", header=True):
+    """(X, raw target tokens, feature names) of a CSV, one ``float`` call per cell."""
+    rows = [r for r in _read_rows(path, delimiter) if r]
+    names = None
+    first_data_line = 1
+    if header:
+        if not rows:
+            raise ParseError(f"{path}: empty file")
+        names = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        first_data_line = 2
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    arity = len(rows[0])
+    col_idx = None if column is None else _resolve_column(column, names, arity, path)
+    features, raw_targets = [], []
+    for i, row in enumerate(rows):
+        line = first_data_line + i
+        if len(row) != arity:
+            raise ParseError(f"{path}: line {line} has {len(row)} columns, expected {arity}")
+        feat_row = []
+        for j, cell in enumerate(row):
+            if j == col_idx:
+                raw_targets.append(cell.strip())
+                continue
+            try:
+                feat_row.append(float(cell))
+            except ValueError:
+                raise NonNumericFeature(
+                    f"{path}: line {line}, column {j + 1}: {cell!r} is not numeric"
+                ) from None
+        features.append(feat_row)
+    x = np.array(features, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ParseError(f"{path}: no feature columns")
+    if not np.isfinite(x).all():
+        bad = np.argwhere(~np.isfinite(x))[0]
+        raise ParseError(
+            f"{path}: non-finite feature at data row {bad[0] + 1}, feature {bad[1] + 1}"
+        )
+    feature_names = None
+    if names is not None:
+        feature_names = tuple(c for j, c in enumerate(names) if j != col_idx)
+    return x, raw_targets, feature_names

@@ -206,6 +206,21 @@ def test_overflowing_gram_exits_2_before_writing(tmp_path, capsys):
     assert not model_out.exists()
 
 
+def test_a_column_flag_is_an_index_only_when_it_is_ascii_digits(tmp_path, capsys):
+    # "-1" names a header, not the last column; with no such header it is exit 3
+    data = tmp_path / "d.csv"
+    train = ("train", "--task", "classify", "--data", str(data), "--gamma", "1", "--eta", "1",
+             "--sigma", "1", "--model-out", str(tmp_path / "m.json"))
+    data.write_text("-1,f0,f1\na,0.1,0.2\nb,0.4,0.3\na,0.5,0.9\nb,0.9,0.6\n")
+    assert run(*train, "--label-col", "-1") == 0
+    assert f"data: {data} (n=4, features=2)" in capsys.readouterr().out
+    data.write_text("f0,f1,label\n0.1,0.2,a\n0.4,0.3,b\n0.5,0.9,a\n0.9,0.6,b\n")
+    assert run(*train, "--label-col", "-1") == 3
+    assert capsys.readouterr().err == (f"error: {data}: no column named '-1' in "
+                                       "header ['f0', 'f1', 'label']\n")
+    assert run(*train, "--label-col", "2") == 0
+
+
 def test_feature_count_mismatch_exits_3(tmp_path, blob_csv, capsys):
     model_path = str(tmp_path / "model.json")
     assert run(
@@ -456,9 +471,44 @@ def test_gridsearch_with_no_fittable_cell_writes_the_table_and_no_model(
                "--gamma-grid", penalties[0], "--eta-grid", penalties[1]) == code
     cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
     assert all(cell["error"] for cell in cells) and cells[0]["error"].startswith(reason)
-    assert capsys.readouterr().err == (f"error: no grid cell could be fitted; the first, "
-                                       f"{cells[0]['params']}, failed with: {cells[0]['error']}\n")
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: no grid cell could be fitted; the first, "
+                            f"{cells[0]['params']}, failed with: {cells[0]['error']}\n")
+    assert "best params" not in captured.out  # no fold vouched for any cell
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("model_kind, task, column", [
+    ("trkm", "classify", ("--label-col", "label")),
+    ("rkm", "classify", ("--label-col", "label")),
+    ("trkm", "regress", ("--target-col", "target")),
+])
+@pytest.mark.parametrize("flag, extreme", [
+    ("--sigma-grid", 1e-300),  # 2 sigma^2 underflows: the Gram divides by zero
+    ("--gamma-grid", 1e-320),  # K/gamma overflows
+])
+def test_gridsearch_fails_only_the_cells_whose_core_is_not_finite(
+    tmp_path, capsys, blob_csv, sine_csv, model_kind, task, column, flag, extreme
+):
+    # Each such cell is failed in the table, the others are scored, and the best
+    # one is retrained; test_selection compares the scores with per-cell fits.
+    grids = {"--gamma-grid": "1e-2,1", "--eta-grid": "1e-2,1", "--sigma-grid": "1"}
+    grids[flag] += f",{extreme!r}"
+    data = blob_csv if task == "classify" else sine_csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("gridsearch", "--task", task, "--model-kind", model_kind, "--data", data,
+                   *column, "--folds", "3", *[a for item in grids.items() for a in item],
+                   "--output-dir", str(tmp_path)) == 0
+    assert not caught, [str(w.message) for w in caught]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
+    for cell in cells:
+        if extreme in cell["params"].values():
+            assert cell["error"] == "core contains non-finite entries"
+        else:
+            assert not cell["error"]
+    assert (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("case, data, column", [
@@ -666,6 +716,10 @@ def _grid_model(cfg, grid):
     (lambda cfg: cfg["models"][1].update(sigma=1.0), ["models[1].sigma: unknown key"]),
     (lambda cfg: _grid_model(cfg, {"gammas": [1.0]}), ["models[0].grid.gammas: unknown key"]),
     (lambda cfg: cfg["models"][0].update(grid={}), ["models[0].fixed", "models[0].grid", "both"]),
+    (lambda cfg: cfg["datasets"][1].update(label_column=-1),
+     ["datasets[1].label_column", "non-negative", "-1"]),
+    (lambda cfg: (_regression_config(cfg), cfg["datasets"][0].update(target_column=-1)),
+     ["datasets[0].target_column", "non-negative", "-1"]),
 ], ids=["unknown-kind", "rkm-regress", "no-gamma", "no-eta", "no-sigma",
         "no-path", "no-label-column", "one-model", "top-level-array",
         "dataset-not-object", "model-not-object", "grid-not-number", "fractional-folds",
@@ -677,7 +731,8 @@ def _grid_model(cfg, grid):
         "equal-penalties-string", "model-name-comma", "dataset-name-quote",
         "rkm-fixed-gamma2", "rkm-fixed-eta2", "rkm-per-class-grid",
         "fixed-unknown-key", "top-level-unknown-key", "split-unknown-key",
-        "dataset-unknown-key", "model-unknown-key", "grid-unknown-key", "fixed-and-grid"])
+        "dataset-unknown-key", "model-unknown-key", "grid-unknown-key", "fixed-and-grid",
+        "label-column-negative", "target-column-negative"])
 def test_bad_benchmark_config_exits_2_before_fitting(tmp_path, capsys, edit, named):
     cfg_path = tmp_path / "bench.json"
     cfg = json.loads(Path(benchmark_config(tmp_path)).read_text())

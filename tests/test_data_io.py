@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
 from trkm.data import (
     CLASSIFY,
@@ -14,6 +17,8 @@ from trkm.data import (
     load_feature_matrix,
     map_labels,
     normalize_minmax,
+    parse_feature_table,
+    parse_targets,
 )
 from trkm.errors import (
     CorruptModel,
@@ -25,7 +30,7 @@ from trkm.errors import (
     VersionMismatch,
 )
 from trkm.kernels import gaussian
-from trkm.model_io import SavedModel, load_model, save_model
+from trkm.model_io import SavedModel, _decode_array, _unhex, load_model, save_model
 from trkm.models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM
 from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
 from trkm.rkm import fit_rkm, predict_rkm
@@ -74,6 +79,8 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(path, label_column="nope")
     with pytest.raises(MissingColumn):
         load_csv(path, label_column=7)
+    with pytest.raises(MissingColumn, match="column index -1 out of range"):
+        load_csv(path, label_column=-1)  # an index counts from the first column only
 
 
 def test_load_csv_ragged_row(tmp_path):
@@ -228,3 +235,107 @@ def test_golden_model_file_loads_resaves_and_predicts(tmp_path, rng, kind):
         KIND_RKM: (rkm, x, predict_rkm),
     }[kind]
     assert predict(loaded.model, data).tobytes() == predict(fresh, data).tobytes()
+
+
+# Cells of generated CSV text: numbers float() reads (padded, quoted, with
+# underscores, a non-ASCII digit), non-finite ones, and some it refuses.
+GOOD_CELLS = ["0", "1", "-2.5", " 3 ", "1e3", "+.5", "1_0", '"4"', "\u0661", "7\t"]
+FLAWED_CELLS = ["nan", "inf", "-Infinity", "1e400", "", " ", "abc", "0x10", '"1,5"', "1__0"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, column, header) of a small CSV of good cells with up to two flaws: a bad or
+    non-finite cell, a short or long row, or a blank line, each anywhere."""
+    width = draw(st.integers(1, 4))
+    good = st.sampled_from(GOOD_CELLS)
+    rows = [draw(st.lists(good, min_size=width, max_size=width))
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        flaw = draw(st.sampled_from(["cell", "cell", "short", "long", "blank"]))
+        if flaw == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(FLAWED_CELLS))
+        elif flaw == "short":
+            rows[i] = rows[i][:-1]
+        elif flaw == "long":
+            rows[i] = rows[i] + [draw(good)]
+        else:
+            rows.insert(i, draw(st.sampled_from([[], [" "]])))
+    column = draw(st.one_of(
+        st.none(),
+        st.integers(0, width - 1),
+        st.integers(0, width - 1),
+        st.sampled_from([-1, width]),  # out of range: an index counts from 0 only
+        st.sampled_from(["1", "3", "-1", "zz", "4"]),  # names, some of them in a header
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+    return text, column, draw(st.booleans())
+
+
+def outcome(parse, path, column, header):
+    """The parse's (X bytes, shape, C-contiguous, tokens, names), or its error's type and text."""
+    try:
+        x, tokens, names = parse(path, column, ",", header)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return x.tobytes(), x.shape, x.dtype, x.flags.c_contiguous, tokens, names
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=csv_files())
+@example(case=("a,b,label\n1,2\n", "label", True))  # a header wider than its rows
+def test_column_parser_matches_the_per_cell_oracle(tmp_path_factory, case):
+    text, column, header = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = outcome(parse_feature_table, str(path), column, header)
+    assert got == outcome(oracles.parse_feature_table, str(path), column, header)
+    if not isinstance(got[0], type):
+        assert got[3]  # X is C-contiguous
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tokens=st.lists(st.sampled_from(GOOD_CELLS + FLAWED_CELLS), max_size=6))
+def test_parse_targets_matches_one_float_per_token(tokens):
+    try:
+        expected = np.array([float(t) for t in tokens], dtype=float)
+        assert np.isfinite(expected).all()
+    except (ValueError, AssertionError):
+        with pytest.raises(ParseError, match="is not a finite number$"):
+            parse_targets("t.csv", tokens)
+        return
+    assert parse_targets("t.csv", tokens).tobytes() == expected.tobytes()
+
+
+STORED_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
+    st.sampled_from(["0x1p+0", " 0x1.8p1 ", "nan", "-inf", "1e3", "12", "", "zz", "0x1p",
+                     "0x1.gp0"]),
+    st.sampled_from([None, 1.5, 2, True, ["0x1p0"]]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(STORED_VALUE, max_size=8))
+def test_array_decoder_matches_one_unhex_per_value(values):
+    blob = {"shape": [len(values)], "values": values}
+    try:
+        expected = np.array([_unhex(v) for v in values], dtype=float)
+    except CorruptModel as exc:
+        with pytest.raises(CorruptModel) as caught:
+            _decode_array(blob)
+        assert str(caught.value) == str(exc)
+        return
+    assert _decode_array(blob).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("values, message", [
+    (5, "^malformed array field: 'int' object is not iterable$"),
+    (None, "^malformed array field: 'NoneType' object is not iterable$"),
+    ("0x1", "^bad float field 'x'$"),  # a string is read one character at a time
+])
+def test_array_decoder_refuses_values_that_are_not_a_list(values, message):
+    with pytest.raises(CorruptModel, match=message):
+        _decode_array({"shape": [1], "values": values})

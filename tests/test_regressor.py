@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch, TooFewSamples
 import trkm.solver
-from trkm.kernels import gaussian, linear
+from trkm.kernels import gaussian, gram, linear
 from trkm.metrics import regression_errors
 from trkm.regressor import (
     TrkmRegressorHyperparams,
@@ -174,6 +175,22 @@ def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2,
     model = fit_regressor(x, y, TrkmRegressorHyperparams(0.7, gamma2, 0.9, eta2, gaussian(1.0)))
     assert len(calls) == factorizations
     assert [rep.name for rep in model.fit_diag] == ["lower-function system", "upper-function system"]
+
+
+def test_equal_penalties_estimate_the_condition_once(monkeypatch, rng):
+    # Both systems report the estimate of the one +e matrix they share; gecon runs
+    # once, and its value is the one of an LU and a 1-norm taken here.
+    calls = []
+    exact = trkm.solver._gecon
+    monkeypatch.setattr(trkm.solver, "_gecon", lambda *a, **k: calls.append(1) or exact(*a, **k))
+    x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+    model = fit_regressor(x, y, equal_hp(0.7, 0.9))
+    assert len(calls) == 1
+    core = gram(gaussian(1.0), x, x) / 0.7 + 0.9 * np.eye(12)
+    a, _ = augmented(core, np.ones(12), +1, y, 12.0)
+    lu, _, _ = lapack.dgetrf(a)
+    rcond, _ = lapack.dgecon(lu, np.max(np.abs(a).sum(axis=0)), norm="1")
+    assert [rep.condition_estimate for rep in model.fit_diag] == [1.0 / rcond] * 2
 
 
 def test_preconditions():

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import trkm.models as models
 import trkm.selection as sel
 from trkm.data import CLASSIFY, REGRESS, Dataset
-from trkm.errors import DegenerateSplit, EmptyClass, SingularSystem, TooFewSamples
+from trkm.errors import (
+    DegenerateSplit,
+    EmptyClass,
+    NonFiniteSystem,
+    SingularSystem,
+    TooFewSamples,
+)
 from trkm.models import RKM, TRKM
 from trkm.selection import (
     GridSpec,
@@ -207,7 +213,7 @@ def per_cell_table(ds, grid, task, model_kind, seed):
             try:
                 scores.append(oracles.fit_score(x[train_idx], y[train_idx], x[valid_idx],
                                                 y[valid_idx], params, task, model_kind))
-            except (SingularSystem, EmptyClass) as exc:
+            except (SingularSystem, EmptyClass, NonFiniteSystem) as exc:
                 error = str(exc)
                 break
         table.append((params, tuple(scores), error))
@@ -257,6 +263,25 @@ def test_batched_grid_equals_per_cell_fits(kind_task, n, m, folds, data_seed, ga
                     sigma_values=tuple(sigmas), folds=folds)
     result = grid_search(ds, grid, task, model_kind=model_kind, seed=data_seed)
     table = per_cell_table(ds, grid, task, model_kind, data_seed)
+    if task == CLASSIFY:
+        assert cells_of(result) == table
+    else:
+        assert_agrees_with_lu(cells_of(result), table, REGRESSION_RTOL)
+
+
+@pytest.mark.parametrize("kind_task", [(TRKM, CLASSIFY), (RKM, CLASSIFY), (TRKM, REGRESS)])
+@pytest.mark.parametrize("grid", [
+    GridSpec(gamma_values=(1e-2, 1.0), eta_values=(1e-2, 1.0), sigma_values=(1e-300, 1.0),
+             folds=3),
+    GridSpec(gamma_values=(1e-320, 1.0), eta_values=(1e-2, 1.0), sigma_values=(0.5, 1.0),
+             folds=3),
+], ids=["sigma", "gamma"])
+def test_cells_with_a_non_finite_core_fail_as_per_cell_fits_do(kind_task, grid):
+    model_kind, task = kind_task
+    ds = small_dataset() if task == CLASSIFY else Dataset(*sine(30, seed=2), task=REGRESS)
+    result = grid_search(ds, grid, task, model_kind=model_kind, seed=3)
+    table = per_cell_table(ds, grid, task, model_kind, 3)
+    assert sum(error == "core contains non-finite entries" for *_, error in table) == 4
     if task == CLASSIFY:
         assert cells_of(result) == table
     else:

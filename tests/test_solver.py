@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trkm.errors import DimensionMismatch, SingularSystem
+from trkm.errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 from trkm.kernels import gaussian, gram
 import trkm.solver
 from trkm.solver import BorderedSystem, SharedFactor, kernel_spectrum, solve_bordered
@@ -216,6 +216,26 @@ def test_shared_factor_solves_the_other_sign_bitwise(
     assert (contents(shared), contents(lean)) == filled
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    log_scale=st.integers(-300, 300),
+    bordered_gram=st.booleans(),
+)
+def test_one_norm_is_the_numpy_column_sum_bitwise(seed, n, log_scale, bordered_gram):
+    # LAPACK lange on a.T against the expression it replaced, on bordered Gaussian
+    # Gram matrices and on non-symmetric matrices of any scale.
+    rng = np.random.default_rng(seed)
+    if bordered_gram:
+        x = rng.normal(size=(n, 3))
+        a = trkm.solver._augmented(gram(gaussian(float(rng.uniform(0.1, 4.0))), x, x),
+                                   10.0 ** rng.uniform(-5, 5), 10.0 ** rng.uniform(-5, 5))
+    else:
+        a = rng.normal(size=(n, n)) * 10.0 ** (log_scale / 2)
+    assert trkm.solver._one_norm(a) == float(np.max(np.abs(a).sum(axis=0)))
+
+
 def test_shared_factor_refuses_another_kernel_gamma_or_eta():
     rng = np.random.default_rng(5)
     s = random_system(rng, 5, +1)
@@ -241,6 +261,17 @@ def test_non_finite_core_is_refused():
                        "test system")
     with pytest.raises(ValueError, match="^core contains non-finite entries$"):
         solve_bordered(system(np.eye(2), 1.0, np.inf, +1, [1, 1], 0.0), "test system")
+
+
+def test_a_non_finite_core_or_rhs_is_its_own_error_silently():
+    # overflow in forming the system is reported by the finiteness check, not by numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSystem, match="^core contains non-finite entries$"):
+            solve_bordered(system(np.eye(2), 1e-320, 1.0, +1, [1, 1], 0.0), "test system")
+        with pytest.raises(NonFiniteSystem, match="^rhs_top contains non-finite entries$"):
+            solve_bordered(system(np.eye(2), 1.0, 1.0, +1, [1, np.inf], 0.0), "test system")
+    assert issubclass(NonFiniteSystem, ValueError)  # so the CLI exits 2, as for its flags
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
