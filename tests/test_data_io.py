@@ -275,7 +275,8 @@ def csv_files(draw):
 
 
 def outcome(parse, path, column, header):
-    """The parse's (X bytes, shape, C-contiguous, tokens, names), or its error's type and text."""
+    """The parse's (X bytes, shape, dtype, C-contiguous, tokens, names), or its error's type
+    and text."""
     try:
         x, tokens, names = parse(path, column, ",", header)
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
@@ -292,8 +293,6 @@ def test_column_parser_matches_the_per_cell_oracle(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8"))
     got = outcome(parse_feature_table, str(path), column, header)
     assert got == outcome(oracles.parse_feature_table, str(path), column, header)
-    if not isinstance(got[0], type):
-        assert got[3]  # X is C-contiguous
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -301,8 +300,9 @@ def test_column_parser_matches_the_per_cell_oracle(tmp_path_factory, case):
 def test_parse_targets_matches_one_float_per_token(tokens):
     try:
         expected = np.array([float(t) for t in tokens], dtype=float)
-        assert np.isfinite(expected).all()
-    except (ValueError, AssertionError):
+    except ValueError:
+        expected = np.array([np.nan])
+    if not np.isfinite(expected).all():
         with pytest.raises(ParseError, match="is not a finite number$"):
             parse_targets("t.csv", tokens)
         return
