@@ -35,6 +35,7 @@ from .errors import (
     NUMERIC_ERRORS,
     FeatureCountMismatch,
     ParseError,
+    TrkmError,
 )
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
@@ -241,7 +242,11 @@ def cmd_gridsearch(args) -> int:
     params = result.fit_params()  # raises when every cell failed: there is no best cell
     print(f"best params: {params}  cv score: {result.best_cv_score:.6g}")
 
-    model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params)
+    try:
+        model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params)
+    except TrkmError as exc:  # every fold vouched for the cell, the full set did not
+        raise type(exc)(f"best cell {params} could not be retrained on all {dataset.n} "
+                        f"training rows: {exc}") from exc
     _save(model, dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
     return 0

@@ -113,7 +113,7 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
         first_data_line = 2
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    arity = len(rows[0])
+    arity = len(rows[0] if names is None else names)  # a header's width binds every row
     col_idx = None if column is None else _resolve_column(column, names, arity, path)
 
     # One map(float, ...) per feature column; a bad row or cell is found by walking the rows.
@@ -126,9 +126,7 @@ def parse_feature_table(path: str, column, delimiter: str = ",", header: bool = 
         _raise_first_bad_cell(path, rows, arity, col_idx, first_data_line)
     if not features:
         raise ParseError(f"{path}: no feature columns")
-    # A header name may select a column past the rows' width; then no row has a target.
-    has_targets = col_idx is not None and col_idx < arity
-    raw_targets = list(map(str.strip, columns[col_idx])) if has_targets else []
+    raw_targets = [] if col_idx is None else list(map(str.strip, columns[col_idx]))
 
     x = np.ascontiguousarray(np.array(features, dtype=float).T)
     if not np.isfinite(x).all():

@@ -35,21 +35,32 @@ def classification_accuracy(pred, truth) -> float:
     return float(np.mean(p == t) * 100.0)
 
 
-def regression_errors(pred, truth) -> RegressionErrors:
+def _vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=float)
     t = np.asarray(truth, dtype=float)
     if p.shape != t.shape or p.ndim != 1:
         raise DimensionMismatch(f"prediction shapes differ: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise EmptyInput("cannot score zero samples")
+    return p, t
+
+
+def rmse(pred, truth) -> float:
+    """Root mean squared error: the score of a regression grid cell."""
+    p, t = _vectors(pred, truth)
+    diff = p - t
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+def regression_errors(pred, truth) -> RegressionErrors:
+    p, t = _vectors(pred, truth)
     n = p.size
     diff = p - t
-    rmse = float(np.sqrt(np.mean(diff * diff)))
     under = diff <= 0.0  # f(x_i) <= y_i
     pos_error = float(np.sum(np.abs(diff[under])) / n)
     neg_error = float(np.sum(np.abs(diff[~under])) / n)
     return RegressionErrors(
-        rmse=rmse,
+        rmse=rmse(p, t),
         mae=pos_error + neg_error,
         pos_error=pos_error,
         neg_error=neg_error,

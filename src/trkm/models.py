@@ -13,6 +13,8 @@ every fit and predict.
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
 from the model module's own statement of its systems (``grid_fold``), and
 refits any one cell from that statement by LU, as the fit and predictor do.
+Its cells come as one ``penalty_table``, which a grid search builds once and
+passes to every (sigma, fold).
 """
 
 from __future__ import annotations
@@ -26,10 +28,17 @@ from . import classifier, regressor, rkm
 from .classifier import TrkmClassifierHyperparams, TrkmClassifierModel
 from .data import CLASSIFY, REGRESS
 from .kernels import KernelSpec, gaussian
-from .metrics import classification_accuracy, regression_errors
+from .metrics import classification_accuracy, rmse
 from .regressor import TrkmRegressorModel
 from .rkm import RkmModel
-from .solver import BorderedFamily, DecisionTerm, kernel_spectrum, solve_families, solve_spectral
+from .solver import (
+    BorderedFamily,
+    DecisionTerm,
+    kernel_spectrum,
+    solve_families,
+    solve_spectral,
+    spectral_shift,
+)
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -225,12 +234,42 @@ def predict(model, X) -> np.ndarray:
     return of_model(model).predict(model, X)
 
 
-def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, cells: list[dict]):
+@dataclass(frozen=True)
+class PenaltyColumns:
+    """One system's (gamma, eta) over a list of grid cells: the distinct pairs as columns
+    (``gammas``, ``etas``) and each cell's column (``column``)."""
+
+    gammas: np.ndarray
+    etas: np.ndarray
+    column: np.ndarray
+
+
+def penalty_table(model_kind: str, task: str, cells: list[dict]) -> tuple[PenaltyColumns, ...]:
+    """The ``PenaltyColumns`` of each system of a (model kind, task) pair over ``cells``.
+
+    A system whose pairs equal an earlier system's gets the same object, so
+    that ``fold_predictions`` shares one spectral shift between them.
+    """
+    table, built = [], {}
+    for system_penalties in model_type(model_kind, task).system_penalties:
+        pairs = tuple(system_penalties(params) for params in cells)
+        if pairs not in built:
+            index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
+            gammas, etas = np.array(list(index)).T
+            built[pairs] = PenaltyColumns(gammas, etas, np.array([index[p] for p in pairs]))
+        table.append(built[pairs])
+    return tuple(table)
+
+
+def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
+                     table: tuple[PenaltyColumns, ...]):
     """Predictions at the rows of ``X_valid`` of every cell fitted on (X, y), without fitting.
 
-    ``cells`` are grid params sharing the Gaussian bandwidth ``sigma``.
-    Returns a (rows x cells) matrix, labels for classification and values for
-    regression, a mask of the cells whose solves met every gate of
+    ``table`` is the ``penalty_table`` of grid cells sharing the Gaussian
+    bandwidth ``sigma``. Each kernel block takes one ``eigh``, and each
+    (kernel block, columns) one ``spectral_shift``, shared by the systems on
+    it. Returns a (rows x cells) matrix, labels for classification and
+    values for regression, a mask of the cells whose solves met every gate of
     ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
     (EmptyClass, TooFewSamples) from the model's statement. A cell outside
     the mask must be decided by ``refit(params)``, the LU solves of the same
@@ -241,18 +280,18 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float, ce
     """
     entry = model_type(model_kind, task)
     families, terms = entry.grid_fold(X, y, X_valid, gaussian(sigma))
-    decision, size, passed = 0.0, 0.0, np.ones(len(cells), dtype=bool)
-    spectra = {}
-    for system, term, penalties in zip(families, terms, entry.system_penalties):
-        pairs = [penalties(params) for params in cells]
-        index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
-        column = np.array([index[pair] for pair in pairs])
-        gammas, etas = np.array(list(index)).T
-        if id(system.kernel) not in spectra:
-            spectra[id(system.kernel)] = kernel_spectrum(system.kernel)
+    decision, size, passed = 0.0, 0.0, np.ones(len(table[0].column), dtype=bool)
+    spectra, shifts = {}, {}
+    for system, term, columns in zip(families, terms, table):
+        gammas, etas, column = columns.gammas, columns.etas, columns.column
+        block = id(system.kernel)
+        if block not in spectra:
+            spectra[block] = kernel_spectrum(system.kernel)
+        if (block, id(columns)) not in shifts:
+            shifts[block, id(columns)] = spectral_shift(spectra[block], gammas, etas)
         solved = solve_spectral(system.kernel, gammas, etas, system.border_sign,
                                 system.rhs_top(gammas), system.rhs_bottom,
-                                spectra[id(system.kernel)])
+                                shifts[block, id(columns)])
         passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
             decision = decision + term.value(solved.h, gammas, solved.b)[:, column]
@@ -284,15 +323,15 @@ def score(task: str, pred, truth) -> float:
     """Accuracy in percent (classify) or RMSE (regress)."""
     if task == CLASSIFY:
         return classification_accuracy(pred, truth)
-    return regression_errors(pred, truth).rmse
+    return rmse(pred, truth)
 
 
 def column_scores(task: str, pred: np.ndarray, truth: np.ndarray) -> list[float]:
     """``score`` of each column of a (rows x cells) prediction matrix.
 
     Each comes from one array expression that reduces each column in the
-    order ``classification_accuracy`` or ``regression_errors`` reduces a
-    vector, so the two agree bitwise.
+    order ``classification_accuracy`` or ``rmse`` reduces a vector, so the
+    two agree bitwise.
     """
     if task == CLASSIFY:
         return (np.mean(pred == truth[:, None], axis=0) * 100.0).tolist()

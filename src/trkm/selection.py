@@ -9,9 +9,12 @@ worst (-inf accuracy / +inf RMSE) rather than aborting the sweep; best-cell
 ties break to the first cell in iteration order (gamma outer, eta middle,
 sigma inner, each ascending).
 
-How a cell is solved: per (sigma, fold), ``models.fold_predictions`` solves
-every (gamma, eta) cell at once from the statement in the model's own module,
-the one its fit and predictor read, and ``models.column_scores`` scores them.
+How a cell is solved: the search builds its ``models.penalty_table`` (each
+system's distinct (gamma, eta) pairs) once. Per (sigma, fold),
+``models.fold_predictions`` solves every (gamma, eta) cell of that table at
+once from the statement in the model's own module, the one its fit and
+predictor read, with one spectral shift per kernel block, and
+``models.column_scores`` scores them.
 A cell it does not vouch for at a fold is refitted there by LU from the same
 statement, bitwise ``predict(fit(...))``, and that refit alone decides the
 score or the error and message; a cell that failed is not refitted at later
@@ -208,6 +211,13 @@ def grid_search(
     columns: dict[float, list[int]] = {}
     for i, params in enumerate(points):
         columns.setdefault(params["sigma"], []).append(i)
+    # Sigma is the innermost grid axis, so every sigma column holds the same penalty
+    # sequence, each pair once per listing of its sigma: the cell count tells them apart.
+    tables = {}
+    for cells in columns.values():
+        if len(cells) not in tables:
+            tables[len(cells)] = models.penalty_table(model_kind, task,
+                                                      [points[i] for i in cells])
 
     def column(sigma) -> dict:
         """Score or error message of each cell of ``sigma`` at each fold it reaches."""
@@ -216,7 +226,7 @@ def grid_search(
             try:
                 predictions, passed, refit = models.fold_predictions(
                     model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
-                    [points[i] for i in cells])
+                    tables[len(cells)])
             except EmptyClass as exc:  # every cell still alive stops at this fold
                 found.update({(i, f): exc for i in cells.tolist() if i not in failed})
                 break

@@ -43,10 +43,14 @@ the kernel's spectrum: with K = Q diag(lambda) Q^T,
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
 so one ``eigh`` (``kernel_spectrum``) serves every pair, and every system
-on the same block. Each pair then takes the scalar Schur step of the +e
-border: u = C^-1 r, v = C^-1 e, b = (e^T u - c)/(e^T v), h = u - b*v, and
-returns sign * b. Stacking the pairs as columns turns the solves, the
-residuals and the balance rows into a few matrix products. Each column is
+on the same block. What depends only on that spectrum and the pairs (d,
+v = C^-1 e, e^T v, the finite-and-positive mask of d and its spread) is one
+``spectral_shift``, computed once per kernel block and set of pairs and
+shared by every system on it, as TRKM-R's twins share their fold kernel.
+Each pair then takes the scalar Schur step of the +e border: u = C^-1 r,
+b = (e^T u - c)/(e^T v), h = u - b*v, and returns sign * b. Stacking the
+pairs as columns turns the solves, the residuals and the balance rows into a
+few matrix products. Each column is
 held to the gates of ``solve_bordered``: the residual of the formed system
 (balance row included) within ``RESIDUAL_RTOL``, the balance within
 ``BALANCE_RTOL``, and every d finite and positive. A column that misses a
@@ -325,12 +329,44 @@ def kernel_spectrum(kernel) -> tuple[np.ndarray, np.ndarray]:
         return np.full(n, np.nan), np.full((n, n), np.nan)
 
 
+@dataclass(frozen=True)
+class SpectralShift:
+    """The parts of ``solve_spectral`` that depend only on a kernel's spectrum and the
+    (gamma, eta) columns, for every system on that kernel block at those columns.
+
+    ``d`` holds each column's shifted spectrum lambda/gamma + eta, ``v`` = C^-1 e and
+    ``ev`` = e^T v per column; ``ok`` marks the columns whose d is finite and
+    positive, and ``spread`` is each column's d_max/d_min.
+    """
+
+    q: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    ev: np.ndarray
+    ok: np.ndarray
+    spread: np.ndarray
+
+
+def spectral_shift(spectrum, gammas, etas) -> SpectralShift:
+    """The ``SpectralShift`` of a ``kernel_spectrum`` at the columns (gammas[j], etas[j])."""
+    lam, q = spectrum
+    gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
+    # A zero or non-finite d makes inf/nan columns; solve_spectral's gates reject them.
+    with np.errstate(all="ignore"):
+        d = lam[:, None] / gammas + etas
+        v = q @ (q.sum(axis=0)[:, None] / d)
+        return SpectralShift(q, d, v, v.sum(axis=0),
+                             np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0),
+                             d.max(axis=0) / d.min(axis=0))
+
+
 def solve_spectral(
-    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, spectrum
+    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, shift: SpectralShift
 ) -> SpectralSolve:
     """Solve the bordered system of ``kernel`` for each column (gammas[j], etas[j], rhs_top[:, j]).
 
-    ``spectrum`` is the kernel's ``kernel_spectrum``; see the module
+    ``shift`` is the ``spectral_shift`` of the kernel's ``kernel_spectrum`` at
+    the same columns; every system on the kernel may share it. See the module
     docstring for the method and the gates. A nan spectrum fails every
     column. The spread d_max/d_min of each column is reported, not gated;
     ``models.SPREAD_LIMIT`` holds regression cells to it.
@@ -338,15 +374,11 @@ def solve_spectral(
     kernel = np.asarray(kernel, dtype=float)
     gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
     rhs = np.asarray(rhs_top, dtype=float)
-    lam, q = spectrum
-    # A zero or non-finite d makes inf/nan columns; the gates below reject them.
-    with np.errstate(all="ignore"):
-        d = lam[:, None] / gammas + etas
-        u = q @ ((q.T @ rhs) / d)
-        v = q @ (q.sum(axis=0)[:, None] / d)
-        b = (u.sum(axis=0) - rhs_bottom) / v.sum(axis=0)  # the +e twin's b
-        b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(v.sum(axis=0))
-        h = u - b * v
+    with np.errstate(all="ignore"):  # columns of a failed shift hold inf or nan
+        u = shift.q @ ((shift.q.T @ rhs) / shift.d)
+        b = (u.sum(axis=0) - rhs_bottom) / shift.ev  # the +e twin's b
+        b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(shift.ev)
+        h = u - b * shift.v
         balance = h.sum(axis=0)
         top = (kernel @ h) / gammas + etas * h + b - rhs
         residual = np.maximum(np.abs(top).max(axis=0), np.abs(balance - rhs_bottom))
@@ -354,7 +386,6 @@ def solve_spectral(
         passed = (
             (residual <= bound)
             & (np.abs(balance - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
-            & np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0)
+            & shift.ok
         )
-        spread = d.max(axis=0) / d.min(axis=0)
-    return SpectralSolve(h, border_sign * b, b_size, passed, residual / bound, spread)
+    return SpectralSolve(h, border_sign * b, b_size, passed, residual / bound, shift.spread)

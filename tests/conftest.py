@@ -3,8 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+
+# Every run draws the same Hypothesis examples, so a red run repeats; no test has a deadline.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO / "data"

@@ -151,7 +151,7 @@ def parse_feature_table(path, column, delimiter=",", header=True):
         first_data_line = 2
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    arity = len(rows[0])
+    arity = len(rows[0] if names is None else names)
     col_idx = None if column is None else _resolve_column(column, names, arity, path)
     features, raw_targets = [], []
     for i, row in enumerate(rows):

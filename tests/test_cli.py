@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trkm.cli import _write_json, main
+from trkm.errors import SingularSystem, TooFewSamples
 from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
 
@@ -448,6 +449,45 @@ def test_train_on_a_one_label_file_exits_3(tmp_path, capsys, model_kind):
     assert capsys.readouterr().err == "error: expected two distinct labels, found ['a']\n"
     assert not model_out.exists()
 
+
+@pytest.mark.parametrize("text, found, expected", [
+    ("a,b,label\n1,2\n3,4\n", 2, 3),
+    ("a,label\n1,2,x\n3,4,y\n", 3, 2),
+], ids=["header-wider", "header-narrower"])
+def test_rows_must_be_as_wide_as_their_header(tmp_path, capsys, text, found, expected):
+    # The header's width is every data row's width: the first row that differs is named.
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    model_out = tmp_path / "m.json"
+    assert run("train", "--task", "classify", "--data", str(data), "--label-col", "label",
+               "--gamma", "1", "--eta", "1", "--sigma", "1",
+               "--model-out", str(model_out)) == 3
+    assert capsys.readouterr().err == (f"error: {data}: line 2 has {found} columns, "
+                                       f"expected {expected}\n")
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize("error, code", [(SingularSystem, 4), (TooFewSamples, 3)])
+def test_gridsearch_whose_best_cell_fails_to_retrain_says_so(
+    tmp_path, capsys, monkeypatch, blob_csv, error, code
+):
+    # Every fold vouched for the best cell and the full training set did not:
+    # the table stays written, no model is, and the error names the cell.
+    from trkm import models
+
+    def failing(*args, **kwargs):
+        raise error("rkm system: residual 2.049e-08 exceeds tolerance 1.000e-08")
+
+    monkeypatch.setattr(models, "fit", failing)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "classify",
+               "--model-kind", "rkm", "--data", blob_csv, "--label-col", "label",
+               "--folds", "3", "--sigma-grid", "1", "--gamma-grid", "1e-5,1",
+               "--eta-grid", "1e-2,1") == code
+    best = json.loads((tmp_path / "grid_results.json").read_text())["best_params"]
+    assert capsys.readouterr().err == (
+        f"error: best cell {best} could not be retrained on all 24 training rows: "
+        "rkm system: residual 2.049e-08 exceeds tolerance 1.000e-08\n")
+    assert not (tmp_path / "model.json").exists()
 
 # Six rows, one of them a negative: the fold that validates it trains on positives alone.
 ONE_NEGATIVE = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,b\n0.7,0.4,b\n0.2,0.8,b\n0.9,0.6,b\n"

@@ -3,11 +3,14 @@ import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trkm import classifier, models, regressor, rkm, solver
 from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
 from trkm.data import CLASSIFY, REGRESS
 from trkm.kernels import gaussian, linear
+from trkm.metrics import regression_errors
 from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
 from trkm.rkm import fit_rkm, predict_rkm
 from trkm.synthetic import blobs
@@ -139,3 +142,14 @@ def test_column_scores_equal_per_column_scores_bitwise(rng):
         assert models.column_scores(task, pred, target) == [
             models.score(task, pred[:, j], target) for j in range(5)
         ]
+
+
+@settings(max_examples=200)
+@given(pairs=st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 2),
+                      min_size=1, max_size=40))
+def test_regression_score_is_the_rmse_of_regression_errors_bitwise(pairs):
+    # Grid cells are scored by metrics.rmse alone; reports read regression_errors.
+    pred, truth = np.array(pairs).T
+    score = models.score(REGRESS, pred, truth)
+    assert np.float64(score).tobytes() == np.float64(regression_errors(pred, truth).rmse).tobytes()
+    assert models.column_scores(REGRESS, pred[:, None], truth) == [score]

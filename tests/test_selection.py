@@ -407,8 +407,9 @@ def test_regression_cell_over_the_spread_limit_gets_the_lu_score(monkeypatch):
     train_idx, valid_idx = kfold_indices(ds.n, 3, 0)[0]
 
     def mask():
+        table = models.penalty_table(TRKM, REGRESS, [over, under])
         return models.fold_predictions(TRKM, REGRESS, x[train_idx], y[train_idx],
-                                       x[valid_idx], 32.0, [over, under])[1].tolist()
+                                       x[valid_idx], 32.0, table)[1].tolist()
 
     assert mask() == [False, True]
     with monkeypatch.context() as patched:
@@ -427,6 +428,41 @@ def test_threaded_regression_grid_matches_serial():
                     folds=3)
     serial = grid_search(ds, grid, REGRESS, seed=4, threads=1)
     assert grid_search(ds, grid, REGRESS, seed=4, threads=2) == serial
+
+
+@pytest.mark.parametrize("model_kind, task, equal, shifts_per_unit", [
+    (TRKM, REGRESS, True, 1),  # the lower- and upper-function systems share one
+    (TRKM, REGRESS, False, 2),  # per-class penalties: one fold kernel, two sets of columns
+    (TRKM, CLASSIFY, True, 2),  # K_AA and K_BB
+    (RKM, CLASSIFY, True, 1),
+])
+def test_a_search_builds_one_penalty_table_and_one_shift_per_kernel_block(
+    monkeypatch, model_kind, task, equal, shifts_per_unit
+):
+    x, y = (blobs(12, 2.0, seed=5) if task == CLASSIFY else sine(24, seed=5))
+    ds = Dataset(X=x, target=y, task=task)
+    grid = GridSpec(gamma_values=(1e-5, 1.0), eta_values=(1e-3, 1.0), sigma_values=(1.0, 32.0),
+                    equal_penalties=equal, folds=3)
+    real_shift, real_table = models.spectral_shift, models.penalty_table
+    shifts, tables = [], []
+    monkeypatch.setattr(models, "spectral_shift",
+                        lambda *args: shifts.append(1) or real_shift(*args))
+    monkeypatch.setattr(models, "penalty_table",
+                        lambda *args: tables.append(1) or real_table(*args))
+    grid_search(ds, grid, task, model_kind=model_kind, seed=0)
+    assert len(tables) == 1
+    assert len(shifts) == len(grid.sigma_values) * grid.folds * shifts_per_unit
+
+
+def test_a_sigma_listed_twice_gets_its_own_penalty_table():
+    # sigma = 1 listed twice holds each penalty pair twice; its cells still
+    # read as a per-cell search writes them.
+    ds = class_dataset(8, 6, seed=2)
+    grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1e-2, 1.0),
+                    sigma_values=(1.0, 4.0, 1.0), folds=2)
+    result = grid_search(ds, grid, CLASSIFY, seed=0)
+    assert len(result.table) == 12
+    assert cells_of(result) == per_cell_table(ds, grid, CLASSIFY, TRKM, 0)
 
 
 def fold_data(task, n, m, data_seed):
@@ -465,7 +501,8 @@ def test_statement_refit_equals_fit_score(kind_task, per_class, n, m, data_seed,
     cells = [{"gamma": g, "eta": e, "sigma": sigma, **({"gamma2": g2, "eta2": e2} if per_class
                                                         else {})}
              for g, e, g2, e2 in penalties]
-    _, _, refit = models.fold_predictions(model_kind, task, x, y, x_valid, sigma, cells)
+    _, _, refit = models.fold_predictions(model_kind, task, x, y, x_valid, sigma,
+                                          models.penalty_table(model_kind, task, cells))
     for params in cells:
         try:
             fitted = models.predict(models.fit(model_kind, task, x, y, params), x_valid)
@@ -490,7 +527,8 @@ def test_fold_with_an_empty_class_fails_in_its_statement(monkeypatch):
     x, y = ds.X, ds.target.astype(float)
     with pytest.raises(EmptyClass, match="^class -1 has no samples$"):
         models.fold_predictions(TRKM, CLASSIFY, x[empty], y[empty], x[:1], 1.0,
-                                [{"gamma": 1.0, "eta": 1.0, "sigma": 1.0}])
+                                models.penalty_table(TRKM, CLASSIFY,
+                                                     [{"gamma": 1.0, "eta": 1.0, "sigma": 1.0}]))
     grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1.0,), sigma_values=(1.0,), folds=2)
     expected = per_cell_table(ds, grid, CLASSIFY, TRKM, 0)
     monkeypatch.setattr(models, "fit", lambda *args, **kw: pytest.fail("models.fit ran"))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 from trkm.errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 from trkm.kernels import gaussian, gram
 import trkm.solver
-from trkm.solver import BorderedSystem, SharedFactor, kernel_spectrum, solve_bordered
+from trkm.solver import (
+    BorderedSystem,
+    SharedFactor,
+    kernel_spectrum,
+    solve_bordered,
+    spectral_shift,
+)
 
 from oracles import residual, solve_full_pivot, system_matrix
 
@@ -280,9 +287,9 @@ def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     kernel = gram(gaussian(1.0), x, x)
     gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
     rhs = rng.normal(size=(7, 3))
-    spectrum = kernel_spectrum(kernel)
-    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5, spectrum)
-    twin = trkm.solver.solve_spectral(kernel, gammas, etas, -sign, rhs, 1.5, spectrum)
+    shift = spectral_shift(kernel_spectrum(kernel), gammas, etas)
+    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5, shift)
+    twin = trkm.solver.solve_spectral(kernel, gammas, etas, -sign, rhs, 1.5, shift)
     # the other sign negates b and keeps h, bitwise
     assert twin.h.tobytes() == solved.h.tobytes() and twin.b.tobytes() == (-solved.b).tobytes()
     assert solved.passed.all() and (solved.residual_ratio <= 1.0).all()
@@ -298,6 +305,42 @@ def test_spectral_column_with_a_zero_shifted_eigenvalue_fails_its_gates():
     kernel = np.diag([-1.0, 1.0, 2.0])  # d = lambda/gamma + eta is 0 in the first column
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        shift = spectral_shift(kernel_spectrum(kernel), [1.0, 1.0], [1.0, 2.0])
         solved = trkm.solver.solve_spectral(kernel, [1.0, 1.0], [1.0, 2.0], +1,
-                                            np.ones((3, 2)), 0.0, kernel_spectrum(kernel))
+                                            np.ones((3, 2)), 0.0, shift)
     assert solved.passed.tolist() == [False, True]
+
+
+def spectral_bytes(result):
+    """Every array field of a SpectralShift or SpectralSolve, as bytes."""
+    return tuple(getattr(result, f.name).tobytes() for f in dataclasses.fields(result))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    penalties=st.lists(st.tuples(st.sampled_from((1e-320, 1e-5, 1e-2, 1.0, 1e5)),
+                                 st.sampled_from((0.0, 1e-5, 1e-2, 1.0, 1e5))),
+                       min_size=1, max_size=6),
+)
+def test_systems_sharing_one_spectral_shift_solve_as_with_their_own(seed, n, penalties):
+    # TRKM-R's twins solve through one shift of their fold kernel. A random
+    # symmetric kernel is indefinite, so shifted spectra can be zero or negative,
+    # gamma = 1e-320 overflows them, and the last column always has a zero d:
+    # such columns fail their gates, through a shared shift as through their own.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    kernel = (a + a.T) / 2.0
+    spectrum = kernel_spectrum(kernel)
+    gammas, etas = np.array([*penalties, (1.0, -float(spectrum[0].max()))]).T
+    shared = spectral_shift(spectrum, gammas, etas)
+    filled = spectral_bytes(shared)
+    for sign in (+1, -1):
+        rhs, bottom = rng.normal(size=(n, len(gammas))), float(rng.normal())
+        own = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, bottom,
+                                         spectral_shift(spectrum, gammas, etas))
+        assert spectral_bytes(trkm.solver.solve_spectral(
+            kernel, gammas, etas, sign, rhs, bottom, shared)) == spectral_bytes(own)
+        assert not own.passed[-1]
+    assert spectral_bytes(shared) == filled  # no solve changes the shift
