@@ -80,7 +80,7 @@ def _kernel_from_args(kernel: str, sigma: float | None) -> KernelSpec:
             raise ValueError("--sigma: the linear kernel has no bandwidth")
         return linear()
     if sigma is None:
-        raise ParseError("--sigma is required for the gaussian kernel")
+        raise ValueError("--sigma is required for the gaussian kernel")
     return gaussian(sigma)
 
 
@@ -95,7 +95,7 @@ def _load_dataset(args) -> Dataset:
         else ("--target-col", args.target_col)
     )
     if column is None:
-        raise ParseError(f"{flag} is required for --task {args.task}")
+        raise ValueError(f"{flag} is required for --task {args.task}")
     dataset = load_csv(
         args.data, **{_COLUMN_KEY[args.task]: _column(column)},
         delimiter=args.delimiter, header=not args.no_header,
@@ -205,10 +205,7 @@ def cmd_predict(args) -> int:
 # gridsearch
 
 def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise ParseError(f"bad grid list {text!r}") from None
+    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
 def cmd_gridsearch(args) -> int:
@@ -216,9 +213,9 @@ def cmd_gridsearch(args) -> int:
                                    ["--per-class-penalties"] if args.per_class_penalties else [])
     dataset = _load_dataset(args)
     grid = GridSpec(
-        gamma_values=_float_list(args.gamma_grid),
-        eta_values=_float_list(args.eta_grid),
-        sigma_values=_float_list(args.sigma_grid),
+        gamma_values=args.gamma_grid,
+        eta_values=args.eta_grid,
+        sigma_values=args.sigma_grid,
         equal_penalties=not args.per_class_penalties,
         folds=args.folds,
     )
@@ -348,6 +345,9 @@ _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _SEEDS = (lambda v: _LIST[0](v) and all(map(_SEED[0], v)),
           "a non-empty list of non-negative integers")
 _THREADS = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
+_FOLDS = (lambda v: type(v) is int and v >= 2, "an integer of at least 2")
+_GRID = (lambda v: bool(v) and all(map(positive_number, v)),
+         "a comma-separated list of finite positive numbers")
 _COLUMN = (lambda v: isinstance(v, str) or (type(v) is int and v >= 0),
            "a column name or non-negative index")
 
@@ -575,14 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", parents=[global_opts, common_data, model_opts],
                              help="fit one model with fixed hyperparameters")
-    p_train.add_argument("--gamma", type=float, required=True,
+    positive = _flag_type(_POSITIVE, float)
+    p_train.add_argument("--gamma", type=positive, required=True,
                          help="weight-norm regularizer (gamma1; also gamma2 unless --gamma2)")
-    p_train.add_argument("--eta", type=float, required=True,
+    p_train.add_argument("--eta", type=positive, required=True,
                          help="hidden-feature regularizer (eta1; also eta2 unless --eta2)")
-    p_train.add_argument("--gamma2", type=float, help="second-system gamma override")
-    p_train.add_argument("--eta2", type=float, help="second-system eta override")
+    p_train.add_argument("--gamma2", type=positive, help="second-system gamma override")
+    p_train.add_argument("--eta2", type=positive, help="second-system eta override")
     p_train.add_argument("--kernel", choices=(GAUSSIAN, LINEAR), default=GAUSSIAN)
-    p_train.add_argument("--sigma", type=float, help="gaussian bandwidth")
+    p_train.add_argument("--sigma", type=positive, help="gaussian bandwidth")
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", parents=[global_opts, common_data],
@@ -593,10 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("gridsearch", parents=[global_opts, common_data, model_opts],
                             help="cross-validated grid search, then retrain the best cell")
-    p_grid.add_argument("--gamma-grid", default=",".join(repr(v) for v in PENALTY_GRID))
-    p_grid.add_argument("--eta-grid", default=",".join(repr(v) for v in PENALTY_GRID))
-    p_grid.add_argument("--sigma-grid", default=",".join(repr(v) for v in SIGMA_GRID))
-    p_grid.add_argument("--folds", type=int, default=5)
+    grid_list = _flag_type(_GRID, _float_list)
+    p_grid.add_argument("--gamma-grid", type=grid_list, default=PENALTY_GRID)
+    p_grid.add_argument("--eta-grid", type=grid_list, default=PENALTY_GRID)
+    p_grid.add_argument("--sigma-grid", type=grid_list, default=SIGMA_GRID)
+    p_grid.add_argument("--folds", type=_flag_type(_FOLDS, int), default=5)
     p_grid.add_argument("--per-class-penalties", action="store_true",
                         help="search gamma/eta per class instead of tying them")
     p_grid.add_argument("--grid-out", default=None)

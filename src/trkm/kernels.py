@@ -1,10 +1,11 @@
 """Kernel evaluation and Gram/cross-Gram matrix assembly.
 
 Each Gram entry sums its pair's features left to right: Gaussian entries by
-``cdist(..., "sqeuclidean")``, which adds each ``(x_k - y_k)**2`` directly
-(the ``|x|^2 + |y|^2 - 2 x.y`` expansion loses precision for near-identical
-points and would break the unit diagonal), linear entries by one rank-one
-update per feature. So ``gram(s, a, b)`` equals ``gram(s, b, a).T`` bitwise,
+``compiled.distance.cdist_sqeuclidean``, the routine that ``cdist(...,
+"sqeuclidean")`` runs, which adds each ``(x_k - y_k)**2`` directly (the
+``|x|^2 + |y|^2 - 2 x.y`` expansion loses precision for near-identical points
+and would break the unit diagonal), linear entries by one rank-one update
+per feature. So ``gram(s, a, b)`` equals ``gram(s, b, a).T`` bitwise,
 and each entry equals the plain left-to-right sum over one pair bitwise.
 """
 
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .arrays import as_matrix, positive_number
+from .compiled import distance
 from .errors import DimensionMismatch
 
 GAUSSIAN = "gaussian"
@@ -55,7 +56,7 @@ def gram(spec: KernelSpec, left, right) -> np.ndarray:
     if spec.family == GAUSSIAN:
         # In the cdist buffer: d / -(2 s^2) equals -d / (2 s^2) bitwise. A bandwidth
         # whose 2 s^2 underflows gives inf or nan; the solver's finiteness check reports it.
-        values = cdist(lm, rm, "sqeuclidean")
+        values = distance.cdist_sqeuclidean(lm, rm)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(values, -(2.0 * spec.sigma * spec.sigma), out=values)
         return np.exp(values, out=values)

@@ -13,8 +13,9 @@ data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 augmented matrix, in place: K/gamma straight into its top-left block, eta
 onto that block's diagonal, then the border. The border column breaks the
 symmetry, so we factor the full augmented matrix with partially pivoted LU,
-calling LAPACK's getrf/getrs/gecon directly (scipy's lu_solve wrapper, the
-same bits, costs more per call than the solve itself at grid-fold sizes).
+calling LAPACK's getrf/getrs/gecon directly from ``compiled.flapack`` (scipy's
+lu_solve wrapper, the same bits, costs more per call than the solve itself at
+grid-fold sizes, and its package costs a cold start).
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices.
 
@@ -65,8 +66,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from .compiled import flapack
 from .errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 
 # A pivot smaller than this relative to the largest pivot marks the system
@@ -81,8 +82,7 @@ BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
 
-_getrf, _getrs, _gecon, _lange = get_lapack_funcs(("getrf", "getrs", "gecon", "lange"),
-                                                  dtype=np.float64)
+_getrf, _getrs, _gecon, _lange = flapack.dgetrf, flapack.dgetrs, flapack.dgecon, flapack.dlange
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,15 @@ settings.load_profile("repeatable")
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO / "data"
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports trkm from this checkout; its stdout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture

@@ -2,8 +2,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +13,7 @@ from trkm.errors import SingularSystem, TooFewSamples
 from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, run_python
 
 
 @pytest.fixture
@@ -165,6 +163,44 @@ def test_linear_kernel_refuses_sigma(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --sigma: ") and "linear" in err, err
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--task", "classify", "--label-col", "y", "--gamma", "1", "--eta", "1"],
+     "--sigma is required for the gaussian kernel"),
+    (["train", "--task", "classify", "--gamma", "1", "--eta", "1", "--sigma", "1"],
+     "--label-col is required for --task classify"),
+    (["train", "--task", "regress", "--gamma", "1", "--eta", "1", "--sigma", "1"],
+     "--target-col is required for --task regress"),
+    (["gridsearch", "--task", "classify"], "--label-col is required for --task classify"),
+    (["gridsearch", "--task", "regress"], "--target-col is required for --task regress"),
+], ids=["train-sigma", "train-label-col", "train-target-col", "grid-label-col", "grid-target-col"])
+def test_a_missing_sigma_or_column_flag_exits_2(tmp_path, capsys, argv, message):
+    # A usage error, found before the data file is read: this one does not exist.
+    assert run(*argv, "--data", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    *[(flag, value, "a finite positive number")
+      for flag in ("--gamma", "--eta", "--gamma2", "--eta2", "--sigma")
+      for value in ("0", "-1", "nan", "inf", "abc")],
+    ("--folds", "1", "an integer of at least 2"),
+    ("--folds", "2.5", "an integer of at least 2"),
+    *[(flag, value, "a comma-separated list of finite positive numbers")
+      for flag in ("--gamma-grid", "--eta-grid", "--sigma-grid")
+      for value in ("abc", "1,0", "1,nan", ",")],
+])
+def test_a_numeric_flag_is_checked_as_it_is_parsed(tmp_path, capsys, flag, value, expected):
+    # Each exits 2 naming its flag, before the data file is read: this one does not exist.
+    command = ["gridsearch"] if flag.startswith("--folds") or flag.endswith("-grid") else [
+        "train", "--gamma", "1", "--eta", "1", "--sigma", "1"]
+    assert run(*command, "--task", "classify", "--data", str(tmp_path / "nope.csv"),
+               "--label-col", "y", "--output-dir", str(tmp_path), flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: expected {expected}, got {value!r}\n"), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unreadable_data_exits_3(tmp_path, capsys):
@@ -364,14 +400,32 @@ def test_grid_writer_matches_indent_encoder_on_failed_and_short_cells(tmp_path):
     assert written(tmp_path, table) == (json.dumps(table, indent=2) + "\n").encode()
 
 
+# SciPy packages no command imports: the stats harness computes its own midranks, and
+# trkm.compiled loads the two extension modules it calls without their packages.
+UNLOADED_SCIPY = ("scipy.stats", "scipy.linalg", "scipy.spatial", "scipy.sparse")
+LOADED = f"import sys; print([m for m in {UNLOADED_SCIPY!r} if m in sys.modules])"
+
+
 @pytest.mark.parametrize("module", ["trkm", "trkm.cli"])
 def test_import_does_not_load_scipy_stats(module):
-    # The stats harness computes its own midranks; scipy.stats costs a cold
-    # start about 0.7 s on every command.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, {module}; assert 'scipy.stats' not in sys.modules, sorted(sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    # scipy.stats cost a cold start about 0.7 s on every command, scipy.linalg
+    # and scipy.spatial together about 0.4 s more.
+    assert run_python(f"import {module}\n{LOADED}") == "[]\n"
+
+
+def test_commands_load_no_scipy_package(tmp_path, blob_csv):
+    # Nothing is deferred into a command: fitting, predicting and searching load none either.
+    model, grid = str(tmp_path / "m.json"), str(tmp_path / "g.json")
+    data = ("--data", blob_csv, "--label-col", "label", "--output-dir", str(tmp_path))
+    commands = [
+        ["train", "--task", "classify", *data, "--gamma", "1", "--eta", "1", "--sigma", "1",
+         "--model-out", model],
+        ["predict", "--model", model, *data],
+        ["gridsearch", "--task", "classify", *data, "--gamma-grid", "1", "--eta-grid", "1",
+         "--sigma-grid", "1", "--folds", "2", "--grid-out", grid, "--model-out", model],
+    ]
+    code = f"import trkm.cli\nfor argv in {commands!r}: assert trkm.cli.main(argv) == 0\n{LOADED}"
+    assert run_python(code).endswith("\n[]\n")
 
 
 @pytest.mark.parametrize("args, report", [

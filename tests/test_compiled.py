@@ -1,0 +1,65 @@
+import ast
+
+import pytest
+
+from conftest import REPO, run_python
+
+SAME_ROUTINES = '''
+import sys
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.spatial.distance import cdist
+from trkm import compiled, kernels, solver
+
+assert compiled.flapack is sys.modules["scipy.linalg._flapack"]
+assert compiled.distance is sys.modules["scipy.spatial._distance_pybind"]
+lapack = get_lapack_funcs(("getrf", "getrs", "gecon", "lange"), dtype=np.float64)
+assert all(a is b for a, b in zip(lapack, (solver._getrf, solver._getrs, solver._gecon,
+                                           solver._lange))), lapack
+rng = np.random.default_rng(7)
+left, right = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
+brute = ((left[:, None, :] - right[None, :, :]) ** 2).sum(axis=2)
+assert np.allclose(cdist(left, right, "sqeuclidean"), brute, rtol=1e-14, atol=0)
+for sigma in (0.3, 1.0, 7.5):
+    expected = np.exp(cdist(left, right, "sqeuclidean") / -(2 * sigma * sigma))
+    assert np.array_equal(kernels.gram(kernels.gaussian(sigma), left, right), expected)
+'''
+
+
+@pytest.mark.parametrize("first", [
+    "import trkm.cli\nimport scipy.linalg, scipy.spatial.distance",
+    "import scipy.linalg, scipy.spatial.distance\nimport trkm.cli",
+], ids=["trkm-first", "scipy-first"])
+def test_trkm_and_scipy_share_one_copy_of_each_routine(first):
+    # Either import order leaves one module per extension, whose routines trkm calls.
+    run_python(first + SAME_ROUTINES)
+
+
+def test_without_the_extension_file_the_package_gives_the_module():
+    run_python('''
+import importlib.machinery, sys
+importlib.machinery.EXTENSION_SUFFIXES = []
+from trkm import compiled
+from scipy.linalg import _flapack
+from scipy.spatial import _distance_pybind
+assert compiled.flapack is _flapack and compiled.distance is _distance_pybind
+assert "scipy.linalg" in sys.modules and "scipy.spatial" in sys.modules
+''')
+
+
+def test_only_the_compiled_module_imports_scipy():
+    # Importing a SciPy package costs every command its cold start. trkm.compiled
+    # names the two extension modules trkm calls by string and loads their files
+    # alone, so no module, that one included, has a scipy import statement.
+    importers = []
+    for path in sorted((REPO / "src" / "trkm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == [], importers
