@@ -540,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "grid search, benchmarking, and comparison statistics.",
     )
     seed, threads = _flag_type(_SEED, int), _flag_type(_THREADS, int)
+    positive = _flag_type(_POSITIVE, float)
     parser.add_argument("--seed", type=seed, default=0, help="global random seed")
     parser.add_argument("--threads", type=threads, default=1,
                         help="worker threads for grid evaluation")
@@ -570,12 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats_opts = argparse.ArgumentParser(add_help=False)
     stats_opts.add_argument("--better", choices=(HIGHER, LOWER), default=HIGHER,
                             help="score direction of a --scores-file")
-    stats_opts.add_argument("--q-alpha", type=float, default=None)
-    stats_opts.add_argument("--critical-value", type=float, default=None)
+    stats_opts.add_argument("--q-alpha", type=positive, default=None)
+    stats_opts.add_argument("--critical-value", type=positive, default=None)
 
     p_train = sub.add_parser("train", parents=[global_opts, common_data, model_opts],
                              help="fit one model with fixed hyperparameters")
-    positive = _flag_type(_POSITIVE, float)
     p_train.add_argument("--gamma", type=positive, required=True,
                          help="weight-norm regularizer (gamma1; also gamma2 unless --gamma2)")
     p_train.add_argument("--eta", type=positive, required=True,

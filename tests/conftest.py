@@ -17,10 +17,10 @@ REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO / "data"
 
 
-def run_python(code: str, *args: str) -> str:
+def run_python(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports trkm from this checkout; its stdout."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout

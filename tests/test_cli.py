@@ -203,6 +203,18 @@ def test_a_numeric_flag_is_checked_as_it_is_parsed(tmp_path, capsys, flag, value
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--q-alpha", "--critical-value"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_a_stats_flag_is_checked_as_it_is_parsed(tmp_path, capsys, flag, value):
+    # A negative critical value rejected every null hypothesis and a nan one none, with exit 0.
+    assert run("--output-dir", str(tmp_path), "stats", "--scores-file",
+               str(tmp_path / "nope.csv"), flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: expected a finite positive number, "
+                        f"got {value!r}\n"), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unreadable_data_exits_3(tmp_path, capsys):
     assert run(
         "train", "--task", "classify", "--data", str(tmp_path / "nope.csv"),
