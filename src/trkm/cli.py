@@ -90,16 +90,12 @@ _COLUMN_KEY = {CLASSIFY: "label_column", REGRESS: "target_column"}
 
 def _load_dataset(args) -> Dataset:
     """The training CSV, min-max normalized unless --no-normalize."""
-    flag, column = (
-        ("--label-col", args.label_col) if args.task == CLASSIFY
-        else ("--target-col", args.target_col)
-    )
+    flag, column = (("--label-col", args.label_col) if args.task == CLASSIFY
+                    else ("--target-col", args.target_col))
     if column is None:
         raise ValueError(f"{flag} is required for --task {args.task}")
-    dataset = load_csv(
-        args.data, **{_COLUMN_KEY[args.task]: _column(column)},
-        delimiter=args.delimiter, header=not args.no_header,
-    )
+    dataset = load_csv(args.data, **{_COLUMN_KEY[args.task]: _column(column)},
+                       delimiter=args.delimiter, header=not args.no_header)
     return dataset if args.no_normalize else normalize_minmax(dataset)
 
 
@@ -115,15 +111,6 @@ def _save(model, dataset: Dataset, path: str) -> None:
     model_io.save_model(saved, path)
 
 
-def _fit_report(model) -> str:
-    return "\n".join(
-        f"{rep.name}: residual {rep.residual_norm:.3e}, "
-        f"condition estimate {rep.condition_estimate:.3e}, "
-        f"balance sum(h) = {rep.h.sum():.9g} (expected {rep.balance_target:g})"
-        for rep in model.fit_diag
-    )
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -137,7 +124,10 @@ def cmd_train(args) -> int:
     _save(model, dataset, args.model_out)
     print(f"task: {dataset.task}  model: {models.of_model(model).kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
-    print(_fit_report(model))
+    for rep in model.fit_diag:
+        print(f"{rep.name}: residual {rep.residual_norm:.3e}, condition estimate "
+              f"{rep.condition_estimate:.3e}, balance sum(h) = {rep.h.sum():.9g} "
+              f"(expected {rep.balance_target:g})")
     print(f"model written to {args.model_out}")
     return 0
 
@@ -153,15 +143,11 @@ def cmd_predict(args) -> int:
     if args.target_col is not None and saved.task != REGRESS:
         raise ParseError("--target-col given but the model is a classifier")
 
-    x, raw_truth, _ = parse_feature_table(
-        args.data, None if truth_col is None else _column(truth_col),
-        args.delimiter, not args.no_header,
-    )
+    column = None if truth_col is None else _column(truth_col)
+    x, raw_truth, _ = parse_feature_table(args.data, column, args.delimiter, not args.no_header)
     trained_m = models.n_features(saved.model)
     if x.shape[1] != trained_m:
-        raise FeatureCountMismatch(
-            f"data has {x.shape[1]} feature columns, model expects {trained_m}"
-        )
+        raise FeatureCountMismatch(f"data has {x.shape[1]} feature columns, model expects {trained_m}")
     if truth_col is None:
         truth = None
     elif saved.task == REGRESS:
@@ -193,36 +179,22 @@ def cmd_predict(args) -> int:
     if truth is not None and saved.task == CLASSIFY:
         print(f"accuracy: {classification_accuracy(pred, truth):.4f}%")
     elif truth is not None:
-        err = regression_errors(pred, truth)
-        print(f"rmse: {err.rmse:.8g}")
-        print(f"mae: {err.mae:.8g}")
-        print(f"pos_error: {err.pos_error:.8g}")
-        print(f"neg_error: {err.neg_error:.8g}")
+        for name, value in vars(regression_errors(pred, truth)).items():
+            print(f"{name}: {value:.8g}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # gridsearch
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
 def cmd_gridsearch(args) -> int:
     models.refuse_second_penalties(args.model_kind, args.task,
                                    ["--per-class-penalties"] if args.per_class_penalties else [])
     dataset = _load_dataset(args)
-    grid = GridSpec(
-        gamma_values=args.gamma_grid,
-        eta_values=args.eta_grid,
-        sigma_values=args.sigma_grid,
-        equal_penalties=not args.per_class_penalties,
-        folds=args.folds,
-    )
-    result = grid_search(
-        dataset, grid, dataset.task,
-        model_kind=args.model_kind, seed=args.seed, threads=args.threads,
-    )
+    grid = GridSpec(args.gamma_grid, args.eta_grid, args.sigma_grid,
+                    equal_penalties=not args.per_class_penalties, folds=args.folds)
+    result = grid_search(dataset, grid, dataset.task, model_kind=args.model_kind, seed=args.seed,
+                         threads=args.threads)
     blob = {
         "task": result.task,
         "model_kind": args.model_kind,
@@ -263,13 +235,8 @@ def _read_scores(path: str):
 def _write_stats_report(args, model_names, dataset_names, matrix, better, failures=None) -> None:
     """Write and echo the stats report; ``failures`` lists a benchmark's unscored datasets."""
     ranks = rank_models(matrix, better)
-    report = {
-        "better": better,
-        "models": list(model_names),
-        "datasets": list(dataset_names),
-        "scores": [[float(v) for v in row] for row in matrix],
-        "average_ranks": [float(v) for v in ranks.average_ranks],
-    }
+    report = {"better": better, "models": list(model_names), "datasets": list(dataset_names),
+              "scores": matrix.tolist(), "average_ranks": ranks.average_ranks.tolist()}
     n_datasets, p = matrix.shape
     lines = [f"{p} models compared over {n_datasets} datasets "
              f"({'higher' if better == HIGHER else 'lower'} scores are better)",
@@ -278,10 +245,7 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
 
     if n_datasets >= 2:
         fr = friedman_test(ranks, args.critical_value)
-        report["friedman"] = {
-            "chi2": fr.chi2, "ff": fr.ff, "df1": fr.df1, "df2": fr.df2,
-            "critical_value": fr.critical_value, "reject_null": fr.reject_null,
-        }
+        report["friedman"] = vars(fr)
         lines += ["", f"friedman: chi2 = {fr.chi2:.4f}, F = {fr.ff:.4f} (df {fr.df1}, {fr.df2})"]
         if args.critical_value is not None:
             verdict = "rejected" if fr.reject_null else "not rejected"
@@ -300,11 +264,7 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
         cells = []
         for j in range(i):
             w = win_tie_loss(matrix[:, i], matrix[:, j], better)
-            wtl_rows.append({
-                "row": model_names[i], "column": model_names[j],
-                "wins": w.wins, "ties": w.ties, "losses": w.losses,
-                "threshold": w.threshold,
-            })
+            wtl_rows.append({"row": model_names[i], "column": model_names[j], **vars(w)})
             cells.append(f"[{w.wins:d},{w.ties:d},{w.losses:d}]")
         lines.append(f"  {model_names[i]:<24s}" + "".join(f"{c:>18s}" for c in cells))
     threshold = n_datasets / 2.0 + 1.96 * np.sqrt(n_datasets) / 2.0
@@ -341,15 +301,36 @@ _NAME = (lambda v: _STRING[0](v) and not set(v) & set(',"\r\n'),
          "a string without commas, quotes or line breaks")
 _CHAR = (lambda v: isinstance(v, str) and len(v) == 1, "one character")
 _POSITIVE = (positive_number, "a finite positive number")
+_FRACTION = (lambda v: positive_number(v) and v < 1, "a number in (0, 1)")
 _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _SEEDS = (lambda v: _LIST[0](v) and all(map(_SEED[0], v)),
           "a non-empty list of non-negative integers")
 _THREADS = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
 _FOLDS = (lambda v: type(v) is int and v >= 2, "an integer of at least 2")
-_GRID = (lambda v: bool(v) and all(map(positive_number, v)),
-         "a comma-separated list of finite positive numbers")
+_GRID = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(positive_number, v)),
+         "a non-empty list of finite positive numbers")
 _COLUMN = (lambda v: isinstance(v, str) or (type(v) is int and v >= 0),
            "a column name or non-negative index")
+_KIND = (lambda v: True, "a model kind")  # models.model_type checks it against the task
+
+# Each config object's keys, in the order they are checked: (key, rule, default). A
+# _REQUIRED key may not be missing, a missing _ABSENT one stays missing, and the caller
+# gives a None default: --seed, or one worked out from values read before.
+_REQUIRED, _ABSENT = object(), object()
+_TOP_KEYS = (("task", _TASK, CLASSIFY), ("seed", _SEED, None), ("normalize", _BOOL, True),
+             ("split", _OBJECT, {}), ("datasets", _LIST, []), ("models", _LIST, []))
+_SPLIT_KEYS = (("seeds", _SEEDS, None), ("train_fraction", _FRACTION, 0.7),
+               ("stratified", _BOOL, None))
+_DATASET_KEYS = {task: (("path", _STRING, _REQUIRED), (column, _COLUMN, _REQUIRED),
+                        ("name", _NAME, None), ("delimiter", _CHAR, ","), ("header", _BOOL, True))
+                 for task, column in _COLUMN_KEY.items()}
+_MODEL_KEYS = (("name", _NAME, _REQUIRED), ("kind", _KIND, TRKM), ("fixed", _OBJECT, _ABSENT),
+               ("grid", _OBJECT, {}))
+_FIXED_KEYS = (("gamma", _POSITIVE, _REQUIRED), ("eta", _POSITIVE, _REQUIRED),
+               ("sigma", _POSITIVE, _REQUIRED), ("gamma2", _POSITIVE, _ABSENT),
+               ("eta2", _POSITIVE, _ABSENT))
+_GRID_KEYS = (("gamma", _GRID, PENALTY_GRID), ("eta", _GRID, PENALTY_GRID),
+              ("sigma", _GRID, SIGMA_GRID), ("equal_penalties", _BOOL, True), ("folds", _FOLDS, 5))
 
 
 def _check(value, rule, where: str):
@@ -359,20 +340,21 @@ def _check(value, rule, where: str):
     return value
 
 
-def _field(obj: dict, where: str, key: str, rule, default=None):
-    """``obj[key]``, or ``default`` when it is absent, checked by ``rule``; None: required."""
-    if key not in obj and default is None:
-        raise ValueError(f"{where}: missing key {key!r}")
-    return _check(obj.get(key, default), rule, f"{where}.{key}" if where else key)
-
-
-def _known(obj: dict, where: str, *keys: str) -> dict:
-    """``obj`` if it holds only ``keys``, else a ValueError naming its first other key."""
+def _read(obj: dict, where: str, table, **defaults) -> dict:
+    """The values of the config object ``obj`` at ``where``, by ``table``, and ``defaults``
+    for its None defaults; a ValueError names an unknown, missing or broken key."""
+    prefix, keys = f"{where}." if where else "", [key for key, _, _ in table]
     for key in obj:
         if key not in keys:
-            raise ValueError(f"{f'{where}.{key}' if where else key}: unknown key "
-                             f"(expected one of {', '.join(keys)})")
-    return obj
+            raise ValueError(f"{prefix}{key}: unknown key (expected one of {', '.join(keys)})")
+    values = {}
+    for key, rule, default in table:
+        value = obj.get(key, defaults.get(key, default))
+        if value is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if value is not _ABSENT:
+            values[key] = _check(value, rule, prefix + key)
+    return values
 
 
 def _load_config(path: str) -> dict:
@@ -381,7 +363,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return _check(cfg, _OBJECT, f"{path}: top level")
 
@@ -398,75 +380,46 @@ class _Plan(NamedTuple):
 
 def _checked_config(cfg: dict, default_seed: int) -> _Plan:
     """Every value of a benchmark config, checked before any fit; ValueError names the key."""
-    _known(cfg, "", "task", "seed", "normalize", "split", "datasets", "models")
-    task = _field(cfg, "", "task", _TASK, CLASSIFY)
-    split_cfg = _known(_field(cfg, "", "split", _OBJECT, {}), "split",
-                       "seeds", "train_fraction", "stratified")
-    seed = _field(cfg, "", "seed", _SEED, default_seed)
-    seeds = _field(split_cfg, "split", "seeds", _SEEDS, [seed])
-    fraction = _field(split_cfg, "split", "train_fraction", _POSITIVE, 0.7)
-    stratified = _field(split_cfg, "split", "stratified", _BOOL, task == CLASSIFY)
-    try:
-        splits = tuple(SplitSpec(fraction, s, stratified) for s in seeds)
-    except ValueError as exc:
-        raise ValueError(f"split: {exc}") from None
-    normalize = _field(cfg, "", "normalize", _BOOL, True)
-
+    top = _read(cfg, "", _TOP_KEYS, seed=default_seed)
+    task, column = top["task"], _COLUMN_KEY[top["task"]]
+    split_cfg = _read(top["split"], "split", _SPLIT_KEYS, seeds=[top["seed"]],
+                      stratified=task == CLASSIFY)
+    splits = tuple(SplitSpec(split_cfg["train_fraction"], seed, split_cfg["stratified"])
+                   for seed in split_cfg["seeds"])
     datasets = []
-    for i, ds_cfg in enumerate(_field(cfg, "", "datasets", _LIST, [])):
+    for i, ds_cfg in enumerate(top["datasets"]):
         where = f"datasets[{i}]"
-        _known(_check(ds_cfg, _OBJECT, where), where,
-               "path", _COLUMN_KEY[task], "name", "delimiter", "header")
-        path = _field(ds_cfg, where, "path", _STRING)
-        column = _field(ds_cfg, where, _COLUMN_KEY[task], _COLUMN)
-        datasets.append((_field(ds_cfg, where, "name", _NAME, path), {
-            "path": path, _COLUMN_KEY[task]: _column(str(column)),
-            "delimiter": _field(ds_cfg, where, "delimiter", _CHAR, ","),
-            "header": _field(ds_cfg, where, "header", _BOOL, True),
-        }))
+        load_args = _read(_check(ds_cfg, _OBJECT, where), where, _DATASET_KEYS[task],
+                          name=ds_cfg.get("path"))
+        load_args[column] = _column(str(load_args[column]))
+        datasets.append((load_args.pop("name"), load_args))
 
-    entries = _field(cfg, "", "models", _LIST, [])
-    if len(entries) < 2:
-        raise ValueError(f"models: need at least two models to compare, got {len(entries)}")
+    if len(top["models"]) < 2:
+        raise ValueError(f"models: need at least two models to compare, got {len(top['models'])}")
     plans = []
-    for i, m_cfg in enumerate(entries):
+    for i, m_cfg in enumerate(top["models"]):
         where = f"models[{i}]"
-        _known(_check(m_cfg, _OBJECT, where), where, "name", "kind", "fixed", "grid")
-        if "fixed" in m_cfg and "grid" in m_cfg:
+        if "fixed" in _check(m_cfg, _OBJECT, where) and "grid" in m_cfg:
             raise ValueError(f"{where}.fixed, {where}.grid: give one of them, not both")
-        name = _field(m_cfg, where, "name", _NAME)
+        entry = _read(m_cfg, where, _MODEL_KEYS)
+        name, kind = entry["name"], entry["kind"]
         if name in [plan[0] for plan in plans]:
             raise ValueError(f"{where}.name: {name!r} also names an earlier model")
-        kind = m_cfg.get("kind", TRKM)
         try:
             models.model_type(kind, task)
         except ValueError as exc:
             raise ValueError(f"{where}.kind: {exc}") from None
-        if "fixed" in m_cfg:
-            fixed = _known(_field(m_cfg, where, "fixed", _OBJECT), f"{where}.fixed",
-                           "gamma", "eta", "sigma", "gamma2", "eta2")
-            second = [k for k in ("gamma2", "eta2") if k in fixed]
-            models.refuse_second_penalties(kind, task, [f"{where}.fixed.{k}" for k in second])
-            keys = ("gamma", "eta", "sigma", *second)
-            params = {key: _field(fixed, f"{where}.fixed", key, _POSITIVE) for key in keys}
-            plans.append((name, kind, params, None))
-            continue
-        g_cfg = _known(_field(m_cfg, where, "grid", _OBJECT, {}), f"{where}.grid",
-                       "gamma", "eta", "sigma", "equal_penalties", "folds")
-        values = [
-            tuple(_field(g_cfg, f"{where}.grid", key, _LIST, list(default)))
-            for key, default in (("gamma", PENALTY_GRID), ("eta", PENALTY_GRID),
-                                 ("sigma", SIGMA_GRID))
-        ]
-        equal = _field(g_cfg, f"{where}.grid", "equal_penalties", _BOOL, True)
-        models.refuse_second_penalties(kind, task,
-                                       [] if equal else [f"{where}.grid.equal_penalties"])
-        try:
-            grid = GridSpec(*values, equal_penalties=equal, folds=g_cfg.get("folds", 5))
-        except ValueError as exc:
-            raise ValueError(f"{where}.grid: {exc}") from None
-        plans.append((name, kind, None, grid))
-    return _Plan(task, splits, normalize, tuple(datasets), tuple(plans))
+        if "fixed" in entry:
+            fixed, grid = _read(entry["fixed"], f"{where}.fixed", _FIXED_KEYS), None
+            second = [f"{where}.fixed.{key}" for key in fixed if key.endswith("2")]
+        else:
+            values = _read(entry["grid"], f"{where}.grid", _GRID_KEYS)
+            fixed, grid = None, GridSpec(*(tuple(values[key]) for key in ("gamma", "eta", "sigma")),
+                                         values["equal_penalties"], values["folds"])
+            second = [] if grid.equal_penalties else [f"{where}.grid.equal_penalties"]
+        models.refuse_second_penalties(kind, task, second)
+        plans.append((name, kind, fixed, grid))
+    return _Plan(task, splits, top["normalize"], tuple(datasets), tuple(plans))
 
 
 def _benchmark_dataset(load_args: dict, plan: _Plan, threads: int) -> list[float]:
@@ -505,7 +458,7 @@ def cmd_benchmark(args) -> int:
                 continue
             dataset_names.append(name)
         if not rows:
-            raise ParseError("every dataset failed; nothing to rank")
+            raise ParseError("datasets: every dataset failed; nothing to rank")
         matrix = np.array(rows, dtype=float)
 
     scores_lines = ["dataset," + ",".join(model_names)]
@@ -534,11 +487,9 @@ def _flag_type(rule, convert=str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trkm",
-        description="Twin restricted kernel machines: training, prediction, "
-                    "grid search, benchmarking, and comparison statistics.",
-    )
+    parser = argparse.ArgumentParser(prog="trkm", description="Twin restricted kernel machines: "
+                                     "training, prediction, grid search, benchmarking, and "
+                                     "comparison statistics.")
     seed, threads = _flag_type(_SEED, int), _flag_type(_THREADS, int)
     positive = _flag_type(_POSITIVE, float)
     parser.add_argument("--seed", type=seed, default=0, help="global random seed")
@@ -594,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("gridsearch", parents=[global_opts, common_data, model_opts],
                             help="cross-validated grid search, then retrain the best cell")
-    grid_list = _flag_type(_GRID, _float_list)
+    grid_list = _flag_type((_GRID[0], "a comma-separated list of finite positive numbers"),
+                           lambda text: tuple(float(t) for t in text.split(",") if t.strip()))
     p_grid.add_argument("--gamma-grid", type=grid_list, default=PENALTY_GRID)
     p_grid.add_argument("--eta-grid", type=grid_list, default=PENALTY_GRID)
     p_grid.add_argument("--sigma-grid", type=grid_list, default=SIGMA_GRID)
@@ -636,15 +588,9 @@ def main(argv=None) -> int:
     _apply_default_paths(args)
     try:
         return args.func(args)
-    except NUMERIC_ERRORS as exc:
+    except (*NUMERIC_ERRORS, *DATA_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, NUMERIC_ERRORS) else 3 if isinstance(exc, DATA_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@
 CSV files are read once by the csv module and converted a column at a time:
 one ``map(float, ...)`` per feature column. Only a file with a ragged row or
 a bad cell is walked row by row, to raise the error of the first one with its
-exact line and column. A column given by index counts from 0. Classification
-labels are kept as raw text tokens and mapped to -1/+1 by ascending byte
-order of their UTF-8 encoding (the smaller token becomes -1); the mapping
-is recorded on the dataset and travels with saved models. Features are
-normalized to [0, 1] per feature, fitted on training data only; constant
-features map to 0.
+exact line and column; a file that is not UTF-8 is a ParseError naming it. A
+column given by index counts from 0. Classification labels are kept as raw
+text tokens and mapped to -1/+1 by ascending byte order of their UTF-8
+encoding (the smaller token becomes -1); the mapping is recorded on the
+dataset and travels with saved models. Features are normalized to [0, 1] per
+feature, fitted on training data only; constant features map to 0.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Dataset:
 def map_labels(raw_labels) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     """Map two distinct raw label tokens to -1/+1 by ascending byte order."""
     tokens = [str(v) for v in raw_labels]
-    distinct = sorted(set(tokens), key=lambda s: s.encode("utf-8"))
+    distinct = _by_bytes(set(tokens))
     if len(distinct) > 2:
         raise MoreThanTwoClasses(
             f"expected two distinct labels, found {len(distinct)}: {distinct}"
@@ -70,12 +70,18 @@ def map_labels(raw_labels) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     return np.array([lookup[t] for t in tokens], dtype=np.int64), mapping
 
 
+def _by_bytes(tokens) -> list[str]:
+    return sorted(tokens, key=lambda s: s.encode("utf-8"))
+
+
 def _read_rows(path: str, delimiter: str) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh, delimiter=delimiter)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _resolve_column(column, names: list[str] | None, arity: int, path: str) -> int:
@@ -177,7 +183,13 @@ def load_csv(
     x, raw_targets, feature_names = parse_feature_table(path, column, delimiter, header)
 
     if label_column is not None:
-        target, mapping = map_labels(raw_targets)
+        try:
+            target, mapping = map_labels(raw_targets)
+        except (EmptyClass, MoreThanTwoClasses) as exc:  # name the file, the column, 5 labels
+            distinct = _by_bytes(set(raw_targets))
+            shown = ", ".join(map(repr, distinct[:5])) + (", ..." if len(distinct) > 5 else "")
+            raise type(exc)(f"{path}: label column {label_column!r}: expected two distinct "
+                            f"labels, found {len(distinct)}: [{shown}]") from None
         return Dataset(
             X=x, target=target, task=CLASSIFY,
             feature_names=feature_names, label_mapping=mapping,

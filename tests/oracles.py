@@ -14,14 +14,21 @@
 - ``parse_feature_table``: the CSV parser converting one cell at a time, in
   file order, which ``trkm.data.parse_feature_table`` (one column at a time)
   must match in its result or its exception type and message.
+- ``checked_config``: the benchmark-config checker as a chain of ``_known`` and
+  ``_field`` calls, one per key, whose ``_Plan`` or ``ValueError`` message
+  ``trkm.cli._checked_config`` (one table per config object) must give.
 """
 
 import numpy as np
 
 from trkm import models
-from trkm.data import _read_rows, _resolve_column
+from trkm.arrays import positive_number
+from trkm.cli import _COLUMN_KEY, _Plan, _column
+from trkm.data import CLASSIFY, REGRESS, _read_rows, _resolve_column
 from trkm.errors import DimensionMismatch, NonNumericFeature, ParseError
 from trkm.kernels import LINEAR, gram
+from trkm.models import TRKM
+from trkm.selection import PENALTY_GRID, SIGMA_GRID, GridSpec, SplitSpec
 
 
 def solve_full_pivot(a, b):
@@ -182,3 +189,117 @@ def parse_feature_table(path, column, delimiter=",", header=True):
     if names is not None:
         feature_names = tuple(c for j, c in enumerate(names) if j != col_idx)
     return x, raw_targets, feature_names
+
+
+# What a checked config value must be: its test, and the words a message uses.
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+_TASK = (lambda v: v in (CLASSIFY, REGRESS), f"{CLASSIFY!r} or {REGRESS!r}")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+# a name is a scores.csv cell, so it holds none of the characters that split or quote one
+_NAME = (lambda v: _STRING[0](v) and not set(v) & set(',"\r\n'),
+         "a string without commas, quotes or line breaks")
+_CHAR = (lambda v: isinstance(v, str) and len(v) == 1, "one character")
+_POSITIVE = (positive_number, "a finite positive number")
+_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_SEEDS = (lambda v: _LIST[0](v) and all(map(_SEED[0], v)),
+          "a non-empty list of non-negative integers")
+_COLUMN = (lambda v: isinstance(v, str) or (type(v) is int and v >= 0),
+           "a column name or non-negative index")
+
+
+def _check(value, rule, where: str):
+    """``value`` if it passes ``rule``, else a ValueError naming ``where``."""
+    if not rule[0](value):
+        raise ValueError(f"{where}: expected {rule[1]}, got {value!r}")
+    return value
+
+
+def _field(obj: dict, where: str, key: str, rule, default=None):
+    """``obj[key]``, or ``default`` when it is absent, checked by ``rule``; None: required."""
+    if key not in obj and default is None:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return _check(obj.get(key, default), rule, f"{where}.{key}" if where else key)
+
+
+def _known(obj: dict, where: str, *keys: str) -> dict:
+    """``obj`` if it holds only ``keys``, else a ValueError naming its first other key."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{f'{where}.{key}' if where else key}: unknown key "
+                             f"(expected one of {', '.join(keys)})")
+    return obj
+
+
+def checked_config(cfg: dict, default_seed: int) -> _Plan:
+    """Every value of a benchmark config, checked before any fit; ValueError names the key."""
+    _known(cfg, "", "task", "seed", "normalize", "split", "datasets", "models")
+    task = _field(cfg, "", "task", _TASK, CLASSIFY)
+    split_cfg = _known(_field(cfg, "", "split", _OBJECT, {}), "split",
+                       "seeds", "train_fraction", "stratified")
+    seed = _field(cfg, "", "seed", _SEED, default_seed)
+    seeds = _field(split_cfg, "split", "seeds", _SEEDS, [seed])
+    fraction = _field(split_cfg, "split", "train_fraction", _POSITIVE, 0.7)
+    stratified = _field(split_cfg, "split", "stratified", _BOOL, task == CLASSIFY)
+    try:
+        splits = tuple(SplitSpec(fraction, s, stratified) for s in seeds)
+    except ValueError as exc:
+        raise ValueError(f"split: {exc}") from None
+    normalize = _field(cfg, "", "normalize", _BOOL, True)
+
+    datasets = []
+    for i, ds_cfg in enumerate(_field(cfg, "", "datasets", _LIST, [])):
+        where = f"datasets[{i}]"
+        _known(_check(ds_cfg, _OBJECT, where), where,
+               "path", _COLUMN_KEY[task], "name", "delimiter", "header")
+        path = _field(ds_cfg, where, "path", _STRING)
+        column = _field(ds_cfg, where, _COLUMN_KEY[task], _COLUMN)
+        datasets.append((_field(ds_cfg, where, "name", _NAME, path), {
+            "path": path, _COLUMN_KEY[task]: _column(str(column)),
+            "delimiter": _field(ds_cfg, where, "delimiter", _CHAR, ","),
+            "header": _field(ds_cfg, where, "header", _BOOL, True),
+        }))
+
+    entries = _field(cfg, "", "models", _LIST, [])
+    if len(entries) < 2:
+        raise ValueError(f"models: need at least two models to compare, got {len(entries)}")
+    plans = []
+    for i, m_cfg in enumerate(entries):
+        where = f"models[{i}]"
+        _known(_check(m_cfg, _OBJECT, where), where, "name", "kind", "fixed", "grid")
+        if "fixed" in m_cfg and "grid" in m_cfg:
+            raise ValueError(f"{where}.fixed, {where}.grid: give one of them, not both")
+        name = _field(m_cfg, where, "name", _NAME)
+        if name in [plan[0] for plan in plans]:
+            raise ValueError(f"{where}.name: {name!r} also names an earlier model")
+        kind = m_cfg.get("kind", TRKM)
+        try:
+            models.model_type(kind, task)
+        except ValueError as exc:
+            raise ValueError(f"{where}.kind: {exc}") from None
+        if "fixed" in m_cfg:
+            fixed = _known(_field(m_cfg, where, "fixed", _OBJECT), f"{where}.fixed",
+                           "gamma", "eta", "sigma", "gamma2", "eta2")
+            second = [k for k in ("gamma2", "eta2") if k in fixed]
+            models.refuse_second_penalties(kind, task, [f"{where}.fixed.{k}" for k in second])
+            keys = ("gamma", "eta", "sigma", *second)
+            params = {key: _field(fixed, f"{where}.fixed", key, _POSITIVE) for key in keys}
+            plans.append((name, kind, params, None))
+            continue
+        g_cfg = _known(_field(m_cfg, where, "grid", _OBJECT, {}), f"{where}.grid",
+                       "gamma", "eta", "sigma", "equal_penalties", "folds")
+        values = [
+            tuple(_field(g_cfg, f"{where}.grid", key, _LIST, list(default)))
+            for key, default in (("gamma", PENALTY_GRID), ("eta", PENALTY_GRID),
+                                 ("sigma", SIGMA_GRID))
+        ]
+        equal = _field(g_cfg, f"{where}.grid", "equal_penalties", _BOOL, True)
+        models.refuse_second_penalties(kind, task,
+                                       [] if equal else [f"{where}.grid.equal_penalties"])
+        try:
+            grid = GridSpec(*values, equal_penalties=equal, folds=g_cfg.get("folds", 5))
+        except ValueError as exc:
+            raise ValueError(f"{where}.grid: {exc}") from None
+        plans.append((name, kind, None, grid))
+    return _Plan(task, splits, normalize, tuple(datasets), tuple(plans))

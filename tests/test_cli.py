@@ -512,8 +512,52 @@ def test_train_on_a_one_label_file_exits_3(tmp_path, capsys, model_kind):
     assert run("train", "--task", "classify", "--model-kind", model_kind, "--data", str(data),
                "--label-col", "label", "--gamma", "1", "--eta", "1", "--sigma", "1",
                "--model-out", str(model_out)) == 3
-    assert capsys.readouterr().err == "error: expected two distinct labels, found ['a']\n"
+    assert capsys.readouterr().err == (f"error: {data}: label column 'label': expected two "
+                                       "distinct labels, found 1: ['a']\n")
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize("text, column, named", [
+    (None, "0", "label column 0: expected two distinct labels, found 65: "
+                "['0.0', '0.013125', '0.02625', '0.039375', '0.0525', ...]"),
+    ("f0,label\n1,b\n2,c\n3,a\n", "label",
+     "label column 'label': expected two distinct labels, found 3: ['a', 'b', 'c']"),
+], ids=["65-labels", "3-labels"])
+def test_a_label_count_error_names_the_file_the_column_and_five_labels(tmp_path, capsys, text,
+                                                                       column, named):
+    data = DATA_DIR / "synthetic" / "crossplane130.csv"
+    if text is not None:
+        data = tmp_path / "three.csv"
+        data.write_text(text)
+    assert run("train", "--task", "classify", "--data", str(data), "--label-col", column,
+               "--gamma", "1", "--eta", "1", "--sigma", "1", "--output-dir", str(tmp_path)) == 3
+    assert capsys.readouterr().err == f"error: {data}: {named}\n"
+
+
+NOT_UTF8 = b"a,b,label\n1,\xff,x\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--task", "classify", "--label-col", "label", "--gamma", "1", "--eta", "1",
+     "--sigma", "1", "--data"],
+    ["gridsearch", "--task", "classify", "--label-col", "label", "--gamma-grid", "1",
+     "--eta-grid", "1", "--sigma-grid", "1", "--data"],
+    ["predict", "--model", "MODEL", "--data"],
+    ["stats", "--scores-file"],
+], ids=["train", "gridsearch", "predict", "stats"])
+def test_a_file_that_is_not_utf8_exits_3_naming_it(tmp_path, blob_csv, capsys, command):
+    model = tmp_path / "model.json"
+    if "MODEL" in command:
+        assert run("train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
+                   "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model)) == 0
+        capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    argv = [str(model) if arg == "MODEL" else arg for arg in command]
+    assert run("--output-dir", str(out), *argv, str(bad)) == 3
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, found, expected", [
@@ -722,6 +766,32 @@ def test_benchmark_missing_dataset_warns_but_succeeds(tmp_path, capsys):
     assert report["datasets"] == ["ds0", "ds1"]
 
 
+def test_benchmark_records_a_dataset_that_is_not_utf8_as_failed(tmp_path):
+    cfg_path = Path(benchmark_config(tmp_path))
+    cfg = json.loads(cfg_path.read_text())
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(NOT_UTF8)
+    cfg["datasets"].insert(1, {"name": "latin1", "path": str(latin1), "label_column": "label"})
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 0
+    report = json.loads((out / "stats_report.json").read_text())
+    assert report["failures"] == [{"dataset": "latin1",
+                                   "error": f"{latin1}: not UTF-8 text (invalid start byte)"}]
+    assert report["datasets"] == ["ds0", "ds1"]
+
+
+@pytest.mark.parametrize("text", [b'{"task": "caf\xe9"}', b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_a_config_that_cannot_be_decoded_exits_3_naming_it(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON (")
+    assert not out.exists()
+
+
 def test_benchmark_records_a_dataset_with_no_fittable_grid_cell_as_failed(tmp_path):
     # "lone" keeps one negative in its 8 training rows, so a 2-fold grid fails
     # every cell; the dataset is not fitted, and the others are ranked.
@@ -780,8 +850,11 @@ def _grid_model(cfg, grid):
     (lambda cfg: [1, 2], ["top level", "object"]),
     (lambda cfg: cfg["datasets"].__setitem__(1, "ds1.csv"), ["datasets[1]", "object"]),
     (lambda cfg: cfg["models"].__setitem__(0, "TRKM-C"), ["models[0]", "object"]),
-    (lambda cfg: _grid_model(cfg, {"gamma": ["x"]}), ["models[0].grid", "gamma_values", "'x'"]),
-    (lambda cfg: _grid_model(cfg, {"folds": 1.5}), ["models[0].grid", "folds", "1.5"]),
+    (lambda cfg: _grid_model(cfg, {"gamma": ["x"]}), ["error: models[0].grid.gamma: expected a "
+                                                      "non-empty list of finite positive numbers, "
+                                                      "got ['x']\n"]),
+    (lambda cfg: _grid_model(cfg, {"folds": 1.5}),
+     ["error: models[0].grid.folds: expected an integer of at least 2, got 1.5\n"]),
     (lambda cfg: cfg["models"][1]["fixed"].update(gamma=-1), ["models[1].fixed.gamma", "-1"]),
     (lambda cfg: cfg["models"][0]["fixed"].update(gamma="1"), ["models[0].fixed.gamma", "'1'"]),
     (lambda cfg: cfg["models"][0]["fixed"].update(eta2=0), ["models[0].fixed.eta2", "0"]),
@@ -791,7 +864,8 @@ def _grid_model(cfg, grid):
     (lambda cfg: cfg["split"].update(seeds=[0, -1]), ["split.seeds", "-1"]),
     (lambda cfg: (cfg["split"].pop("seeds"), cfg.update(seed="x")), ["seed", "'x'"]),
     (lambda cfg: cfg["split"].update(train_fraction="0.7"), ["split.train_fraction", "'0.7'"]),
-    (lambda cfg: cfg["split"].update(train_fraction=1.5), ["split", "train_fraction", "1.5"]),
+    (lambda cfg: cfg["split"].update(train_fraction=1.5),
+     ["error: split.train_fraction: expected a number in (0, 1), got 1.5\n"]),
     (lambda cfg: cfg["split"].update(stratified="yes"), ["split.stratified", "'yes'"]),
     (lambda cfg: cfg.update(normalize="no"), ["normalize", "'no'"]),
     (lambda cfg: cfg["datasets"][0].update(path=["ds0.csv"]),
