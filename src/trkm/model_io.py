@@ -169,7 +169,7 @@ def load_model(path: str) -> SavedModel:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModel(f"{path}: missing format_version")

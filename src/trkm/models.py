@@ -289,14 +289,14 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
             spectra[block] = kernel_spectrum(system.kernel)
         if (block, id(columns)) not in shifts:
             shifts[block, id(columns)] = spectral_shift(spectra[block], gammas, etas)
+        shift = shifts[block, id(columns)]
         solved = solve_spectral(system.kernel, gammas, etas, system.border_sign,
-                                system.rhs_top(gammas), system.rhs_bottom,
-                                shifts[block, id(columns)])
+                                system.rhs_top(gammas), system.rhs_bottom, shift)
         passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
             decision = decision + term.value(solved.h, gammas, solved.b)[:, column]
             if task == REGRESS:
-                passed &= solved.spread[column] <= SPREAD_LIMIT
+                passed &= shift.spread[column] <= SPREAD_LIMIT
             else:
                 bound = (np.abs(term.cross) @ np.abs(term.weights(solved.h))
                          + np.abs(term.offset)[:, None]) / gammas + solved.b_size

@@ -18,12 +18,16 @@ predictor read, with one spectral shift per kernel block, and
 A cell it does not vouch for at a fold is refitted there by LU from the same
 statement, bitwise ``predict(fit(...))``, and that refit alone decides the
 score or the error and message; a cell that failed is not refitted at later
-folds. A fold whose statement refuses its rows as the fit would (an empty
-class) fails every cell still alive there with the statement's message. A
-fold that trains on fewer than 2 rows, which no model can fit, is
+folds. Both solves hold a cell to the same gates, ``solver.residual_bound``
+and ``solver.balance_met``. A fold whose statement refuses its rows as the fit
+would (an empty class) fails every cell still alive there with the statement's
+message. A fold that trains on fewer than 2 rows, which no model can fit, is
 TooFewSamples before any statement is built. Labels and errors therefore
 read exactly as a per-cell search writes them; regression scores agree with
-it to rounding, within the 1e-6 relative the benchmark checks.
+it to rounding, within the 1e-6 relative the benchmark checks. Scores go into
+one (cells x folds) array; a cell's mean is its row of one ``mean(axis=1)``,
+bitwise numpy's mean of that row alone, and a failed cell keeps the scores of
+the folds before its failure.
 """
 
 from __future__ import annotations
@@ -219,46 +223,39 @@ def grid_search(
             tables[len(cells)] = models.penalty_table(model_kind, task,
                                                       [points[i] for i in cells])
 
+    scores = np.full((len(points), len(folds)), np.nan)  # each cell's score at each fold it reaches
+
     def column(sigma) -> dict:
-        """Score or error message of each cell of ``sigma`` at each fold it reaches."""
-        cells, found, failed = np.asarray(columns[sigma]), {}, set()
+        """Fill ``sigma``'s rows of ``scores``; return each of its failed cells' (fold, error)."""
+        cells, failed = np.asarray(columns[sigma]), {}
         for f, (train_idx, valid_idx) in enumerate(folds):
             try:
                 predictions, passed, refit = models.fold_predictions(
                     model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
                     tables[len(cells)])
             except EmptyClass as exc:  # every cell still alive stops at this fold
-                found.update({(i, f): exc for i in cells.tolist() if i not in failed})
+                failed.update({i: (f, exc) for i in cells.tolist() if i not in failed})
                 break
-            scores = models.column_scores(task, predictions[:, passed], y[valid_idx])
-            found.update(zip([(i, f) for i in cells[passed].tolist()], scores))
+            scores[cells[passed], f] = models.column_scores(task, predictions[:, passed],
+                                                            y[valid_idx])
             for i in [i for i in cells[~passed].tolist() if i not in failed]:
                 try:
-                    found[i, f] = models.score(task, refit(points[i]), y[valid_idx])
+                    scores[i, f] = models.score(task, refit(points[i]), y[valid_idx])
                 except (SingularSystem, NonFiniteSystem) as exc:
-                    found[i, f] = exc
-                    failed.add(i)
-        return found
+                    failed[i] = (f, exc)
+        return failed
 
-    found = {}
+    errors = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for part in (pool.map if threads > 1 else map)(column, columns):
-            found.update(part)
-
-    def eval_cell(i: int, params: dict) -> GridCell:
-        scores = []
-        for f in range(len(folds)):
-            score = found[i, f]
-            if isinstance(score, TrkmError):
-                return GridCell(params=params, mean_score=worst,
-                                fold_scores=tuple(scores), error=str(score))
-            scores.append(score)
-        return GridCell(params=params, mean_score=float(np.mean(scores)), fold_scores=tuple(scores))
-
-    table = tuple(eval_cell(i, params) for i, params in enumerate(points))
+            errors.update(part)
+    table = tuple(GridCell(params, mean, tuple(row)) if i not in errors else
+                  GridCell(params, worst, tuple(row[:errors[i][0]]), str(errors[i][1]))
+                  for i, (params, mean, row)
+                  in enumerate(zip(points, scores.mean(axis=1).tolist(), scores.tolist())))
     failure = None
-    if all(cell.error for cell in table):  # no cell to retrain: the first one's error says why
-        first = next(found[0, f] for f in range(len(folds)) if isinstance(found[0, f], TrkmError))
+    if len(errors) == len(points):  # no cell to retrain: the first one's error says why
+        first = errors[0][1]
         failure = type(first)(f"no grid cell could be fitted; the first, {points[0]}, "
                               f"failed with: {first}")
 

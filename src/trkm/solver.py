@@ -51,10 +51,10 @@ shared by every system on it, as TRKM-R's twins share their fold kernel.
 Each pair then takes the scalar Schur step of the +e border: u = C^-1 r,
 b = (e^T u - c)/(e^T v), h = u - b*v, and returns sign * b. Stacking the
 pairs as columns turns the solves, the residuals and the balance rows into a
-few matrix products. Each column is
-held to the gates of ``solve_bordered``: the residual of the formed system
-(balance row included) within ``RESIDUAL_RTOL``, the balance within
-``BALANCE_RTOL``, and every d finite and positive. A column that misses a
+few matrix products. Each column is held to the gates of ``solve_bordered``,
+stated once for both solvers and per column: ``residual_bound`` (the residual
+of the formed system, balance row included) and ``balance_met``; nan fails
+both. Every d must also be finite and positive. A column that misses a
 gate is only marked; the caller decides it with ``solve_bordered``. There is
 no pivot floor here and no refinement: one round for the columns over the
 residual bound let through columns that ``solve_bordered`` rejects as
@@ -208,6 +208,19 @@ def _condition(lu: np.ndarray, a: np.ndarray) -> float:
     return float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
 
+def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
+    """The residual gate of each column of ``rhs_top`` (one bound for a vector): a solve passes
+    when its formed system's max-abs residual is at most ``RESIDUAL_RTOL`` times max(1, |b|_inf)."""
+    return RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)),
+                                      np.abs(rhs_top).max(axis=0, initial=0.0))
+
+
+def balance_met(total, rhs_bottom: float):
+    """The balance gate of each column, whose sum(h) is ``total``: |total - rhs_bottom| at most
+    ``BALANCE_RTOL`` times max(1, |rhs_bottom|); a nan total fails."""
+    return np.abs(total - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom))
+
+
 def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
     """[[K/gamma + eta*I, e], [e^T, 0]], formed in one (n+1)^2 array."""
     n = kernel.shape[0]
@@ -230,11 +243,11 @@ def solve_bordered(
     """Form and solve the bordered system named ``name`` by LU with partial pivoting.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
-    ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is filled by this call if empty and
-    reused if not; a factor of another (kernel, gamma, eta) is a ValueError.
-    Raises SingularSystem, its message prefixed with ``name``, when a pivot
-    falls below the relative floor, the refined residual cannot meet the
-    documented bound, or the solution misses the balance row. With
+    ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is
+    filled by this call if empty and reused if not; a factor of another
+    (kernel, gamma, eta) is a ValueError. Raises SingularSystem, its message
+    prefixed with ``name``, when a pivot falls below the relative floor, the
+    refined residual exceeds ``residual_bound`` or the solution fails ``balance_met``. With
     ``estimate`` false the report's condition estimate is None and nothing
     else changes.
     """
@@ -262,30 +275,25 @@ def solve_bordered(
     a, lu, piv = factor.matrix, factor.lu, factor.piv
     b = np.concatenate([rhs_top, [rhs_bottom]])
     x = _getrs(lu, piv, b)[0]
-    tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(b))))
-    res = b - a @ x
-    for _ in range(_REFINE_ROUNDS):
-        if float(np.max(np.abs(res))) <= tol:
-            break
-        x = x + _getrs(lu, piv, res)[0]
+    tol = residual_bound(rhs_top, rhs_bottom)
+    with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
         res = b - a @ x
+        for _ in range(_REFINE_ROUNDS):
+            if float(np.max(np.abs(res))) <= tol:
+                break
+            x = x + _getrs(lu, piv, res)[0]
+            res = b - a @ x
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
-    if res_norm > tol:
-        raise SingularSystem(
-            f"{name}: residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
-            "system is effectively singular"
-        )
-    total, target = float(a[-1, :-1] @ x[:-1]), float(b[-1])
-    if abs(total - target) > BALANCE_RTOL * max(1.0, abs(target)):
-        raise SingularSystem(
-            f"{name}: balance border.h = {total!r} deviates from {target!r}"
-        )
-    if not estimate:
-        return SolveReport(x, res_norm, None, name, target)
-    if factor.cond is None:  # filled by a solve that asked for no estimate
+    if not res_norm <= tol:
+        raise SingularSystem(f"{name}: residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
+                             "system is effectively singular")
+    total = float(a[-1, :-1] @ x[:-1])
+    if not balance_met(total, rhs_bottom):
+        raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
+    if estimate and factor.cond is None:  # filled by a solve that asked for no estimate
         factor.cond = _condition(lu, a)
-    return SolveReport(x, res_norm, factor.cond, name, target)
+    return SolveReport(x, res_norm, factor.cond if estimate else None, name, rhs_bottom)
 
 
 def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:
@@ -306,17 +314,13 @@ class SpectralSolve:
     ``h`` is n x columns and ``b`` has one border value per column.
     ``b_size`` bounds each |b| by the sizes of the terms it is computed
     from, cancellation ignored; a b far below it is mostly rounding.
-    ``passed`` marks the columns that meet every gate, and
-    ``residual_ratio`` is each column's residual over its bound. ``spread``
-    is each column's d_max/d_min, the 2-norm condition number of its core.
+    ``passed`` marks the columns that meet every gate.
     """
 
     h: np.ndarray
     b: np.ndarray
     b_size: np.ndarray
     passed: np.ndarray
-    residual_ratio: np.ndarray
-    spread: np.ndarray
 
 
 def kernel_spectrum(kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +372,7 @@ def solve_spectral(
     ``shift`` is the ``spectral_shift`` of the kernel's ``kernel_spectrum`` at
     the same columns; every system on the kernel may share it. See the module
     docstring for the method and the gates. A nan spectrum fails every
-    column. The spread d_max/d_min of each column is reported, not gated;
+    column. The shift's spread d_max/d_min is not gated here;
     ``models.SPREAD_LIMIT`` holds regression cells to it.
     """
     kernel = np.asarray(kernel, dtype=float)
@@ -382,10 +386,6 @@ def solve_spectral(
         balance = h.sum(axis=0)
         top = (kernel @ h) / gammas + etas * h + b - rhs
         residual = np.maximum(np.abs(top).max(axis=0), np.abs(balance - rhs_bottom))
-        bound = RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)), np.abs(rhs).max(axis=0))
-        passed = (
-            (residual <= bound)
-            & (np.abs(balance - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
-            & shift.ok
-        )
-    return SpectralSolve(h, border_sign * b, b_size, passed, residual / bound, shift.spread)
+        passed = ((residual <= residual_bound(rhs, rhs_bottom))
+                  & balance_met(balance, rhs_bottom) & shift.ok)
+    return SpectralSolve(h, border_sign * b, b_size, passed)

@@ -4,6 +4,9 @@
   with the library's solve path, Gaussian elimination with complete pivoting
   over an augmented matrix built here from its blocks, in plain Python loops;
   ``system_matrix`` and ``residual`` apply them to a ``BorderedSystem``.
+- ``bordered_gates`` and ``spectral_gates``: the residual and balance gates as
+  ``solve_bordered`` and ``solve_spectral`` each wrote them before the rule was
+  stated once in ``trkm.solver.residual_bound`` and ``balance_met``.
 - ``kernel_eval``: the kernel of one pair of vectors, summed left to right,
   which every entry of ``trkm.kernels.gram`` must equal bitwise.
 - ``classifier_slacks`` and ``regressor_slacks``: the fitted error vectors of
@@ -29,6 +32,7 @@ from trkm.errors import DimensionMismatch, NonNumericFeature, ParseError
 from trkm.kernels import LINEAR, gram
 from trkm.models import TRKM
 from trkm.selection import PENALTY_GRID, SIGMA_GRID, GridSpec, SplitSpec
+from trkm.solver import BALANCE_RTOL, RESIDUAL_RTOL
 
 
 def solve_full_pivot(a, b):
@@ -97,6 +101,26 @@ def residual(system, x):
     if x.shape != b.shape:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {b.shape[0]}")
     return float(np.max(np.abs(a @ x - b)))
+
+
+def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, total: float):
+    """``solve_bordered``'s refinement tolerance, and whether its residual check and its
+    balance check raise, for a solution of max-abs residual ``res_norm`` and sum(h) ``total``."""
+    b = np.concatenate([rhs_top, [rhs_bottom]])
+    tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(b))))
+    return (tol, res_norm > tol,
+            abs(total - rhs_bottom) > BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
+
+
+def spectral_gates(rhs, rhs_bottom: float, residual, balance, ok):
+    """``solve_spectral``'s residual ``bound`` and ``passed`` of each column of ``rhs``."""
+    bound = RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)), np.abs(rhs).max(axis=0))
+    passed = (
+        (residual <= bound)
+        & (np.abs(balance - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
+        & ok
+    )
+    return bound, passed
 
 
 def kernel_eval(spec, x, y):

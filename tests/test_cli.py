@@ -1084,3 +1084,14 @@ def test_damaged_model_files_exit_3(tmp_path, blob_csv, capsys):
                    "--output", str(tmp_path / "p.csv"))
         # a flip between two whitespace bytes leaves the same document, which still loads
         assert code == 3 or (code == 0 and _same_document(data, good)), (i, code)
+
+
+def test_a_model_file_nested_too_deep_exits_3_naming_it(tmp_path, blob_csv, capsys):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep
+    model_path = tmp_path / "deep.json"
+    model_path.write_bytes(b"[" * 100_000)
+    out = tmp_path / "p.csv"
+    assert run("predict", "--model", str(model_path), "--data", blob_csv,
+               "--output", str(out)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {model_path}: not valid JSON (")
+    assert not out.exists()

@@ -134,6 +134,25 @@ def test_tracer_sees_fits_and_predicts_made_through_the_table(rng):
         assert span["residual_ratio"] <= 1.0 and span["flops"] > 0, span
 
 
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), top=st.integers(-300, 300),
+       zero_bottom=st.booleans())
+def test_the_benchmarks_residual_ratio_reads_the_solvers_bound(seed, n, top, zero_bottom):
+    # perfbench's gate residual_ratio_max <= 1 restates the residual bound;
+    # it must divide by exactly solver.residual_bound, bitwise. The balance gate
+    # holds sum(h) to 1e-6 * max(1, |rhs_bottom|), so rhs_bottom is 0 only for a
+    # small rhs_top, and otherwise of rhs_top's size.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**top
+    system = solver.BorderedSystem(rng.normal(size=(n, n)), float(rng.uniform(0.5, 2.0)),
+                                   float(n), int(rng.choice([-1, 1])), scale * rng.normal(size=n),
+                                   0.0 if zero_bottom and top <= 4 else scale * float(rng.normal()))
+    report = solver.solve_bordered(system, "guard")
+    ratio = load_spans()._counts("solve", (system, "guard"), report)["residual_ratio"]
+    expected = report.residual_norm / solver.residual_bound(system.rhs_top, system.rhs_bottom)
+    assert np.float64(ratio).tobytes() == np.float64(expected).tobytes()
+
+
 def test_column_scores_equal_per_column_scores_bitwise(rng):
     truth = rng.normal(size=37)
     values = truth[:, None] + rng.normal(size=(37, 5)) * [1e-9, 1e-3, 1.0, 10.0, 0.0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,12 +195,20 @@ def test_reproducibility_full_result():
 
 
 def test_threaded_evaluation_matches_serial():
-    grid = GridSpec(
-        gamma_values=(0.1, 1.0), eta_values=(0.1, 1.0), sigma_values=(1.0,), folds=2
-    )
-    serial = grid_search(small_dataset(), grid, CLASSIFY, seed=2, threads=1)
-    threaded = grid_search(small_dataset(), grid, CLASSIFY, seed=2, threads=4)
-    assert serial == threaded
+    # More workers than cores and a short switch interval: the sigma columns'
+    # workers fill disjoint rows of one score array, and no score may be lost.
+    grid = GridSpec(gamma_values=(1e-5, 0.1, 1.0), eta_values=(1e-5, 0.1, 1.0),
+                    sigma_values=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0), folds=3)
+    for model_kind in (TRKM, RKM):
+        serial = grid_search(small_dataset(), grid, CLASSIFY, model_kind, seed=2, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = grid_search(small_dataset(), grid, CLASSIFY, model_kind, seed=2, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded
+        assert not any(np.isnan(c.fold_scores).any() for c in threaded.table)
 
 
 def per_cell_table(ds, grid, task, model_kind, seed):
@@ -302,6 +311,46 @@ def test_rkm_refuses_per_class_penalties():
     # RKM states one system, so a per-class grid would only repeat its cells.
     with pytest.raises(ValueError, match="^per-class penalties: rkm with classify states one"):
         grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=RKM, seed=1)
+
+
+@pytest.mark.parametrize("folds", [2, 5, 9, 12])
+def test_each_mean_score_is_the_numpy_mean_of_its_fold_scores(folds):
+    # The search reduces its (cells x folds) score array with one mean(axis=1);
+    # each row must read as np.mean of the cell's own scores, bitwise. RKM at
+    # small penalties fails cells by LU, and one negative row fails every cell
+    # alive at the fold that validates it (EmptyClass): a failed cell keeps
+    # the scores of the folds before its failure. At seed 3 that fold is never
+    # the first, and RKM fails a cell after its first fold at 5, 9 and 12 folds.
+    from trkm.data import load_csv
+
+    grid = GridSpec(gamma_values=(1e-5, 1e-3, 1.0), eta_values=(1e-5, 1e-2, 1.0),
+                    sigma_values=(0.25, 1.0), folds=folds)
+    crossplane = load_csv(str(DATA_DIR / "synthetic" / "crossplane130.csv"), label_column="label")
+    kept = 0
+    for model_kind, task, ds in ((RKM, CLASSIFY, crossplane),
+                                 (TRKM, CLASSIFY, class_dataset(29, 1, seed=5)),
+                                 (TRKM, REGRESS, Dataset(*sine(60, seed=3), task=REGRESS))):
+        result = grid_search(ds, grid, task, model_kind=model_kind, seed=3)
+        x, y = ds.X, np.asarray(ds.target, dtype=float)
+        split_folds = kfold_indices(ds.n, folds, 3)
+        for cell in result.table:
+            if not cell.error:
+                assert len(cell.fold_scores) == folds
+                assert cell.mean_score == float(np.mean(cell.fold_scores)), cell
+                continue
+            assert cell.mean_score == (float("-inf") if task == CLASSIFY else float("inf"))
+            scores = []
+            for train_idx, valid_idx in split_folds:
+                try:
+                    scores.append(oracles.fit_score(x[train_idx], y[train_idx], x[valid_idx],
+                                                    y[valid_idx], cell.params, task, model_kind))
+                except (SingularSystem, EmptyClass) as exc:
+                    assert str(exc) == cell.error
+                    break
+            assert len(scores) == len(cell.fold_scores) < folds, cell
+            assert np.allclose(cell.fold_scores, scores, rtol=REGRESSION_RTOL, atol=0.0), cell
+            kept += len(scores) > 0
+    assert kept
 
 
 def test_failed_cells_recorded_not_fatal(monkeypatch):

@@ -17,6 +17,7 @@ from trkm.solver import (
     spectral_shift,
 )
 
+import oracles
 from oracles import residual, solve_full_pivot, system_matrix
 
 
@@ -281,6 +282,57 @@ def test_a_non_finite_core_or_rhs_is_its_own_error_silently():
     assert issubclass(NonFiniteSystem, ValueError)  # so the CLI exits 2, as for its flags
 
 
+def test_a_solution_that_overflows_is_singular():
+    # h = (r - b)/eta overflows to inf, so LU gives nan; a nan residual fails
+    # the residual gate as it fails a spectral column, never passes it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="^overflow: residual nan exceeds tolerance"):
+            solve_bordered(system(np.zeros((2, 2)), 1.0, 1e-5, +1, [1e305, -1e305], 0.0),
+                           "overflow")
+
+
+# A magnitude from 1e-300 to 1e300 of either sign, or zero.
+_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((-1.0, 1.0)),
+              st.integers(-300, 300)),
+    st.floats(-1e300, 1e300),
+)
+# A residual or balance error as a multiple of its bound: within, at, just over, far over.
+_RATIO = st.one_of(st.sampled_from((0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0,
+                                    float("nan"), float("inf"))),
+                   st.floats(0.0, 4.0))
+
+
+@settings(max_examples=400)
+@given(n=st.integers(1, 5), cols=st.integers(1, 4), data=st.data())
+def test_gates_give_the_bounds_and_verdicts_each_solver_wrote(n, cols, data):
+    rhs = np.array(data.draw(st.lists(_MAGNITUDE, min_size=n * cols, max_size=n * cols)))
+    rhs = rhs.reshape(n, cols)
+    bottom = data.draw(_MAGNITUDE)
+    ratios = data.draw(st.lists(st.tuples(_RATIO, _RATIO, st.sampled_from((-1.0, 1.0)),
+                                          st.booleans()), min_size=cols, max_size=cols))
+    res_ratio, bal_ratio, bal_sign, ok = map(np.array, zip(*ratios))
+    bound = trkm.solver.residual_bound(rhs, bottom)
+    residual = res_ratio * bound
+    total = bottom + bal_sign * bal_ratio * trkm.solver.BALANCE_RTOL * max(1.0, abs(bottom))
+    old_bound, old_passed = oracles.spectral_gates(rhs, bottom, residual, total, ok)
+    assert bound.tobytes() == old_bound.tobytes()
+    passed = (residual <= bound) & trkm.solver.balance_met(total, bottom) & ok
+    assert passed.tolist() == old_passed.tolist()
+    for j in range(cols):
+        tol, old_res_refused, old_bal_refused = oracles.bordered_gates(
+            rhs[:, j], bottom, float(residual[j]), float(total[j]))
+        assert np.float64(trkm.solver.residual_bound(rhs[:, j], bottom)).tobytes() == \
+            np.float64(tol).tobytes()
+        res_refused = not residual[j] <= tol
+        bal_refused = not trkm.solver.balance_met(float(total[j]), bottom)
+        # solve_bordered's old checks let a nan through; the one rule refuses it
+        assert res_refused == (old_res_refused or np.isnan(residual[j]))
+        assert bal_refused == (old_bal_refused or np.isnan(total[j]))
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     x = rng.normal(size=(7, 2))
@@ -292,7 +344,7 @@ def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     twin = trkm.solver.solve_spectral(kernel, gammas, etas, -sign, rhs, 1.5, shift)
     # the other sign negates b and keeps h, bitwise
     assert twin.h.tobytes() == solved.h.tobytes() and twin.b.tobytes() == (-solved.b).tobytes()
-    assert solved.passed.all() and (solved.residual_ratio <= 1.0).all()
+    assert solved.passed.all()
     assert np.allclose(solved.h.sum(axis=0), 1.5, rtol=0, atol=1e-10)
     for j in range(3):
         oracle = solve_full_pivot(*system_matrix(system(kernel, gammas[j], etas[j], sign,
