@@ -11,26 +11,32 @@ module states its systems once for every (gamma, eta), as ``BorderedFamily``
 data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 ``BorderedSystem`` of one (gamma, eta). ``solve_bordered`` alone forms the
 augmented matrix, in place: K/gamma straight into its top-left block, eta
-onto that block's diagonal, then the border. The border column breaks the
-symmetry, so we factor the full augmented matrix with partially pivoted LU,
-calling LAPACK's getrf/getrs/gecon directly from ``compiled.flapack`` (scipy's
-lu_solve wrapper, the same bits, costs more per call than the solve itself at
-grid-fold sizes, and its package costs a cold start).
+onto that block's diagonal, then the border. Every kernel block is a Gram
+block, bitwise symmetric, so the +e matrix is symmetric. Below order
+``LDL_MIN_ORDER`` it is factored by partially pivoted LU (getrf/getrs/gecon),
+at or above it by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), with LAPACK called
+directly from ``compiled.flapack`` (scipy's wrappers, the same bits, cost more
+per call than the solve itself at grid-fold sizes, and their package costs a
+cold start). LDL^T takes half LU's flops, but pays off only on large
+matrices, and only with the blocked workspace ``sytrf_lwork`` asks for. The
+pivot floor reads |U's diagonal| or the |eigenvalues| of D's 1x1 and 2x2
+blocks. sytrf reads one triangle, so a non-symmetric kernel above the gate
+fails the residual gate, which is taken on the full formed matrix.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
-(kernel, gamma, eta) share it and its LU (``SharedFactor``), which no solve
+(kernel, gamma, eta) share it and its factor (``SharedFactor``), which no solve
 changes. A -e system's condition estimate is its +e matrix's, the same in
 exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
 ||(AD)^-1||_1 = ||A^-1||_1. Every fit and grid refit solves through
 ``solve_families``; a fitted model keeps no factor, so no (n+1)^2 array.
 
 The condition estimate (the 1-norm of the augmented matrix by ``lange``,
-then ``gecon``), kept on the factor so that both signs' systems share one,
+then ``gecon`` or ``sycon``), kept on the factor so that both signs' systems share one,
 is the one part of a solve that gates nothing, and at grid-fold sizes it
-costs about half a ``getrf``. Fits compute it, since their ``fit_diag``
+costs about half a factorization. Fits compute it, since their ``fit_diag``
 reports it; a grid refit, which reads only h and b, asks for none
 (``estimate=False``) and gets a report whose estimate is None. Every gate
 runs either way, and the solution, residual and any SingularSystem message
@@ -82,7 +88,17 @@ BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
 
+# Augmented matrices of this order or more are factored by LDL^T, smaller ones by LU,
+# which keeps every grid-fold solve (at most 215 rows) as it was. The crossover of one
+# twin solve with its estimate, LDL^T time over LU time, one thread of a 2-vCPU x86-64
+# VM (OpenBLAS via SciPy 1.17), median of 7-25 alternating rounds:
+#   kernel rows  120   214   256   280   300   350   400   600   1000  2000
+#   ratio        1.1   1.0   1.09  1.0   0.99  0.97  0.95  0.87  0.75  0.68
+LDL_MIN_ORDER = 300
+
 _getrf, _getrs, _gecon, _lange = flapack.dgetrf, flapack.dgetrs, flapack.dgecon, flapack.dlange
+_sytrf, _sytrf_lwork, _sytrs, _sycon = (flapack.dsytrf, flapack.dsytrf_lwork, flapack.dsytrs,
+                                        flapack.dsycon)
 
 
 @dataclass(frozen=True)
@@ -159,20 +175,23 @@ class SolveReport:
 
 
 class SharedFactor:
-    """The +e augmented matrix of one (kernel, gamma, eta) and its LU, for both border signs.
+    """The +e augmented matrix of one (kernel, gamma, eta) and its factor, for both border signs.
 
     Made empty. The first ``solve_bordered(system, name, factor=f)`` forms
-    and factors its system's +e matrix into ``f``; each later call with ``f``
-    solves on that LU, and no call changes the matrix or the LU. A system
-    with another kernel, gamma or eta is a ValueError. Keep it no longer
-    than the solves: it holds two (n+1)^2 arrays. ``cond``, the matrix's
-    condition estimate, is None until a solve asks for one, and is computed once.
+    and factors its system's +e matrix into ``f``: by LU below order
+    ``LDL_MIN_ORDER``, by LDL^T at or above it. Each later call with ``f``
+    solves on that factor, and no call changes the matrix or the factor. A
+    system with another kernel, gamma or eta is a ValueError. Keep it no
+    longer than the solves: it holds two (n+1)^2 arrays. ``cond``, the
+    matrix's condition estimate, is None until a solve asks for one, and is
+    computed once.
     """
 
     def __init__(self):
         self.kernel = None  # the factored system's kernel; None while empty
         self.gamma = self.eta = None
-        self.matrix = self.lu = self.piv = self.cond = None
+        self.matrix = self.factors = self.piv = self.cond = None
+        self.symmetric = False  # True when ``factors`` and ``piv`` are sytrf's LDL^T, else getrf's LU
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
         if not (gamma == self.gamma and eta == self.eta
@@ -183,8 +202,14 @@ class SharedFactor:
              estimate: bool) -> None:
         """Factor ``system``'s +e augmented matrix ``a``, and estimate its condition when
         ``estimate``; a pivot below the floor is SingularSystem."""
-        lu, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
-        pivots = np.abs(np.diag(lu))
+        symmetric = a.shape[0] >= LDL_MIN_ORDER
+        if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
+            # a is symmetric, so the Fortran-ordered a.T is a without a transposing copy
+            factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]))
+            pivots = _block_pivots(factors, piv)
+        else:
+            factors, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
+            pivots = np.abs(np.diag(factors))
         largest = float(pivots.max())
         if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
             raise SingularSystem(
@@ -192,20 +217,42 @@ class SharedFactor:
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
         self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
-        self.matrix, self.lu, self.piv = a, lu, piv
-        self.cond = _condition(lu, a) if estimate else None
+        self.matrix, self.factors, self.piv, self.symmetric = a, factors, piv, symmetric
+        self.cond = self.condition() if estimate else None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The matrix's solution at ``rhs``, from its factor."""
+        if self.symmetric:
+            return _sytrs(self.factors, self.piv, rhs)[0]
+        return _getrs(self.factors, self.piv, rhs)[0]
+
+    def condition(self) -> float:
+        """1/rcond of LAPACK ``sycon`` or ``gecon`` on the factor and the matrix's 1-norm;
+        inf for an rcond of 0."""
+        if self.symmetric:
+            rcond, _ = _sycon(self.factors, self.piv, _one_norm(self.matrix))
+        else:
+            rcond, _ = _gecon(self.factors, _one_norm(self.matrix), norm="1")
+        return float("inf") if rcond == 0.0 else float(1.0 / rcond)
+
+
+def _block_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
+    """The |eigenvalues| of D's 1x1 and 2x2 blocks in the upper ``sytrf`` factor ``ldu``, in
+    D's order. A 2x2 block at (k, k+1) has negative ``ipiv`` at both; so each run of negative
+    ``ipiv`` is whole blocks, and every second negative entry starts one."""
+    pivots = np.abs(np.diag(ldu))
+    first = np.flatnonzero(ipiv < 0)[::2]
+    if first.size:
+        top, bottom, off = ldu[first, first], ldu[first + 1, first + 1], ldu[first, first + 1]
+        blocks = np.array([[top, off], [off, bottom]]).transpose(2, 0, 1)
+        pivots[first], pivots[first + 1] = np.abs(np.linalg.eigvalsh(blocks)).T
+    return pivots
 
 
 def _one_norm(a: np.ndarray) -> float:
     """The largest column sum of |a|: LAPACK's infinity norm of the Fortran-ordered a.T,
     bitwise ``np.max(np.abs(a).sum(axis=0))`` without its (n+1)^2 temporary."""
     return float(_lange("I", a.T))
-
-
-def _condition(lu: np.ndarray, a: np.ndarray) -> float:
-    """1/rcond of LAPACK ``gecon`` on ``a``'s LU and 1-norm; inf for an rcond of 0."""
-    rcond, _ = _gecon(lu, _one_norm(a), norm="1")
-    return float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
 
 def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
@@ -240,7 +287,12 @@ def solve_bordered(
     system: BorderedSystem, name: str, factor: SharedFactor | None = None, *,
     estimate: bool = True,
 ) -> SolveReport:
-    """Form and solve the bordered system named ``name`` by LU with partial pivoting.
+    """Form and solve the bordered system named ``name`` by LU or LDL^T (``SharedFactor``).
+
+    The kernel block must be symmetric, as every Gram block is bitwise: at or
+    above ``LDL_MIN_ORDER`` the factor reads one triangle of it. A non-symmetric
+    block there is refined and gated on the full formed matrix, so it is
+    SingularSystem or solved, never solved wrongly.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
     ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is
@@ -272,16 +324,16 @@ def solve_bordered(
         raise ValueError("rhs_bottom is not finite")
     if factor.kernel is None:
         factor.fill(system, kernel, a, name, estimate)
-    a, lu, piv = factor.matrix, factor.lu, factor.piv
+    a = factor.matrix
     b = np.concatenate([rhs_top, [rhs_bottom]])
-    x = _getrs(lu, piv, b)[0]
+    x = factor.solve(b)
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
         res = b - a @ x
         for _ in range(_REFINE_ROUNDS):
             if float(np.max(np.abs(res))) <= tol:
                 break
-            x = x + _getrs(lu, piv, res)[0]
+            x = x + factor.solve(res)
             res = b - a @ x
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
@@ -292,7 +344,7 @@ def solve_bordered(
     if not balance_met(total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
     if estimate and factor.cond is None:  # filled by a solve that asked for no estimate
-        factor.cond = _condition(lu, a)
+        factor.cond = factor.condition()
     return SolveReport(x, res_norm, factor.cond if estimate else None, name, rhs_bottom)
 
 

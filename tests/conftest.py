@@ -31,6 +31,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def counting(monkeypatch, *names):
+    """Count the calls of each named LAPACK routine of trkm.solver, which still runs."""
+    import trkm.solver
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _exact=getattr(trkm.solver, name), **kwargs):
+            counts[_name] += 1
+            return _exact(*args, **kwargs)
+        monkeypatch.setattr(trkm.solver, name, counted)
+    return counts
+
+
 def random_two_class(rng, n_max=30, m_max=6):
     """A random binary problem with both classes present."""
     n = int(rng.integers(6, n_max + 1))

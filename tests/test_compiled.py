@@ -13,9 +13,9 @@ from trkm import compiled, kernels, solver
 
 assert compiled.flapack is sys.modules["scipy.linalg._flapack"]
 assert compiled.distance is sys.modules["scipy.spatial._distance_pybind"]
-lapack = get_lapack_funcs(("getrf", "getrs", "gecon", "lange"), dtype=np.float64)
-assert all(a is b for a, b in zip(lapack, (solver._getrf, solver._getrs, solver._gecon,
-                                           solver._lange))), lapack
+routines = ("getrf", "getrs", "gecon", "lange", "sytrf", "sytrf_lwork", "sytrs", "sycon")
+lapack = get_lapack_funcs(routines, dtype=np.float64)
+assert all(a is getattr(solver, "_" + name) for a, name in zip(lapack, routines)), lapack
 rng = np.random.default_rng(7)
 left, right = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
 brute = ((left[:, None, :] - right[None, :, :]) ** 2).sum(axis=2)

@@ -172,3 +172,35 @@ def test_regression_score_is_the_rmse_of_regression_errors_bitwise(pairs):
     score = models.score(REGRESS, pred, truth)
     assert np.float64(score).tobytes() == np.float64(regression_errors(pred, truth).rmse).tobytes()
     assert models.column_scores(REGRESS, pred[:, None], truth) == [score]
+
+
+def test_ldlt_fits_as_lu_fits_above_the_gate(monkeypatch):
+    # At n = 600 every system of the three models (TRKM-C's two 300-row classes
+    # included) is factored by LDL^T; forcing the gate past every order fits them by
+    # LU. Labels are equal, and h, b and regression predictions agree within 1e-10
+    # relative (the observed gap is about 2e-14), so model files written by the two
+    # differ only in their last hex digits.
+    rng = np.random.default_rng(22)
+    x, queries = rng.normal(size=(600, 8)), rng.normal(size=(600, 8))
+    score = x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(scale=0.5, size=600)
+    labels = np.where(score > np.median(score), 1, -1)
+    targets = np.sin(x[:, 0]) + x[:, 1] ** 2 + rng.normal(scale=0.1, size=600)
+    params = {"gamma": 1.0, "eta": 0.1, "sigma": 1.0}
+    for kind, task, target in (("trkm", CLASSIFY, labels), ("rkm", CLASSIFY, labels),
+                               ("trkm", REGRESS, targets)):
+        ldlt = models.fit(kind, task, x, target, params)
+        assert min(len(rep.h) for rep in ldlt.fit_diag) + 1 >= solver.LDL_MIN_ORDER
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "LDL_MIN_ORDER", 10**9)
+            lu = models.fit(kind, task, x, target, params)
+        for name in ("h", "b", "h1", "b1", "h2", "b2"):
+            if hasattr(lu, name):
+                expected = np.asarray(getattr(lu, name))
+                assert np.allclose(getattr(ldlt, name), expected, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(expected))), (kind, task, name)
+        predicted, expected = models.predict(ldlt, queries), models.predict(lu, queries)
+        if task == CLASSIFY:
+            assert predicted.tolist() == expected.tolist()
+        else:
+            assert np.allclose(predicted, expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected)))

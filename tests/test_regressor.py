@@ -16,6 +16,7 @@ from trkm.regressor import (
 )
 from trkm.synthetic import sine
 
+from conftest import counting
 from oracles import augmented, regressor_slacks, solve_full_pivot
 
 
@@ -164,33 +165,48 @@ def test_permuting_training_rows_keeps_predictions(seed):
     )
 
 
+# 12 rows factor by LU; LDL_MIN_ORDER rows (an augmented order past it) by LDL^T.
+ROWS = {12: ("_getrf", "_gecon"), trkm.solver.LDL_MIN_ORDER: ("_sytrf", "_sycon")}
+
+
 @pytest.mark.parametrize("gamma2, eta2, factorizations", [
     (0.7, 0.9, 1), (1.4, 0.9, 2), (0.7, 0.45, 2),
 ])
 def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2, factorizations):
-    calls = []
-    exact = trkm.solver._getrf
-    monkeypatch.setattr(trkm.solver, "_getrf", lambda *a, **k: calls.append(1) or exact(*a, **k))
-    x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
-    model = fit_regressor(x, y, TrkmRegressorHyperparams(0.7, gamma2, 0.9, eta2, gaussian(1.0)))
-    assert len(calls) == factorizations
-    assert [rep.name for rep in model.fit_diag] == ["lower-function system", "upper-function system"]
+    for n, (used, _) in ROWS.items():
+        with monkeypatch.context() as patch:
+            calls = counting(patch, "_getrf", "_sytrf")
+            x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+            model = fit_regressor(x, y,
+                                  TrkmRegressorHyperparams(0.7, gamma2, 0.9, eta2, gaussian(1.0)))
+        assert calls == {name: factorizations * (name == used) for name in calls}
+        assert [rep.name for rep in model.fit_diag] == ["lower-function system",
+                                                        "upper-function system"]
 
 
 def test_equal_penalties_estimate_the_condition_once(monkeypatch, rng):
-    # Both systems report the estimate of the one +e matrix they share; gecon runs
-    # once, and its value is the one of an LU and a 1-norm taken here.
-    calls = []
-    exact = trkm.solver._gecon
-    monkeypatch.setattr(trkm.solver, "_gecon", lambda *a, **k: calls.append(1) or exact(*a, **k))
-    x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
-    model = fit_regressor(x, y, equal_hp(0.7, 0.9))
-    assert len(calls) == 1
-    core = gram(gaussian(1.0), x, x) / 0.7 + 0.9 * np.eye(12)
-    a, _ = augmented(core, np.ones(12), +1, y, 12.0)
-    lu, _, _ = lapack.dgetrf(a)
-    rcond, _ = lapack.dgecon(lu, np.max(np.abs(a).sum(axis=0)), norm="1")
-    assert [rep.condition_estimate for rep in model.fit_diag] == [1.0 / rcond] * 2
+    # Both systems report the estimate of the one +e matrix they share; gecon (or
+    # sycon) runs once, and its value is the one of a factor and a 1-norm taken here.
+    for n, (factored, estimated) in ROWS.items():
+        with monkeypatch.context() as patch:
+            calls = counting(patch, "_gecon", "_sycon")
+            x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+            model = fit_regressor(x, y, equal_hp(0.7, 0.9))
+        assert calls == {name: int(name == estimated) for name in calls}
+        core = gram(gaussian(1.0), x, x) / 0.7 + 0.9 * np.eye(n)
+        a, _ = augmented(core, np.ones(n), +1, y, float(n))
+        anorm = np.max(np.abs(a).sum(axis=0))
+        if factored == "_getrf":
+            lu, _, _ = lapack.dgetrf(a)
+            rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+        else:
+            ldu, ipiv, _ = lapack.dsytrf(a, lwork=int(lapack.dsytrf_lwork(n + 1)[0]))
+            rcond, _ = lapack.dsycon(ldu, ipiv, anorm)
+        estimates = [rep.condition_estimate for rep in model.fit_diag]
+        assert estimates[0] == estimates[1]
+        # The estimate's last bit can follow the alignment of LAPACK's workspace (seen
+        # for gecon and sycon alike at order 301), so only the 12-row one is bitwise.
+        assert abs(estimates[0] - 1.0 / rcond) <= (0.0 if n == 12 else 1e-13 / rcond)
 
 
 def test_preconditions():

@@ -18,6 +18,7 @@ from trkm.solver import (
 )
 
 import oracles
+from conftest import counting
 from oracles import residual, solve_full_pivot, system_matrix
 
 
@@ -176,10 +177,10 @@ def without_estimate(fields):
 
 
 def contents(factor):
-    """A factor's matrix, LU and pivots as bytes; None while it is empty."""
+    """A factor's matrix, factors and pivots as bytes; None while it is empty."""
     if factor.kernel is None:
         return None
-    return factor.matrix.tobytes(), factor.lu.tobytes(), factor.piv.tobytes()
+    return factor.matrix.tobytes(), factor.factors.tobytes(), factor.piv.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,7 +219,7 @@ def test_shared_factor_solves_the_other_sign_bitwise(
         fresh = outcome(other)
         assert outcome(other, shared) == fresh
         assert outcome(other, lean, estimate=False) == without_estimate(fresh)
-        # no solve of either sign changes a filled factor's matrix or LU
+        # no solve of either sign changes a filled factor's matrix or factors
         assert (contents(shared), contents(lean)) == filled
     assert outcome(other, lean) == fresh
     assert (contents(shared), contents(lean)) == filled
@@ -396,3 +397,126 @@ def test_systems_sharing_one_spectral_shift_solve_as_with_their_own(seed, n, pen
             kernel, gammas, etas, sign, rhs, bottom, shared)) == spectral_bytes(own)
         assert not own.passed[-1]
     assert spectral_bytes(shared) == filled  # no solve changes the shift
+
+
+# Augmented matrices of order LDL_MIN_ORDER and more are factored by LDL^T (sytrf);
+# forcing the gate past every order puts the same system on LU for comparison.
+ORDER = trkm.solver.LDL_MIN_ORDER
+
+
+def gram_system(rng, n, sign=+1, sigma=1.0, gamma=1.0, eta=0.1):
+    x = rng.normal(size=(n, 3))
+    return system(gram(gaussian(sigma), x, x), gamma, eta, sign, rng.normal(size=n), float(n))
+
+
+def verdict(system):
+    """'passed', or the gate a SingularSystem names: 'pivot', 'residual' or 'balance'."""
+    try:
+        solve_bordered(system, "test system")
+    except SingularSystem as exc:
+        return str(exc).split()[2]
+    return "passed"
+
+
+@pytest.mark.parametrize("order, routines", [
+    (ORDER - 1, ("_getrf", "_getrs", "_gecon")), (ORDER, ("_sytrf", "_sytrs", "_sycon")),
+])
+def test_the_order_chooses_lu_or_ldlt(monkeypatch, rng, order, routines):
+    names = ("_getrf", "_getrs", "_gecon", "_sytrf", "_sytrs", "_sycon")
+    counts = counting(monkeypatch, *names)
+    s, shared = gram_system(rng, order - 1), SharedFactor()
+    for sign in (+1, -1):
+        solve_bordered(dataclasses.replace(s, border_sign=sign), "test system", factor=shared)
+    assert [counts[name] > 0 for name in names] == [name in routines for name in names]
+    assert counts[routines[0]] == counts[routines[2]] == 1  # one factor and estimate per twin
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
+    # Both factor one well-conditioned Gaussian system of order ORDER + 50; they round
+    # differently, so solutions agree to 1e-10 relative and the estimates to 1e-8.
+    s = gram_system(rng, ORDER + 49, sign)
+    ldlt = solve_bordered(s, "test system")
+    monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
+    lu = solve_bordered(s, "test system")
+    scale = float(np.max(np.abs(lu.solution)))
+    assert np.allclose(ldlt.solution, lu.solution, rtol=0, atol=1e-10 * scale)
+    assert ldlt.condition_estimate == pytest.approx(lu.condition_estimate, rel=1e-8)
+    assert ldlt.residual_norm <= trkm.solver.residual_bound(s.rhs_top, s.rhs_bottom)
+
+
+def test_both_signs_share_one_ldlt_factor_bitwise(rng):
+    s = gram_system(rng, ORDER + 9, +1)
+    shared = SharedFactor()
+    plus = solve_bordered(s, "test system", factor=shared)
+    minus = solve_bordered(dataclasses.replace(s, border_sign=-1), "test system", factor=shared)
+    assert shared.symmetric
+    assert minus.h.tobytes() == plus.h.tobytes()
+    assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
+    assert (minus.residual_norm, minus.condition_estimate) == \
+        (plus.residual_norm, plus.condition_estimate)
+    assert outcome(dataclasses.replace(s, border_sign=-1)) == \
+        (minus.solution.tobytes(), minus.residual_norm, minus.condition_estimate)
+
+
+def test_a_vanishing_core_above_the_gate_is_a_pivot_failure(rng):
+    # K/gamma + eta*I is near 1e-300 while the border is 1: D's smallest pivot is tiny.
+    s = gram_system(rng, ORDER, gamma=1e300, eta=1e-300)
+    with pytest.raises(SingularSystem, match="^test system: pivot .* below relative threshold"):
+        solve_bordered(s, "test system")
+
+
+def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng):
+    # sigma = 32 and gamma = eta = 1e-5, the hardest grid cell: TRKM-R's systems on a
+    # sine sample pass on both paths, and random right-hand sides fail the residual
+    # gate on both.
+    from trkm.regressor import systems
+    from trkm.synthetic import sine
+
+    x, y = sine(ORDER, seed=2)
+    cases = [family.at(1e-5, 1e-5) for family in systems(x, y, gaussian(32.0))]
+    cases += [gram_system(rng, ORDER, sign, sigma=32.0, gamma=1e-5, eta=1e-5)
+              for sign in (+1, -1)]
+    ldlt = [verdict(s) for s in cases]
+    monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
+    assert ldlt == [verdict(s) for s in cases] == ["passed"] * 2 + ["residual"] * 2
+
+
+def sytrf(a):
+    """The upper LDL^T factor and pivots of a symmetric matrix ``a``, as the solver takes them."""
+    a = np.asarray(a, dtype=float)
+    return trkm.solver._sytrf(a.T, lwork=int(trkm.solver._sytrf_lwork(len(a))[0]))[:2]
+
+
+def test_block_pivots_of_bordered_matrices_with_a_zero_diagonal():
+    # [[0, 1], [1, 0]] is one 2x2 block, eigenvalues +-1. [[3, 1], [1, 0]] pivots
+    # on 3 after an interchange, then leaves 0 - 1/3.
+    swap = sytrf([[0.0, 1.0], [1.0, 0.0]])
+    assert swap[1].tolist() == [-1, -1]
+    assert trkm.solver._block_pivots(*swap).tolist() == [1.0, 1.0]
+    assert np.allclose(np.sort(trkm.solver._block_pivots(*sytrf([[3.0, 1.0], [1.0, 0.0]]))),
+                       [1.0 / 3.0, 3.0], rtol=1e-15, atol=0)
+    # A small core and a ones border take 2x2 blocks; their pivots are the |eigenvalues|
+    # of the block diagonal D that scipy's ldl reads from the same sytrf, and their
+    # product is |det(a)|.
+    from scipy.linalg import ldl
+
+    a = np.ones((6, 6))
+    a[:5, :5] = np.diag([1e-3, 2e-3, 3.0, 4e-3, 5.0]) + 1e-4
+    a[5, 5] = 0.0
+    ldu, ipiv = sytrf(a)
+    assert (ipiv < 0).any()
+    pivots = trkm.solver._block_pivots(ldu, ipiv)
+    _, d, _ = ldl(a, lower=False)
+    assert np.allclose(np.sort(pivots), np.sort(np.abs(np.linalg.eigvalsh(d))), rtol=1e-13,
+                       atol=0)
+    assert np.prod(pivots) == pytest.approx(abs(np.linalg.det(a)), rel=1e-12)
+
+
+def test_a_non_symmetric_kernel_above_the_gate_fails_the_residual_gate(rng):
+    # sytrf reads one triangle, so it factors another matrix; the residual of the
+    # formed system refuses the result instead of returning a wrong solution.
+    s = gram_system(rng, ORDER)
+    lopsided = dataclasses.replace(s, kernel=s.kernel + np.triu(np.full_like(s.kernel, 5.0), 1))
+    with pytest.raises(SingularSystem, match="^test system: residual .* exceeds tolerance"):
+        solve_bordered(lopsided, "test system")
