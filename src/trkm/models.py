@@ -12,7 +12,7 @@ every fit and predict.
 
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
 from the model module's own statement of its systems (``grid_fold``), and
-refits any one cell from that statement by LU, as the fit and predictor do.
+refits any one cell from that statement directly, as the fit and predictor do.
 Its cells come as one ``penalty_table``, which a grid search builds once and
 passes to every (sigma, fold).
 """
@@ -272,7 +272,7 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     values for regression, a mask of the cells whose solves met every gate of
     ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
     (EmptyClass, TooFewSamples) from the model's statement. A cell outside
-    the mask must be decided by ``refit(params)``, the LU solves of the same
+    the mask must be decided by ``refit(params)``, the direct solves of the same
     statement: bitwise ``predict(fit(...))``, or its SingularSystem; it
     computes no condition estimate, which nothing reads there. Besides those
     gates, a classification cell with a tied decision value (``TIE_RTOL``)

@@ -15,7 +15,7 @@ system's distinct (gamma, eta) pairs) once. Per (sigma, fold),
 once from the statement in the model's own module, the one its fit and
 predictor read, with one spectral shift per kernel block, and
 ``models.column_scores`` scores them.
-A cell it does not vouch for at a fold is refitted there by LU from the same
+A cell it does not vouch for at a fold is refitted there directly from the same
 statement, bitwise ``predict(fit(...))``, and that refit alone decides the
 score or the error and message; a cell that failed is not refitted at later
 folds. Both solves hold a cell to the same gates, ``solver.residual_bound``

@@ -14,14 +14,12 @@ augmented matrix, in place: K/gamma straight into its top-left block, eta
 onto that block's diagonal, then the border. Every kernel block is a Gram
 block, bitwise symmetric, so the +e matrix is symmetric. Below order
 ``LDL_MIN_ORDER`` it is factored by partially pivoted LU (getrf/getrs/gecon),
-at or above it by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), with LAPACK called
-directly from ``compiled.flapack`` (scipy's wrappers, the same bits, cost more
-per call than the solve itself at grid-fold sizes, and their package costs a
-cold start). LDL^T takes half LU's flops, but pays off only on large
-matrices, and only with the blocked workspace ``sytrf_lwork`` asks for. The
-pivot floor reads |U's diagonal| or the |eigenvalues| of D's 1x1 and 2x2
-blocks. sytrf reads one triangle, so a non-symmetric kernel above the gate
-fails the residual gate, which is taken on the full formed matrix.
+at or above it by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), which takes half
+LU's flops but pays off only on large matrices. LAPACK is called directly
+from ``compiled.flapack`` (scipy's wrappers, the same bits, cost more per
+call than the solve itself at grid-fold sizes, and their package costs a
+cold start). The pivot floor reads |U's diagonal| or the |eigenvalues| of
+D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices.
 
@@ -34,8 +32,8 @@ exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
 ``solve_families``; a fitted model keeps no factor, so no (n+1)^2 array.
 
 The condition estimate (the 1-norm of the augmented matrix by ``lange``,
-then ``gecon`` or ``sycon``), kept on the factor so that both signs' systems share one,
-is the one part of a solve that gates nothing, and at grid-fold sizes it
+then ``gecon`` or ``sycon``), kept on the factor so that both signs' systems
+share one, is the one part of a solve that gates nothing, and at grid-fold sizes it
 costs about half a factorization. Fits compute it, since their ``fit_diag``
 reports it; a grid refit, which reads only h and b, asks for none
 (``estimate=False``) and gets a report whose estimate is None. Every gate
@@ -191,7 +189,7 @@ class SharedFactor:
         self.kernel = None  # the factored system's kernel; None while empty
         self.gamma = self.eta = None
         self.matrix = self.factors = self.piv = self.cond = None
-        self.symmetric = False  # True when ``factors`` and ``piv`` are sytrf's LDL^T, else getrf's LU
+        self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
         if not (gamma == self.gamma and eta == self.eta
@@ -242,10 +240,9 @@ def _block_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     ``ipiv`` is whole blocks, and every second negative entry starts one."""
     pivots = np.abs(np.diag(ldu))
     first = np.flatnonzero(ipiv < 0)[::2]
-    if first.size:
-        top, bottom, off = ldu[first, first], ldu[first + 1, first + 1], ldu[first, first + 1]
-        blocks = np.array([[top, off], [off, bottom]]).transpose(2, 0, 1)
-        pivots[first], pivots[first + 1] = np.abs(np.linalg.eigvalsh(blocks)).T
+    top, bottom, off = ldu[first, first], ldu[first + 1, first + 1], ldu[first, first + 1]
+    blocks = np.array([[top, off], [off, bottom]]).transpose(2, 0, 1)
+    pivots[first], pivots[first + 1] = np.abs(np.linalg.eigvalsh(blocks)).T
     return pivots
 
 
@@ -291,7 +288,7 @@ def solve_bordered(
 
     The kernel block must be symmetric, as every Gram block is bitwise: at or
     above ``LDL_MIN_ORDER`` the factor reads one triangle of it. A non-symmetric
-    block there is refined and gated on the full formed matrix, so it is
+    block there is still refined and gated on the full formed matrix, so it is
     SingularSystem or solved, never solved wrongly.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
