@@ -4,12 +4,13 @@ Exit codes: 0 success, 2 usage errors, 3 data errors (unreadable or
 malformed files, mismatched columns), 4 numerical failures (singular
 systems, degenerate statistics). All result files are written atomically
 (temp file + rename) and contain no timestamps, so a rerun with the same
-seed produces byte-identical output.
+seed produces byte-identical output, at any BLAS thread count (``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -96,7 +97,7 @@ def _load_dataset(args) -> Dataset:
         raise ValueError(f"{flag} is required for --task {args.task}")
     dataset = load_csv(args.data, **{_COLUMN_KEY[args.task]: _column(column)},
                        delimiter=args.delimiter, header=not args.no_header)
-    return dataset if args.no_normalize else normalize_minmax(dataset)
+    return dataset if args.no_normalize else normalize_minmax(dataset, args.data)
 
 
 def _column(ref: str):
@@ -144,7 +145,7 @@ def cmd_predict(args) -> int:
         raise ParseError("--target-col given but the model is a classifier")
 
     column = None if truth_col is None else _column(truth_col)
-    x, raw_truth, _ = parse_feature_table(args.data, column, args.delimiter, not args.no_header)
+    x, raw_truth, names = parse_feature_table(args.data, column, args.delimiter, not args.no_header)
     trained_m = models.n_features(saved.model)
     if x.shape[1] != trained_m:
         raise FeatureCountMismatch(f"data has {x.shape[1]} feature columns, model expects {trained_m}")
@@ -161,8 +162,8 @@ def cmd_predict(args) -> int:
             raise ParseError(f"truth labels {unknown} unknown to the model")
         truth = np.array([lookup[t] for t in raw_truth], dtype=np.int64)
     if saved.normalization is not None:
-        dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task)
-        x = apply_normalization(dataset, saved.normalization).X
+        dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task, feature_names=names)
+        x = apply_normalization(dataset, saved.normalization, args.data).X
 
     pred = models.predict(saved.model, x)
 
@@ -429,8 +430,8 @@ def _benchmark_dataset(load_args: dict, plan: _Plan, threads: int) -> list[float
     for spec in plan.splits:
         train, test = split(dataset, spec)
         if plan.normalize:
-            train = normalize_minmax(train)
-            test = apply_normalization(test, train.normalization)
+            train = normalize_minmax(train, load_args["path"])
+            test = apply_normalization(test, train.normalization, load_args["path"])
         for model_scores, (_, kind, params, grid) in zip(scores, plan.models):
             if grid is not None:
                 params = grid_search(train, grid, plan.task, model_kind=kind,
@@ -579,7 +580,20 @@ def _apply_default_paths(args) -> None:
             setattr(args, key, _out_path(args, name))
 
 
+def _one_blas_thread() -> None:
+    """Set numpy's and SciPy's OpenBLAS, each through the extension module that links it, to
+    one thread, as the count changes a solve's rounding; a missing module or setter is skipped."""
+    for module, name in (("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+                         ("scipy.linalg._flapack", "scipy_openblas_set_num_threads")):
+        if module in sys.modules:
+            setter = getattr(ctypes.CDLL(sys.modules[module].__file__), name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None  # void (int)
+                setter(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -223,32 +223,43 @@ def load_feature_matrix(path: str, delimiter: str = ",", header: bool = True):
     return x, names
 
 
-def normalize_minmax(dataset: Dataset) -> Dataset:
-    """Map each feature affinely onto [0, 1]; constant features map to 0."""
+def normalize_minmax(dataset: Dataset, path: str = "data") -> Dataset:
+    """Map each feature affinely onto [0, 1]; constant features map to 0. A feature whose
+    max - min overflows is a ParseError naming ``path`` and the feature."""
     x = dataset.X
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     norm = tuple((float(lo), float(hi)) for lo, hi in zip(mins, maxs))
-    return replace(dataset, X=_apply(x, norm), normalization=norm)
+    return replace(dataset, X=_apply(dataset, norm, path), normalization=norm)
 
 
 def apply_normalization(
-    dataset: Dataset, normalization: tuple[tuple[float, float], ...]
+    dataset: Dataset, normalization: tuple[tuple[float, float], ...], path: str = "data"
 ) -> Dataset:
     """Re-apply a recorded per-feature (min, max) transform, e.g. to test data."""
     if len(normalization) != dataset.n_features:
         raise DimensionMismatch(
             f"normalization has {len(normalization)} features, data has {dataset.n_features}"
         )
-    return replace(dataset, X=_apply(dataset.X, normalization), normalization=tuple(normalization))
+    return replace(dataset, X=_apply(dataset, normalization, path),
+                   normalization=tuple(normalization))
 
 
-def _apply(x: np.ndarray, normalization) -> np.ndarray:
+def _apply(dataset: Dataset, normalization, path: str) -> np.ndarray:
+    """The scaled features. A value that overflows, as a column's max does (inf/inf) when its
+    max - min overflows, is a ParseError naming ``path`` and the feature."""
+    x = dataset.X
     out = np.empty_like(x, dtype=float)
-    for j, (lo, hi) in enumerate(normalization):
-        span = hi - lo
-        if span <= 0:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = (x[:, j] - lo) / span
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (lo, hi) in enumerate(normalization):
+            span = hi - lo
+            if span <= 0:
+                out[:, j] = 0.0
+            else:
+                out[:, j] = (x[:, j] - lo) / span
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        feature = repr(dataset.feature_names[j]) if dataset.feature_names else j + 1
+        raise ParseError(f"{path}: feature {feature}: value {float(x[i, j])!r} overflows when "
+                         f"scaled to the training range {list(normalization[j])}")
     return out

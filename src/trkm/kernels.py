@@ -35,6 +35,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == GAUSSIAN and not positive_number(self.sigma):
             raise ValueError("gaussian kernel requires sigma > 0")
+        if self.family == LINEAR and self.sigma is not None:
+            raise ValueError(f"linear kernel takes no sigma, got {self.sigma!r}")
 
 
 def gaussian(sigma: float) -> KernelSpec:

@@ -8,7 +8,8 @@ identical. An array is decoded with one ``map(float.fromhex, ...)``; only an
 array with a bad field is walked value by value, to name the first one. The checksum is the SHA-256 of the canonical payload encoding
 (sorted keys, no whitespace). Files are written atomically
 (temp file + rename). Loading rejects unknown versions before anything
-else, then verifies the checksum.
+else, then verifies the checksum, then holds each field to what a fit holds
+its inputs to (finite floats, positive penalties, distinct raw labels).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .arrays import positive_number
 from .classifier import TrkmClassifierModel
 from .errors import CorruptModel, IoError, VersionMismatch
 from .kernels import KernelSpec
@@ -202,8 +204,14 @@ def _reconstruct(payload: dict) -> SavedModel:
 
     hp_blob = body["hyperparams"]
     hyperparams = {name: _unhex(hp_blob[name]) for name in entry.penalties}
+    for name, value in hyperparams.items():
+        if not positive_number(value):
+            raise ValueError(f"hyperparams {name} = {value!r}: expected a finite positive number")
     hyperparams["kernel"] = _decode_kernel(hp_blob["kernel"])
     fields = {name: _DECODE[encoding](body[name]) for name, encoding in entry.body}
+    for name, value in [*fields.items(), ("normalization", normalization or ())]:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} holds a non-finite value")
     for vector, rows in entry.per_row:
         if fields[rows].ndim != 2 or fields[vector].shape != fields[rows].shape[:1]:
             raise ValueError(f"{vector} of shape {fields[vector].shape} does not match "
@@ -222,6 +230,7 @@ def _reconstruct(payload: dict) -> SavedModel:
     if normalization is not None and len(normalization) != n_features:
         raise ValueError(f"normalization has {len(normalization)} features, "
                          f"model has {n_features}")
-    if label_mapping is not None and sorted(code for _, code in label_mapping) != [-1, 1]:
-        raise ValueError(f"label_mapping codes must be -1 and +1, got {label_mapping}")
+    if label_mapping is not None and (sorted(code for _, code in label_mapping) != [-1, 1]
+                                      or len(dict(label_mapping)) != 2):
+        raise ValueError(f"label_mapping {label_mapping} is not two distinct labels coded -1, +1")
     return SavedModel(model, normalization, label_mapping)

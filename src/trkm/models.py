@@ -14,7 +14,8 @@ every fit and predict.
 from the model module's own statement of its systems (``grid_fold``), and
 refits any one cell from that statement directly, as the fit and predictor do.
 Its cells come as one ``penalty_table``, which a grid search builds once and
-passes to every (sigma, fold).
+passes to every (sigma, fold); each kernel block takes one ``spectral_shift``
+at all of the table's columns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .rkm import RkmModel
 from .solver import (
     BorderedFamily,
     DecisionTerm,
-    kernel_spectrum,
     solve_families,
     solve_spectral,
     spectral_shift,
@@ -235,39 +235,33 @@ def predict(model, X) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PenaltyColumns:
-    """One system's (gamma, eta) over a list of grid cells: the distinct pairs as columns
-    (``gammas``, ``etas``) and each cell's column (``column``)."""
+class PenaltyTable:
+    """The distinct (gamma, eta) pairs of all systems over a list of grid cells as columns
+    (``gammas``, ``etas``), and each system's column at each cell (``columns``)."""
 
     gammas: np.ndarray
     etas: np.ndarray
-    column: np.ndarray
+    columns: tuple[np.ndarray, ...]
 
 
-def penalty_table(model_kind: str, task: str, cells: list[dict]) -> tuple[PenaltyColumns, ...]:
-    """The ``PenaltyColumns`` of each system of a (model kind, task) pair over ``cells``.
-
-    A system whose pairs equal an earlier system's gets the same object, so
-    that ``fold_predictions`` shares one spectral shift between them.
-    """
-    table, built = [], {}
-    for system_penalties in model_type(model_kind, task).system_penalties:
-        pairs = tuple(system_penalties(params) for params in cells)
-        if pairs not in built:
-            index = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
-            gammas, etas = np.array(list(index)).T
-            built[pairs] = PenaltyColumns(gammas, etas, np.array([index[p] for p in pairs]))
-        table.append(built[pairs])
-    return tuple(table)
+def penalty_table(model_kind: str, task: str, cells: list[dict]) -> PenaltyTable:
+    """The ``PenaltyTable`` of the systems of a (model kind, task) pair over ``cells``, its
+    columns in order of first appearance. On a grid, every system's distinct pairs come out
+    in the same order (gamma outer, eta inner), so the columns are each system's own."""
+    pairs = [[penalties(params) for params in cells]
+             for penalties in model_type(model_kind, task).system_penalties]
+    index = {pair: j for j, pair in enumerate(dict.fromkeys(sum(pairs, [])))}
+    gammas, etas = np.array(list(index)).T
+    return PenaltyTable(gammas, etas, tuple(np.array([index[p] for p in own]) for own in pairs))
 
 
 def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
-                     table: tuple[PenaltyColumns, ...]):
+                     table: PenaltyTable):
     """Predictions at the rows of ``X_valid`` of every cell fitted on (X, y), without fitting.
 
     ``table`` is the ``penalty_table`` of grid cells sharing the Gaussian
-    bandwidth ``sigma``. Each kernel block takes one ``eigh``, and each
-    (kernel block, columns) one ``spectral_shift``, shared by the systems on
+    bandwidth ``sigma``. Each kernel block takes one ``spectral_shift`` (one
+    ``eigh``) at every column of the table, shared by the systems on
     it. Returns a (rows x cells) matrix, labels for classification and
     values for regression, a mask of the cells whose solves met every gate of
     ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
@@ -280,18 +274,14 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     """
     entry = model_type(model_kind, task)
     families, terms = entry.grid_fold(X, y, X_valid, gaussian(sigma))
-    decision, size, passed = 0.0, 0.0, np.ones(len(table[0].column), dtype=bool)
-    spectra, shifts = {}, {}
-    for system, term, columns in zip(families, terms, table):
-        gammas, etas, column = columns.gammas, columns.etas, columns.column
-        block = id(system.kernel)
-        if block not in spectra:
-            spectra[block] = kernel_spectrum(system.kernel)
-        if (block, id(columns)) not in shifts:
-            shifts[block, id(columns)] = spectral_shift(spectra[block], gammas, etas)
-        shift = shifts[block, id(columns)]
-        solved = solve_spectral(system.kernel, gammas, etas, system.border_sign,
-                                system.rhs_top(gammas), system.rhs_bottom, shift)
+    gammas = table.gammas
+    decision, size, passed = 0.0, 0.0, np.ones(len(table.columns[0]), dtype=bool)
+    blocks = {id(system.kernel): system.kernel for system in families}
+    shifts = {block: spectral_shift(kernel, gammas, table.etas) for block, kernel in blocks.items()}
+    for system, term, column in zip(families, terms, table.columns):
+        shift = shifts[id(system.kernel)]
+        solved = solve_spectral(system.kernel, system.border_sign, system.rhs_top(gammas),
+                                system.rhs_bottom, shift)
         passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
             decision = decision + term.value(solved.h, gammas, solved.b)[:, column]

@@ -9,12 +9,12 @@ worst (-inf accuracy / +inf RMSE) rather than aborting the sweep; best-cell
 ties break to the first cell in iteration order (gamma outer, eta middle,
 sigma inner, each ascending).
 
-How a cell is solved: the search builds its ``models.penalty_table`` (each
-system's distinct (gamma, eta) pairs) once. Per (sigma, fold),
-``models.fold_predictions`` solves every (gamma, eta) cell of that table at
-once from the statement in the model's own module, the one its fit and
-predictor read, with one spectral shift per kernel block, and
-``models.column_scores`` scores them.
+How a cell is solved: sigma is the innermost grid axis, so listing k of the L
+sigma values is cells k, k+L, k+2L, ..., each listing with the same penalties,
+and one ``models.penalty_table`` serves every system and listing. Per (listing,
+fold), ``models.fold_predictions`` solves every cell of the listing at once from
+the statement in the model's own module, the one its fit and predictor read,
+with one spectral shift per kernel block, and ``models.column_scores`` scores them.
 A cell it does not vouch for at a fold is refitted there directly from the same
 statement, bitwise ``predict(fit(...))``, and that refit alone decides the
 score or the error and message; a cell that failed is not refitted at later
@@ -114,11 +114,8 @@ def _largest_remainder(counts: np.ndarray, total: int) -> np.ndarray:
     """Apportion ``total`` across groups proportionally to ``counts``."""
     quotas = total * counts / counts.sum()
     alloc = np.floor(quotas).astype(int)
-    remainder = quotas - alloc
     short = total - int(alloc.sum())
-    order = np.argsort(-remainder, kind="stable")
-    for g in order[:short]:
-        alloc[g] += 1
+    alloc[np.argsort(alloc - quotas, kind="stable")[:short]] += 1  # the largest remainders
     return alloc
 
 
@@ -198,7 +195,7 @@ def grid_search(
 ) -> GridResult:
     """Evaluate every grid cell by k-fold cross-validation on the training set.
 
-    ``threads`` workers share the sigma columns; each runs its folds in order.
+    ``threads`` workers share the sigma listings; each runs its folds in order.
     """
     models.refuse_second_penalties(model_kind, task, [] if grid.equal_penalties else
                                    ["per-class penalties"])
@@ -212,27 +209,17 @@ def grid_search(
     points = _grid_points(grid)
     worst = float("-inf") if task == CLASSIFY else float("inf")
     x, y = train_set.X, np.asarray(train_set.target, dtype=float)
-    columns: dict[float, list[int]] = {}
-    for i, params in enumerate(points):
-        columns.setdefault(params["sigma"], []).append(i)
-    # Sigma is the innermost grid axis, so every sigma column holds the same penalty
-    # sequence, each pair once per listing of its sigma: the cell count tells them apart.
-    tables = {}
-    for cells in columns.values():
-        if len(cells) not in tables:
-            tables[len(cells)] = models.penalty_table(model_kind, task,
-                                                      [points[i] for i in cells])
-
+    listings = len(grid.sigma_values)
+    penalties = models.penalty_table(model_kind, task, points[::listings])
     scores = np.full((len(points), len(folds)), np.nan)  # each cell's score at each fold it reaches
 
-    def column(sigma) -> dict:
-        """Fill ``sigma``'s rows of ``scores``; return each of its failed cells' (fold, error)."""
-        cells, failed = np.asarray(columns[sigma]), {}
+    def listing(k: int) -> dict:
+        """Fill listing ``k``'s rows of ``scores``; return its failed cells' (fold, error)."""
+        cells, sigma, failed = np.arange(k, len(points), listings), points[k]["sigma"], {}
         for f, (train_idx, valid_idx) in enumerate(folds):
             try:
                 predictions, passed, refit = models.fold_predictions(
-                    model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma,
-                    tables[len(cells)])
+                    model_kind, task, x[train_idx], y[train_idx], x[valid_idx], sigma, penalties)
             except EmptyClass as exc:  # every cell still alive stops at this fold
                 failed.update({i: (f, exc) for i in cells.tolist() if i not in failed})
                 break
@@ -247,7 +234,7 @@ def grid_search(
 
     errors = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in (pool.map if threads > 1 else map)(column, columns):
+        for part in (pool.map if threads > 1 else map)(listing, range(listings)):
             errors.update(part)
     table = tuple(GridCell(params, mean, tuple(row)) if i not in errors else
                   GridCell(params, worst, tuple(row[:errors[i][0]]), str(errors[i][1]))

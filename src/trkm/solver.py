@@ -47,10 +47,9 @@ the kernel's spectrum: with K = Q diag(lambda) Q^T,
 
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
-so one ``eigh`` (``kernel_spectrum``) serves every pair, and every system
-on the same block. What depends only on that spectrum and the pairs (d,
-v = C^-1 e, e^T v, the finite-and-positive mask of d and its spread) is one
-``spectral_shift``, computed once per kernel block and set of pairs and
+so one ``eigh`` serves every pair. It and what depends only on the spectrum
+and the pairs (d, v = C^-1 e, e^T v, the finite-and-positive mask of d and
+its spread) are one ``spectral_shift``, computed once per kernel block and
 shared by every system on it, as TRKM-R's twins share their fold kernel.
 Each pair then takes the scalar Schur step of the +e border: u = C^-1 r,
 b = (e^T u - c)/(e^T v), h = u - b*v, and returns sign * b. Stacking the
@@ -372,26 +371,18 @@ class SpectralSolve:
     passed: np.ndarray
 
 
-def kernel_spectrum(kernel) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a symmetric kernel block as (lambda, Q); all nan when it does not converge."""
-    kernel = np.asarray(kernel, dtype=float)
-    try:
-        return np.linalg.eigh(kernel)
-    except np.linalg.LinAlgError:
-        n = kernel.shape[0]
-        return np.full(n, np.nan), np.full((n, n), np.nan)
-
-
 @dataclass(frozen=True)
 class SpectralShift:
-    """The parts of ``solve_spectral`` that depend only on a kernel's spectrum and the
-    (gamma, eta) columns, for every system on that kernel block at those columns.
+    """The parts of ``solve_spectral`` that depend only on a kernel block and its (gamma,
+    eta) columns (``gammas``, ``etas``), for every system on that block.
 
-    ``d`` holds each column's shifted spectrum lambda/gamma + eta, ``v`` = C^-1 e and
-    ``ev`` = e^T v per column; ``ok`` marks the columns whose d is finite and
-    positive, and ``spread`` is each column's d_max/d_min.
+    ``q`` holds the eigenvectors, ``d`` each column's shifted spectrum lambda/gamma + eta,
+    ``v`` = C^-1 e and ``ev`` = e^T v per column; ``ok`` marks the columns whose d is
+    finite and positive, and ``spread`` is each column's d_max/d_min.
     """
 
+    gammas: np.ndarray
+    etas: np.ndarray
     q: np.ndarray
     d: np.ndarray
     v: np.ndarray
@@ -400,32 +391,36 @@ class SpectralShift:
     spread: np.ndarray
 
 
-def spectral_shift(spectrum, gammas, etas) -> SpectralShift:
-    """The ``SpectralShift`` of a ``kernel_spectrum`` at the columns (gammas[j], etas[j])."""
-    lam, q = spectrum
+def spectral_shift(kernel, gammas, etas) -> SpectralShift:
+    """The ``SpectralShift`` of a symmetric kernel block at the columns (gammas[j], etas[j]),
+    from one ``eigh``; a spectrum that does not converge is all nan and fails every column."""
+    kernel = np.asarray(kernel, dtype=float)
     gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
+    try:
+        lam, q = np.linalg.eigh(kernel)
+    except np.linalg.LinAlgError:
+        lam, q = np.full(len(kernel), np.nan), np.full(kernel.shape, np.nan)
     # A zero or non-finite d makes inf/nan columns; solve_spectral's gates reject them.
     with np.errstate(all="ignore"):
         d = lam[:, None] / gammas + etas
         v = q @ (q.sum(axis=0)[:, None] / d)
-        return SpectralShift(q, d, v, v.sum(axis=0),
+        return SpectralShift(gammas, etas, q, d, v, v.sum(axis=0),
                              np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0),
                              d.max(axis=0) / d.min(axis=0))
 
 
 def solve_spectral(
-    kernel, gammas, etas, border_sign: int, rhs_top, rhs_bottom: float, shift: SpectralShift
+    kernel, border_sign: int, rhs_top, rhs_bottom: float, shift: SpectralShift
 ) -> SpectralSolve:
-    """Solve the bordered system of ``kernel`` for each column (gammas[j], etas[j], rhs_top[:, j]).
+    """Solve the bordered system of ``kernel`` for each column j of ``shift``, at
+    (shift.gammas[j], shift.etas[j]) with right-hand side rhs_top[:, j].
 
-    ``shift`` is the ``spectral_shift`` of the kernel's ``kernel_spectrum`` at
-    the same columns; every system on the kernel may share it. See the module
-    docstring for the method and the gates. A nan spectrum fails every
-    column. The shift's spread d_max/d_min is not gated here;
-    ``models.SPREAD_LIMIT`` holds regression cells to it.
+    ``shift`` is the kernel's ``spectral_shift``; every system on the kernel may
+    share it. See the module docstring for the method and the gates. A nan
+    spectrum fails every column. The shift's spread d_max/d_min is not gated
+    here; ``models.SPREAD_LIMIT`` holds regression cells to it.
     """
     kernel = np.asarray(kernel, dtype=float)
-    gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
     rhs = np.asarray(rhs_top, dtype=float)
     with np.errstate(all="ignore"):  # columns of a failed shift hold inf or nan
         u = shift.q @ ((shift.q.T @ rhs) / shift.d)
@@ -433,7 +428,7 @@ def solve_spectral(
         b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(shift.ev)
         h = u - b * shift.v
         balance = h.sum(axis=0)
-        top = (kernel @ h) / gammas + etas * h + b - rhs
+        top = (kernel @ h) / shift.gammas + shift.etas * h + b - rhs
         residual = np.maximum(np.abs(top).max(axis=0), np.abs(balance - rhs_bottom))
         passed = ((residual <= residual_bound(rhs, rhs_bottom))
                   & balance_met(balance, rhs_bottom) & shift.ok)

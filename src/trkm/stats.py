@@ -147,17 +147,8 @@ def win_tie_loss(scores_a, scores_b, better: str = HIGHER) -> WinTieLoss:
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise DimensionMismatch(f"score vectors must match and be non-empty: {a.shape} vs {b.shape}")
-    if better == HIGHER:
-        wins = int(np.sum(a > b))
-        losses = int(np.sum(a < b))
-    else:
-        wins = int(np.sum(a < b))
-        losses = int(np.sum(a > b))
-    ties = int(a.size - wins - losses)
+    wins, losses = int(np.sum(a > b)), int(np.sum(a < b))
+    if better == LOWER:
+        wins, losses = losses, wins
     n = a.size
-    return WinTieLoss(
-        wins=wins,
-        ties=ties,
-        losses=losses,
-        threshold=float(n / 2.0 + 1.96 * np.sqrt(n) / 2.0),
-    )
+    return WinTieLoss(wins, n - wins - losses, losses, float(n / 2.0 + 1.96 * np.sqrt(n) / 2.0))

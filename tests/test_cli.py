@@ -1031,28 +1031,109 @@ def _widen_b(payload):
     b["shape"] = [rows, cols + 1]
 
 
-@pytest.mark.parametrize("edit, named", [
-    (lambda payload: payload.update(task="regress"), ["'regress'", "'trkm_classifier'"]),
-    (lambda payload: payload["body"]["hyperparams"].update(kernel="gaussian"), ["malformed"]),
-    (_drop_last_h1, ["h1 of shape (11,)", "A of shape (12, 2)"]),
-    (lambda payload: payload.update(normalization=payload["normalization"][:1]),
+def _set_hex(*keys, value):
+    """An edit that stores ``value`` as hex text at the payload path ``keys``."""
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = float(value).hex()
+    return edit
+
+
+@pytest.mark.parametrize("model_kind, edit, named", [
+    ("trkm", lambda payload: payload.update(task="regress"),
+     ["'regress'", "'trkm_classifier'"]),
+    ("trkm", lambda payload: payload["body"]["hyperparams"].update(kernel="gaussian"),
+     ["malformed"]),
+    ("trkm", _drop_last_h1, ["h1 of shape (11,)", "A of shape (12, 2)"]),
+    ("trkm", lambda payload: payload.update(normalization=payload["normalization"][:1]),
      ["normalization has 1 features", "model has 2"]),
-    (lambda payload: payload["label_mapping"][1].__setitem__(1, 7), ["label_mapping", "7"]),
-    (_widen_b, ["B of shape (", ", 3) has another column count than A of shape (12, 2)"]),
+    ("trkm", lambda payload: payload["label_mapping"][1].__setitem__(1, 7), ["label_mapping", "7"]),
+    ("trkm", _widen_b, ["B of shape (", ", 3) has another column count than A of shape (12, 2)"]),
+    ("trkm", _set_hex("body", "b1", value="nan"), ["b1 holds a non-finite value"]),
+    ("trkm", _set_hex("body", "A", "values", 0, value="inf"), ["A holds a non-finite value"]),
+    ("trkm", _set_hex("normalization", 0, 1, value="nan"),
+     ["normalization holds a non-finite value"]),
+    ("trkm", _set_hex("body", "hyperparams", "eta2", value=0.0),
+     ["hyperparams eta2 = 0.0", "finite positive"]),
+    ("trkm", lambda payload: payload.update(label_mapping=[["1", -1], ["1", 1]]),
+     ["is not two distinct labels coded -1, +1", "(('1', -1), ('1', 1))"]),
+    ("trkm", lambda payload: payload["body"]["hyperparams"]["kernel"].update(family="linear"),
+     ["linear kernel takes no sigma"]),
+    ("rkm", _set_hex("body", "hyperparams", "gamma", value=-1.0),
+     ["hyperparams gamma = -1.0", "finite positive"]),
+    ("rkm", _set_hex("body", "hyperparams", "gamma", value="inf"),
+     ["hyperparams gamma = inf", "finite positive"]),
+    ("rkm", _set_hex("body", "h", "values", 3, value="nan"), ["h holds a non-finite value"]),
 ], ids=["classifier-read-as-regressor", "kernel-not-object", "short-h1",
-        "one-pair-normalization", "label-code-7", "b-wider-than-a"])
-def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, edit, named):
+        "one-pair-normalization", "label-code-7", "b-wider-than-a", "nan-b1", "inf-in-a",
+        "nan-normalization-bound", "zero-eta2", "one-raw-label-twice", "linear-kernel-sigma",
+        "rkm-negative-gamma", "rkm-inf-gamma", "rkm-nan-in-h"])
+def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, model_kind, edit, named):
     model_path = tmp_path / "model.json"
     assert run(
-        "train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
-        "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path),
+        "train", "--task", "classify", "--model-kind", model_kind, "--data", blob_csv,
+        "--label-col", "label", "--gamma", "1", "--eta", "1", "--sigma", "1",
+        "--model-out", str(model_path),
     ) == 0
     _rewrite_payload(model_path, edit)
     capsys.readouterr()
     assert run("predict", "--model", str(model_path), "--data", blob_csv,
                "--label-col", "label", "--output", str(tmp_path / "p.csv")) == 3
     err = capsys.readouterr().err
-    assert "malformed payload" in err and all(word in err for word in named), err
+    assert str(model_path) in err and "malformed payload" in err, err
+    assert all(word in err for word in named), err
+
+
+def test_a_model_file_is_the_same_at_any_blas_thread_setting(tmp_path):
+    # numpy's and SciPy's OpenBLAS each read OPENBLAS_NUM_THREADS as they load. A second
+    # thread changes the rounding of this 150-row fit on a host with two or more cores;
+    # main sets both copies to one thread, so unset, 1 and 2 write the same bytes.
+    data = tmp_path / "sine.csv"
+    write_regression_csv(str(data), *sine(150, seed=3))
+    written = []
+    for threads in (None, "1", "2"):
+        model = tmp_path / f"model-{threads}.json"
+        run_python(f"""
+import os
+for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.pop(var, None)
+if {threads!r} is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = {threads!r}
+from trkm.cli import main
+assert main(["train", "--task", "regress", "--data", {str(data)!r}, "--target-col", "target",
+             "--gamma", "1", "--eta", "0.1", "--sigma", "1", "--model-out", {str(model)!r}]) == 0
+""")
+        written.append(model.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_min_max_overflow_exits_3_naming_the_file_and_the_feature(tmp_path, capsys):
+    # Training: max - min of the column 'huge' overflows, so its max scales to
+    # inf/inf. Predicting: the training range [-1e308, 0] is finite, but a row at
+    # 1e308 scales past it; that file has no header, so its feature is named by
+    # its 1-based index.
+    wide = tmp_path / "wide.csv"
+    wide.write_text("f0,huge,label\n" + "".join(f"{i},{v!r},{i % 2}\n" for i, v in
+                                                enumerate([1e308, -1e308, 0.0, 1.0])))
+    model = tmp_path / "model.json"
+    argv = ["--task", "classify", "--label-col", "label", "--gamma", "1", "--eta", "1",
+            "--sigma", "1", "--model-out", str(model)]
+    assert run("train", "--data", str(wide), *argv) == 3
+    assert capsys.readouterr().err == (f"error: {wide}: feature 'huge': value 1e+308 overflows "
+                                       "when scaled to the training range [-1e+308, 1e+308]\n")
+    assert not model.exists()
+    wide.write_text("f0,huge,label\n" + "".join(f"{i},{v!r},{i % 2}\n" for i, v in
+                                                enumerate([0.0, -1e308, 0.0, -1.0])))
+    assert run("train", "--data", str(wide), *argv) == 0
+    far = tmp_path / "far.csv"
+    far.write_text("0.5,-1.0,1\n0.5,1e308,0\n")
+    capsys.readouterr()
+    assert run("predict", "--model", str(model), "--data", str(far), "--no-header",
+               "--label-col", "2", "--output", str(tmp_path / "p.csv")) == 3
+    assert capsys.readouterr().err == (f"error: {far}: feature 2: value 1e+308 overflows when "
+                                       "scaled to the training range [-1e+308, 0.0]\n")
+    assert not (tmp_path / "p.csv").exists()
 
 
 def _same_document(data: bytes, good: bytes) -> bool:

@@ -359,9 +359,9 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     real_solve, real_refit = models.solve_spectral, models.solve_families
     refitted = []
 
-    def rejecting(kernel, gammas, etas, *args):
-        solved = real_solve(kernel, gammas, etas, *args)
-        return dataclasses.replace(solved, passed=solved.passed & (gammas != 0.1))
+    def rejecting(*args):
+        solved, shift = real_solve(*args), args[-1]
+        return dataclasses.replace(solved, passed=solved.passed & (shift.gammas != 0.1))
 
     def failing(families, penalties, **kwargs):
         refitted.append(penalties[0][0])
@@ -481,7 +481,7 @@ def test_threaded_regression_grid_matches_serial():
 
 @pytest.mark.parametrize("model_kind, task, equal, shifts_per_unit", [
     (TRKM, REGRESS, True, 1),  # the lower- and upper-function systems share one
-    (TRKM, REGRESS, False, 2),  # per-class penalties: one fold kernel, two sets of columns
+    (TRKM, REGRESS, False, 1),  # per-class penalties: one fold kernel, one table of columns
     (TRKM, CLASSIFY, True, 2),  # K_AA and K_BB
     (RKM, CLASSIFY, True, 1),
 ])
@@ -503,9 +503,26 @@ def test_a_search_builds_one_penalty_table_and_one_shift_per_kernel_block(
     assert len(shifts) == len(grid.sigma_values) * grid.folds * shifts_per_unit
 
 
-def test_a_sigma_listed_twice_gets_its_own_penalty_table():
-    # sigma = 1 listed twice holds each penalty pair twice; its cells still
-    # read as a per-cell search writes them.
+@pytest.mark.parametrize("model_kind, task", [(TRKM, REGRESS), (TRKM, CLASSIFY)])
+def test_per_class_systems_read_one_penalty_table_in_their_own_order(model_kind, task):
+    # With per-class penalties each system's distinct (gamma, eta) pairs come out
+    # gamma outer, eta inner, so the one table's columns are each system's own
+    # pairs in their own order, and every spectral column is what it was.
+    grid = GridSpec(gamma_values=(1e2, 1e-2, 1.0), eta_values=(1.0, 1e-1),
+                    sigma_values=(4.0, 1.0), equal_penalties=False)
+    listing = sel._grid_points(grid)[::len(grid.sigma_values)]
+    table = models.penalty_table(model_kind, task, listing)
+    columns = list(zip(table.gammas.tolist(), table.etas.tolist()))
+    for system_penalties, column in zip(models.model_type(model_kind, task).system_penalties,
+                                        table.columns):
+        pairs = [system_penalties(params) for params in listing]
+        assert columns == list(dict.fromkeys(pairs))
+        assert [columns[j] for j in column.tolist()] == pairs
+
+
+def test_a_sigma_listed_twice_is_two_listings_read_as_per_cell_fits():
+    # sigma = 1 listed twice makes two listings of the one penalty table; the
+    # cells of both read as a per-cell search writes them.
     ds = class_dataset(8, 6, seed=2)
     grid = GridSpec(gamma_values=(0.1, 1.0), eta_values=(1e-2, 1.0),
                     sigma_values=(1.0, 4.0, 1.0), folds=2)
@@ -604,9 +621,9 @@ def test_fallbacks_reuse_the_units_gram_blocks(monkeypatch, model_kind, task, gr
     real_spectral, real_refit, real_gram = models.solve_spectral, models.solve_families, kernels.gram
     grams, refits = [], []
 
-    def rejecting(kernel, gammas, *args):
-        return dataclasses.replace(real_spectral(kernel, gammas, *args),
-                                   passed=np.zeros(len(gammas), dtype=bool))
+    def rejecting(*args):
+        solved = real_spectral(*args)
+        return dataclasses.replace(solved, passed=np.zeros_like(solved.passed))
 
     monkeypatch.setattr(models, "solve_spectral", rejecting)
     monkeypatch.setattr(models, "solve_families",

@@ -12,7 +12,6 @@ import trkm.solver
 from trkm.solver import (
     BorderedSystem,
     SharedFactor,
-    kernel_spectrum,
     solve_bordered,
     spectral_shift,
 )
@@ -340,9 +339,9 @@ def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     kernel = gram(gaussian(1.0), x, x)
     gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
     rhs = rng.normal(size=(7, 3))
-    shift = spectral_shift(kernel_spectrum(kernel), gammas, etas)
-    solved = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, 1.5, shift)
-    twin = trkm.solver.solve_spectral(kernel, gammas, etas, -sign, rhs, 1.5, shift)
+    shift = spectral_shift(kernel, gammas, etas)
+    solved = trkm.solver.solve_spectral(kernel, sign, rhs, 1.5, shift)
+    twin = trkm.solver.solve_spectral(kernel, -sign, rhs, 1.5, shift)
     # the other sign negates b and keeps h, bitwise
     assert twin.h.tobytes() == solved.h.tobytes() and twin.b.tobytes() == (-solved.b).tobytes()
     assert solved.passed.all()
@@ -358,9 +357,8 @@ def test_spectral_column_with_a_zero_shifted_eigenvalue_fails_its_gates():
     kernel = np.diag([-1.0, 1.0, 2.0])  # d = lambda/gamma + eta is 0 in the first column
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shift = spectral_shift(kernel_spectrum(kernel), [1.0, 1.0], [1.0, 2.0])
-        solved = trkm.solver.solve_spectral(kernel, [1.0, 1.0], [1.0, 2.0], +1,
-                                            np.ones((3, 2)), 0.0, shift)
+        shift = spectral_shift(kernel, [1.0, 1.0], [1.0, 2.0])
+        solved = trkm.solver.solve_spectral(kernel, +1, np.ones((3, 2)), 0.0, shift)
     assert solved.passed.tolist() == [False, True]
 
 
@@ -385,16 +383,15 @@ def test_systems_sharing_one_spectral_shift_solve_as_with_their_own(seed, n, pen
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     kernel = (a + a.T) / 2.0
-    spectrum = kernel_spectrum(kernel)
-    gammas, etas = np.array([*penalties, (1.0, -float(spectrum[0].max()))]).T
-    shared = spectral_shift(spectrum, gammas, etas)
+    gammas, etas = np.array([*penalties, (1.0, -float(np.linalg.eigh(kernel)[0].max()))]).T
+    shared = spectral_shift(kernel, gammas, etas)
     filled = spectral_bytes(shared)
     for sign in (+1, -1):
         rhs, bottom = rng.normal(size=(n, len(gammas))), float(rng.normal())
-        own = trkm.solver.solve_spectral(kernel, gammas, etas, sign, rhs, bottom,
-                                         spectral_shift(spectrum, gammas, etas))
+        own = trkm.solver.solve_spectral(kernel, sign, rhs, bottom,
+                                         spectral_shift(kernel, gammas, etas))
         assert spectral_bytes(trkm.solver.solve_spectral(
-            kernel, gammas, etas, sign, rhs, bottom, shared)) == spectral_bytes(own)
+            kernel, sign, rhs, bottom, shared)) == spectral_bytes(own)
         assert not own.passed[-1]
     assert spectral_bytes(shared) == filled  # no solve changes the shift
 
