@@ -9,7 +9,9 @@ array with a bad field is walked value by value, to name the first one. The chec
 (sorted keys, no whitespace). Files are written atomically
 (temp file + rename). Loading rejects unknown versions before anything
 else, then verifies the checksum, then holds each field to what a fit holds
-its inputs to (finite floats, positive penalties, distinct raw labels).
+its inputs to (finite floats, positive penalties, distinct raw labels). Every
+refusal after the checksum names the file and the field, a value that is not
+hex float text included.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ _ENCODE = {models.ARRAY: _encode_array, models.FLOAT: _hex}
 _DECODE = {models.ARRAY: _decode_array, models.FLOAT: _unhex}
 
 
+def _decode(name: str, encoding: str, blob):
+    """The stored field ``name``; one it cannot read is a ValueError naming it, which
+    ``load_model`` reports with the file."""
+    try:
+        return _DECODE[encoding](blob)
+    except CorruptModel as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _encode_kernel(spec: KernelSpec) -> dict:
     return {
         "family": spec.family,
@@ -99,7 +110,8 @@ def _encode_kernel(spec: KernelSpec) -> dict:
 
 def _decode_kernel(blob) -> KernelSpec:
     sigma = blob["sigma"]
-    return KernelSpec(blob["family"], _unhex(sigma) if sigma is not None else None)
+    return KernelSpec(blob["family"], None if sigma is None
+                      else _decode("hyperparams kernel sigma", models.FLOAT, sigma))
 
 
 def _payload(saved: SavedModel) -> dict:
@@ -197,18 +209,21 @@ def _reconstruct(payload: dict) -> SavedModel:
     body = payload["body"]
     normalization = payload.get("normalization")
     if normalization is not None:
-        normalization = tuple((_unhex(lo), _unhex(hi)) for lo, hi in normalization)
+        normalization = tuple((_decode("normalization", models.FLOAT, lo),
+                               _decode("normalization", models.FLOAT, hi))
+                              for lo, hi in normalization)
     label_mapping = payload.get("label_mapping")
     if label_mapping is not None:
         label_mapping = tuple((str(raw), int(code)) for raw, code in label_mapping)
 
     hp_blob = body["hyperparams"]
-    hyperparams = {name: _unhex(hp_blob[name]) for name in entry.penalties}
+    hyperparams = {name: _decode(f"hyperparams {name}", models.FLOAT, hp_blob[name])
+                   for name in entry.penalties}
     for name, value in hyperparams.items():
         if not positive_number(value):
             raise ValueError(f"hyperparams {name} = {value!r}: expected a finite positive number")
     hyperparams["kernel"] = _decode_kernel(hp_blob["kernel"])
-    fields = {name: _DECODE[encoding](body[name]) for name, encoding in entry.body}
+    fields = {name: _decode(name, encoding, body[name]) for name, encoding in entry.body}
     for name, value in [*fields.items(), ("normalization", normalization or ())]:
         if not np.isfinite(value).all():
             raise ValueError(f"{name} holds a non-finite value")

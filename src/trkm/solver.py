@@ -21,20 +21,27 @@ call than the solve itself at grid-fold sizes, and their package costs a
 cold start). The pivot floor reads |U's diagonal| or the |eigenvalues| of
 D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
-level even for extreme regularizer choices.
+level even for extreme regularizer choices. Every residual, in refinement and
+in the gates, is evaluated on the kernel (``residual``: (K h)/gamma + eta*h +
+b - rhs_top, then the balance row sum(h) - rhs_bottom), never on a formed or
+factored matrix, so a solve needs its formed matrix only until it is
+factored. At or above the gate sytrf factors it in its own buffer; below it
+getrf factors a copy and the matrix is dropped.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
-(kernel, gamma, eta) share it and its factor (``SharedFactor``), which no solve
+(kernel, gamma, eta) share its factor (``SharedFactor``), which no solve
 changes. A -e system's condition estimate is its +e matrix's, the same in
 exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
 ||(AD)^-1||_1 = ||A^-1||_1. Every fit and grid refit solves through
-``solve_families``; a fitted model keeps no factor, so no (n+1)^2 array.
+``solve_families``, which keeps one factor alive at a time; a fit holds its
+kernel blocks and that factor, one (n+1)^2 array, and a fitted model keeps no
+factor.
 
 The condition estimate (the 1-norm of the augmented matrix by ``lange``,
-then ``gecon`` or ``sycon``), kept on the factor so that both signs' systems
-share one, is the one part of a solve that gates nothing, and at grid-fold sizes it
-costs about half a factorization. Fits compute it, since their ``fit_diag``
+taken before it is factored, then ``gecon`` or ``sycon``), kept on the factor
+so that both signs' systems share one, is the one part of a solve that gates
+nothing, and at grid-fold sizes it costs about half a factorization. Fits compute it, since their ``fit_diag``
 reports it; a grid refit, which reads only h and b, asks for none
 (``estimate=False``) and gets a report whose estimate is None. Every gate
 runs either way, and the solution, residual and any SingularSystem message
@@ -55,13 +62,14 @@ Each pair then takes the scalar Schur step of the +e border: u = C^-1 r,
 b = (e^T u - c)/(e^T v), h = u - b*v, and returns sign * b. Stacking the
 pairs as columns turns the solves, the residuals and the balance rows into a
 few matrix products. Each column is held to the gates of ``solve_bordered``,
-stated once for both solvers and per column: ``residual_bound`` (the residual
-of the formed system, balance row included) and ``balance_met``; nan fails
-both. Every d must also be finite and positive. A column that misses a
-gate is only marked; the caller decides it with ``solve_bordered``. There is
-no pivot floor here and no refinement: one round for the columns over the
-residual bound let through columns that ``solve_bordered`` rejects as
-singular, so the caller's table would no longer read as the LU fits write it.
+stated once for both solvers and per column: ``residual_bound`` (the max-abs
+``residual`` of the system on its kernel, balance row included) and
+``balance_met``; nan fails both. Every d must also be finite and positive. A
+column that misses a gate is only marked; the caller decides it with
+``solve_bordered``. There is no pivot floor here and no refinement: one round
+for the columns over the residual bound let through columns that
+``solve_bordered`` rejects as singular, so the caller's table would no longer
+read as the LU fits write it.
 """
 
 from __future__ import annotations
@@ -154,8 +162,9 @@ class DecisionTerm:
 class SolveReport:
     """Solution plus diagnostics of one bordered solve.
 
-    ``residual_norm`` is the max-abs residual of the formed augmented
-    system (never of the factored form); ``condition_estimate`` is a cheap
+    ``residual_norm`` is the max-abs residual of the bordered system,
+    balance row included, evaluated on its kernel (``residual``), never on
+    the factored form; ``condition_estimate`` is a cheap
     LAPACK 1-norm estimate, reported but never used for gating, or None for
     a solve that asked for none.
     ``balance_target`` is the system's ``rhs_bottom``. ``solution`` is [h; b].
@@ -172,22 +181,23 @@ class SolveReport:
 
 
 class SharedFactor:
-    """The +e augmented matrix of one (kernel, gamma, eta) and its factor, for both border signs.
+    """The factor of one (kernel, gamma, eta)'s +e augmented matrix, for both border signs.
 
-    Made empty. The first ``solve_bordered(system, name, factor=f)`` forms
-    and factors its system's +e matrix into ``f``: by LU below order
-    ``LDL_MIN_ORDER``, by LDL^T at or above it. Each later call with ``f``
-    solves on that factor, and no call changes the matrix or the factor. A
-    system with another kernel, gamma or eta is a ValueError. Keep it no
-    longer than the solves: it holds two (n+1)^2 arrays. ``cond``, the
-    matrix's condition estimate, is None until a solve asks for one, and is
-    computed once.
+    Made empty. The first ``solve_bordered(system, name, factor=f)`` forms its
+    system's +e matrix and factors it into ``f``: by LDL^T in the formed
+    matrix's own buffer at order ``LDL_MIN_ORDER`` and above, by LU on getrf's
+    copy below it, after which the formed matrix is dropped. ``f`` holds the
+    factor, its pivots and the formed matrix's 1-norm ``norm``, so one (n+1)^2
+    array; each later call with ``f`` solves on that factor, and no call
+    changes it. A system with another kernel, gamma or eta is a ValueError.
+    ``cond``, the matrix's condition estimate, is None until a solve asks for
+    one, and is computed once.
     """
 
     def __init__(self):
         self.kernel = None  # the factored system's kernel; None while empty
         self.gamma = self.eta = None
-        self.matrix = self.factors = self.piv = self.cond = None
+        self.factors = self.piv = self.norm = self.cond = None
         self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
 
     def check(self, kernel: np.ndarray, gamma, eta) -> None:
@@ -197,12 +207,14 @@ class SharedFactor:
 
     def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str,
              estimate: bool) -> None:
-        """Factor ``system``'s +e augmented matrix ``a``, and estimate its condition when
-        ``estimate``; a pivot below the floor is SingularSystem."""
+        """Factor ``system``'s +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER``
+        and above, and estimate its condition when ``estimate``; a pivot below the floor is
+        SingularSystem."""
+        norm = _one_norm(a)  # before sytrf overwrites a
         symmetric = a.shape[0] >= LDL_MIN_ORDER
         if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
             # a is symmetric, so the Fortran-ordered a.T is a without a transposing copy
-            factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]))
+            factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
             pivots = _block_pivots(factors, piv)
         else:
             factors, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
@@ -214,7 +226,7 @@ class SharedFactor:
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
         self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
-        self.matrix, self.factors, self.piv, self.symmetric = a, factors, piv, symmetric
+        self.factors, self.piv, self.norm, self.symmetric = factors, piv, norm, symmetric
         self.cond = self.condition() if estimate else None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -227,9 +239,9 @@ class SharedFactor:
         """1/rcond of LAPACK ``sycon`` or ``gecon`` on the factor and the matrix's 1-norm;
         inf for an rcond of 0."""
         if self.symmetric:
-            rcond, _ = _sycon(self.factors, self.piv, _one_norm(self.matrix))
+            rcond, _ = _sycon(self.factors, self.piv, self.norm)
         else:
-            rcond, _ = _gecon(self.factors, _one_norm(self.matrix), norm="1")
+            rcond, _ = _gecon(self.factors, self.norm, norm="1")
         return float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
 
@@ -253,7 +265,7 @@ def _one_norm(a: np.ndarray) -> float:
 
 def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
     """The residual gate of each column of ``rhs_top`` (one bound for a vector): a solve passes
-    when its formed system's max-abs residual is at most ``RESIDUAL_RTOL`` times max(1, |b|_inf)."""
+    when its system's max-abs ``residual`` is at most ``RESIDUAL_RTOL`` times max(1, |b|_inf)."""
     return RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)),
                                       np.abs(rhs_top).max(axis=0, initial=0.0))
 
@@ -262,6 +274,16 @@ def balance_met(total, rhs_bottom: float):
     """The balance gate of each column, whose sum(h) is ``total``: |total - rhs_bottom| at most
     ``BALANCE_RTOL`` times max(1, |rhs_bottom|); a nan total fails."""
     return np.abs(total - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom))
+
+
+def residual(kernel: np.ndarray, gamma, eta, h: np.ndarray, b, rhs_top: np.ndarray,
+             rhs_bottom: float):
+    """(A x - rhs, sum(h)) of the +e bordered system at x = [h; b], evaluated on ``kernel``:
+    the rows (K h)/gamma + eta*h + b - rhs_top, then the balance row sum(h) - rhs_bottom.
+    For a matrix ``h``, one system per column, with gamma, eta and b per column."""
+    balance = h.sum(axis=0)
+    return np.concatenate([(kernel @ h) / gamma + eta * h + b - rhs_top,
+                           [balance - rhs_bottom]]), balance
 
 
 def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
@@ -287,7 +309,7 @@ def solve_bordered(
 
     The kernel block must be symmetric, as every Gram block is bitwise: at or
     above ``LDL_MIN_ORDER`` the factor reads one triangle of it. A non-symmetric
-    block there is still refined and gated on the full formed matrix, so it is
+    block there is still refined and gated on the full kernel, so it is
     SingularSystem or solved, never solved wrongly.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
@@ -320,23 +342,23 @@ def solve_bordered(
         raise ValueError("rhs_bottom is not finite")
     if factor.kernel is None:
         factor.fill(system, kernel, a, name, estimate)
-    a = factor.matrix
-    b = np.concatenate([rhs_top, [rhs_bottom]])
-    x = factor.solve(b)
+        del a  # the factor, or below the gate the matrix getrf copied
+    x = factor.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
-        res = b - a @ x
+        res, total = residual(kernel, system.gamma, system.eta, x[:n], x[n], rhs_top, rhs_bottom)
         for _ in range(_REFINE_ROUNDS):
             if float(np.max(np.abs(res))) <= tol:
                 break
-            x = x + factor.solve(res)
-            res = b - a @ x
+            x = x - factor.solve(res)
+            res, total = residual(kernel, system.gamma, system.eta, x[:n], x[n], rhs_top,
+                                  rhs_bottom)
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
     if not res_norm <= tol:
         raise SingularSystem(f"{name}: residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
                              "system is effectively singular")
-    total = float(a[-1, :-1] @ x[:-1])
+    total = float(total)
     if not balance_met(total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
     if estimate and factor.cond is None:  # filled by a solve that asked for no estimate
@@ -345,14 +367,16 @@ def solve_bordered(
 
 
 def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:
-    """Solve each family at its (gamma, eta), in order and under its name; families on the
-    same kernel object at the same (gamma, eta) share one ``SharedFactor``. ``estimate``
-    goes to every ``solve_bordered``."""
-    factors = {}
-    return tuple(solve_bordered(f.at(g, e), f.name,
-                                factors.setdefault((id(f.kernel), g, e), SharedFactor()),
-                                estimate=estimate)
-                 for f, (g, e) in zip(families, penalties))
+    """Solve each family at its (gamma, eta), in order and under its name; adjacent families
+    on the same kernel object at the same (gamma, eta) share one ``SharedFactor``, and no
+    other factor is kept, so at most one is alive. ``estimate`` goes to every
+    ``solve_bordered``."""
+    reports, key, factor = [], None, None
+    for f, (g, e) in zip(families, penalties):
+        if (id(f.kernel), g, e) != key:
+            key, factor = (id(f.kernel), g, e), SharedFactor()
+        reports.append(solve_bordered(f.at(g, e), f.name, factor, estimate=estimate))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -427,9 +451,7 @@ def solve_spectral(
         b = (u.sum(axis=0) - rhs_bottom) / shift.ev  # the +e twin's b
         b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(shift.ev)
         h = u - b * shift.v
-        balance = h.sum(axis=0)
-        top = (kernel @ h) / shift.gammas + shift.etas * h + b - rhs
-        residual = np.maximum(np.abs(top).max(axis=0), np.abs(balance - rhs_bottom))
-        passed = ((residual <= residual_bound(rhs, rhs_bottom))
+        res, balance = residual(kernel, shift.gammas, shift.etas, h, b, rhs, rhs_bottom)
+        passed = ((np.abs(res).max(axis=0) <= residual_bound(rhs, rhs_bottom))
                   & balance_met(balance, rhs_bottom) & shift.ok)
     return SpectralSolve(h, border_sign * b, b_size, passed)

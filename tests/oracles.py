@@ -4,6 +4,8 @@
   with the library's solve path, Gaussian elimination with complete pivoting
   over an augmented matrix built here from its blocks, in plain Python loops;
   ``system_matrix`` and ``residual`` apply them to a ``BorderedSystem``.
+- ``kernel_residual``: the residual a solve reports, written out from the
+  system's kernel as ``trkm.solver.residual`` must evaluate it, bitwise.
 - ``bordered_gates`` and ``spectral_gates``: the residual and balance gates as
   ``solve_bordered`` and ``solve_spectral`` each wrote them before the rule was
   stated once in ``trkm.solver.residual_bound`` and ``balance_met``.
@@ -101,6 +103,15 @@ def residual(system, x):
     if x.shape != b.shape:
         raise DimensionMismatch(f"x has length {x.shape[0]}, expected {b.shape[0]}")
     return float(np.max(np.abs(a @ x - b)))
+
+
+def kernel_residual(system, x):
+    """Max-abs residual of a ``BorderedSystem`` at ``x`` = [h; b], on its kernel: the rows
+    (K h)/gamma + eta*h + sign*b - rhs_top, then the balance row sum(h) - rhs_bottom."""
+    kernel = np.asarray(system.kernel, dtype=float)
+    h, b = np.asarray(x[:-1], dtype=float), system.border_sign * x[-1]
+    top = (kernel @ h) / system.gamma + system.eta * h + b - system.rhs_top
+    return float(max(np.max(np.abs(top), initial=0.0), abs(h.sum() - system.rhs_bottom)))
 
 
 def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, total: float):

@@ -444,23 +444,23 @@ def test_commands_load_no_scipy_package(tmp_path, blob_csv):
     (("--task", "classify", "--label-col", "label", "--data", "blobs.csv"), [
         "task: classify  model: trkm_classifier",
         "data: {data} (n=40, features=2)",
-        "class +1 system: residual 5.400e-13, condition estimate 4.486e+04, "
+        "class +1 system: residual 4.405e-13, condition estimate 4.486e+04, "
         "balance sum(h) = 20 (expected 20)",
-        "class -1 system: residual 6.395e-13, condition estimate 4.089e+04, "
+        "class -1 system: residual 5.684e-13, condition estimate 4.089e+04, "
         "balance sum(h) = -20 (expected -20)",
     ]),
     (("--task", "classify", "--model-kind", "rkm", "--label-col", "label", "--data", "blobs.csv"), [
         "task: classify  model: rkm",
         "data: {data} (n=40, features=2)",
-        "rkm system: residual 8.482e-14, condition estimate 8.576e+04, "
+        "rkm system: residual 8.238e-14, condition estimate 8.576e+04, "
         "balance sum(h) = 7.10542736e-15 (expected 0)",
     ]),
     (("--task", "regress", "--target-col", "target", "--data", "sine.csv"), [
         "task: regress  model: trkm_regressor",
         "data: {data} (n=50, features=1)",
-        "lower-function system: residual 6.821e-13, condition estimate 1.039e+05, "
+        "lower-function system: residual 5.684e-13, condition estimate 1.039e+05, "
         "balance sum(h) = 50 (expected 50)",
-        "upper-function system: residual 6.253e-13, condition estimate 1.039e+05, "
+        "upper-function system: residual 7.390e-13, condition estimate 1.039e+05, "
         "balance sum(h) = 50 (expected 50)",
     ]),
 ])
@@ -1083,6 +1083,35 @@ def test_crafted_model_file_is_corrupt(tmp_path, blob_csv, capsys, model_kind, e
     err = capsys.readouterr().err
     assert str(model_path) in err and "malformed payload" in err, err
     assert all(word in err for word in named), err
+
+
+def _set_text(*keys, value="zz"):
+    """An edit that stores the text ``value`` at the payload path ``keys``."""
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("keys, field", [
+    (("body", "b1"), "b1"),
+    (("body", "A", "values", 5), "A"),
+    (("body", "hyperparams", "gamma1"), "hyperparams gamma1"),
+    (("normalization", 1, 0), "normalization"),
+    (("body", "hyperparams", "kernel", "sigma"), "hyperparams kernel sigma"),
+], ids=["b1", "one-value-of-a", "gamma1", "normalization-bound", "kernel-sigma"])
+def test_a_non_hex_float_names_the_file_and_the_field(tmp_path, capsys, keys, field):
+    model_path = tmp_path / "m.json"
+    data = str(DATA_DIR / "synthetic" / "crossplane130.csv")
+    assert run("train", "--task", "classify", "--data", data, "--label-col", "label",
+               "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path)) == 0
+    _rewrite_payload(model_path, _set_text(*keys))
+    capsys.readouterr()
+    assert run("predict", "--model", str(model_path), "--data", data, "--label-col", "label",
+               "--output", str(tmp_path / "p.csv")) == 3
+    assert capsys.readouterr().err == \
+        f"error: {model_path}: malformed payload ({field}: bad float field 'zz')\n"
 
 
 def test_a_model_file_is_the_same_at_any_blas_thread_setting(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from trkm.solver import (
 
 import oracles
 from conftest import counting
-from oracles import residual, solve_full_pivot, system_matrix
+from oracles import kernel_residual, residual, solve_full_pivot, system_matrix
 
 
 def system(kernel, gamma, eta, sign, rhs_top, rhs_bottom):
@@ -109,9 +110,10 @@ def test_solve_then_residual_bound():
         rep = solve_bordered(s, "test system")
         _, b = system_matrix(s)
         bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
-        assert rep.residual_norm <= bound
-        # the reported residual is the residual of the formed augmented system
-        assert rep.residual_norm == residual(s, rep.solution)
+        # the reported residual is the system's, evaluated on its kernel; the formed
+        # augmented system's residual meets the same bound
+        assert rep.residual_norm == kernel_residual(s, rep.solution)
+        assert rep.residual_norm <= bound and residual(s, rep.solution) <= bound
 
 
 def test_permutation_equivariance():
@@ -176,10 +178,10 @@ def without_estimate(fields):
 
 
 def contents(factor):
-    """A factor's matrix, factors and pivots as bytes; None while it is empty."""
+    """A factor's factors, pivots and 1-norm as bytes; None while it is empty."""
     if factor.kernel is None:
         return None
-    return factor.matrix.tobytes(), factor.factors.tobytes(), factor.piv.tobytes()
+    return factor.factors.tobytes(), factor.piv.tobytes(), np.float64(factor.norm).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,7 +220,7 @@ def test_shared_factor_solves_the_other_sign_bitwise(
         fresh = outcome(other)
         assert outcome(other, shared) == fresh
         assert outcome(other, lean, estimate=False) == without_estimate(fresh)
-        # no solve of either sign changes a filled factor's matrix or factors
+        # no solve of either sign changes a filled factor
         assert (contents(shared), contents(lean)) == filled
     assert outcome(other, lean) == fresh
     assert (contents(shared), contents(lean)) == filled
@@ -440,6 +442,7 @@ def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
     assert np.allclose(ldlt.solution, lu.solution, rtol=0, atol=1e-10 * scale)
     assert ldlt.condition_estimate == pytest.approx(lu.condition_estimate, rel=1e-8)
     assert ldlt.residual_norm <= trkm.solver.residual_bound(s.rhs_top, s.rhs_bottom)
+    assert ldlt.residual_norm == kernel_residual(s, ldlt.solution)
 
 
 def test_both_signs_share_one_ldlt_factor_bitwise(rng):
@@ -477,6 +480,45 @@ def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng)
     ldlt = [verdict(s) for s in cases]
     monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
     assert ldlt == [verdict(s) for s in cases] == ["passed"] * 2 + ["residual"] * 2
+
+
+def traced_peak(call):
+    """The most bytes ``call()`` holds at once beyond what was allocated before it; numpy's
+    arrays and the ones f2py makes for LAPACK are both traced."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_solve_holds_one_formed_array(rng):
+    # sytrf factors the formed matrix in its own buffer and every residual is evaluated
+    # on the kernel, so a solve above the gate holds one (n+1)^2 array (and O(n) ones)
+    # beyond its inputs, where a kept matrix and a factor copy of it would be three.
+    n = 600
+    s = gram_system(rng, n)
+    formed = (n + 1) ** 2 * 8
+    assert traced_peak(lambda: solve_bordered(s, "test system")) <= 1.25 * formed
+    shared = SharedFactor()
+    solve_bordered(s, "test system", factor=shared)
+    assert shared.symmetric and not hasattr(shared, "matrix")
+
+
+def test_a_fit_with_unequal_penalties_holds_its_kernel_and_one_factor():
+    # TRKM-R's two systems at unequal penalties take one factor each; solve_families
+    # drops the first before it forms the second.
+    from trkm.regressor import TrkmRegressorHyperparams, fit_regressor
+    from trkm.synthetic import sine
+
+    n = 600
+    x, y = sine(n, seed=1)
+    hp = TrkmRegressorHyperparams(1.0, 2.0, 0.1, 0.2, gaussian(1.0))
+    peak = traced_peak(lambda: fit_regressor(x, y, hp))
+    assert peak <= n * n * 8 + 1.25 * (n + 1) ** 2 * 8
 
 
 def sytrf(a):
