@@ -22,11 +22,8 @@ cold start). The pivot floor reads |U's diagonal| or the |eigenvalues| of
 D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices. Every residual, in refinement and
-in the gates, is evaluated on the kernel (``residual``: (K h)/gamma + eta*h +
-b - rhs_top, then the balance row sum(h) - rhs_bottom), never on a formed or
-factored matrix, so a solve needs its formed matrix only until it is
-factored. At or above the gate sytrf factors it in its own buffer; below it
-getrf factors a copy and the matrix is dropped.
+in the gates, is evaluated on the kernel by ``residual``, never on a formed or
+factored matrix, so the formed matrix lives only until it is factored.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
