@@ -36,7 +36,6 @@ from .errors import (
     NUMERIC_ERRORS,
     FeatureCountMismatch,
     ParseError,
-    TrkmError,
 )
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
@@ -211,13 +210,7 @@ def cmd_gridsearch(args) -> int:
     print(f"grid table written to {args.grid_out}")
     params = result.fit_params()  # raises when every cell failed: there is no best cell
     print(f"best params: {params}  cv score: {result.best_cv_score:.6g}")
-
-    try:
-        model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params)
-    except TrkmError as exc:  # every fold vouched for the cell, the full set did not
-        raise type(exc)(f"best cell {params} could not be retrained on all {dataset.n} "
-                        f"training rows: {exc}") from exc
-    _save(model, dataset, args.model_out)
+    _save(result.retrain(args.model_kind, dataset), dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
     return 0
 
@@ -433,10 +426,11 @@ def _benchmark_dataset(load_args: dict, plan: _Plan, threads: int) -> list[float
             train = normalize_minmax(train, load_args["path"])
             test = apply_normalization(test, train.normalization, load_args["path"])
         for model_scores, (_, kind, params, grid) in zip(scores, plan.models):
-            if grid is not None:
-                params = grid_search(train, grid, plan.task, model_kind=kind,
-                                     seed=spec.seed, threads=threads).fit_params()
-            model = models.fit(kind, plan.task, train.X, train.target, params)
+            if grid is None:
+                model = models.fit(kind, plan.task, train.X, train.target, params)
+            else:
+                model = grid_search(train, grid, plan.task, model_kind=kind, seed=spec.seed,
+                                    threads=threads).retrain(kind, train)
             model_scores.append(models.score(plan.task, models.predict(model, test.X), test.target))
     return [float(np.mean(s)) for s in scores]
 

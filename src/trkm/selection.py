@@ -109,6 +109,16 @@ class GridResult:
             raise self.failure
         return self.best_params
 
+    def retrain(self, model_kind: str, dataset: Dataset):
+        """The best cell's model fitted on all of ``dataset``; a fit that fails raises its
+        error class with a message naming the cell."""
+        params = self.fit_params()
+        try:
+            return models.fit(model_kind, self.task, dataset.X, dataset.target, params)
+        except TrkmError as exc:  # every fold vouched for the cell, the full set did not
+            raise type(exc)(f"best cell {params} could not be retrained on all {dataset.n} "
+                            f"training rows: {exc}") from exc
+
 
 def _largest_remainder(counts: np.ndarray, total: int) -> np.ndarray:
     """Apportion ``total`` across groups proportionally to ``counts``."""

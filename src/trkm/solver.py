@@ -28,21 +28,23 @@ factored matrix, so the formed matrix lives only until it is factored.
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
 (kernel, gamma, eta) share its factor (``SharedFactor``), which no solve
-changes. A -e system's condition estimate is its +e matrix's, the same in
-exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1 and
-||(AD)^-1||_1 = ||A^-1||_1. Every fit and grid refit solves through
-``solve_families``, which keeps one factor alive at a time; a fit holds its
-kernel blocks and that factor, one (n+1)^2 array, and a fitted model keeps no
-factor.
+changes. Every fit and grid refit solves through ``solve_families``, which
+keeps one factor alive at a time and gives it only systems of its (kernel,
+gamma, eta); a fit holds its kernel blocks and that factor, one (n+1)^2
+array, and a fitted model keeps no factor. Nothing else checks that a factor
+fits its system: a mismatched one fails the residual gate, evaluated on the
+system's own kernel and penalties, unless refinement reached its solution.
 
 The condition estimate (the 1-norm of the augmented matrix by ``lange``,
-taken before it is factored, then ``gecon`` or ``sycon``), kept on the factor
-so that both signs' systems share one, is the one part of a solve that gates
-nothing, and at grid-fold sizes it costs about half a factorization. Fits compute it, since their ``fit_diag``
-reports it; a grid refit, which reads only h and b, asks for none
-(``estimate=False``) and gets a report whose estimate is None. Every gate
-runs either way, and the solution, residual and any SingularSystem message
-are bitwise the same.
+taken before it is factored, then ``gecon`` or ``sycon`` right after) gates
+nothing, and at grid-fold sizes it costs about half a factorization. A factor
+computes it at birth or never: fits make theirs with ``estimate`` set, since
+their ``fit_diag`` reports it. A -e system's estimate is its +e matrix's, the
+same in exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1
+and ||(AD)^-1||_1 = ||A^-1||_1. A grid refit, which reads only h and b, asks
+for none and gets reports whose estimate is None. Every gate runs either way,
+and the solution, residual and any SingularSystem message are bitwise the
+same. The estimate's last bit can follow the alignment of LAPACK's workspace.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
@@ -161,9 +163,10 @@ class SolveReport:
 
     ``residual_norm`` is the max-abs residual of the bordered system,
     balance row included, evaluated on its kernel (``residual``), never on
-    the factored form; ``condition_estimate`` is a cheap
-    LAPACK 1-norm estimate, reported but never used for gating, or None for
-    a solve that asked for none.
+    the factored form; ``condition_estimate`` is the cheap LAPACK 1-norm
+    estimate of the factor it was solved on, reported but never used for
+    gating, or None when that factor was made with no estimate. Its last bit
+    can follow the alignment of LAPACK's workspace.
     ``balance_target`` is the system's ``rhs_bottom``. ``solution`` is [h; b].
     """
 
@@ -180,34 +183,28 @@ class SolveReport:
 class SharedFactor:
     """The factor of one (kernel, gamma, eta)'s +e augmented matrix, for both border signs.
 
-    Made empty. The first ``solve_bordered(system, name, factor=f)`` forms its
-    system's +e matrix and factors it into ``f``: by LDL^T in the formed
-    matrix's own buffer at order ``LDL_MIN_ORDER`` and above, by LU on getrf's
-    copy below it, after which the formed matrix is dropped. ``f`` holds the
-    factor, its pivots and the formed matrix's 1-norm ``norm``, so one (n+1)^2
-    array; each later call with ``f`` solves on that factor, and no call
-    changes it. A system with another kernel, gamma or eta is a ValueError.
-    ``cond``, the matrix's condition estimate, is None until a solve asks for
-    one, and is computed once.
+    Made empty, knowing whether it ``estimate``s its condition. The first
+    ``solve_bordered(system, name, factor=f)`` forms its system's +e matrix and
+    factors it into ``f``: by LDL^T in the formed matrix's own buffer at order
+    ``LDL_MIN_ORDER`` and above, by LU on getrf's copy below it, after which the
+    formed matrix is dropped. ``f`` holds the factor and its pivots, one (n+1)^2
+    array; each later call with ``f`` solves on that factor, and no call changes
+    it. ``cond``, the matrix's condition estimate, is computed right after
+    factoring when ``estimate`` is set, and is None otherwise. Only systems on
+    the factored (kernel, gamma, eta) may share ``f``; one on another fails the
+    residual gate (see the module docstring).
     """
 
-    def __init__(self):
-        self.kernel = None  # the factored system's kernel; None while empty
-        self.gamma = self.eta = None
-        self.factors = self.piv = self.norm = self.cond = None
+    def __init__(self, estimate: bool = True):
+        self.estimate = estimate
+        self.factors = self.piv = self.cond = None  # None while empty
         self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
 
-    def check(self, kernel: np.ndarray, gamma, eta) -> None:
-        if not (gamma == self.gamma and eta == self.eta
-                and (kernel is self.kernel or np.array_equal(kernel, self.kernel))):
-            raise ValueError("shared factor was made for another (kernel, gamma, eta)")
-
-    def fill(self, system: BorderedSystem, kernel: np.ndarray, a: np.ndarray, name: str,
-             estimate: bool) -> None:
-        """Factor ``system``'s +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER``
-        and above, and estimate its condition when ``estimate``; a pivot below the floor is
-        SingularSystem."""
-        norm = _one_norm(a)  # before sytrf overwrites a
+    def fill(self, a: np.ndarray, name: str) -> None:
+        """Factor the +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER`` and
+        above, and estimate its condition when ``estimate``: 1/rcond of LAPACK ``sycon`` or
+        ``gecon``, inf for an rcond of 0. A pivot below the floor is SingularSystem."""
+        norm = _one_norm(a) if self.estimate else None  # before sytrf overwrites a
         symmetric = a.shape[0] >= LDL_MIN_ORDER
         if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
             # a is symmetric, so the Fortran-ordered a.T is a without a transposing copy
@@ -222,24 +219,17 @@ class SharedFactor:
                 f"{name}: pivot {pivots.min():.3e} below relative threshold "
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
-        self.kernel, self.gamma, self.eta = kernel, system.gamma, system.eta
-        self.factors, self.piv, self.norm, self.symmetric = factors, piv, norm, symmetric
-        self.cond = self.condition() if estimate else None
+        self.factors, self.piv, self.symmetric = factors, piv, symmetric
+        if self.estimate:
+            rcond = (_sycon(factors, piv, norm) if symmetric
+                     else _gecon(factors, norm, norm="1"))[0]
+            self.cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The matrix's solution at ``rhs``, from its factor."""
         if self.symmetric:
             return _sytrs(self.factors, self.piv, rhs)[0]
         return _getrs(self.factors, self.piv, rhs)[0]
-
-    def condition(self) -> float:
-        """1/rcond of LAPACK ``sycon`` or ``gecon`` on the factor and the matrix's 1-norm;
-        inf for an rcond of 0."""
-        if self.symmetric:
-            rcond, _ = _sycon(self.factors, self.piv, self.norm)
-        else:
-            rcond, _ = _gecon(self.factors, self.norm, norm="1")
-        return float("inf") if rcond == 0.0 else float(1.0 / rcond)
 
 
 def _block_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
@@ -291,17 +281,16 @@ def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
     with np.errstate(over="ignore"):  # an inf here is the NonFiniteSystem below
         np.divide(kernel, gamma, out=core)
         a.reshape(-1)[: n * (n + 2) : n + 2] += eta
-    if not np.isfinite(core).all():
+    # nan propagates through both reductions, which need no n^2 temporary
+    if not (np.isfinite(core.max(initial=0.0)) and np.isfinite(core.min(initial=0.0))):
         raise NonFiniteSystem("core contains non-finite entries")
     a[:n, n] = a[n, :n] = 1.0
     a[n, n] = 0.0
     return a
 
 
-def solve_bordered(
-    system: BorderedSystem, name: str, factor: SharedFactor | None = None, *,
-    estimate: bool = True,
-) -> SolveReport:
+def solve_bordered(system: BorderedSystem, name: str,
+                   factor: SharedFactor | None = None) -> SolveReport:
     """Form and solve the bordered system named ``name`` by LU or LDL^T (``SharedFactor``).
 
     The kernel block must be symmetric, as every Gram block is bitwise: at or
@@ -311,22 +300,20 @@ def solve_bordered(
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
     ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is
-    filled by this call if empty and reused if not; a factor of another
-    (kernel, gamma, eta) is a ValueError. Raises SingularSystem, its message
-    prefixed with ``name``, when a pivot falls below the relative floor, the
-    refined residual exceeds ``residual_bound`` or the solution fails ``balance_met``. With
-    ``estimate`` false the report's condition estimate is None and nothing
-    else changes.
+    filled by this call if empty and reused if not; it must be a factor of this
+    system's (kernel, gamma, eta), and a fresh ``SharedFactor()`` is used when it
+    is None. Raises SingularSystem, its message prefixed with ``name``, when a
+    pivot falls below the relative floor, the refined residual exceeds
+    ``residual_bound`` or the solution fails ``balance_met``. The report's
+    condition estimate is the factor's ``cond``.
     """
     kernel = np.asarray(system.kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
     n = kernel.shape[0]
     factor = SharedFactor() if factor is None else factor
-    if factor.kernel is None:
+    if factor.factors is None:
         a = _augmented(kernel, system.gamma, system.eta)
-    else:
-        factor.check(kernel, system.gamma, system.eta)
     rhs_top = np.asarray(system.rhs_top, dtype=float)
     if rhs_top.shape != (n,):
         raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has shape {rhs_top.shape}")
@@ -337,8 +324,8 @@ def solve_bordered(
     rhs_bottom = float(system.rhs_bottom)
     if not np.isfinite(rhs_bottom):
         raise ValueError("rhs_bottom is not finite")
-    if factor.kernel is None:
-        factor.fill(system, kernel, a, name, estimate)
+    if factor.factors is None:
+        factor.fill(a, name)
         del a  # the factor, or below the gate the matrix getrf copied
     x = factor.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
@@ -358,21 +345,18 @@ def solve_bordered(
     total = float(total)
     if not balance_met(total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
-    if estimate and factor.cond is None:  # filled by a solve that asked for no estimate
-        factor.cond = factor.condition()
-    return SolveReport(x, res_norm, factor.cond if estimate else None, name, rhs_bottom)
+    return SolveReport(x, res_norm, factor.cond, name, rhs_bottom)
 
 
 def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:
     """Solve each family at its (gamma, eta), in order and under its name; adjacent families
     on the same kernel object at the same (gamma, eta) share one ``SharedFactor``, and no
-    other factor is kept, so at most one is alive. ``estimate`` goes to every
-    ``solve_bordered``."""
+    other factor is kept, so at most one is alive. Each factor is made with ``estimate``."""
     reports, key, factor = [], None, None
     for f, (g, e) in zip(families, penalties):
         if (id(f.kernel), g, e) != key:
-            key, factor = (id(f.kernel), g, e), SharedFactor()
-        reports.append(solve_bordered(f.at(g, e), f.name, factor, estimate=estimate))
+            key, factor = (id(f.kernel), g, e), SharedFactor(estimate)
+        reports.append(solve_bordered(f.at(g, e), f.name, factor))
     return tuple(reports)
 
 

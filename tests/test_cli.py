@@ -813,6 +813,35 @@ def test_benchmark_records_a_dataset_with_no_fittable_grid_cell_as_failed(tmp_pa
     assert report["datasets"] == ["ds0", "ds1"]
 
 
+def test_benchmark_whose_best_cell_fails_to_retrain_says_so(tmp_path, monkeypatch):
+    # The first fit of the run retrains ds0's grid model on its training split and fails;
+    # the dataset's failure names the cell, as gridsearch's error does.
+    from trkm import models
+
+    cfg_path = Path(benchmark_config(tmp_path, n_datasets=3))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["models"][0] = {"name": "TRKM-C", "kind": "trkm",
+                        "grid": {"gamma": [1e-2, 1.0], "eta": [1.0], "sigma": [1.0], "folds": 2}}
+    cfg_path.write_text(json.dumps(cfg))
+    real_fit, retrained = models.fit, []
+
+    def failing_once(kind, task, x, y, params):
+        if retrained:
+            return real_fit(kind, task, x, y, params)
+        retrained.append((len(x), params))
+        raise SingularSystem("class +1 system: residual 2.049e-08 exceeds tolerance 1.000e-08")
+
+    monkeypatch.setattr(models, "fit", failing_once)
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 0
+    (rows, params), = retrained
+    report = json.loads((out / "stats_report.json").read_text())
+    assert report["failures"] == [{"dataset": "ds0", "error": (
+        f"best cell {params} could not be retrained on all {rows} training rows: "
+        "class +1 system: residual 2.049e-08 exceeds tolerance 1.000e-08")}]
+    assert report["datasets"] == ["ds1", "ds2"]
+
+
 def test_benchmark_is_byte_identical_across_reruns(tmp_path):
     cfg = benchmark_config(tmp_path, n_datasets=3, seeds=(0, 1))
     outs = []
