@@ -18,54 +18,11 @@ terms once; the fit, the predictor and the grid search read only them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arrays import as_matrix, positive_number
 from .errors import EmptyClass
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
-
-
-@dataclass(frozen=True)
-class TrkmClassifierHyperparams:
-    """Weight-norm (gamma) and hidden-feature (eta) regularizers of the two systems.
-
-    TRKM-C and TRKM-R share this class; ``TrkmRegressorHyperparams`` is
-    another name for it.
-    """
-
-    gamma1: float
-    gamma2: float
-    eta1: float
-    eta2: float
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        for name in ("gamma1", "gamma2", "eta1", "eta2"):
-            v = getattr(self, name)
-            if not positive_number(v):
-                raise ValueError(f"{name} must be strictly positive, got {v!r}")
-
-    @classmethod
-    def equal_penalty(cls, gamma: float, eta: float, kernel: KernelSpec):
-        """Common convention: same penalties for both systems."""
-        return cls(gamma, gamma, eta, eta, kernel)
-
-
-@dataclass(frozen=True)
-class TrkmClassifierModel:
-    """Fitted dual variables plus the stored class matrices."""
-
-    A: np.ndarray
-    B: np.ndarray
-    h1: np.ndarray
-    b1: float
-    h2: np.ndarray
-    b2: float
-    hyperparams: TrkmClassifierHyperparams
-    fit_diag: tuple[SolveReport, SolveReport] | None = None
+from .solver import BorderedFamily, DecisionTerm, solve_families
 
 
 def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
@@ -89,21 +46,11 @@ def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionT
             DecisionTerm(k_xb, k_xa @ np.ones(len(A))))
 
 
-def fit_classifier(A, B, hp: TrkmClassifierHyperparams) -> TrkmClassifierModel:
-    """Fit both class systems; aborts whole fit if either system is singular."""
-    a = as_matrix(A, "A")
-    b = as_matrix(B, "B")
-    rep1, rep2 = solve_families(systems(a, b, hp.kernel),
-                                [(hp.gamma1, hp.eta1), (hp.gamma2, hp.eta2)])
-    return TrkmClassifierModel(A=a, B=b, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
-                               hyperparams=hp, fit_diag=(rep1, rep2))
-
-
-def decision_values(model: TrkmClassifierModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Dual-form scores of both hyperplanes for each row of X."""
-    hp = model.hyperparams
-    t1, t2 = decision_terms(model.A, model.B, hp.kernel, as_matrix(X, "X"))
-    return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
+def fit_classifier(X, y, penalties, kernel: KernelSpec):
+    """The fit hook: the stored class rows A and B, and the solves of both class systems
+    at ``penalties``. A singular system aborts the whole fit."""
+    a, b = X[y == 1], X[y == -1]
+    return (a, b), solve_families(systems(a, b, kernel), penalties)
 
 
 def decide(total) -> np.ndarray:
@@ -111,7 +58,6 @@ def decide(total) -> np.ndarray:
     return np.where(total >= 0.0, 1, -1).astype(np.int64)
 
 
-def predict_labels(model: TrkmClassifierModel, X) -> np.ndarray:
-    """Predict +/-1 labels: ``decide`` of the combined score g1 + g2."""
-    g1, g2 = decision_values(model, X)
-    return decide(g1 + g2)
+def predict_labels(model, X) -> np.ndarray:
+    """The predict hook: ``decide`` of the combined score g1 + g2."""
+    return decide(model.total(X))

@@ -1,10 +1,11 @@
 """Command-line interface: train, predict, gridsearch, benchmark, stats.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors (unreadable or
-malformed files, mismatched columns), 4 numerical failures (singular
-systems, degenerate statistics). All result files are written atomically
-(temp file + rename) and contain no timestamps, so a rerun with the same
-seed produces byte-identical output, at any BLAS thread count (``_one_blas_thread``).
+malformed files, mismatched columns, an input too large for memory), 4
+numerical failures (singular systems, degenerate statistics). All result
+files are written atomically (temp file + rename) and contain no timestamps,
+so a rerun with the same seed produces byte-identical output, at any BLAS
+thread count (``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def cmd_train(args) -> int:
     params = {"gamma": args.gamma, "eta": args.eta, **second}
     model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
     _save(model, dataset, args.model_out)
-    print(f"task: {dataset.task}  model: {models.of_model(model).kind}")
+    print(f"task: {dataset.task}  model: {model.type.kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
     for rep in model.fit_diag:
         print(f"{rep.name}: residual {rep.residual_norm:.3e}, condition estimate "
@@ -599,6 +600,11 @@ def main(argv=None) -> int:
     except (*NUMERIC_ERRORS, *DATA_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, NUMERIC_ERRORS) else 3 if isinstance(exc, DATA_ERRORS) else 2
+    except MemoryError as exc:  # the last resort: no command checks its size beforehand
+        source = next(filter(None, (getattr(args, key, None)
+                                    for key in ("data", "config", "scores_file"))))
+        print(f"error: {source}: not enough memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,11 +26,8 @@ import numpy as np
 
 from . import models
 from .arrays import positive_number
-from .classifier import TrkmClassifierModel
 from .errors import CorruptModel, IoError, VersionMismatch
 from .kernels import KernelSpec
-from .regressor import TrkmRegressorModel
-from .rkm import RkmModel
 
 FORMAT_VERSION = 1
 
@@ -39,17 +36,17 @@ FORMAT_VERSION = 1
 class SavedModel:
     """A model plus its predict-time metadata; ``kind`` and ``task`` follow from the model."""
 
-    model: TrkmClassifierModel | TrkmRegressorModel | RkmModel
+    model: models.Model
     normalization: tuple[tuple[float, float], ...] | None = None
     label_mapping: tuple[tuple[str, int], ...] | None = None
 
     @property
     def kind(self) -> str:
-        return models.of_model(self.model).kind
+        return self.model.type.kind
 
     @property
     def task(self) -> str:
-        return models.of_model(self.model).task
+        return self.model.type.task
 
 
 def _hex(v: float) -> str:
@@ -116,13 +113,12 @@ def _decode_kernel(blob) -> KernelSpec:
 
 def _payload(saved: SavedModel) -> dict:
     m = saved.model
-    entry = models.of_model(m)
-    holder = m if entry.hyperparams_class is None else m.hyperparams
-    hyperparams = {name: _hex(getattr(holder, name)) for name in entry.penalties}
-    hyperparams["kernel"] = _encode_kernel(holder.kernel)
+    entry = m.type
+    hyperparams = {name: _hex(m.hyperparams[name]) for name in entry.penalties}
+    hyperparams["kernel"] = _encode_kernel(m.kernel)
     body = {"hyperparams": hyperparams}
     for name, encoding in entry.body:
-        body[name] = _ENCODE[encoding](getattr(m, name))
+        body[name] = _ENCODE[encoding](m.fields[name])
     return {
         "kind": entry.kind,
         "task": entry.task,
@@ -222,7 +218,7 @@ def _reconstruct(payload: dict) -> SavedModel:
     for name, value in hyperparams.items():
         if not positive_number(value):
             raise ValueError(f"hyperparams {name} = {value!r}: expected a finite positive number")
-    hyperparams["kernel"] = _decode_kernel(hp_blob["kernel"])
+    kernel = _decode_kernel(hp_blob["kernel"])
     fields = {name: _decode(name, encoding, body[name]) for name, encoding in entry.body}
     for name, value in [*fields.items(), ("normalization", normalization or ())]:
         if not np.isfinite(value).all():
@@ -236,11 +232,7 @@ def _reconstruct(payload: dict) -> SavedModel:
         if fields[rows].shape[1] != fields[first].shape[1]:
             raise ValueError(f"{rows} of shape {fields[rows].shape} has another column count "
                              f"than {first} of shape {fields[first].shape}")
-    if entry.hyperparams_class is None:
-        fields.update(hyperparams)
-    else:
-        fields["hyperparams"] = entry.hyperparams_class(**hyperparams)
-    model = entry.model_class(**fields)
+    model = models.Model(entry, hyperparams, kernel, fields)
     n_features = models.n_features(model)
     if normalization is not None and len(normalization) != n_features:
         raise ValueError(f"normalization has {len(normalization)} features, "

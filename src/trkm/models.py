@@ -1,14 +1,17 @@
-"""The table of model kinds: how each is fitted, predicted, reported and saved.
+"""The table of model kinds, and the one fitted-model record, fit and predict for all of them.
 
 Each supported (``--model-kind``, task) pair has one entry: TRKM-C
 (``trkm``, classify), TRKM-R (``trkm``, regress) and the RKM baseline
 (``rkm``, classify). Grid search, the CLI and model files all go through
 this table, so no other module decides which model a kind and a task mean.
 
-The entries call the model modules' functions through the module attributes
-(``classifier.fit_classifier``) each time they run, never through function
-objects captured at import, so a wrapper installed on those attributes sees
-every fit and predict.
+Every kind is fitted into one ``Model`` record by ``fit`` and predicted from
+it by ``predict``; the model modules hold only the math (``systems``,
+``decision_terms``, ``decide``) and one fit and one predict hook each. The
+hooks remain so that a wrapper installed on their module attributes
+(perfbench's tracer) can count each kind's fits and predicts; the entries
+call them through those attributes (``classifier.fit_classifier``) each
+time they run, never through function objects captured at import.
 
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
 from the model module's own statement of its systems (``grid_fold``), and
@@ -26,15 +29,15 @@ from typing import Callable
 import numpy as np
 
 from . import classifier, regressor, rkm
-from .classifier import TrkmClassifierHyperparams, TrkmClassifierModel
+from .arrays import as_matrix, as_vector, positive_number
 from .data import CLASSIFY, REGRESS
+from .errors import DimensionMismatch
 from .kernels import KernelSpec, gaussian
 from .metrics import classification_accuracy, rmse
-from .regressor import TrkmRegressorModel
-from .rkm import RkmModel
 from .solver import (
     BorderedFamily,
     DecisionTerm,
+    SolveReport,
     solve_families,
     solve_spectral,
     spectral_shift,
@@ -73,32 +76,60 @@ FLOAT = "float"
 class ModelType:
     """One supported (model kind, task) pair.
 
-    ``penalties`` are the scalar hyperparameters saved ahead of the kernel.
-    They and the kernel live on ``model.hyperparams`` (an instance of
-    ``hyperparams_class``) or, when that is None, on the model itself.
-    ``body`` lists the other saved fields in file order with their
-    encodings; its first field holds the stored training rows. Each
+    ``penalties`` are the scalar hyperparameters saved ahead of the kernel,
+    in file order. ``body`` lists the other saved fields in file order with
+    their encodings; its first fields hold the stored training rows. Each
     ``per_row`` pair names a vector field and the matrix field with one
     row per value of it; those matrix fields share one column count.
-    ``grid_fold`` gives the model module's statement of a fold's systems and
-    their terms at its validation rows, and raises what the fit raises for
-    those rows; ``system_penalties`` picks each system's (gamma, eta) from
-    grid params, and ``decide`` is the predictor's rule on the summed terms.
+    ``suffixes`` tell the systems apart: system i has the penalties
+    ``gamma{s}``, ``eta{s}`` and the solution ``h{s}``, ``b{s}``.
+    ``fit(X, y, penalties, kernel)`` is the model module's fit hook: the
+    stored rows and one solve report per system; ``predict`` is its predict
+    hook. ``grid_fold`` gives the model module's statement of a fold's
+    systems and their terms at its validation rows, and raises what the fit
+    raises for those rows; ``terms`` gives a fitted model's terms at query
+    rows from its fields; ``system_penalties`` picks each system's (gamma,
+    eta) from grid params, and ``decide`` is the predictor's rule on the
+    summed terms.
     """
 
     kind: str
     model_kind: str
     task: str
-    model_class: type
-    hyperparams_class: type | None
     penalties: tuple[str, ...]
     body: tuple[tuple[str, str], ...]
     per_row: tuple[tuple[str, str], ...]
-    fit: Callable[[np.ndarray, np.ndarray, dict, KernelSpec], object]
-    predict: Callable[[object, np.ndarray], np.ndarray]
+    suffixes: tuple[str, ...]
+    fit: Callable[..., tuple[tuple[np.ndarray, ...], tuple[SolveReport, ...]]]
+    predict: Callable[[Model, np.ndarray], np.ndarray]
     grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]]]
+    terms: Callable[[dict, KernelSpec, np.ndarray], tuple[DecisionTerm, ...]]
     system_penalties: tuple[Callable[[dict], tuple[float, float]], ...]
     decide: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class Model:
+    """A fitted model of any kind.
+
+    ``hyperparams`` and ``fields`` hold the penalties and the body fields by
+    the names, and in the order, that its model file gives them; ``fit_diag``
+    holds one solve report per system after a fit, and None after a load.
+    """
+
+    type: ModelType
+    hyperparams: dict
+    kernel: KernelSpec
+    fields: dict
+    fit_diag: tuple[SolveReport, ...] | None = None
+
+    def total(self, X) -> np.ndarray:
+        """The sum of the kind's decision terms at the rows of X, in system order, each
+        term at its own system's gamma, h and b."""
+        terms = self.type.terms(self.fields, self.kernel, as_matrix(X, "X"))
+        values = [term.value(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
+                             self.fields[f"b{s}"]) for term, s in zip(terms, self.type.suffixes)]
+        return sum(values[1:], values[0])
 
 
 def _first_penalties(params: dict) -> tuple[float, float]:
@@ -108,11 +139,6 @@ def _first_penalties(params: dict) -> tuple[float, float]:
 def _second_penalties(params: dict) -> tuple[float, float]:
     """The second TRKM system takes (gamma, eta) unless gamma2/eta2 set its own."""
     return params.get("gamma2", params["gamma"]), params.get("eta2", params["eta"])
-
-
-def _twin_hyperparams(params: dict, kernel: KernelSpec) -> TrkmClassifierHyperparams:
-    (gamma1, eta1), (gamma2, eta2) = _first_penalties(params), _second_penalties(params)
-    return TrkmClassifierHyperparams(gamma1, gamma2, eta1, eta2, kernel)
 
 
 def _twin_grid_fold(x, y, x_valid, kernel):
@@ -133,45 +159,43 @@ _TWIN_SYSTEMS = (_first_penalties, _second_penalties)
 MODEL_TYPES = (
     ModelType(
         kind=KIND_CLASSIFIER, model_kind=TRKM, task=CLASSIFY,
-        model_class=TrkmClassifierModel, hyperparams_class=TrkmClassifierHyperparams,
         penalties=_TWIN_PENALTIES,
         body=(("A", ARRAY), ("B", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
         per_row=(("h1", "A"), ("h2", "B")),
-        fit=lambda x, y, params, kernel: classifier.fit_classifier(
-            x[y == 1], x[y == -1], _twin_hyperparams(params, kernel)
-        ),
+        suffixes=("1", "2"),
+        fit=lambda x, y, penalties, kernel: classifier.fit_classifier(x, y, penalties, kernel),
         predict=lambda model, x: classifier.predict_labels(model, x),
         grid_fold=_twin_grid_fold,
+        terms=lambda fields, kernel, x: classifier.decision_terms(fields["A"], fields["B"],
+                                                                  kernel, x),
         system_penalties=_TWIN_SYSTEMS,
         decide=lambda total: classifier.decide(total),
     ),
     ModelType(
         kind=KIND_REGRESSOR, model_kind=TRKM, task=REGRESS,
-        model_class=TrkmRegressorModel, hyperparams_class=TrkmClassifierHyperparams,
         penalties=_TWIN_PENALTIES,
         body=(("X", ARRAY), ("Y", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
               ("h2", ARRAY), ("b2", FLOAT)),
         per_row=(("Y", "X"), ("h1", "X"), ("h2", "X")),
-        fit=lambda x, y, params, kernel: regressor.fit_regressor(
-            x, y, _twin_hyperparams(params, kernel)
-        ),
+        suffixes=("1", "2"),
+        fit=lambda x, y, penalties, kernel: regressor.fit_regressor(x, y, penalties, kernel),
         predict=lambda model, x: regressor.predict_regression(model, x),
         grid_fold=_full_sample_grid_fold(regressor),
+        terms=lambda fields, kernel, x: regressor.decision_terms(fields["X"], kernel, x),
         system_penalties=_TWIN_SYSTEMS,
         decide=lambda total: regressor.decide(total),
     ),
     ModelType(
         kind=KIND_RKM, model_kind=RKM, task=CLASSIFY,
-        model_class=RkmModel, hyperparams_class=None,
         penalties=("gamma", "eta"),
         body=(("X", ARRAY), ("y", ARRAY), ("h", ARRAY), ("b", FLOAT)),
         per_row=(("y", "X"), ("h", "X")),
-        fit=lambda x, y, params, kernel: rkm.fit_rkm(
-            x, y, params["gamma"], params["eta"], kernel
-        ),
+        suffixes=("",),
+        fit=lambda x, y, penalties, kernel: rkm.fit_rkm(x, y, penalties, kernel),
         predict=lambda model, x: rkm.predict_rkm(model, x),
         grid_fold=_full_sample_grid_fold(rkm),
+        terms=lambda fields, kernel, x: rkm.decision_terms(fields["X"], kernel, x),
         system_penalties=(_first_penalties,),
         decide=lambda total: rkm.decide(total),
     ),
@@ -179,7 +203,6 @@ MODEL_TYPES = (
 
 _BY_PAIR = {(t.model_kind, t.task): t for t in MODEL_TYPES}
 _BY_KIND = {t.kind: t for t in MODEL_TYPES}
-_BY_CLASS = {t.model_class: t for t in MODEL_TYPES}
 
 
 def model_type(model_kind: str, task: str) -> ModelType:
@@ -202,14 +225,6 @@ def of_kind(kind: str) -> ModelType:
         raise ValueError(f"unknown model kind {kind!r}") from None
 
 
-def of_model(model) -> ModelType:
-    """The entry of a fitted model."""
-    try:
-        return _BY_CLASS[type(model)]
-    except KeyError:
-        raise ValueError(f"not a trkm model: {type(model).__name__}") from None
-
-
 def refuse_second_penalties(model_kind: str, task: str, given: list[str]) -> None:
     """ValueError for an unsupported pair, or naming ``given`` for a one-system pair."""
     if len(model_type(model_kind, task).system_penalties) < 2 and given:
@@ -217,21 +232,39 @@ def refuse_second_penalties(model_kind: str, task: str, given: list[str]) -> Non
                          "so it takes no second-system penalties")
 
 
-def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | None = None):
+def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | None = None) -> Model:
     """Fit the model of a (model kind, task) pair.
 
     ``params`` holds ``gamma`` and ``eta`` (and, for TRKM, optionally
     ``gamma2``/``eta2``); the kernel is Gaussian with ``params["sigma"]``
-    unless ``kernel`` is given. Classification labels are +/-1.
+    unless ``kernel`` is given. Classification labels are +/-1. X must have
+    one row per value of y (named ``Y`` for TRKM-R), and every system's
+    penalties must be positive; a ValueError names the first that is not.
     """
     entry = model_type(model_kind, task)
     refuse_second_penalties(model_kind, task, [k for k in ("gamma2", "eta2") if k in params])
-    return entry.fit(X, y, params, gaussian(params["sigma"]) if kernel is None else kernel)
+    kernel = gaussian(params["sigma"]) if kernel is None else kernel
+    target = "Y" if task == REGRESS else "y"
+    x, yv = as_matrix(X, "X"), as_vector(y, target)
+    if len(yv) != len(x):
+        raise DimensionMismatch(f"X has {len(x)} rows but {target} has length {len(yv)}")
+    penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
+    named = {f"{key}{s}": value for s, pair in zip(entry.suffixes, penalties)
+             for key, value in zip(("gamma", "eta"), pair)}
+    hyperparams = {name: named[name] for name in entry.penalties}
+    for name, value in hyperparams.items():
+        if not positive_number(value):
+            raise ValueError(f"{name} must be strictly positive, got {value!r}")
+    rows, reports = entry.fit(x, yv, penalties, kernel)
+    fields = dict(zip([name for name, _ in entry.body], rows))
+    for s, rep in zip(entry.suffixes, reports):
+        fields.update({f"h{s}": rep.h, f"b{s}": rep.b})
+    return Model(entry, hyperparams, kernel, fields, reports)
 
 
-def predict(model, X) -> np.ndarray:
+def predict(model: Model, X) -> np.ndarray:
     """Labels (+/-1) of a classifier or values of a regressor at each row of X."""
-    return of_model(model).predict(model, X)
+    return model.type.predict(model, X)
 
 
 @dataclass(frozen=True)
@@ -304,9 +337,9 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     return entry.decide(decision), passed, refit
 
 
-def n_features(model) -> int:
+def n_features(model: Model) -> int:
     """Feature count of the rows the model was trained on."""
-    return getattr(model, of_model(model).body[0][0]).shape[1]
+    return model.fields[model.type.body[0][0]].shape[1]
 
 
 def score(task: str, pred, truth) -> float:

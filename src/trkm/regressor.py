@@ -21,31 +21,11 @@ terms once; the fit, the predictor and the grid search read only them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arrays import as_matrix, as_vector
-from .classifier import TrkmClassifierHyperparams
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import TooFewSamples
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
-
-
-# Both TRKM fits take the same per-system penalties.
-TrkmRegressorHyperparams = TrkmClassifierHyperparams
-
-
-@dataclass(frozen=True)
-class TrkmRegressorModel:
-    X: np.ndarray
-    Y: np.ndarray
-    h1: np.ndarray
-    b1: float
-    h2: np.ndarray
-    b2: float
-    hyperparams: TrkmRegressorHyperparams
-    fit_diag: tuple[SolveReport, SolveReport] | None = None
+from .solver import BorderedFamily, DecisionTerm, solve_families
 
 
 def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
@@ -68,23 +48,10 @@ def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTer
     return DecisionTerm(kq, zeros, -1, 1.0), DecisionTerm(kq, zeros, +1, 1.0)
 
 
-def fit_regressor(X, Y, hp: TrkmRegressorHyperparams) -> TrkmRegressorModel:
-    x = as_matrix(X, "X")
-    y = as_vector(Y, "Y")
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"X has {n} rows but Y has length {y.shape[0]}")
-    rep1, rep2 = solve_families(systems(x, y, hp.kernel),
-                                [(hp.gamma1, hp.eta1), (hp.gamma2, hp.eta2)])
-    return TrkmRegressorModel(X=x, Y=y, h1=rep1.h, b1=rep1.b, h2=rep2.h, b2=rep2.b,
-                              hyperparams=hp, fit_diag=(rep1, rep2))
-
-
-def regression_components(model: TrkmRegressorModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """The two dual-form component functions g1, g2 at each row of X."""
-    hp = model.hyperparams
-    t1, t2 = decision_terms(model.X, hp.kernel, as_matrix(X, "X"))
-    return t1.value(model.h1, hp.gamma1, model.b1), t2.value(model.h2, hp.gamma2, model.b2)
+def fit_regressor(X, Y, penalties, kernel: KernelSpec):
+    """The fit hook: the stored rows and targets, and the solves of both systems at
+    ``penalties``."""
+    return (X, Y), solve_families(systems(X, Y, kernel), penalties)
 
 
 def decide(total) -> np.ndarray:
@@ -92,7 +59,6 @@ def decide(total) -> np.ndarray:
     return total / 2.0
 
 
-def predict_regression(model: TrkmRegressorModel, X) -> np.ndarray:
-    """Elementwise mean of the two component functions."""
-    g1, g2 = regression_components(model, X)
-    return decide(g1 + g2)
+def predict_regression(model, X) -> np.ndarray:
+    """The predict hook: the elementwise mean of the two component functions."""
+    return decide(model.total(X))

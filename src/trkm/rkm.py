@@ -15,27 +15,12 @@ once; the fit, the predictor and the grid search read only them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arrays import as_matrix, as_vector, positive_number
 from .classifier import decide
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import TooFewSamples
 from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, SolveReport, solve_families
-
-
-@dataclass(frozen=True)
-class RkmModel:
-    X: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-    b: float
-    gamma: float
-    eta: float
-    kernel: KernelSpec
-    fit_diag: tuple[SolveReport] | None = None
+from .solver import BorderedFamily, DecisionTerm, solve_families
 
 
 def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
@@ -53,26 +38,14 @@ def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:
     return (DecisionTerm(gram(kernel, Xq, X), np.zeros(len(Xq))),)
 
 
-def fit_rkm(X, y, gamma: float, eta: float, kernel: KernelSpec) -> RkmModel:
-    x = as_matrix(X, "X")
-    yv = as_vector(y, "y")
-    n = x.shape[0]
-    if yv.shape[0] != n:
-        raise DimensionMismatch(f"X has {n} rows but y has length {yv.shape[0]}")
-    if not np.all(np.isin(yv, (-1.0, 1.0))):
+def fit_rkm(X, y, penalties, kernel: KernelSpec):
+    """The fit hook: the stored rows and labels, and the solve of the system at
+    ``penalties``. ValueError for a label other than +1 or -1."""
+    if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if not (positive_number(gamma) and positive_number(eta)):
-        raise ValueError("gamma and eta must be strictly positive")
-    (rep,) = solve_families(systems(x, yv, kernel), [(gamma, eta)])
-    return RkmModel(X=x, y=yv, h=rep.h, b=rep.b, gamma=gamma, eta=eta, kernel=kernel,
-                    fit_diag=(rep,))
+    return (X, y), solve_families(systems(X, y, kernel), penalties)
 
 
-def rkm_scores(model: RkmModel, X) -> np.ndarray:
-    (term,) = decision_terms(model.X, model.kernel, as_matrix(X, "X"))
-    return term.value(model.h, model.gamma, model.b)
-
-
-def predict_rkm(model: RkmModel, X) -> np.ndarray:
-    """Predict +/-1 labels by TRKM-C's ``decide``; a zero score maps to +1."""
-    return decide(rkm_scores(model, X))
+def predict_rkm(model, X) -> np.ndarray:
+    """The predict hook: TRKM-C's ``decide`` of the score; a zero score maps to +1."""
+    return decide(model.total(X))

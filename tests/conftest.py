@@ -44,6 +44,15 @@ def counting(monkeypatch, *names):
     return counts
 
 
+def system_values(model, X):
+    """Each system's decision value at the rows of X (g1, g2 of TRKM, RKM's one score): the
+    terms ``Model.total`` sums, from the kind's own ``decision_terms``."""
+    fields, hp = model.fields, model.hyperparams
+    terms = model.type.terms(fields, model.kernel, np.asarray(X, dtype=float))
+    return tuple(term.value(fields[f"h{s}"], hp[f"gamma{s}"], fields[f"b{s}"])
+                 for term, s in zip(terms, model.type.suffixes))
+
+
 def random_two_class(rng, n_max=30, m_max=6):
     """A random binary problem with both classes present."""
     n = int(rng.integers(6, n_max + 1))

@@ -154,25 +154,27 @@ def classifier_slacks(model):
     The weight vectors are expanded through the kernel, so nothing is
     materialized.
     """
-    hp = model.hyperparams
-    k_aa = gram(hp.kernel, model.A, model.A)
-    k_ab = gram(hp.kernel, model.A, model.B)
-    k_bb = gram(hp.kernel, model.B, model.B)
-    e1 = np.ones(model.A.shape[0])
-    e2 = np.ones(model.B.shape[0])
-    phi_a_w1 = (k_aa @ model.h1 - k_ab @ e2) / hp.gamma1
-    phi_b_w2 = (k_bb @ model.h2 + k_ab.T @ e1) / hp.gamma2
-    return e1 - phi_a_w1 - e1 * model.b1, -e2 - phi_b_w2 - e2 * model.b2
+    f, hp = model.fields, model.hyperparams
+    a, b = f["A"], f["B"]
+    k_aa = gram(model.kernel, a, a)
+    k_ab = gram(model.kernel, a, b)
+    k_bb = gram(model.kernel, b, b)
+    e1 = np.ones(a.shape[0])
+    e2 = np.ones(b.shape[0])
+    phi_a_w1 = (k_aa @ f["h1"] - k_ab @ e2) / hp["gamma1"]
+    phi_b_w2 = (k_bb @ f["h2"] + k_ab.T @ e1) / hp["gamma2"]
+    return e1 - phi_a_w1 - e1 * f["b1"], -e2 - phi_b_w2 - e2 * f["b2"]
 
 
 def regressor_slacks(model):
     """TRKM-R error vectors of the lower and upper functions, in kernel form."""
-    hp = model.hyperparams
-    k = gram(hp.kernel, model.X, model.X)
-    e = np.ones(model.X.shape[0])
-    phi_w1 = (k @ (e - model.h1)) / hp.gamma1
-    phi_w2 = (k @ (model.h2 - e)) / hp.gamma2
-    return phi_w1 + e * model.b1 - model.Y, model.Y - phi_w2 - e * model.b2
+    f, hp = model.fields, model.hyperparams
+    x, y = f["X"], f["Y"]
+    k = gram(model.kernel, x, x)
+    e = np.ones(x.shape[0])
+    phi_w1 = (k @ (e - f["h1"])) / hp["gamma1"]
+    phi_w2 = (k @ (f["h2"] - e)) / hp["gamma2"]
+    return phi_w1 + e * f["b1"] - y, y - phi_w2 - e * f["b2"]
 
 
 def fit_score(x_train, y_train, x_valid, y_valid, params, task, model_kind):

@@ -20,26 +20,15 @@ import time
 import numpy as np
 import pytest
 
-from trkm.classifier import (
-    TrkmClassifierHyperparams,
-    decision_values,
-    fit_classifier,
-    predict_labels,
-)
-from trkm.data import CLASSIFY, Dataset, apply_normalization, load_csv, normalize_minmax
+from trkm import models
+from trkm.data import CLASSIFY, REGRESS, Dataset, apply_normalization, load_csv, normalize_minmax
 from trkm.kernels import gaussian, gram, linear
 from trkm.metrics import classification_accuracy, regression_errors
-from trkm.regressor import (
-    TrkmRegressorHyperparams,
-    fit_regressor,
-    predict_regression,
-    regression_components,
-)
 from trkm.selection import GridSpec, SplitSpec, grid_search, split
 from trkm.stats import friedman_test, nemenyi_cd, rank_models, win_tie_loss
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, system_values
 from oracles import classifier_slacks, regressor_slacks
 
 UCI_DIR = DATA_DIR / "uci"
@@ -67,6 +56,18 @@ def random_classification_problem(rng):
     return x[y == 1], x[y == -1]
 
 
+def fit_classes(a, b, gamma, eta, kernel, **second):
+    """TRKM-C on class +1 rows a and class -1 rows b, equal penalties unless gamma2/eta2
+    are given."""
+    x, y = np.concatenate([a, b]), np.r_[np.ones(len(a)), -np.ones(len(b))]
+    return models.fit("trkm", CLASSIFY, x, y, {"gamma": gamma, "eta": eta, **second}, kernel)
+
+
+def fit_regression(x, y, gamma, eta, kernel, **second):
+    """TRKM-R on rows x with targets y, equal penalties unless gamma2/eta2 are given."""
+    return models.fit("trkm", REGRESS, x, y, {"gamma": gamma, "eta": eta, **second}, kernel)
+
+
 # -- criterion 1 ------------------------------------------------------------
 
 def test_criterion_1_stationarity_and_balance_suite():
@@ -75,22 +76,23 @@ def test_criterion_1_stationarity_and_balance_suite():
     worst_stat = worst_bal = 0.0
     for _ in range(50):
         a, b = random_classification_problem(rng)
-        hp = TrkmClassifierHyperparams.equal_penalty(
+        model = fit_classes(
+            a, b,
             float(rng.choice([1e-3, 1.0, 1e3])),
             float(rng.choice([1e-3, 1.0, 1e3])),
             gaussian(float(rng.choice([0.5, 2.0]))),
         )
-        model = fit_classifier(a, b, hp)
+        hp, f = model.hyperparams, model.fields
         xi1, xi2 = classifier_slacks(model)
         worst_stat = max(
             worst_stat,
-            float(np.max(np.abs(hp.eta1 * model.h1 - xi1))),
-            float(np.max(np.abs(hp.eta2 * model.h2 - xi2))),
+            float(np.max(np.abs(hp["eta1"] * f["h1"] - xi1))),
+            float(np.max(np.abs(hp["eta2"] * f["h2"] - xi2))),
         )
         worst_bal = max(
             worst_bal,
-            abs(model.h1.sum() - len(b)),
-            abs(model.h2.sum() + len(a)),
+            abs(f["h1"].sum() - len(b)),
+            abs(f["h2"].sum() + len(a)),
         )
     elapsed = time.perf_counter() - start
     ok = worst_stat <= 1e-6 and worst_bal <= 1e-6 and elapsed < 10.0
@@ -112,20 +114,20 @@ def test_criterion_2_fenchel_young_suite():
     for i in range(20):
         if i % 2 == 0:
             a, b = random_classification_problem(rng)
-            hp = TrkmClassifierHyperparams.equal_penalty(
-                float(rng.uniform(0.1, 10)), float(rng.uniform(0.1, 10)), gaussian(1.0)
+            model = fit_classes(
+                a, b, float(rng.uniform(0.1, 10)), float(rng.uniform(0.1, 10)), gaussian(1.0)
             )
-            model = fit_classifier(a, b, hp)
-            slack_pairs = zip(classifier_slacks(model), (hp.eta1, hp.eta2))
+            slack_pairs = zip(classifier_slacks(model), (model.hyperparams["eta1"],
+                                                         model.hyperparams["eta2"]))
         else:
             n = int(rng.integers(5, 40))
             x = rng.normal(size=(n, 3))
             y = rng.normal(size=n)
-            hp = TrkmRegressorHyperparams.equal_penalty(
-                float(rng.uniform(0.1, 10)), float(rng.uniform(0.1, 10)), gaussian(1.0)
+            model = fit_regression(
+                x, y, float(rng.uniform(0.1, 10)), float(rng.uniform(0.1, 10)), gaussian(1.0)
             )
-            model = fit_regressor(x, y, hp)
-            slack_pairs = zip(regressor_slacks(model), (hp.eta1, hp.eta2))
+            slack_pairs = zip(regressor_slacks(model), (model.hyperparams["eta1"],
+                                                        model.hyperparams["eta2"]))
         for xi, eta in slack_pairs:
             lhs = xi @ xi / (2.0 * eta)
             for _ in range(100):
@@ -155,28 +157,26 @@ def test_criterion_3_linear_kernel_primal_dual_oracle():
         if i % 2 == 0:
             n1, n2 = int(rng.integers(3, 16)), int(rng.integers(3, 16))
             a, b = rng.normal(size=(n1, m)), rng.normal(size=(n2, m))
-            hp = TrkmClassifierHyperparams(
-                *(float(rng.uniform(0.5, 5)) for _ in range(4)), kernel=linear()
-            )
-            model = fit_classifier(a, b, hp)
-            g1, g2 = decision_values(model, queries)
-            w1 = (a.T @ model.h1 - b.T @ np.ones(n2)) / hp.gamma1
-            w2 = (b.T @ model.h2 + a.T @ np.ones(n1)) / hp.gamma2
+            gamma1, gamma2, eta1, eta2 = (float(rng.uniform(0.5, 5)) for _ in range(4))
+            model = fit_classes(a, b, gamma1, eta1, linear(), gamma2=gamma2, eta2=eta2)
+            f = model.fields
+            g1, g2 = system_values(model, queries)
+            w1 = (a.T @ f["h1"] - b.T @ np.ones(n2)) / gamma1
+            w2 = (b.T @ f["h2"] + a.T @ np.ones(n1)) / gamma2
         else:
             n = int(rng.integers(4, 31))
             x, y = rng.normal(size=(n, m)), rng.normal(size=n)
-            hp = TrkmRegressorHyperparams(
-                *(float(rng.uniform(0.5, 5)) for _ in range(4)), kernel=linear()
-            )
-            model = fit_regressor(x, y, hp)
-            g1, g2 = regression_components(model, queries)
+            gamma1, gamma2, eta1, eta2 = (float(rng.uniform(0.5, 5)) for _ in range(4))
+            model = fit_regression(x, y, gamma1, eta1, linear(), gamma2=gamma2, eta2=eta2)
+            f = model.fields
+            g1, g2 = system_values(model, queries)
             e = np.ones(n)
-            w1 = x.T @ (e - model.h1) / hp.gamma1
-            w2 = x.T @ (model.h2 - e) / hp.gamma2
+            w1 = x.T @ (e - f["h1"]) / gamma1
+            w2 = x.T @ (f["h2"] - e) / gamma2
         worst = max(
             worst,
-            float(np.max(np.abs(g1 - (queries @ w1 + model.b1)))),
-            float(np.max(np.abs(g2 - (queries @ w2 + model.b2)))),
+            float(np.max(np.abs(g1 - (queries @ w1 + f["b1"])))),
+            float(np.max(np.abs(g2 - (queries @ w2 + f["b2"])))),
         )
     ok = worst <= 1e-10
     report("criterion 3 primal-dual oracle", ok, f"worst gap {worst:.2e}")
@@ -193,45 +193,45 @@ def test_criterion_4_small_system_brute_force_oracle():
     for _ in range(12):
         n1, n2, m = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
         a, b = rng.normal(size=(n1, m)), rng.normal(size=(n2, m))
-        hp = TrkmClassifierHyperparams.equal_penalty(1.4, 0.7, gaussian(1.0))
-        model = fit_classifier(a, b, hp)
-        k_aa = gram(hp.kernel, a, a)
-        k_ab = gram(hp.kernel, a, b)
-        k_bb = gram(hp.kernel, b, b)
+        model = fit_classes(a, b, 1.4, 0.7, gaussian(1.0))
+        hp, f = model.hyperparams, model.fields
+        k_aa = gram(model.kernel, a, a)
+        k_ab = gram(model.kernel, a, b)
+        k_bb = gram(model.kernel, b, b)
         e1, e2 = np.ones(n1), np.ones(n2)
         # positive-class system
         aug, rhs = augmented(
-            k_aa / hp.gamma1 + hp.eta1 * np.eye(n1), e1, +1,
-            e1 + k_ab @ e2 / hp.gamma1, n2,
+            k_aa / hp["gamma1"] + hp["eta1"] * np.eye(n1), e1, +1,
+            e1 + k_ab @ e2 / hp["gamma1"], n2,
         )
         ref = solve_full_pivot(aug, rhs)
-        worst = max(worst, float(np.max(np.abs(model.h1 - ref[:n1]))), abs(model.b1 - ref[n1]))
+        worst = max(worst, float(np.max(np.abs(f["h1"] - ref[:n1]))), abs(f["b1"] - ref[n1]))
         # negative-class system
         aug, rhs = augmented(
-            k_bb / hp.gamma2 + hp.eta2 * np.eye(n2), e2, +1,
-            -(e2 + k_ab.T @ e1 / hp.gamma2), -float(n1),
+            k_bb / hp["gamma2"] + hp["eta2"] * np.eye(n2), e2, +1,
+            -(e2 + k_ab.T @ e1 / hp["gamma2"]), -float(n1),
         )
         ref = solve_full_pivot(aug, rhs)
-        worst = max(worst, float(np.max(np.abs(model.h2 - ref[:n2]))), abs(model.b2 - ref[n2]))
+        worst = max(worst, float(np.max(np.abs(f["h2"] - ref[:n2]))), abs(f["b2"] - ref[n2]))
 
         n = int(rng.integers(2, 9))
         x, y = rng.normal(size=(n, m)), rng.normal(size=n)
-        rhp = TrkmRegressorHyperparams.equal_penalty(0.9, 1.8, gaussian(1.0))
-        rmodel = fit_regressor(x, y, rhp)
-        k = gram(rhp.kernel, x, x)
+        rmodel = fit_regression(x, y, 0.9, 1.8, gaussian(1.0))
+        rhp, rf = rmodel.hyperparams, rmodel.fields
+        k = gram(rmodel.kernel, x, x)
         e = np.ones(n)
         # lower-function system (negated border column)
         aug, rhs = augmented(
-            k / rhp.gamma1 + rhp.eta1 * np.eye(n), e, -1, -y + k @ e / rhp.gamma1, n
+            k / rhp["gamma1"] + rhp["eta1"] * np.eye(n), e, -1, -y + k @ e / rhp["gamma1"], n
         )
         ref = solve_full_pivot(aug, rhs)
-        worst = max(worst, float(np.max(np.abs(rmodel.h1 - ref[:n]))), abs(rmodel.b1 - ref[n]))
+        worst = max(worst, float(np.max(np.abs(rf["h1"] - ref[:n]))), abs(rf["b1"] - ref[n]))
         # upper-function system
         aug, rhs = augmented(
-            k / rhp.gamma2 + rhp.eta2 * np.eye(n), e, +1, y + k @ e / rhp.gamma2, n
+            k / rhp["gamma2"] + rhp["eta2"] * np.eye(n), e, +1, y + k @ e / rhp["gamma2"], n
         )
         ref = solve_full_pivot(aug, rhs)
-        worst = max(worst, float(np.max(np.abs(rmodel.h2 - ref[:n]))), abs(rmodel.b2 - ref[n]))
+        worst = max(worst, float(np.max(np.abs(rf["h2"] - ref[:n]))), abs(rf["b2"] - ref[n]))
     ok = worst <= 1e-9
     report("criterion 4 brute-force oracle", ok, f"worst gap {worst:.2e}")
     assert worst <= 1e-9
@@ -299,22 +299,22 @@ def test_criterion_5_regression_ranks_and_chi2():
 
 # -- criterion 6 ------------------------------------------------------------
 
-def fit_and_score(train, test, hp):
-    model = fit_classifier(train.X[train.target == 1], train.X[train.target == -1], hp)
-    return classification_accuracy(predict_labels(model, test.X), test.target)
+def fit_and_score(train, test, params):
+    model = models.fit("trkm", CLASSIFY, train.X, train.target, params)
+    return classification_accuracy(models.predict(model, test.X), test.target)
 
 
 def test_criterion_6_crossplane_reproduction():
     start = time.perf_counter()
     x, y = crossplane()
     ds = Dataset(X=x, target=y, task=CLASSIFY)
-    hp = TrkmClassifierHyperparams.equal_penalty(1e-5, 1e-5, gaussian(2.0**-5))
+    params = {"gamma": 1e-5, "eta": 1e-5, "sigma": 2.0**-5}
     accs = []
     for seed in range(5):
         train, test = split(ds, SplitSpec(0.7, seed=seed, stratified=True))
         train = normalize_minmax(train)
         test = apply_normalization(test, train.normalization)
-        accs.append(fit_and_score(train, test, hp))
+        accs.append(fit_and_score(train, test, params))
     elapsed = time.perf_counter() - start
     ok = all(a == 100.0 for a in accs)
     report("criterion 6 crossplane130", ok, f"accuracies {accs}, {elapsed:.2f}s")
@@ -346,11 +346,8 @@ def test_criterion_6_uci_grid_search_reproduction(filename, label_column, publis
     train = normalize_minmax(train)
     test = apply_normalization(test, train.normalization)
     result = grid_search(train, GridSpec(), CLASSIFY, seed=0)
-    hp = TrkmClassifierHyperparams.equal_penalty(
-        result.best_params["gamma"], result.best_params["eta"],
-        gaussian(result.best_params["sigma"]),
-    )
-    acc = fit_and_score(train, test, hp)
+    acc = fit_and_score(train, test, {key: result.best_params[key]
+                                      for key in ("gamma", "eta", "sigma")})
     elapsed = time.perf_counter() - start
     ok = abs(acc - published) <= 4.0 and elapsed < 300.0
     report(f"criterion 6 {filename}", ok, f"accuracy {acc:.2f} vs {published}, {elapsed:.1f}s")
@@ -362,8 +359,8 @@ def test_criterion_6_uci_grid_search_reproduction(filename, label_column, publis
 
 def test_criterion_7_regression_substitute():
     x, y = sine(50, seed=3)
-    model = fit_regressor(x, y, TrkmRegressorHyperparams.equal_penalty(1e-3, 1e-3, gaussian(1.0)))
-    rmse = regression_errors(predict_regression(model, x), y).rmse
+    model = fit_regression(x, y, 1e-3, 1e-3, gaussian(1.0))
+    rmse = regression_errors(models.predict(model, x), y).rmse
 
     rng = np.random.default_rng(707)
     worst_shift = 0.0
@@ -372,9 +369,8 @@ def test_criterion_7_regression_substitute():
         xr = rng.normal(size=(n, 2))
         yr = rng.normal(size=n)
         c = float(rng.uniform(-10, 10))
-        hp = TrkmRegressorHyperparams.equal_penalty(1.0, 0.1, gaussian(1.0))
-        base = predict_regression(fit_regressor(xr, yr, hp), xr)
-        shifted = predict_regression(fit_regressor(xr, yr + c, hp), xr)
+        base = models.predict(fit_regression(xr, yr, 1.0, 0.1, gaussian(1.0)), xr)
+        shifted = models.predict(fit_regression(xr, yr + c, 1.0, 0.1, gaussian(1.0)), xr)
         worst_shift = max(worst_shift, float(np.max(np.abs(shifted - (base + c)))))
     ok = rmse < 0.05 and worst_shift <= 1e-8
     report(
@@ -390,11 +386,10 @@ def test_criterion_7_regression_substitute():
 def time_fit(n: int, rng) -> float:
     x = rng.normal(size=(n, 8))
     y = rng.normal(size=n)
-    hp = TrkmRegressorHyperparams.equal_penalty(1.0, 0.1, gaussian(1.0))
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        fit_regressor(x, y, hp)
+        fit_regression(x, y, 1.0, 0.1, gaussian(1.0))
         best = min(best, time.perf_counter() - start)
     return best
 

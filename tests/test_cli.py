@@ -1166,6 +1166,37 @@ assert main(["train", "--task", "regress", "--data", {str(data)!r}, "--target-co
     assert written[1] == written[0] and written[2] == written[0]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads its size from /proc")
+def test_an_input_too_large_for_memory_exits_3_naming_the_file(tmp_path):
+    # RKM's kernel of 25,000 rows takes 4.66 GiB. The interpreter caps its own address
+    # space at about 1 GiB above what it maps, so that allocation fails at mmap, before
+    # any page of it is touched; main reports it instead of a traceback.
+    data, model = tmp_path / "big.csv", tmp_path / "model.json"
+    out = run_python(f"""
+import contextlib, io, resource
+import numpy as np
+from trkm.cli import main
+from trkm.synthetic import write_classification_csv
+x = np.random.default_rng(0).normal(size=(25000, 2))
+write_classification_csv({str(data)!r}, x, np.where(x[:, 0] > 0, 1, -1))
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["train", "--task", "classify", "--model-kind", "rkm", "--data", {str(data)!r},
+                 "--label-col", "label", "--gamma", "1", "--eta", "1", "--sigma", "1",
+                 "--model-out", {str(model)!r}])
+print(code)
+print(err.getvalue(), end="")
+""")
+    code, message = out.split("\n", 1)
+    assert code == "3", message
+    assert message.startswith(f"error: {data}: not enough memory: Unable to allocate 4.66 GiB")
+    assert "Traceback" not in message and message.count("\n") == 1
+    assert not model.exists()
+
+
 def test_min_max_overflow_exits_3_naming_the_file_and_the_feature(tmp_path, capsys):
     # Training: max - min of the column 'huge' overflows, so its max scales to
     # inf/inf. Predicting: the training range [-1e308, 0] is finite, but a row at

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
+from trkm import models
 from trkm.data import (
     CLASSIFY,
     REGRESS,
@@ -32,8 +32,6 @@ from trkm.errors import (
 from trkm.kernels import gaussian
 from trkm.model_io import SavedModel, _decode_array, _unhex, load_model, save_model
 from trkm.models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM
-from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
-from trkm.rkm import fit_rkm, predict_rkm
 from trkm.synthetic import blobs
 
 
@@ -146,24 +144,23 @@ def test_normalization_is_idempotent(rng):
 
 def fitted_models(rng):
     x, y = blobs(8, 5.0, seed=6)
-    chp = TrkmClassifierHyperparams.equal_penalty(0.5, 0.25, gaussian(1.0))
-    classifier = fit_classifier(x[y == 1], x[y == -1], chp)
+    classifier = models.fit("trkm", CLASSIFY, x, y, {"gamma": 0.5, "eta": 0.25}, gaussian(1.0))
     xr = rng.normal(size=(12, 2))
     yr = rng.normal(size=12)
-    rhp = TrkmRegressorHyperparams.equal_penalty(1.5, 0.75, gaussian(0.8))
-    regressor = fit_regressor(xr, yr, rhp)
-    rkm = fit_rkm(x, y.astype(float), 1.0, 0.5, gaussian(1.0))
+    regressor = models.fit("trkm", REGRESS, xr, yr, {"gamma": 1.5, "eta": 0.75}, gaussian(0.8))
+    rkm = models.fit("rkm", CLASSIFY, x, y.astype(float), {"gamma": 1.0, "eta": 0.5},
+                     gaussian(1.0))
     return classifier, regressor, rkm, x, xr
 
 
 def test_model_round_trip_bitwise_predictions(tmp_path, rng):
     classifier, regressor, rkm, x, xr = fitted_models(rng)
     cases = [
-        (classifier, KIND_CLASSIFIER, CLASSIFY, x, predict_labels),
-        (regressor, KIND_REGRESSOR, REGRESS, xr, predict_regression),
-        (rkm, KIND_RKM, CLASSIFY, x, predict_rkm),
+        (classifier, KIND_CLASSIFIER, CLASSIFY, x),
+        (regressor, KIND_REGRESSOR, REGRESS, xr),
+        (rkm, KIND_RKM, CLASSIFY, x),
     ]
-    for i, (model, kind, task, data, predict) in enumerate(cases):
+    for i, (model, kind, task, data) in enumerate(cases):
         path = str(tmp_path / f"m{i}.json")
         save_model(
             SavedModel(
@@ -176,8 +173,8 @@ def test_model_round_trip_bitwise_predictions(tmp_path, rng):
         loaded = load_model(path)
         assert loaded.kind == kind and loaded.task == task
         assert loaded.normalization == ((0.25, 0.75), (-1.0, 1.0))
-        before = predict(model, data)
-        after = predict(loaded.model, data)
+        before = models.predict(model, data)
+        after = models.predict(loaded.model, data)
         assert before.tobytes() == after.tobytes()
 
 
@@ -229,12 +226,12 @@ def test_golden_model_file_loads_resaves_and_predicts(tmp_path, rng, kind):
     assert resaved.read_bytes() == golden.read_bytes()
 
     classifier, regressor, rkm, x, xr = fitted_models(rng)
-    fresh, data, predict = {
-        KIND_CLASSIFIER: (classifier, x, predict_labels),
-        KIND_REGRESSOR: (regressor, xr, predict_regression),
-        KIND_RKM: (rkm, x, predict_rkm),
+    fresh, data = {
+        KIND_CLASSIFIER: (classifier, x),
+        KIND_REGRESSOR: (regressor, xr),
+        KIND_RKM: (rkm, x),
     }[kind]
-    assert predict(loaded.model, data).tobytes() == predict(fresh, data).tobytes()
+    assert models.predict(loaded.model, data).tobytes() == models.predict(fresh, data).tobytes()
 
 
 # Cells of generated CSV text: numbers float() reads (padded, quoted, with

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trkm import classifier, models, regressor, rkm, solver
-from trkm.classifier import TrkmClassifierHyperparams, fit_classifier, predict_labels
 from trkm.data import CLASSIFY, REGRESS
 from trkm.kernels import gaussian, linear
 from trkm.metrics import regression_errors
-from trkm.regressor import TrkmRegressorHyperparams, fit_regressor, predict_regression
-from trkm.rkm import fit_rkm, predict_rkm
 from trkm.synthetic import blobs
 
 from conftest import REPO
@@ -27,24 +24,29 @@ def load_spans():
     return spans
 
 
-def test_regressor_and_classifier_share_one_hyperparams_class():
-    assert TrkmRegressorHyperparams is TrkmClassifierHyperparams
-
-
 def test_table_fits_and_predicts_as_the_model_functions(rng):
+    # models.fit fills the record from the kind's fit hook, field by field in file
+    # order; models.predict is the kind's predict hook, decide of the summed terms.
     x, y = blobs(8, 2.0, seed=6)
     xr, yr = rng.normal(size=(12, 2)), rng.normal(size=12)
-    hp = TrkmClassifierHyperparams(0.5, 2.0, 0.25, 0.125, gaussian(1.0))
     params = {**PARAMS, "gamma2": 2.0, "eta2": 0.125}
+    penalties = [(0.5, 0.25), (2.0, 0.125)]
     cases = [
-        ("trkm", CLASSIFY, x, y, params, fit_classifier(x[y == 1], x[y == -1], hp), predict_labels),
-        ("trkm", REGRESS, xr, yr, params, fit_regressor(xr, yr, hp), predict_regression),
-        ("rkm", CLASSIFY, x, y, PARAMS, fit_rkm(x, y, 0.5, 0.25, gaussian(1.0)), predict_rkm),
+        ("trkm", CLASSIFY, x, y, params, classifier.fit_classifier, classifier.predict_labels),
+        ("trkm", REGRESS, xr, yr, params, regressor.fit_regressor, regressor.predict_regression),
+        ("rkm", CLASSIFY, x, y, PARAMS, rkm.fit_rkm, rkm.predict_rkm),
     ]
-    for kind, task, data, target, p, direct, predict in cases:
+    for kind, task, data, target, p, fit, predict in cases:
         model = models.fit(kind, task, data, target, p)
-        assert type(model) is type(direct)
-        assert models.predict(model, data).tobytes() == predict(direct, data).tobytes()
+        rows, reports = fit(data, target.astype(float), penalties[:len(model.fit_diag)],
+                            gaussian(1.0))
+        solutions = [value for rep in reports for value in (rep.h, rep.b)]
+        assert list(model.fields) == [name for name, _ in model.type.body]
+        for got, want in zip(model.fields.values(), [*rows, *solutions]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert list(model.hyperparams) == list(model.type.penalties)
+        assert models.predict(model, data).tobytes() == predict(model, data).tobytes()
+        assert predict(model, data).tobytes() == model.type.decide(model.total(data)).tobytes()
         assert models.n_features(model) == data.shape[1]
 
 
@@ -115,18 +117,22 @@ def test_tracer_sees_fits_and_predicts_made_through_the_table(rng):
 
     x, y = blobs(6, 2.0, seed=1)
     xr, yr = rng.normal(size=(8, 2)), rng.normal(size=8)
-    tracer = load_spans().Tracer()
+    spans = load_spans()
+    tracer = spans.Tracer()
     tracer.install()
+    cases = (("trkm", CLASSIFY, x, y, x[:5]), ("trkm", REGRESS, xr, yr, xr[:3]),
+             ("rkm", CLASSIFY, x, y, x[:7]))
     try:
-        for kind, task, data, target in (
-            ("trkm", CLASSIFY, x, y), ("trkm", REGRESS, xr, yr), ("rkm", CLASSIFY, x, y),
-        ):
-            models.predict(models.fit(kind, task, data, target, PARAMS), data)
+        for kind, task, data, target, queries in cases:
+            models.predict(models.fit(kind, task, data, target, PARAMS), queries)
     finally:
         tracer.uninstall()
-    names = {s["name"] for s in tracer.spans}
-    for layer, fit, predict in load_spans().MODELS:
-        assert {f"{layer}.{fit}", f"{layer}.{predict}"} <= names
+    # One hook span per fit and per predict of each kind, so that perfbench's per-kind
+    # counts read what ran; each predict span counts the rows it was given.
+    for (layer, fit, predict), (*_, queries) in zip(spans.MODELS, cases):
+        assert [s["name"] for s in tracer.spans].count(f"{layer}.{fit}") == 1, layer
+        (span,) = [s for s in tracer.spans if s["name"] == f"{layer}.{predict}"]
+        assert span["rows"] == len(queries), layer
     # two systems per TRKM fit, one per RKM fit, each measured from its BorderedSystem
     solves = [s for s in tracer.spans if s["name"] == "solver.solve_bordered"]
     assert len(solves) == 5
@@ -194,9 +200,9 @@ def test_ldlt_fits_as_lu_fits_above_the_gate(monkeypatch):
             patch.setattr(solver, "LDL_MIN_ORDER", 10**9)
             lu = models.fit(kind, task, x, target, params)
         for name in ("h", "b", "h1", "b1", "h2", "b2"):
-            if hasattr(lu, name):
-                expected = np.asarray(getattr(lu, name))
-                assert np.allclose(getattr(ldlt, name), expected, rtol=0,
+            if name in lu.fields:
+                expected = np.asarray(lu.fields[name])
+                assert np.allclose(ldlt.fields[name], expected, rtol=0,
                                    atol=1e-10 * np.max(np.abs(expected))), (kind, task, name)
         predicted, expected = models.predict(ldlt, queries), models.predict(lu, queries)
         if task == CLASSIFY:

@@ -528,13 +528,13 @@ def test_the_finiteness_check_holds_no_n_squared_temporary(rng):
 def test_a_fit_with_unequal_penalties_holds_its_kernel_and_one_factor():
     # TRKM-R's two systems at unequal penalties take one factor each; solve_families
     # drops the first before it forms the second.
-    from trkm.regressor import TrkmRegressorHyperparams, fit_regressor
+    from trkm import models
     from trkm.synthetic import sine
 
     n = 600
     x, y = sine(n, seed=1)
-    hp = TrkmRegressorHyperparams(1.0, 2.0, 0.1, 0.2, gaussian(1.0))
-    peak = traced_peak(lambda: fit_regressor(x, y, hp))
+    params = {"gamma": 1.0, "gamma2": 2.0, "eta": 0.1, "eta2": 0.2, "sigma": 1.0}
+    peak = traced_peak(lambda: models.fit("trkm", "regress", x, y, params))
     assert peak <= n * n * 8 + 1.25 * (n + 1) ** 2 * 8
 
 
