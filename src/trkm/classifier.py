@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyClass
-from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, solve_families
+from .kernels import KernelSpec, bordered_gram, gram
+from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
 def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
@@ -33,10 +33,14 @@ def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     for label, rows in (("+1", A), ("-1", B)):
         if len(rows) == 0:
             raise EmptyClass(f"class {label} has no samples")
-    k_aa, k_ab, k_bb = gram(kernel, A, A), gram(kernel, A, B), gram(kernel, B, B)
+    k_ab = gram(kernel, A, B)  # dropped before the class blocks are assembled
     e1, e2 = np.ones(len(A)), np.ones(len(B))
-    return (BorderedFamily("class +1 system", k_aa, +1, e1, k_ab @ e2, float(len(B))),
-            BorderedFamily("class -1 system", k_bb, +1, -e2, -(k_ab.T @ e1), -float(len(A))))
+    ab_e2, ba_e1 = k_ab @ e2, k_ab.T @ e1
+    del k_ab
+    return (BorderedFamily("class +1 system", KernelBlock(bordered_gram(kernel, A)), +1, e1,
+                           ab_e2, float(len(B))),
+            BorderedFamily("class -1 system", KernelBlock(bordered_gram(kernel, B)), +1, -e2,
+                           -ba_e1, -float(len(A))))
 
 
 def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:

@@ -237,9 +237,10 @@ def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | Non
 
     ``params`` holds ``gamma`` and ``eta`` (and, for TRKM, optionally
     ``gamma2``/``eta2``); the kernel is Gaussian with ``params["sigma"]``
-    unless ``kernel`` is given. Classification labels are +/-1. X must have
-    one row per value of y (named ``Y`` for TRKM-R), and every system's
-    penalties must be positive; a ValueError names the first that is not.
+    unless ``kernel`` is given. X must have one row per value of y (named
+    ``Y`` for TRKM-R), and every system's penalties must be positive; a
+    ValueError names the first that is not. Classification labels must be +1
+    or -1; a ValueError refuses any other.
     """
     entry = model_type(model_kind, task)
     refuse_second_penalties(model_kind, task, [k for k in ("gamma2", "eta2") if k in params])
@@ -255,6 +256,8 @@ def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | Non
     for name, value in hyperparams.items():
         if not positive_number(value):
             raise ValueError(f"{name} must be strictly positive, got {value!r}")
+    if task == CLASSIFY and not np.isin(yv, (-1.0, 1.0)).all():
+        raise ValueError("labels must be +1 or -1")
     rows, reports = entry.fit(x, yv, penalties, kernel)
     fields = dict(zip([name for name, _ in entry.body], rows))
     for s, rep in zip(entry.suffixes, reports):

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooFewSamples
-from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, solve_families
+from .kernels import KernelSpec, bordered_gram, gram
+from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
 def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
@@ -35,7 +35,7 @@ def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     """
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
-    k = gram(kernel, X, X)
+    k = KernelBlock(bordered_gram(kernel, X))
     ke = k @ np.ones(len(X))
     return (BorderedFamily("lower-function system", k, -1, -Y, ke, float(len(X))),
             BorderedFamily("upper-function system", k, +1, Y, ke, float(len(X))))

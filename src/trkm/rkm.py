@@ -19,8 +19,8 @@ import numpy as np
 
 from .classifier import decide
 from .errors import TooFewSamples
-from .kernels import KernelSpec, gram
-from .solver import BorderedFamily, DecisionTerm, solve_families
+from .kernels import KernelSpec, bordered_gram, gram
+from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
 def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
@@ -30,7 +30,8 @@ def systems(X, y, kernel: KernelSpec) -> tuple[BorderedFamily]:
     """
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
-    return (BorderedFamily("rkm system", gram(kernel, X, X), +1, y, np.zeros(len(X)), 0.0),)
+    return (BorderedFamily("rkm system", KernelBlock(bordered_gram(kernel, X)), +1, y,
+                           np.zeros(len(X)), 0.0),)
 
 
 def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:
@@ -40,9 +41,7 @@ def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:
 
 def fit_rkm(X, y, penalties, kernel: KernelSpec):
     """The fit hook: the stored rows and labels, and the solve of the system at
-    ``penalties``. ValueError for a label other than +1 or -1."""
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
+    ``penalties``."""
     return (X, y), solve_families(systems(X, y, kernel), penalties)
 
 

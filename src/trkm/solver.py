@@ -10,12 +10,16 @@ vector enforcing the balance constraint sum(h) = rhs_bottom. Each model
 module states its systems once for every (gamma, eta), as ``BorderedFamily``
 data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 ``BorderedSystem`` of one (gamma, eta). ``solve_bordered`` alone forms the
-augmented matrix, in place: K/gamma straight into its top-left block, eta
-onto that block's diagonal, then the border. Every kernel block is a Gram
-block, bitwise symmetric, so the +e matrix is symmetric. Below order
-``LDL_MIN_ORDER`` it is factored by partially pivoted LU (getrf/getrs/gecon),
-at or above it by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), which takes half
-LU's flops but pays off only on large matrices. LAPACK is called directly
+augmented matrix: K/gamma, eta added onto its diagonal, then the border.
+Every kernel block is a Gram block, bitwise symmetric, so the +e matrix is
+symmetric. Below order ``LDL_MIN_ORDER`` it is formed in a new array and
+factored by partially pivoted LU (getrf/getrs/gecon) on getrf's copy. At or
+above it, it is factored by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), which
+takes half LU's flops but pays off only on large matrices, and it is formed
+and factored inside the kernel's own (n+1)^2 array (``KernelBlock``): its
+C-lower triangle, diagonal and row n hold the matrix and then its factor,
+while K stays in the strict upper triangle and a saved diagonal. So a fit
+holds one (n+1)^2 array per kernel block. LAPACK is called directly
 from ``compiled.flapack`` (scipy's wrappers, the same bits, cost more per
 call than the solve itself at grid-fold sizes, and their package costs a
 cold start). The pivot floor reads |U's diagonal| or the |eigenvalues| of
@@ -23,26 +27,31 @@ D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices. Every residual, in refinement and
 in the gates, is evaluated on the kernel by ``residual``, never on a formed or
-factored matrix, so the formed matrix lives only until it is factored.
+factored matrix: on a ``KernelBlock`` one block of rows at a time, read back
+from the strict upper triangle and the saved diagonal.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
 (kernel, gamma, eta) share its factor (``SharedFactor``), which no solve
 changes. Every fit and grid refit solves through ``solve_families``, which
 keeps one factor alive at a time and gives it only systems of its (kernel,
-gamma, eta); a fit holds its kernel blocks and that factor, one (n+1)^2
-array, and a fitted model keeps no factor. Nothing else checks that a factor
-fits its system: a mismatched one fails the residual gate, evaluated on the
+gamma, eta). Above the gate that factor lives in its kernel block's array, and
+a system on the block at other penalties forms its matrix there anew from the
+upper triangle; a fitted model keeps no factor. Nothing else checks that a
+factor fits its system: a mismatched one fails the residual gate, evaluated on the
 system's own kernel and penalties, unless refinement reached its solution.
 
-The condition estimate (the 1-norm of the augmented matrix by ``lange``,
-taken before it is factored, then ``gecon`` or ``sycon`` right after) gates
+The condition estimate (the 1-norm of the augmented matrix, taken before it is
+factored, then ``gecon`` or ``sycon`` right after) gates
 nothing, and at grid-fold sizes it costs about half a factorization. A factor
 computes it at birth or never: fits make theirs with ``estimate`` set, since
 their ``fit_diag`` reports it. A -e system's estimate is its +e matrix's, the
 same in exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1
-and ||(AD)^-1||_1 = ||A^-1||_1. A grid refit, which reads only h and b, asks
-for none and gets reports whose estimate is None. Every gate runs either way,
+and ||(AD)^-1||_1 = ||A^-1||_1. The 1-norm is ``lange``'s of the whole matrix
+below the gate; above it, the same sums in ``lange``'s order, read from the
+lower triangle alone (``_symmetric_one_norm``), so it keeps its bits. A grid
+refit, which reads only h and b, asks for none and gets reports whose estimate
+is None. Every gate runs either way,
 and the solution, residual and any SingularSystem message are bitwise the
 same. The estimate's last bit can follow the alignment of LAPACK's workspace.
 
@@ -79,6 +88,7 @@ import numpy as np
 
 from .compiled import flapack
 from .errors import DimensionMismatch, NonFiniteSystem, SingularSystem
+from .kernels import row_blocks
 
 # A pivot smaller than this relative to the largest pivot marks the system
 # as numerically singular (degenerate eta/gamma choice upstream).
@@ -105,11 +115,120 @@ _sytrf, _sytrf_lwork, _sytrs, _sycon = (flapack.dsytrf, flapack.dsytrf_lwork, fl
                                         flapack.dsycon)
 
 
+class KernelBlock:
+    """A symmetric kernel block K of order n, held in the top-left n x n of an (n+1)^2 array
+    ``store`` (``kernels.bordered_gram``), in which its bordered systems of order
+    ``LDL_MIN_ORDER`` and more are formed and factored.
+
+    Until the first of them, ``store[:n, :n]`` is K, and ``np.asarray`` of the block is that
+    view. ``formed`` then saves K's diagonal in ``diagonal`` and writes the +e matrix into
+    the C-lower triangle, the diagonal and row n: exactly what LAPACK's uplo='U' routines
+    read and write through the Fortran-ordered ``store.T``. The strict upper triangle, which
+    they never reference, keeps K. From then on ``@`` reads K from there and ``diagonal``, one
+    ``row_blocks`` block of rows at a time, and ``np.asarray`` rebuilds K in a new n x n array.
+    """
+
+    def __init__(self, store: np.ndarray):
+        self.store = store
+        self.diagonal = None  # None while store[:n, :n] is K
+
+    @classmethod
+    def holding(cls, kernel: np.ndarray) -> KernelBlock:
+        """A block holding a copy of ``kernel``."""
+        n = len(kernel)
+        store = np.empty((n + 1, n + 1))
+        store[:n, :n] = kernel
+        return cls(store)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.store) - 1,) * 2
+
+    def __array__(self, dtype=None, copy=None):
+        n = len(self.store) - 1
+        if self.diagonal is None:
+            return self.store[:n, :n].astype(dtype or float, copy=bool(copy))
+        k = np.triu(self.store[:n, :n], 1)
+        k += k.T
+        k[np.diag_indices(n)] = self.diagonal
+        return k.astype(dtype or float, copy=False)
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        """K h for a vector h; each block of rows is bitwise what K's own rows give."""
+        a, n = self.store, len(self.store) - 1
+        if self.diagonal is None:
+            return a[:n, :n] @ h
+        out = np.empty(n)
+        for start, stop, rows in _row_buffers(n, n):
+            rows[:, start:] = a[start:stop, start:n]
+            _copy_transposed(rows[:, :start], a[:start, start:stop])
+            block = rows[:, start:stop]
+            _mirror(block, _strictly_lower(stop - start))
+            block[np.diag_indices(stop - start)] = self.diagonal[start:stop]
+            np.matmul(rows, h, out=out[start:stop])
+        return out
+
+    def formed(self, gamma, eta) -> np.ndarray:
+        """``store`` with the +e matrix [[K/gamma + eta*I, e], [e^T, 0]] in its C-lower triangle,
+        diagonal and row n, formed there by the same IEEE operations as in a whole matrix:
+        first, if that triangle holds an earlier matrix, K is copied back into it from the upper
+        one. NonFiniteSystem for a non-finite entry of the core."""
+        a, n = self.store, len(self.store) - 1
+        intact = self.diagonal is None
+        if intact:
+            self.diagonal = a.diagonal()[:n].copy()
+        diagonal = a.reshape(-1)[: n * (n + 2) : n + 2]
+        with np.errstate(over="ignore"):  # an inf here is the NonFiniteSystem below
+            np.divide(self.diagonal, gamma, out=diagonal)
+            diagonal += eta
+            for start, stop in row_blocks(n):
+                rows, lower = slice(start, stop), _strictly_lower(stop - start)
+                if not intact:
+                    _copy_transposed(a[rows, :start], a[:start, rows])
+                    _mirror(a[rows, rows], lower)
+                np.divide(a[rows, :start], gamma, out=a[rows, :start])
+                np.divide(a[rows, rows], gamma, out=a[rows, rows], where=lower)
+                # nan propagates through both reductions; the block's upper entries are K's
+                # own, non-finite only where their lower mirror is
+                entries = a[rows, :stop]
+                if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
+                    raise NonFiniteSystem("core contains non-finite entries")
+        a[n, :n] = 1.0
+        a[n, n] = 0.0
+        return a
+
+
+def _row_buffers(n: int, width: int):
+    """Each (start, stop) of ``row_blocks(n)`` with a C-ordered (stop - start) x width buffer,
+    one array reused for every block."""
+    blocks = row_blocks(n)
+    buffer = np.empty((max(stop - start for start, stop in blocks), width))
+    for start, stop in blocks:
+        yield start, stop, buffer[: stop - start]
+
+
+def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst = src.T, 256 rows of src at a time: numpy's copy of a whole transposed strip strides
+    through memory, 3-4 times slower at order 2000."""
+    for start in range(0, len(src), 256):
+        dst[:, start:start + 256] = src[start:start + 256].T
+
+
+def _mirror(block: np.ndarray, where: np.ndarray) -> None:
+    """Each masked entry of a square block set to its mirror across the diagonal."""
+    np.copyto(block, block.T.copy(), where=where)
+
+
+def _strictly_lower(m: int) -> np.ndarray:
+    """The mask of an m x m block's entries below its diagonal."""
+    return np.tri(m, k=-1, dtype=bool)
+
+
 @dataclass(frozen=True)
 class BorderedSystem:
     """One bordered system: kernel block, its (gamma, eta), border sign and right-hand side."""
 
-    kernel: np.ndarray
+    kernel: np.ndarray | KernelBlock
     gamma: float
     eta: float
     border_sign: int
@@ -122,7 +241,7 @@ class BorderedFamily:
     """The system named ``name`` for every (gamma, eta): rhs_top = rhs_fixed + rhs_scaled/gamma."""
 
     name: str
-    kernel: np.ndarray
+    kernel: np.ndarray | KernelBlock
     border_sign: int
     rhs_fixed: np.ndarray
     rhs_scaled: np.ndarray
@@ -185,12 +304,15 @@ class SharedFactor:
 
     Made empty, knowing whether it ``estimate``s its condition. The first
     ``solve_bordered(system, name, factor=f)`` forms its system's +e matrix and
-    factors it into ``f``: by LDL^T in the formed matrix's own buffer at order
-    ``LDL_MIN_ORDER`` and above, by LU on getrf's copy below it, after which the
-    formed matrix is dropped. ``f`` holds the factor and its pivots, one (n+1)^2
-    array; each later call with ``f`` solves on that factor, and no call changes
-    it. ``cond``, the matrix's condition estimate, is computed right after
-    factoring when ``estimate`` is set, and is None otherwise. Only systems on
+    factors it into ``f``. At order ``LDL_MIN_ORDER`` and above that is LDL^T in
+    the C-lower triangle, diagonal and row n of the kernel block's own (n+1)^2
+    array (``KernelBlock``), whose strict upper triangle keeps K; ``f`` holds
+    that array as its factor. Below it, LU on getrf's copy of a formed matrix,
+    which is then dropped, and ``f`` holds getrf's (n+1)^2 array. Each later call
+    with ``f`` solves on that factor, and no call changes it; a solve on the same
+    block at other penalties forms its own matrix over it, so ``f`` is then no
+    factor of its system. ``cond``, the matrix's condition estimate, is computed
+    right after factoring when ``estimate`` is set, and is None otherwise. Only systems on
     the factored (kernel, gamma, eta) may share ``f``; one on another fails the
     residual gate (see the module docstring).
     """
@@ -202,12 +324,14 @@ class SharedFactor:
 
     def fill(self, a: np.ndarray, name: str) -> None:
         """Factor the +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER`` and
-        above, and estimate its condition when ``estimate``: 1/rcond of LAPACK ``sycon`` or
-        ``gecon``, inf for an rcond of 0. A pivot below the floor is SingularSystem."""
-        norm = _one_norm(a) if self.estimate else None  # before sytrf overwrites a
+        above, where only its C-lower triangle and diagonal are read, and estimate its
+        condition when ``estimate``: 1/rcond of LAPACK ``sycon`` or ``gecon``, inf for an
+        rcond of 0. A pivot below the floor is SingularSystem."""
         symmetric = a.shape[0] >= LDL_MIN_ORDER
+        if self.estimate:  # before sytrf overwrites a
+            norm = _symmetric_one_norm(a) if symmetric else _one_norm(a)
         if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
-            # a is symmetric, so the Fortran-ordered a.T is a without a transposing copy
+            # the Fortran-ordered a.T is a's memory, no copy; its upper triangle is a's C-lower
             factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
             pivots = _block_pivots(factors, piv)
         else:
@@ -250,6 +374,22 @@ def _one_norm(a: np.ndarray) -> float:
     return float(_lange("I", a.T))
 
 
+def _symmetric_one_norm(a: np.ndarray) -> float:
+    """``_one_norm`` of the symmetric matrix whose C-lower triangle and diagonal ``a`` holds,
+    read from them alone, bitwise: ``lange`` adds each column down from its first row, and so
+    does numpy's column sum of a C-ordered block of rows, which starts here from the sums of
+    the rows above it."""
+    sums = np.zeros(len(a))
+    for start, stop, rows in _row_buffers(len(a), len(a)):  # rows of the symmetric matrix
+        rows[:, :stop] = a[start:stop, :stop]
+        _copy_transposed(rows[:, stop:], a[stop:, start:stop])
+        _mirror(rows[:, start:stop], _strictly_lower(stop - start).T)
+        np.abs(rows, out=rows)
+        rows[0] += sums
+        sums = rows.sum(axis=0)
+    return float(sums.max())
+
+
 def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
     """The residual gate of each column of ``rhs_top`` (one bound for a vector): a solve passes
     when its system's max-abs ``residual`` is at most ``RESIDUAL_RTOL`` times max(1, |b|_inf)."""
@@ -274,7 +414,7 @@ def residual(kernel: np.ndarray, gamma, eta, h: np.ndarray, b, rhs_top: np.ndarr
 
 
 def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
-    """[[K/gamma + eta*I, e], [e^T, 0]], formed in one (n+1)^2 array."""
+    """[[K/gamma + eta*I, e], [e^T, 0]], formed in a new (n+1)^2 array; below the gate only."""
     n = kernel.shape[0]
     a = np.empty((n + 1, n + 1))
     core = a[:n, :n]
@@ -294,9 +434,12 @@ def solve_bordered(system: BorderedSystem, name: str,
     """Form and solve the bordered system named ``name`` by LU or LDL^T (``SharedFactor``).
 
     The kernel block must be symmetric, as every Gram block is bitwise: at or
-    above ``LDL_MIN_ORDER`` the factor reads one triangle of it. A non-symmetric
-    block there is still refined and gated on the full kernel, so it is
-    SingularSystem or solved, never solved wrongly.
+    above ``LDL_MIN_ORDER`` the factor reads its lower triangle. A
+    ``KernelBlock`` is formed and factored in its own array (a second system
+    on it at other penalties forms over the first's factor); a plain array
+    kernel is copied into a new block first, and stays the kernel its residual
+    is evaluated on, so a non-symmetric one there is SingularSystem or solved,
+    never solved wrongly.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
     ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is
@@ -307,13 +450,18 @@ def solve_bordered(system: BorderedSystem, name: str,
     ``residual_bound`` or the solution fails ``balance_met``. The report's
     condition estimate is the factor's ``cond``.
     """
-    kernel = np.asarray(system.kernel, dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
+    kernel = system.kernel
+    if not isinstance(kernel, KernelBlock):
+        kernel = np.asarray(kernel, dtype=float)
+        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+            raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
     n = kernel.shape[0]
     factor = SharedFactor() if factor is None else factor
-    if factor.factors is None:
-        a = _augmented(kernel, system.gamma, system.eta)
+    if factor.factors is None and n + 1 < LDL_MIN_ORDER:
+        a = _augmented(np.asarray(kernel), system.gamma, system.eta)
+    elif factor.factors is None:
+        block = kernel if isinstance(kernel, KernelBlock) else KernelBlock.holding(kernel)
+        a = block.formed(system.gamma, system.eta)
     rhs_top = np.asarray(system.rhs_top, dtype=float)
     if rhs_top.shape != (n,):
         raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has shape {rhs_top.shape}")
@@ -326,7 +474,7 @@ def solve_bordered(system: BorderedSystem, name: str,
         raise ValueError("rhs_bottom is not finite")
     if factor.factors is None:
         factor.fill(a, name)
-        del a  # the factor, or below the gate the matrix getrf copied
+        del a  # the factor's array, or below the gate the matrix getrf copied
     x = factor.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails

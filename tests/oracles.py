@@ -6,6 +6,10 @@
   ``system_matrix`` and ``residual`` apply them to a ``BorderedSystem``.
 - ``kernel_residual``: the residual a solve reports, written out from the
   system's kernel as ``trkm.solver.residual`` must evaluate it, bitwise.
+- ``separate_array_solve``: a solve of order ``LDL_MIN_ORDER`` or more as it was
+  made before kernel blocks held their own factors: a formed copy of the whole
+  augmented matrix, its ``lange`` 1-norm, ``sytrf``/``sycon``/``sytrs`` on the
+  copy, and refinement with the residual on the whole contiguous kernel.
 - ``bordered_gates`` and ``spectral_gates``: the residual and balance gates as
   ``solve_bordered`` and ``solve_spectral`` each wrote them before the rule was
   stated once in ``trkm.solver.residual_bound`` and ``balance_met``.
@@ -34,7 +38,7 @@ from trkm.errors import DimensionMismatch, NonNumericFeature, ParseError
 from trkm.kernels import LINEAR, gram
 from trkm.models import TRKM
 from trkm.selection import PENALTY_GRID, SIGMA_GRID, GridSpec, SplitSpec
-from trkm.solver import BALANCE_RTOL, RESIDUAL_RTOL
+from trkm.solver import BALANCE_RTOL, RESIDUAL_RTOL, _lange, _sycon, _sytrf, _sytrf_lwork, _sytrs
 
 
 def solve_full_pivot(a, b):
@@ -112,6 +116,37 @@ def kernel_residual(system, x):
     h, b = np.asarray(x[:-1], dtype=float), system.border_sign * x[-1]
     top = (kernel @ h) / system.gamma + system.eta * h + b - system.rhs_top
     return float(max(np.max(np.abs(top), initial=0.0), abs(h.sum() - system.rhs_bottom)))
+
+
+def separate_array_solve(system):
+    """(solution, residual_norm, condition_estimate, one_norm) of a ``BorderedSystem`` whose
+    kernel still holds K, by the separate-array algorithm (see the module docstring)."""
+    kernel = np.array(system.kernel, dtype=float)  # a contiguous copy
+    gamma, eta, n = system.gamma, system.eta, len(kernel)
+    a = np.empty((n + 1, n + 1))
+    np.divide(kernel, gamma, out=a[:n, :n])
+    a.reshape(-1)[: n * (n + 2) : n + 2] += eta
+    a[:n, n] = a[n, :n] = 1.0
+    a[n, n] = 0.0
+    norm = float(_lange("I", a.T))
+    ldu, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(n + 1)[0]), overwrite_a=1)
+    rcond = _sycon(ldu, piv, norm)[0]
+    rhs_top, rhs_bottom = np.asarray(system.rhs_top, dtype=float), float(system.rhs_bottom)
+    tol = RESIDUAL_RTOL * max(1.0, abs(rhs_bottom), float(np.max(np.abs(rhs_top))))
+
+    def res(x):
+        return np.concatenate([(kernel @ x[:n]) / gamma + eta * x[:n] + x[n] - rhs_top,
+                               [x[:n].sum() - rhs_bottom]])
+
+    x = _sytrs(ldu, piv, np.concatenate([rhs_top, [rhs_bottom]]))[0]
+    r = res(x)
+    for _ in range(5):
+        if float(np.max(np.abs(r))) <= tol:
+            break
+        x = x - _sytrs(ldu, piv, r)[0]
+        r = res(x)
+    x[n] *= system.border_sign
+    return x, float(np.max(np.abs(r))), float(1.0 / rcond), norm
 
 
 def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, total: float):

@@ -77,9 +77,18 @@ def test_fit_solves_its_modules_statement_bitwise(monkeypatch, rng, entry):
     assert len(received) == len(expected) == len(entry.system_penalties)
     for got, want in zip(received, expected):
         assert (got.gamma, got.eta, got.border_sign) == (want.gamma, want.eta, want.border_sign)
-        assert got.kernel.tobytes() == want.kernel.tobytes()
+        assert np.asarray(got.kernel).tobytes() == np.asarray(want.kernel).tobytes()
         assert got.rhs_top.tobytes() == want.rhs_top.tobytes()
         assert float(got.rhs_bottom).hex() == float(want.rhs_bottom).hex()
+
+
+@pytest.mark.parametrize("model_kind", [models.TRKM, models.RKM])
+def test_classifiers_refuse_labels_other_than_plus_or_minus_one(model_kind):
+    # TRKM-C once split the rows by y == 1 and y == -1 and fitted on 7 of these 9
+    x = np.arange(18.0).reshape(9, 2)
+    y = np.array([1, -1, 0, 1, -1, 2, 1, -1, 1])
+    with pytest.raises(ValueError, match=r"^labels must be \+1 or -1$"):
+        models.fit(model_kind, CLASSIFY, x, y, PARAMS)
 
 
 def test_one_system_fit_refuses_second_penalties():

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trkm import models, regressor
+from trkm.data import CLASSIFY, REGRESS
 from trkm.errors import DimensionMismatch, NonFiniteSystem, SingularSystem
-from trkm.kernels import gaussian, gram
+from trkm.kernels import bordered_gram, gaussian, gram, row_blocks
 import trkm.solver
 from trkm.solver import (
     BorderedSystem,
+    KernelBlock,
     SharedFactor,
     solve_bordered,
     spectral_shift,
 )
+from trkm.synthetic import sine
 
 import oracles
 from conftest import counting
@@ -525,17 +529,97 @@ def test_the_finiteness_check_holds_no_n_squared_temporary(rng):
     assert traced_peak(lambda: solve_bordered(s, "test system")) <= 1.12 * (n + 1) ** 2 * 8
 
 
-def test_a_fit_with_unequal_penalties_holds_its_kernel_and_one_factor():
-    # TRKM-R's two systems at unequal penalties take one factor each; solve_families
-    # drops the first before it forms the second.
-    from trkm import models
-    from trkm.synthetic import sine
+def two_class(n):
+    """n rows of three features in two classes of n/2 rows each, alternating."""
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    return x, np.where(np.arange(n) % 2, -1.0, 1.0)
 
+
+FIT_CASES = [("rkm", CLASSIFY, {}), ("trkm", CLASSIFY, {}), ("trkm", REGRESS, {}),
+             ("trkm", REGRESS, {"gamma2": 2.0, "eta2": 0.2})]
+FIT_IDS = ["rkm", "trkm-classify", "trkm-regress", "trkm-regress-unequal"]
+
+
+def fit_data(kind, task, order):
+    """Rows and targets whose kernel blocks are all of ``order`` - 1 rows, and those sizes."""
+    if task == REGRESS:
+        return (*sine(order - 1, seed=1), [order - 1])
+    if kind == "rkm":
+        return (*two_class(order - 1), [order - 1])
+    return (*two_class(2 * (order - 1)), [order - 1] * 2)
+
+
+@pytest.mark.parametrize("kind, task, second", FIT_CASES, ids=FIT_IDS)
+def test_a_fit_holds_one_formed_array_per_kernel_block(kind, task, second):
+    # Each training Gram block is assembled in the (n+1)^2 array in which its systems are
+    # formed and factored, and TRKM-C's cross block is dropped first, so a fit holds one such
+    # array per kernel block, kernel included (a kernel and a formed matrix beside it made
+    # about 2.15); TRKM-R at unequal penalties forms its second matrix over the first factor.
+    x, y, blocks = fit_data(kind, task, 601)
+    params = {"gamma": 1.0, "eta": 0.1, "sigma": 1.0, **second}
+    peak = traced_peak(lambda: models.fit(kind, task, x, y, params))
+    assert peak <= 1.25 * sum((m + 1) ** 2 * 8 for m in blocks)
+
+
+@pytest.mark.parametrize("order", [ORDER, 601])
+@pytest.mark.parametrize("kind, task, second", FIT_CASES, ids=FIT_IDS)
+def test_a_fit_in_its_kernel_blocks_solves_as_a_separate_array_did(kind, task, second, order):
+    # h, b and the residual bitwise; the estimate's last bit follows the alignment of sycon's
+    # workspace, so it is held to 1e-14, and the 1-norm it starts from bitwise.
+    x, y, _ = fit_data(kind, task, order)
+    params = {"gamma": 0.5, "eta": 0.25, "sigma": 1.0, **second}
+    model = models.fit(kind, task, x, y, params)
+    entry = models.model_type(kind, task)
+    families, _ = entry.grid_fold(x, y, x[:1], gaussian(1.0))
+    for family, penalties, report in zip(families, entry.system_penalties, model.fit_diag):
+        system = family.at(*penalties(params))
+        solution, res_norm, cond, norm = oracles.separate_array_solve(system)
+        assert report.solution.tobytes() == solution.tobytes()
+        assert report.residual_norm == res_norm
+        assert report.condition_estimate == pytest.approx(cond, rel=1e-14, abs=0)
+        assert trkm.solver._symmetric_one_norm(family.kernel.formed(*penalties(params))) == norm
+
+
+def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
+    # Each solve at new penalties forms its matrix over the last factor, from K in the upper
+    # triangle and the saved diagonal, and reads K back from there for its residuals.
+    x, y = sine(600, seed=4)
+    family = regressor.systems(x, y, gaussian(0.5))[1]
+    fresh = [oracles.separate_array_solve(family.at(g, e))
+             for g, e in ((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25))]
+    for (g, e), (solution, res_norm, _, norm) in zip(((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25)),
+                                                      fresh):
+        report = solve_bordered(family.at(g, e), "test system")
+        assert (report.solution.tobytes(), report.residual_norm) == (solution.tobytes(), res_norm)
+    assert family.kernel.diagonal is not None  # the block was formed and factored in place
+    assert trkm.solver._symmetric_one_norm(family.kernel.formed(3.0, 1e-3)) == fresh[1][3]
+
+
+def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng):
     n = 600
-    x, y = sine(n, seed=1)
-    params = {"gamma": 1.0, "gamma2": 2.0, "eta": 0.1, "eta2": 0.2, "sigma": 1.0}
-    peak = traced_peak(lambda: models.fit("trkm", "regress", x, y, params))
-    assert peak <= n * n * 8 + 1.25 * (n + 1) ** 2 * 8
+    x = rng.normal(size=(n, 3))
+    k = gram(gaussian(1.3), x, x)
+    block = KernelBlock(bordered_gram(gaussian(1.3), x))
+    h = rng.normal(size=n)
+    assert (block @ h).tobytes() == (k @ h).tobytes() and len(row_blocks(n)) > 1
+    for gamma, eta in ((0.5, 0.25), (2.0, 1e-5)):
+        a = block.formed(gamma, eta)
+        assert np.asarray(block).tobytes() == k.tobytes()
+        assert (block @ h).tobytes() == (k @ h).tobytes()
+        formed = trkm.solver._augmented(k, gamma, eta)
+        assert np.tril(a).tobytes() == np.tril(formed).tobytes()
+        a[np.tril_indices(n + 1)] = np.nan  # as a factor would: K stays in the upper triangle
+    assert np.asarray(block).tobytes() == k.tobytes()
+    assert (block @ h).tobytes() == (k @ h).tobytes()
+
+
+@pytest.mark.parametrize("order", [ORDER, 601, 1002])
+def test_the_symmetric_one_norm_reads_only_the_lower_triangle_bitwise(rng, order):
+    x = rng.normal(size=(order - 1, 3))
+    a = trkm.solver._augmented(gram(gaussian(0.8), x, x), 0.3, 0.7)
+    expected = trkm.solver._one_norm(a)
+    a[np.triu_indices(order, 1)] = np.nan
+    assert trkm.solver._symmetric_one_norm(a) == expected and len(row_blocks(order)) > 1
 
 
 def sytrf(a):
