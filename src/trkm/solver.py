@@ -38,12 +38,13 @@ keeps one factor alive at a time and gives it only systems of its (kernel,
 gamma, eta). Above the gate that factor lives in its kernel block's array, and
 a system on the block at other penalties forms its matrix there anew from the
 upper triangle; a fitted model keeps no factor. Nothing else checks that a
-factor fits its system: a mismatched one fails the residual gate, evaluated on the
-system's own kernel and penalties, unless refinement reached its solution.
+factor fits its system: a mismatched one fails the residual gate, evaluated
+on the system's own kernel and penalties, unless refinement reached its
+solution.
 
-The condition estimate (the 1-norm of the augmented matrix, taken before it is
-factored, then ``gecon`` or ``sycon`` right after) gates
-nothing, and at grid-fold sizes it costs about half a factorization. A factor
+The condition estimate (the 1-norm of the augmented matrix, taken before it
+is factored, then ``gecon`` or ``sycon`` right after) gates nothing, and at
+grid-fold sizes it costs about half a factorization. A factor
 computes it at birth or never: fits make theirs with ``estimate`` set, since
 their ``fit_diag`` reports it. A -e system's estimate is its +e matrix's, the
 same in exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1
@@ -51,9 +52,8 @@ and ||(AD)^-1||_1 = ||A^-1||_1. The 1-norm is ``lange``'s of the whole matrix
 below the gate; above it, the same sums in ``lange``'s order, read from the
 lower triangle alone (``_symmetric_one_norm``), so it keeps its bits. A grid
 refit, which reads only h and b, asks for none and gets reports whose estimate
-is None. Every gate runs either way,
-and the solution, residual and any SingularSystem message are bitwise the
-same. The estimate's last bit can follow the alignment of LAPACK's workspace.
+is None. Every gate runs either way, and the solution, residual and any
+SingularSystem message are bitwise the same. The estimate's last bit can follow the alignment of LAPACK's workspace.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as

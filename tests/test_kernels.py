@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch
-from trkm.kernels import KernelSpec, gaussian, gram, linear
+from trkm.kernels import KernelSpec, bordered_gram, gaussian, gram, linear, row_blocks
 
 from oracles import kernel_eval
 
@@ -105,3 +105,24 @@ def test_gaussian_strictly_decreases_with_distance(base, step1, step2, sigma):
 def test_gram_empty_left_side(rng):
     g = gram(gaussian(1.0), np.empty((0, 3)), rng.normal(size=(4, 3)))
     assert g.shape == (0, 4)
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.7), linear()], ids=["gaussian", "linear"])
+@pytest.mark.parametrize("n", [9, 601])
+def test_a_bordered_gram_is_the_whole_gram_bitwise(spec, n):
+    # built a block of rows per gram call; 601 rows are 12 blocks of 48 and one of 25
+    x = np.random.default_rng(n).normal(size=(n, 5))
+    step = row_blocks(n)[0][1]
+    assert n == 9 or (len(row_blocks(n)) > 1 and n % step)
+    store = bordered_gram(spec, x)
+    assert store.shape == (n + 1, n + 1)
+    assert np.ascontiguousarray(store[:n, :n]).tobytes() == gram(spec, x, x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 47, 214, 313, 600, 625, 2000])
+def test_row_blocks_cover_the_rows_in_order_with_no_lone_last_row(n):
+    # 313 and 625 rows are blocks of 104 and 48 rows and one row over
+    blocks = row_blocks(n)
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]] and blocks[-1][1] == n
+    assert all((stop - start) % 8 == 0 for start, stop in blocks[:-1])
+    assert n == 1 or blocks[-1][1] - blocks[-1][0] > 1
