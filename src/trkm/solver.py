@@ -385,8 +385,9 @@ def _symmetric_one_norm(a: np.ndarray) -> float:
         _copy_transposed(rows[:, stop:], a[stop:, start:stop])
         _mirror(rows[:, start:stop], _strictly_lower(stop - start).T)
         np.abs(rows, out=rows)
-        rows[0] += sums
-        sums = rows.sum(axis=0)
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in lange
+            rows[0] += sums
+            sums = rows.sum(axis=0)
     return float(sums.max())
 
 

@@ -478,6 +478,16 @@ def test_a_vanishing_core_above_the_gate_is_a_pivot_failure(rng):
         solve_bordered(s, "test system")
 
 
+def test_a_huge_core_above_the_gate_is_a_pivot_failure_silently(rng):
+    # K/gamma near 1e306: the column sums of the 1-norm overflow to inf, as lange's did,
+    # with no RuntimeWarning, and the pivot floor refuses the system.
+    s = gram_system(rng, ORDER, sigma=50.0, gamma=1e-306, eta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="^test system: pivot .* below relative threshold"):
+            solve_bordered(s, "test system")
+
+
 def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng):
     # sigma = 32 and gamma = eta = 1e-5, the hardest grid cell: TRKM-R's systems on a
     # sine sample pass on both paths, and random right-hand sides fail the residual
