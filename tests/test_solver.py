@@ -595,10 +595,9 @@ def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
     # triangle and the saved diagonal, and reads K back from there for its residuals.
     x, y = sine(600, seed=4)
     family = regressor.systems(x, y, gaussian(0.5))[1]
-    fresh = [oracles.separate_array_solve(family.at(g, e))
-             for g, e in ((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25))]
-    for (g, e), (solution, res_norm, _, norm) in zip(((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25)),
-                                                      fresh):
+    pairs = ((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25))
+    fresh = [oracles.separate_array_solve(family.at(g, e)) for g, e in pairs]
+    for (g, e), (solution, res_norm, _, _) in zip(pairs, fresh):
         report = solve_bordered(family.at(g, e), "test system")
         assert (report.solution.tobytes(), report.residual_norm) == (solution.tobytes(), res_norm)
     assert family.kernel.diagonal is not None  # the block was formed and factored in place
