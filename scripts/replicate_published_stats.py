@@ -6,20 +6,18 @@ No training happens here; this replays the rank / Friedman / Nemenyi /
 sign-test pipeline on fixed score matrices (see data/reference/).
 """
 
-import csv
 from pathlib import Path
 
-import numpy as np
-
+from trkm.data import parse_feature_table
 from trkm.stats import friedman_test, nemenyi_cd, rank_models, win_tie_loss
 
 REFERENCE = Path(__file__).resolve().parent.parent / "data" / "reference"
 
 
 def load(name):
-    with open(REFERENCE / name, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0][1:], np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    """(model names, dataset-by-model score matrix) of a table in data/reference/."""
+    matrix, _, models = parse_feature_table(str(REFERENCE / name), 0)
+    return models, matrix
 
 
 def show(label, computed, published, tolerance):

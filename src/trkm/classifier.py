@@ -12,8 +12,9 @@ K_aa = kernel(A, A), K_ab = kernel(A, B) and e_i ones vectors:
 The bottom rows force the balance constraints sum(h1) = n2 and
 sum(h2) = -n1. Weight vectors are never materialized for Gaussian
 kernels; prediction is dual-form throughout.
+``rows`` splits the training rows into the class rows (A, B) once;
 ``systems`` and ``decision_terms`` state both systems and their score
-terms once; the fit, the predictor and the grid search read only them.
+terms on them once; the fit, the predictor and the grid search read only them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,19 @@ from .kernels import KernelSpec, bordered_gram, gram
 from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
-def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
-    """The two class systems on class rows A and B, for every (gamma, eta).
+def rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """The stored rows (A, B): the rows of X labelled +1 and those labelled -1."""
+    return X[y == 1], X[y == -1]
+
+
+def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
+    """The two class systems on class rows ``rows`` = (A, B), for every (gamma, eta).
 
     EmptyClass names a class with no rows, +1 first.
     """
-    for label, rows in (("+1", A), ("-1", B)):
-        if len(rows) == 0:
+    A, B = rows
+    for label, class_rows in zip(("+1", "-1"), rows):
+        if len(class_rows) == 0:
             raise EmptyClass(f"class {label} has no samples")
     k_ab = gram(kernel, A, B)  # dropped before the class blocks are assembled
     e1, e2 = np.ones(len(A)), np.ones(len(B))
@@ -43,8 +50,9 @@ def systems(A, B, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
                            -ba_e1, -float(len(A))))
 
 
-def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:
+def decision_terms(rows, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:
     """Terms of g1 = (K_xa h1 - K_xb e2)/g1 + b1 and g2 = (K_xb h2 + K_xa e1)/g2 + b2."""
+    A, B = rows
     k_xa, k_xb = gram(kernel, X, A), gram(kernel, X, B)
     return (DecisionTerm(k_xa, -(k_xb @ np.ones(len(B)))),
             DecisionTerm(k_xb, k_xa @ np.ones(len(A))))
@@ -53,8 +61,8 @@ def decision_terms(A, B, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionT
 def fit_classifier(X, y, penalties, kernel: KernelSpec):
     """The fit hook: the stored class rows A and B, and the solves of both class systems
     at ``penalties``. A singular system aborts the whole fit."""
-    a, b = X[y == 1], X[y == -1]
-    return (a, b), solve_families(systems(a, b, kernel), penalties)
+    stored = rows(X, y)
+    return stored, solve_families(systems(stored, kernel), penalties)
 
 
 def decide(total) -> np.ndarray:

@@ -5,26 +5,30 @@ Each supported (``--model-kind``, task) pair has one entry: TRKM-C
 (``rkm``, classify). Grid search, the CLI and model files all go through
 this table, so no other module decides which model a kind and a task mean.
 
-Every kind is fitted into one ``Model`` record by ``fit`` and predicted from
-it by ``predict``; the model modules hold only the math (``systems``,
-``decision_terms``, ``decide``) and one fit and one predict hook each. The
-hooks remain so that a wrapper installed on their module attributes
-(perfbench's tracer) can count each kind's fits and predicts; the entries
-call them through those attributes (``classifier.fit_classifier``) each
-time they run, never through function objects captured at import.
+The three model modules state their model with one signature: ``rows(X, y)``
+gives the stored training rows in model-file order, ``systems(rows, kernel)``
+the bordered systems on them, ``decision_terms(rows, kernel, Xq)`` each
+system's term of the decision value at query rows, and ``decide(total)`` the
+predictions from the summed terms. Every kind is fitted into one ``Model``
+record by ``fit`` and predicted from it by ``predict``, through the module's
+fit and predict hooks. The hooks remain so that a wrapper installed on their
+module attributes (perfbench's tracer) can count each kind's fits and
+predicts; the entries name them, and ``fit`` and ``predict`` look them up on
+the module each time they run, never through function objects captured at
+import.
 
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
-from the model module's own statement of its systems (``grid_fold``), and
-refits any one cell from that statement directly, as the fit and predictor do.
-Its cells come as one ``penalty_table``, which a grid search builds once and
-passes to every (sigma, fold); each kernel block takes one ``spectral_shift``
-at all of the table's columns.
+from the module's statement (``ModelType.statement``), and refits any one
+cell from that statement directly, as the fit and predictor do. Its cells
+come as one ``penalty_table``, which a grid search builds once and passes to
+every (sigma, fold); each kernel block takes one ``spectral_shift`` at all of
+the table's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from types import ModuleType
 
 import numpy as np
 
@@ -34,14 +38,7 @@ from .data import CLASSIFY, REGRESS
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gaussian
 from .metrics import classification_accuracy, rmse
-from .solver import (
-    BorderedFamily,
-    DecisionTerm,
-    SolveReport,
-    solve_families,
-    solve_spectral,
-    spectral_shift,
-)
+from .solver import SolveReport, solve_families, solve_spectral, spectral_shift
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -76,36 +73,49 @@ FLOAT = "float"
 class ModelType:
     """One supported (model kind, task) pair.
 
-    ``penalties`` are the scalar hyperparameters saved ahead of the kernel,
-    in file order. ``body`` lists the other saved fields in file order with
-    their encodings; its first fields hold the stored training rows. Each
-    ``per_row`` pair names a vector field and the matrix field with one
-    row per value of it; those matrix fields share one column count.
-    ``suffixes`` tell the systems apart: system i has the penalties
-    ``gamma{s}``, ``eta{s}`` and the solution ``h{s}``, ``b{s}``.
-    ``fit(X, y, penalties, kernel)`` is the model module's fit hook: the
-    stored rows and one solve report per system; ``predict`` is its predict
-    hook. ``grid_fold`` gives the model module's statement of a fold's
-    systems and their terms at its validation rows, and raises what the fit
-    raises for those rows; ``terms`` gives a fitted model's terms at query
-    rows from its fields; ``system_penalties`` picks each system's (gamma,
-    eta) from grid params, and ``decide`` is the predictor's rule on the
-    summed terms.
+    ``module`` states the model (``rows``, ``systems``, ``decision_terms``,
+    ``decide``) and holds the fit and predict hooks named ``fit_hook`` and
+    ``predict_hook``. ``rows`` names the fields that hold the module's
+    ``rows`` in the model file. ``suffixes`` tell the systems apart: system i
+    has the penalties ``gamma{s}``, ``eta{s}`` and the solution ``h{s}``,
+    ``b{s}``. Each ``per_row`` pair names a vector field and the matrix field
+    with one row per value of it; those matrix fields share one column count.
     """
 
     kind: str
     model_kind: str
     task: str
-    penalties: tuple[str, ...]
-    body: tuple[tuple[str, str], ...]
+    module: ModuleType
+    rows: tuple[str, ...]
     per_row: tuple[tuple[str, str], ...]
     suffixes: tuple[str, ...]
-    fit: Callable[..., tuple[tuple[np.ndarray, ...], tuple[SolveReport, ...]]]
-    predict: Callable[[Model, np.ndarray], np.ndarray]
-    grid_fold: Callable[..., tuple[tuple[BorderedFamily, ...], tuple[DecisionTerm, ...]]]
-    terms: Callable[[dict, KernelSpec, np.ndarray], tuple[DecisionTerm, ...]]
-    system_penalties: tuple[Callable[[dict], tuple[float, float]], ...]
-    decide: Callable[[np.ndarray], np.ndarray]
+    fit_hook: str
+    predict_hook: str
+
+    @property
+    def penalties(self) -> tuple[str, ...]:
+        """The scalar hyperparameters saved ahead of the kernel, in file order."""
+        return tuple(f"{key}{s}" for key in ("gamma", "eta") for s in self.suffixes)
+
+    @property
+    def body(self) -> tuple[tuple[str, str], ...]:
+        """The other saved fields in file order with their encodings: the stored rows, then
+        each system's solution."""
+        return (*[(name, ARRAY) for name in self.rows],
+                *[field for s in self.suffixes for field in ((f"h{s}", ARRAY), (f"b{s}", FLOAT))])
+
+    def system_penalties(self, params: dict) -> tuple[tuple[float, float], ...]:
+        """Each system's (gamma, eta) from grid params; a second system takes gamma2/eta2
+        when given."""
+        first = params["gamma"], params["eta"]
+        second = params.get("gamma2", first[0]), params.get("eta2", first[1])
+        return (first, second)[:len(self.suffixes)]
+
+    def statement(self, X, y, Xq, kernel: KernelSpec):
+        """The module's systems on the stored rows of (X, y) and their terms at the rows of
+        Xq; raises what the fit raises for those rows."""
+        stored = self.module.rows(X, y)
+        return self.module.systems(stored, kernel), self.module.decision_terms(stored, kernel, Xq)
 
 
 @dataclass(frozen=True)
@@ -126,79 +136,23 @@ class Model:
     def total(self, X) -> np.ndarray:
         """The sum of the kind's decision terms at the rows of X, in system order, each
         term at its own system's gamma, h and b."""
-        terms = self.type.terms(self.fields, self.kernel, as_matrix(X, "X"))
+        stored = tuple(self.fields[name] for name in self.type.rows)
+        terms = self.type.module.decision_terms(stored, self.kernel, as_matrix(X, "X"))
         values = [term.value(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
                              self.fields[f"b{s}"]) for term, s in zip(terms, self.type.suffixes)]
         return sum(values[1:], values[0])
 
 
-def _first_penalties(params: dict) -> tuple[float, float]:
-    return params["gamma"], params["eta"]
-
-
-def _second_penalties(params: dict) -> tuple[float, float]:
-    """The second TRKM system takes (gamma, eta) unless gamma2/eta2 set its own."""
-    return params.get("gamma2", params["gamma"]), params.get("eta2", params["eta"])
-
-
-def _twin_grid_fold(x, y, x_valid, kernel):
-    a, b = x[y == 1], x[y == -1]
-    return classifier.systems(a, b, kernel), classifier.decision_terms(a, b, kernel, x_valid)
-
-
-def _full_sample_grid_fold(module):
-    """``grid_fold`` of a model whose systems run over all of a fold's rows."""
-    def grid_fold(x, y, x_valid, kernel):
-        return module.systems(x, y, kernel), module.decision_terms(x, kernel, x_valid)
-    return grid_fold
-
-
-_TWIN_PENALTIES = ("gamma1", "gamma2", "eta1", "eta2")
-_TWIN_SYSTEMS = (_first_penalties, _second_penalties)
-
 MODEL_TYPES = (
-    ModelType(
-        kind=KIND_CLASSIFIER, model_kind=TRKM, task=CLASSIFY,
-        penalties=_TWIN_PENALTIES,
-        body=(("A", ARRAY), ("B", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
-              ("h2", ARRAY), ("b2", FLOAT)),
-        per_row=(("h1", "A"), ("h2", "B")),
-        suffixes=("1", "2"),
-        fit=lambda x, y, penalties, kernel: classifier.fit_classifier(x, y, penalties, kernel),
-        predict=lambda model, x: classifier.predict_labels(model, x),
-        grid_fold=_twin_grid_fold,
-        terms=lambda fields, kernel, x: classifier.decision_terms(fields["A"], fields["B"],
-                                                                  kernel, x),
-        system_penalties=_TWIN_SYSTEMS,
-        decide=lambda total: classifier.decide(total),
-    ),
-    ModelType(
-        kind=KIND_REGRESSOR, model_kind=TRKM, task=REGRESS,
-        penalties=_TWIN_PENALTIES,
-        body=(("X", ARRAY), ("Y", ARRAY), ("h1", ARRAY), ("b1", FLOAT),
-              ("h2", ARRAY), ("b2", FLOAT)),
-        per_row=(("Y", "X"), ("h1", "X"), ("h2", "X")),
-        suffixes=("1", "2"),
-        fit=lambda x, y, penalties, kernel: regressor.fit_regressor(x, y, penalties, kernel),
-        predict=lambda model, x: regressor.predict_regression(model, x),
-        grid_fold=_full_sample_grid_fold(regressor),
-        terms=lambda fields, kernel, x: regressor.decision_terms(fields["X"], kernel, x),
-        system_penalties=_TWIN_SYSTEMS,
-        decide=lambda total: regressor.decide(total),
-    ),
-    ModelType(
-        kind=KIND_RKM, model_kind=RKM, task=CLASSIFY,
-        penalties=("gamma", "eta"),
-        body=(("X", ARRAY), ("y", ARRAY), ("h", ARRAY), ("b", FLOAT)),
-        per_row=(("y", "X"), ("h", "X")),
-        suffixes=("",),
-        fit=lambda x, y, penalties, kernel: rkm.fit_rkm(x, y, penalties, kernel),
-        predict=lambda model, x: rkm.predict_rkm(model, x),
-        grid_fold=_full_sample_grid_fold(rkm),
-        terms=lambda fields, kernel, x: rkm.decision_terms(fields["X"], kernel, x),
-        system_penalties=(_first_penalties,),
-        decide=lambda total: rkm.decide(total),
-    ),
+    ModelType(KIND_CLASSIFIER, TRKM, CLASSIFY, classifier, rows=("A", "B"),
+              per_row=(("h1", "A"), ("h2", "B")), suffixes=("1", "2"),
+              fit_hook="fit_classifier", predict_hook="predict_labels"),
+    ModelType(KIND_REGRESSOR, TRKM, REGRESS, regressor, rows=("X", "Y"),
+              per_row=(("Y", "X"), ("h1", "X"), ("h2", "X")), suffixes=("1", "2"),
+              fit_hook="fit_regressor", predict_hook="predict_regression"),
+    ModelType(KIND_RKM, RKM, CLASSIFY, rkm, rows=("X", "y"),
+              per_row=(("y", "X"), ("h", "X")), suffixes=("",),
+              fit_hook="fit_rkm", predict_hook="predict_rkm"),
 )
 
 _BY_PAIR = {(t.model_kind, t.task): t for t in MODEL_TYPES}
@@ -227,7 +181,7 @@ def of_kind(kind: str) -> ModelType:
 
 def refuse_second_penalties(model_kind: str, task: str, given: list[str]) -> None:
     """ValueError for an unsupported pair, or naming ``given`` for a one-system pair."""
-    if len(model_type(model_kind, task).system_penalties) < 2 and given:
+    if len(model_type(model_kind, task).suffixes) < 2 and given:
         raise ValueError(f"{', '.join(given)}: {model_kind} with {task} states one system, "
                          "so it takes no second-system penalties")
 
@@ -249,17 +203,15 @@ def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | Non
     x, yv = as_matrix(X, "X"), as_vector(y, target)
     if len(yv) != len(x):
         raise DimensionMismatch(f"X has {len(x)} rows but {target} has length {len(yv)}")
-    penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
-    named = {f"{key}{s}": value for s, pair in zip(entry.suffixes, penalties)
-             for key, value in zip(("gamma", "eta"), pair)}
-    hyperparams = {name: named[name] for name in entry.penalties}
+    penalties = entry.system_penalties(params)
+    hyperparams = dict(zip(entry.penalties, [v for values in zip(*penalties) for v in values]))
     for name, value in hyperparams.items():
         if not positive_number(value):
             raise ValueError(f"{name} must be strictly positive, got {value!r}")
     if task == CLASSIFY and not np.isin(yv, (-1.0, 1.0)).all():
         raise ValueError("labels must be +1 or -1")
-    rows, reports = entry.fit(x, yv, penalties, kernel)
-    fields = dict(zip([name for name, _ in entry.body], rows))
+    rows, reports = getattr(entry.module, entry.fit_hook)(x, yv, penalties, kernel)
+    fields = dict(zip(entry.rows, rows))
     for s, rep in zip(entry.suffixes, reports):
         fields.update({f"h{s}": rep.h, f"b{s}": rep.b})
     return Model(entry, hyperparams, kernel, fields, reports)
@@ -267,7 +219,7 @@ def fit(model_kind: str, task: str, X, y, params: dict, kernel: KernelSpec | Non
 
 def predict(model: Model, X) -> np.ndarray:
     """Labels (+/-1) of a classifier or values of a regressor at each row of X."""
-    return model.type.predict(model, X)
+    return getattr(model.type.module, model.type.predict_hook)(model, X)
 
 
 @dataclass(frozen=True)
@@ -284,8 +236,8 @@ def penalty_table(model_kind: str, task: str, cells: list[dict]) -> PenaltyTable
     """The ``PenaltyTable`` of the systems of a (model kind, task) pair over ``cells``, its
     columns in order of first appearance. On a grid, every system's distinct pairs come out
     in the same order (gamma outer, eta inner), so the columns are each system's own."""
-    pairs = [[penalties(params) for params in cells]
-             for penalties in model_type(model_kind, task).system_penalties]
+    entry = model_type(model_kind, task)
+    pairs = [list(own) for own in zip(*[entry.system_penalties(params) for params in cells])]
     index = {pair: j for j, pair in enumerate(dict.fromkeys(sum(pairs, [])))}
     gammas, etas = np.array(list(index)).T
     return PenaltyTable(gammas, etas, tuple(np.array([index[p] for p in own]) for own in pairs))
@@ -309,7 +261,7 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     and a regression cell whose spread exceeds ``SPREAD_LIMIT`` fall outside.
     """
     entry = model_type(model_kind, task)
-    families, terms = entry.grid_fold(X, y, X_valid, gaussian(sigma))
+    families, terms = entry.statement(X, y, X_valid, gaussian(sigma))
     gammas = table.gammas
     decision, size, passed = 0.0, 0.0, np.ones(len(table.columns[0]), dtype=bool)
     blocks = {id(system.kernel): system.kernel for system in families}
@@ -332,17 +284,17 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
             passed &= (np.abs(decision) > TIE_RTOL * size).all(axis=0)
 
     def refit(params: dict) -> np.ndarray:
-        penalties = [system_penalties(params) for system_penalties in entry.system_penalties]
+        penalties = entry.system_penalties(params)
         values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
                   in zip(terms, solve_families(families, penalties, estimate=False), penalties)]
-        return entry.decide(sum(values[1:], values[0]))
+        return entry.module.decide(sum(values[1:], values[0]))
 
-    return entry.decide(decision), passed, refit
+    return entry.module.decide(decision), passed, refit
 
 
 def n_features(model: Model) -> int:
     """Feature count of the rows the model was trained on."""
-    return model.fields[model.type.body[0][0]].shape[1]
+    return model.fields[model.type.rows[0]].shape[1]
 
 
 def score(task: str, pred, truth) -> float:

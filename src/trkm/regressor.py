@@ -15,8 +15,9 @@ unequal penalties take one factorization per system. The predictor averages the 
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is
 the data layer's responsibility.
-``systems`` and ``decision_terms`` state both systems and both functions'
-terms once; the fit, the predictor and the grid search read only them.
+``rows`` gives the stored rows and targets (X, Y); ``systems`` and
+``decision_terms`` state both systems and both functions' terms on them
+once; the fit, the predictor and the grid search read only them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,18 @@ from .kernels import KernelSpec, bordered_gram, gram
 from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
-def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
-    """The lower- and upper-function systems on one K of the rows of X, for every (gamma, eta).
+def rows(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The stored rows: all of (X, Y)."""
+    return X, Y
+
+
+def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
+    """The lower- and upper-function systems on one K of X, ``rows`` = (X, Y), for every
+    (gamma, eta).
 
     TooFewSamples for fewer than 2 rows.
     """
+    X, Y = rows
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
     k = KernelBlock(bordered_gram(kernel, X))
@@ -41,9 +49,9 @@ def systems(X, Y, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
             BorderedFamily("upper-function system", k, +1, Y, ke, float(len(X))))
 
 
-def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTerm]:
+def decision_terms(rows, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTerm]:
     """Terms of g1 = K_q (e - h1)/g1 + b1 and g2 = K_q (h2 - e)/g2 + b2 at the rows of Xq."""
-    kq = gram(kernel, Xq, X)
+    kq = gram(kernel, Xq, rows[0])
     zeros = np.zeros(len(Xq))
     return DecisionTerm(kq, zeros, -1, 1.0), DecisionTerm(kq, zeros, +1, 1.0)
 
@@ -51,7 +59,8 @@ def decision_terms(X, kernel: KernelSpec, Xq) -> tuple[DecisionTerm, DecisionTer
 def fit_regressor(X, Y, penalties, kernel: KernelSpec):
     """The fit hook: the stored rows and targets, and the solves of both systems at
     ``penalties``."""
-    return (X, Y), solve_families(systems(X, Y, kernel), penalties)
+    stored = rows(X, Y)
+    return stored, solve_families(systems(stored, kernel), penalties)
 
 
 def decide(total) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model_io import write_atomic
+
 
 def crossplane(n: int = 130, seed: int = 7, noise: float = 0.01, gap: float = 0.08):
     """Two crossing line segments; returns (X, y) with y in {-1, +1}.
@@ -53,17 +55,16 @@ def sine(n: int = 50, seed: int = 3):
     return x.reshape(-1, 1), np.sin(x)
 
 
+def _write_csv(path: str, x: np.ndarray, y: np.ndarray, target: str, cell) -> None:
+    """Write rows of x with ``cell`` of each value of y as a last column named ``target``."""
+    lines = [",".join([f"f{j}" for j in range(x.shape[1])] + [target])]
+    lines += [",".join(repr(float(v)) for v in row) + f",{cell(value)}" for row, value in zip(x, y)]
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
 def write_classification_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"f{j}" for j in range(x.shape[1])]
-        fh.write(",".join(cols + ["label"]) + "\n")
-        for row, label in zip(x, y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+    _write_csv(path, x, y, "label", int)
 
 
 def write_regression_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"f{j}" for j in range(x.shape[1])]
-        fh.write(",".join(cols + ["target"]) + "\n")
-        for row, target in zip(x, y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{repr(float(target))}\n")
+    _write_csv(path, x, y, "target", lambda target: repr(float(target)))

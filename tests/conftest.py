@@ -48,7 +48,8 @@ def system_values(model, X):
     """Each system's decision value at the rows of X (g1, g2 of TRKM, RKM's one score): the
     terms ``Model.total`` sums, from the kind's own ``decision_terms``."""
     fields, hp = model.fields, model.hyperparams
-    terms = model.type.terms(fields, model.kernel, np.asarray(X, dtype=float))
+    stored = tuple(fields[name] for name in model.type.rows)
+    terms = model.type.module.decision_terms(stored, model.kernel, np.asarray(X, dtype=float))
     return tuple(term.value(fields[f"h{s}"], hp[f"gamma{s}"], fields[f"b{s}"])
                  for term, s in zip(terms, model.type.suffixes))
 

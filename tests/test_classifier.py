@@ -196,7 +196,7 @@ def test_feature_count_mismatch_is_rejected(rng):
     # One training matrix holds both classes, so only the systems can be stated on
     # class rows of different widths.
     with pytest.raises(DimensionMismatch):
-        classifier.systems(rng.normal(size=(3, 2)), rng.normal(size=(3, 4)), gaussian(1.0))
+        classifier.systems((rng.normal(size=(3, 2)), rng.normal(size=(3, 4))), gaussian(1.0))
     x, y = random_two_class(rng)
     model = fit(x, y)
     with pytest.raises(DimensionMismatch):

@@ -46,7 +46,8 @@ def test_table_fits_and_predicts_as_the_model_functions(rng):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert list(model.hyperparams) == list(model.type.penalties)
         assert models.predict(model, data).tobytes() == predict(model, data).tobytes()
-        assert predict(model, data).tobytes() == model.type.decide(model.total(data)).tobytes()
+        decided = model.type.module.decide(model.total(data))
+        assert predict(model, data).tobytes() == decided.tobytes()
         assert models.n_features(model) == data.shape[1]
 
 
@@ -59,7 +60,7 @@ def test_fit_solves_its_modules_statement_bitwise(monkeypatch, rng, entry):
         y = y.astype(float)
     else:
         x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
-    twin = len(entry.system_penalties) == 2
+    twin = len(entry.suffixes) == 2
     params = {**PARAMS, "gamma2": 2.0, "eta2": 0.125} if twin else PARAMS
     received = []
 
@@ -71,10 +72,10 @@ def test_fit_solves_its_modules_statement_bitwise(monkeypatch, rng, entry):
 
     monkeypatch.setattr(solver, "solve_bordered", recording(solver.solve_bordered))
     models.fit(entry.model_kind, entry.task, x, y, params)
-    statement, _ = entry.grid_fold(x, y, x[:1], gaussian(params["sigma"]))
-    expected = [system.at(*penalties(params))
-                for system, penalties in zip(statement, entry.system_penalties)]
-    assert len(received) == len(expected) == len(entry.system_penalties)
+    statement, _ = entry.statement(x, y, x[:1], gaussian(params["sigma"]))
+    expected = [system.at(*penalties)
+                for system, penalties in zip(statement, entry.system_penalties(params))]
+    assert len(received) == len(expected) == len(entry.suffixes)
     for got, want in zip(received, expected):
         assert (got.gamma, got.eta, got.border_sign) == (want.gamma, want.eta, want.border_sign)
         assert np.asarray(got.kernel).tobytes() == np.asarray(want.kernel).tobytes()

@@ -515,9 +515,9 @@ def test_per_class_systems_read_one_penalty_table_in_their_own_order(model_kind,
     listing = sel._grid_points(grid)[::len(grid.sigma_values)]
     table = models.penalty_table(model_kind, task, listing)
     columns = list(zip(table.gammas.tolist(), table.etas.tolist()))
-    for system_penalties, column in zip(models.model_type(model_kind, task).system_penalties,
-                                        table.columns):
-        pairs = [system_penalties(params) for params in listing]
+    entry = models.model_type(model_kind, task)
+    for system, column in enumerate(table.columns):
+        pairs = [entry.system_penalties(params)[system] for params in listing]
         assert columns == list(dict.fromkeys(pairs))
         assert [columns[j] for j in column.tolist()] == pairs
 

@@ -496,7 +496,7 @@ def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng)
     from trkm.synthetic import sine
 
     x, y = sine(ORDER, seed=2)
-    cases = [family.at(1e-5, 1e-5) for family in systems(x, y, gaussian(32.0))]
+    cases = [family.at(1e-5, 1e-5) for family in systems((x, y), gaussian(32.0))]
     cases += [gram_system(rng, ORDER, sign, sigma=32.0, gamma=1e-5, eta=1e-5)
               for sign in (+1, -1)]
     ldlt = [verdict(s) for s in cases]
@@ -580,21 +580,22 @@ def test_a_fit_in_its_kernel_blocks_solves_as_a_separate_array_did(kind, task, s
     params = {"gamma": 0.5, "eta": 0.25, "sigma": 1.0, **second}
     model = models.fit(kind, task, x, y, params)
     entry = models.model_type(kind, task)
-    families, _ = entry.grid_fold(x, y, x[:1], gaussian(1.0))
-    for family, penalties, report in zip(families, entry.system_penalties, model.fit_diag):
-        system = family.at(*penalties(params))
+    families, _ = entry.statement(x, y, x[:1], gaussian(1.0))
+    for family, penalties, report in zip(families, entry.system_penalties(params),
+                                         model.fit_diag):
+        system = family.at(*penalties)
         solution, res_norm, cond, norm = oracles.separate_array_solve(system)
         assert report.solution.tobytes() == solution.tobytes()
         assert report.residual_norm == res_norm
         assert report.condition_estimate == pytest.approx(cond, rel=1e-14, abs=0)
-        assert trkm.solver._symmetric_one_norm(family.kernel.formed(*penalties(params))) == norm
+        assert trkm.solver._symmetric_one_norm(family.kernel.formed(*penalties)) == norm
 
 
 def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
     # Each solve at new penalties forms its matrix over the last factor, from K in the upper
     # triangle and the saved diagonal, and reads K back from there for its residuals.
     x, y = sine(600, seed=4)
-    family = regressor.systems(x, y, gaussian(0.5))[1]
+    family = regressor.systems((x, y), gaussian(0.5))[1]
     pairs = ((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25))
     fresh = [oracles.separate_array_solve(family.at(g, e)) for g, e in pairs]
     for (g, e), (solution, res_norm, _, _) in zip(pairs, fresh):
