@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyClass
-from .kernels import KernelSpec, bordered_gram, gram
+from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
@@ -44,10 +44,10 @@ def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     e1, e2 = np.ones(len(A)), np.ones(len(B))
     ab_e2, ba_e1 = k_ab @ e2, k_ab.T @ e1
     del k_ab
-    return (BorderedFamily("class +1 system", KernelBlock(bordered_gram(kernel, A)), +1, e1,
-                           ab_e2, float(len(B))),
-            BorderedFamily("class -1 system", KernelBlock(bordered_gram(kernel, B)), +1, -e2,
-                           -ba_e1, -float(len(A))))
+    return (BorderedFamily("class +1 system", KernelBlock.of(kernel, A), +1, e1, ab_e2,
+                           float(len(B))),
+            BorderedFamily("class -1 system", KernelBlock.of(kernel, B), +1, -e2, -ba_e1,
+                           -float(len(A))))
 
 
 def decision_terms(rows, kernel: KernelSpec, X) -> tuple[DecisionTerm, DecisionTerm]:

@@ -262,9 +262,9 @@ def _write_stats_report(args, model_names, dataset_names, matrix, better, failur
             wtl_rows.append({"row": model_names[i], "column": model_names[j], **vars(w)})
             cells.append(f"[{w.wins:d},{w.ties:d},{w.losses:d}]")
         lines.append(f"  {model_names[i]:<24s}" + "".join(f"{c:>18s}" for c in cells))
-    threshold = n_datasets / 2.0 + 1.96 * np.sqrt(n_datasets) / 2.0
-    lines.append(f"significance threshold: more than {threshold:.2f} wins")
-    report.update(win_tie_loss=wtl_rows, win_threshold=threshold)
+    # every pair's sign-test threshold is the last one's: it depends on the dataset count alone
+    lines.append(f"significance threshold: more than {w.threshold:.2f} wins")
+    report.update(win_tie_loss=wtl_rows, win_threshold=w.threshold)
     if failures is not None:
         report["failures"] = failures
     if failures:

@@ -7,15 +7,6 @@ Each Gram entry sums its pair's features left to right: Gaussian entries by
 and would break the unit diagonal), linear entries by one rank-one update
 per feature. So ``gram(s, a, b)`` equals ``gram(s, b, a).T`` bitwise,
 and each entry equals the plain left-to-right sum over one pair bitwise.
-
-A training block, the Gram matrix of one sample set with itself, is built by
-``bordered_gram`` straight into the top-left n x n of the (n+1) x (n+1)
-array that its bordered systems use, one ``row_blocks`` block of rows per
-``gram`` call. Since each entry is its own pair's sum followed by elementwise
-``divide`` and ``exp``, the blocks are bitwise the whole ``gram(s, x, x)``.
-Row n and column n are left unset; ``solver.KernelBlock`` states which
-triangle holds what once the solver forms and factors its matrices there, so
-that a fit holds one (n+1)^2 array per kernel block.
 """
 
 from __future__ import annotations
@@ -30,12 +21,6 @@ from .errors import DimensionMismatch
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
-
-# A square block is assembled, formed and read in blocks of at least this many bytes of rows,
-# and of at least 1/16 of its rows: few enough numpy calls per pass, and a small share of
-# its (n+1)^2 array beside it once that array is large.
-ROW_BLOCK_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -83,25 +68,3 @@ def gram(spec: KernelSpec, left, right) -> np.ndarray:
             values += np.outer(lm[:, k], rm[:, k])
     return values
 
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of rows of an n-row square block, in order: a multiple of 8
-    rows (see ``ROW_BLOCK_BYTES``), except that the last block takes a lone final row, which
-    numpy would multiply by a dot product rather than by the matrix-vector product of the
-    other blocks."""
-    step = max(8, n // 16, ROW_BLOCK_BYTES // (8 * max(n, 1))) // 8 * 8
-    edges = [*range(0, n, step), n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def bordered_gram(spec: KernelSpec, x) -> np.ndarray:
-    """A new (n+1) x (n+1) array whose top-left n x n is ``gram(spec, x, x)``, bitwise, built one
-    ``row_blocks`` block at a time; its row n and column n are left unset."""
-    xm = as_matrix(x, "left")
-    n = len(xm)
-    store = np.empty((n + 1, n + 1))
-    for start, stop in row_blocks(n):
-        store[start:stop, :n] = gram(spec, xm[start:stop], xm)
-    return store

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +141,13 @@ def _checksum(payload: dict) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write a text file through a temp file in the same directory and a rename."""
+    """Write a text file through a temp file in the same directory and a rename. The temp file
+    is made with mode 0o666 less the umask, as ``open`` makes a file, which the rename keeps."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trkm-")
+        tmp = os.path.join(directory, f".trkm-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)

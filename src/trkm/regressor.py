@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooFewSamples
-from .kernels import KernelSpec, bordered_gram, gram
+from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
@@ -43,7 +43,7 @@ def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     X, Y = rows
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
-    k = KernelBlock(bordered_gram(kernel, X))
+    k = KernelBlock.of(kernel, X)
     ke = k @ np.ones(len(X))
     return (BorderedFamily("lower-function system", k, -1, -Y, ke, float(len(X))),
             BorderedFamily("upper-function system", k, +1, Y, ke, float(len(X))))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import decide
 from .errors import TooFewSamples
-from .kernels import KernelSpec, bordered_gram, gram
+from .kernels import KernelSpec, gram
 from .solver import BorderedFamily, DecisionTerm, KernelBlock, solve_families
 
 
@@ -37,8 +37,7 @@ def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily]:
     X, y = rows
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
-    return (BorderedFamily("rkm system", KernelBlock(bordered_gram(kernel, X)), +1, y,
-                           np.zeros(len(X)), 0.0),)
+    return (BorderedFamily("rkm system", KernelBlock.of(kernel, X), +1, y, np.zeros(len(X)), 0.0),)
 
 
 def decision_terms(rows, kernel: KernelSpec, Xq) -> tuple[DecisionTerm]:

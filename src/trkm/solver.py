@@ -16,19 +16,16 @@ symmetric. Below order ``LDL_MIN_ORDER`` it is formed in a new array and
 factored by partially pivoted LU (getrf/getrs/gecon) on getrf's copy. At or
 above it, it is factored by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), which
 takes half LU's flops but pays off only on large matrices, and it is formed
-and factored inside the kernel's own (n+1)^2 array (``KernelBlock``): its
-C-lower triangle, diagonal and row n hold the matrix and then its factor,
-while K stays in the strict upper triangle and a saved diagonal. So a fit
-holds one (n+1)^2 array per kernel block. LAPACK is called directly
-from ``compiled.flapack`` (scipy's wrappers, the same bits, cost more per
-call than the solve itself at grid-fold sizes, and their package costs a
-cold start). The pivot floor reads |U's diagonal| or the |eigenvalues| of
-D's 1x1 and 2x2 blocks.
+and factored inside the kernel's own (n+1)^2 array, whose layout
+``KernelBlock`` states. So a fit holds one (n+1)^2 array per kernel block.
+LAPACK is called directly from ``compiled.flapack`` (scipy's wrappers, the
+same bits, cost more per call than the solve itself at grid-fold sizes, and
+their package costs a cold start). The pivot floor reads |U's diagonal| or
+the |eigenvalues| of D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices. Every residual, in refinement and
 in the gates, is evaluated on the kernel by ``residual``, never on a formed or
-factored matrix: on a ``KernelBlock`` one block of rows at a time, read back
-from the strict upper triangle and the saved diagonal.
+factored matrix: a formed ``KernelBlock`` reads K back for it.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and systems on one
@@ -86,9 +83,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import as_matrix
 from .compiled import flapack
 from .errors import DimensionMismatch, NonFiniteSystem, SingularSystem
-from .kernels import row_blocks
+from .kernels import KernelSpec, gram
 
 # A pivot smaller than this relative to the largest pivot marks the system
 # as numerically singular (degenerate eta/gamma choice upstream).
@@ -101,6 +99,11 @@ RESIDUAL_RTOL = 1e-8
 BALANCE_RTOL = 1e-6
 
 _REFINE_ROUNDS = 5
+
+# A kernel block is built, formed and read in blocks of at least this many bytes of rows, and
+# of at least 1/16 of its rows: few enough numpy calls per pass, and a small share of its
+# (n+1)^2 array beside it once that array is large.
+ROW_BLOCK_BYTES = 256 * 1024
 
 # Augmented matrices of this order or more are factored by LDL^T, smaller ones by LU,
 # which keeps every grid-fold solve (at most 215 rows) as it was. The crossover of one
@@ -117,20 +120,32 @@ _sytrf, _sytrf_lwork, _sytrs, _sycon = (flapack.dsytrf, flapack.dsytrf_lwork, fl
 
 class KernelBlock:
     """A symmetric kernel block K of order n, held in the top-left n x n of an (n+1)^2 array
-    ``store`` (``kernels.bordered_gram``), in which its bordered systems of order
-    ``LDL_MIN_ORDER`` and more are formed and factored.
+    ``store``, in which its bordered systems of order ``LDL_MIN_ORDER`` and more are formed and
+    factored; ``of`` builds it, ``holding`` copies a plain array into it.
 
-    Until the first of them, ``store[:n, :n]`` is K, and ``np.asarray`` of the block is that
-    view. ``formed`` then saves K's diagonal in ``diagonal`` and writes the +e matrix into
-    the C-lower triangle, the diagonal and row n: exactly what LAPACK's uplo='U' routines
-    read and write through the Fortran-ordered ``store.T``. The strict upper triangle, which
-    they never reference, keeps K. From then on ``@`` reads K from there and ``diagonal``, one
-    ``row_blocks`` block of rows at a time, and ``np.asarray`` rebuilds K in a new n x n array.
+    Until the first of them, ``store[:n, :n]`` is K, row n and column n are unset, and
+    ``np.asarray`` of the block is that view. ``formed`` then saves K's diagonal in
+    ``diagonal`` and writes the +e matrix into the C-lower triangle, the diagonal and row n:
+    exactly what LAPACK's uplo='U' routines read and write through the Fortran-ordered
+    ``store.T``. The strict upper triangle, which they never reference, keeps K. From then on
+    ``@``, ``np.asarray`` and a later ``formed`` read K from there and ``diagonal``, one
+    ``row_blocks`` block of rows at a time (``_symmetric_rows``).
     """
 
     def __init__(self, store: np.ndarray):
         self.store = store
         self.diagonal = None  # None while store[:n, :n] is K
+
+    @classmethod
+    def of(cls, spec: KernelSpec, x) -> KernelBlock:
+        """The block of ``gram(spec, x, x)``, bitwise, built one ``row_blocks`` block of rows per
+        ``gram`` call: each entry is its own pair's sum, then elementwise ``divide`` and ``exp``."""
+        xm = as_matrix(x, "left")
+        n = len(xm)
+        store = np.empty((n + 1, n + 1))
+        for start, stop in row_blocks(n):
+            store[start:stop, :n] = gram(spec, xm[start:stop], xm)
+        return cls(store)
 
     @classmethod
     def holding(cls, kernel: np.ndarray) -> KernelBlock:
@@ -148,9 +163,9 @@ class KernelBlock:
         n = len(self.store) - 1
         if self.diagonal is None:
             return self.store[:n, :n].astype(dtype or float, copy=bool(copy))
-        k = np.triu(self.store[:n, :n], 1)
-        k += k.T
-        k[np.diag_indices(n)] = self.diagonal
+        k = np.empty((n, n))
+        for start, stop, rows in _symmetric_rows(self.store, n, True, self.diagonal):
+            k[start:stop] = rows
         return k.astype(dtype or float, copy=False)
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
@@ -159,38 +174,32 @@ class KernelBlock:
         if self.diagonal is None:
             return a[:n, :n] @ h
         out = np.empty(n)
-        for start, stop, rows in _row_buffers(n, n):
-            rows[:, start:] = a[start:stop, start:n]
-            _copy_transposed(rows[:, :start], a[:start, start:stop])
-            block = rows[:, start:stop]
-            _mirror(block, _strictly_lower(stop - start))
-            block[np.diag_indices(stop - start)] = self.diagonal[start:stop]
+        for start, stop, rows in _symmetric_rows(a, n, True, self.diagonal):
             np.matmul(rows, h, out=out[start:stop])
         return out
 
     def formed(self, gamma, eta) -> np.ndarray:
         """``store`` with the +e matrix [[K/gamma + eta*I, e], [e^T, 0]] in its C-lower triangle,
-        diagonal and row n, formed there by the same IEEE operations as in a whole matrix:
-        first, if that triangle holds an earlier matrix, K is copied back into it from the upper
-        one. NonFiniteSystem for a non-finite entry of the core."""
+        diagonal and row n, formed there by the same IEEE operations as in a whole matrix, from
+        K's rows: ``store``'s own until the first form, then those read from the upper triangle.
+        NonFiniteSystem for a non-finite entry of the core."""
         a, n = self.store, len(self.store) - 1
-        intact = self.diagonal is None
-        if intact:
+        if self.diagonal is None:
             self.diagonal = a.diagonal()[:n].copy()
+            blocks = ((start, stop, a[start:stop]) for start, stop in row_blocks(n))
+        else:  # each block is read from the upper triangle before its rows are written
+            blocks = _symmetric_rows(a, n, True)
         diagonal = a.reshape(-1)[: n * (n + 2) : n + 2]
         with np.errstate(over="ignore"):  # an inf here is the NonFiniteSystem below
             np.divide(self.diagonal, gamma, out=diagonal)
             diagonal += eta
-            for start, stop in row_blocks(n):
-                rows, lower = slice(start, stop), _strictly_lower(stop - start)
-                if not intact:
-                    _copy_transposed(a[rows, :start], a[:start, rows])
-                    _mirror(a[rows, rows], lower)
-                np.divide(a[rows, :start], gamma, out=a[rows, :start])
-                np.divide(a[rows, rows], gamma, out=a[rows, rows], where=lower)
+            for start, stop, rows in blocks:
+                np.divide(rows[:, :start], gamma, out=a[start:stop, :start])
+                np.divide(rows[:, start:stop], gamma, out=a[start:stop, start:stop],
+                          where=np.tri(stop - start, k=-1, dtype=bool))
                 # nan propagates through both reductions; the block's upper entries are K's
                 # own, non-finite only where their lower mirror is
-                entries = a[rows, :stop]
+                entries = a[start:stop, :stop]
                 if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
                     raise NonFiniteSystem("core contains non-finite entries")
         a[n, :n] = 1.0
@@ -198,30 +207,39 @@ class KernelBlock:
         return a
 
 
-def _row_buffers(n: int, width: int):
-    """Each (start, stop) of ``row_blocks(n)`` with a C-ordered (stop - start) x width buffer,
-    one array reused for every block."""
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of rows of an n-row square block, in order: a multiple of 8
+    rows (see ``ROW_BLOCK_BYTES``), except that the last block takes a lone final row, which
+    numpy would multiply by a dot product rather than by the matrix-vector product of the
+    other blocks."""
+    step = max(8, n // 16, ROW_BLOCK_BYTES // (8 * max(n, 1))) // 8 * 8
+    edges = [*range(0, n, step), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _symmetric_rows(a: np.ndarray, n: int, upper: bool, diagonal=None):
+    """Each (start, stop, rows) of ``row_blocks(n)``, ``rows`` the C-ordered rows start:stop of
+    the symmetric n x n matrix held in the upper (else the C-lower) triangle of ``a[:n, :n]``,
+    read from that triangle alone into one reused buffer; its diagonal is ``diagonal`` when
+    given, else ``a``'s own. The rest of each row is a transposed strip, copied 256 rows at a
+    time: numpy's copy of a whole one strides through memory, 3-4 times slower at order 2000."""
     blocks = row_blocks(n)
-    buffer = np.empty((max(stop - start for start, stop in blocks), width))
+    buffer = np.empty((max(stop - start for start, stop in blocks), n))
     for start, stop in blocks:
-        yield start, stop, buffer[: stop - start]
-
-
-def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst = src.T, 256 rows of src at a time: numpy's copy of a whole transposed strip strides
-    through memory, 3-4 times slower at order 2000."""
-    for start in range(0, len(src), 256):
-        dst[:, start:start + 256] = src[start:start + 256].T
-
-
-def _mirror(block: np.ndarray, where: np.ndarray) -> None:
-    """Each masked entry of a square block set to its mirror across the diagonal."""
-    np.copyto(block, block.T.copy(), where=where)
-
-
-def _strictly_lower(m: int) -> np.ndarray:
-    """The mask of an m x m block's entries below its diagonal."""
-    return np.tri(m, k=-1, dtype=bool)
+        m = stop - start
+        rows, block = buffer[:m], buffer[:m, start:stop]
+        held, strip = (slice(start, n), range(start)) if upper else (slice(stop), range(stop, n))
+        rows[:, held] = a[start:stop, held]
+        for first in strip[::256]:
+            last = min(first + 256, strip.stop)
+            rows[:, first:last] = a[first:last, start:stop].T
+        mirrored = np.tri(m, k=-1, dtype=bool)
+        np.copyto(block, block.T.copy(), where=mirrored if upper else mirrored.T)
+        if diagonal is not None:
+            block[np.diag_indices(m)] = diagonal[start:stop]
+        yield start, stop, rows
 
 
 @dataclass(frozen=True)
@@ -305,10 +323,9 @@ class SharedFactor:
     Made empty, knowing whether it ``estimate``s its condition. The first
     ``solve_bordered(system, name, factor=f)`` forms its system's +e matrix and
     factors it into ``f``. At order ``LDL_MIN_ORDER`` and above that is LDL^T in
-    the C-lower triangle, diagonal and row n of the kernel block's own (n+1)^2
-    array (``KernelBlock``), whose strict upper triangle keeps K; ``f`` holds
-    that array as its factor. Below it, LU on getrf's copy of a formed matrix,
-    which is then dropped, and ``f`` holds getrf's (n+1)^2 array. Each later call
+    the kernel block's own (n+1)^2 array (``KernelBlock``), which ``f`` holds as
+    its factor. Below it, LU on getrf's copy of a formed matrix, which is then
+    dropped, and ``f`` holds getrf's (n+1)^2 array. Each later call
     with ``f`` solves on that factor, and no call changes it; a solve on the same
     block at other penalties forms its own matrix over it, so ``f`` is then no
     factor of its system. ``cond``, the matrix's condition estimate, is computed
@@ -380,10 +397,7 @@ def _symmetric_one_norm(a: np.ndarray) -> float:
     does numpy's column sum of a C-ordered block of rows, which starts here from the sums of
     the rows above it."""
     sums = np.zeros(len(a))
-    for start, stop, rows in _row_buffers(len(a), len(a)):  # rows of the symmetric matrix
-        rows[:, :stop] = a[start:stop, :stop]
-        _copy_transposed(rows[:, stop:], a[stop:, start:stop])
-        _mirror(rows[:, start:stop], _strictly_lower(stop - start).T)
+    for _, _, rows in _symmetric_rows(a, len(a), False):
         np.abs(rows, out=rows)
         with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in lange
             rows[0] += sums

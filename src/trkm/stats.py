@@ -42,9 +42,8 @@ NEMENYI_Q_05 = {
 
 @dataclass(frozen=True)
 class RankTable:
-    """Per-dataset scores, midrank table (1 = best), and column averages."""
+    """Per-dataset midrank table (1 = best) and its column averages."""
 
-    scores: np.ndarray
     ranks: np.ndarray
     average_ranks: np.ndarray
 
@@ -100,7 +99,7 @@ def rank_models(scores, better: str = HIGHER) -> RankTable:
         )
     signed = -s if better == HIGHER else s
     ranks = np.vstack([midranks(row) for row in signed])
-    return RankTable(scores=s, ranks=ranks, average_ranks=ranks.mean(axis=0))
+    return RankTable(ranks=ranks, average_ranks=ranks.mean(axis=0))
 
 
 def friedman_test(ranks: RankTable, critical_value: float | None = None) -> FriedmanReport:

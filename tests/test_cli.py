@@ -309,6 +309,29 @@ def test_gridsearch_single_cell_equals_train(tmp_path, blob_csv):
     assert table["best_params"] == {"gamma": 0.1, "eta": 0.001, "sigma": 4.0}
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, blob_csv, umask):
+    # as open() makes a file, 0o666 less the umask; a temp file's own 0o600 would survive the
+    # rename. The umask is set in a child interpreter, so this process keeps its own.
+    names = ("model.json", "preds.csv", "grid.json", "grid_model.json")
+    model, preds, grid, grid_model = (str(tmp_path / name) for name in names)
+    run_python(f"""
+import os
+os.umask({umask:#o})
+from trkm.cli import main
+data = ["--task", "classify", "--data", {blob_csv!r}, "--label-col", "label"]
+assert main(["train", *data, "--gamma", "0.1", "--eta", "0.001", "--sigma", "4",
+             "--model-out", {model!r}]) == 0
+assert main(["predict", "--model", {model!r}, "--data", {blob_csv!r}, "--label-col", "label",
+             "--output", {preds!r}]) == 0
+assert main(["gridsearch", *data, "--gamma-grid", "0.1", "--eta-grid", "0.001",
+             "--sigma-grid", "4", "--folds", "2", "--grid-out", {grid!r},
+             "--model-out", {grid_model!r}]) == 0
+""")
+    assert {name: os.stat(tmp_path / name).st_mode & 0o777 for name in names} \
+        == dict.fromkeys(names, 0o666 & ~umask)
+
+
 def test_gridsearch_default_grid_has_1331_cells(tmp_path):
     x, y = blobs(8, 5.0, seed=4)
     data = tmp_path / "tiny.csv"

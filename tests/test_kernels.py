@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trkm.errors import DimensionMismatch
-from trkm.kernels import KernelSpec, bordered_gram, gaussian, gram, linear, row_blocks
+from trkm.kernels import KernelSpec, gaussian, gram, linear
+from trkm.solver import KernelBlock, row_blocks
 
 from oracles import kernel_eval
 
@@ -114,7 +115,7 @@ def test_a_bordered_gram_is_the_whole_gram_bitwise(spec, n):
     x = np.random.default_rng(n).normal(size=(n, 5))
     step = row_blocks(n)[0][1]
     assert n == 9 or (len(row_blocks(n)) > 1 and n % step)
-    store = bordered_gram(spec, x)
+    store = KernelBlock.of(spec, x).store
     assert store.shape == (n + 1, n + 1)
     assert np.ascontiguousarray(store[:n, :n]).tobytes() == gram(spec, x, x).tobytes()
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from trkm import models, regressor
 from trkm.data import CLASSIFY, REGRESS
 from trkm.errors import DimensionMismatch, NonFiniteSystem, SingularSystem
-from trkm.kernels import bordered_gram, gaussian, gram, row_blocks
+from trkm.kernels import gaussian, gram
 import trkm.solver
 from trkm.solver import (
     BorderedSystem,
     KernelBlock,
     SharedFactor,
+    row_blocks,
     solve_bordered,
     spectral_shift,
 )
@@ -605,11 +606,11 @@ def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
     assert trkm.solver._symmetric_one_norm(family.kernel.formed(3.0, 1e-3)) == fresh[1][3]
 
 
-def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng):
-    n = 600
+@pytest.mark.parametrize("n", [313, 600, 625])
+def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng, n):
     x = rng.normal(size=(n, 3))
     k = gram(gaussian(1.3), x, x)
-    block = KernelBlock(bordered_gram(gaussian(1.3), x))
+    block = KernelBlock.of(gaussian(1.3), x)
     h = rng.normal(size=n)
     assert (block @ h).tobytes() == (k @ h).tobytes() and len(row_blocks(n)) > 1
     for gamma, eta in ((0.5, 0.25), (2.0, 1e-5)):
@@ -623,7 +624,7 @@ def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng):
     assert (block @ h).tobytes() == (k @ h).tobytes()
 
 
-@pytest.mark.parametrize("order", [ORDER, 601, 1002])
+@pytest.mark.parametrize("order", [ORDER, 313, 601, 625, 1002])
 def test_the_symmetric_one_norm_reads_only_the_lower_triangle_bitwise(rng, order):
     x = rng.normal(size=(order - 1, 3))
     a = trkm.solver._augmented(gram(gaussian(0.8), x, x), 0.3, 0.7)

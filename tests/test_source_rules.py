@@ -1,5 +1,5 @@
-"""Rules on the package source, checked on its syntax trees: one module writes files and
-one module reads CSV."""
+"""Rules on the package source, checked on its syntax trees: one module writes files, one
+module reads CSV, and one lays out kernel blocks."""
 
 import ast
 
@@ -9,6 +9,9 @@ SOURCES = sorted((REPO / "src" / "trkm").glob("*.py"))
 
 # Calls that create or write a file whatever their arguments.
 WRITERS = {"write_text", "write_bytes", "tofile", "savetxt", "mkstemp", "NamedTemporaryFile"}
+
+# Names of the row blocks a kernel block's (n+1)^2 array is built, formed and read in.
+LAYOUT = {"row_blocks", "ROW_BLOCK_BYTES", "bordered_gram"}
 
 
 def called(node):
@@ -40,6 +43,13 @@ def reads_csv(node):
             and node.func.value.id == "csv")
 
 
+def knows_block_layout(node):
+    """Whether a node names one of ``LAYOUT`` (used, imported or defined) or calls the
+    ``KernelBlock`` constructor on an array it laid out itself."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+    return name in LAYOUT or (isinstance(node, ast.Call) and called(node) == "KernelBlock")
+
+
 def modules_where(rule):
     """The package modules, by stem, with a node the rule holds for."""
     return {path.stem for path in SOURCES
@@ -55,3 +65,9 @@ def test_only_model_io_opens_a_file_for_writing():
 
 def test_only_data_reads_csv():
     assert modules_where(reads_csv) == {"data"}
+
+
+def test_only_solver_knows_the_kernel_block_layout():
+    # solver.KernelBlock builds, forms and reads its array; the model modules call
+    # KernelBlock.of, and kernels only evaluates kernels.
+    assert modules_where(knows_block_layout) == {"solver"}
