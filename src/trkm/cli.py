@@ -126,8 +126,8 @@ def cmd_train(args) -> int:
     print(f"task: {dataset.task}  model: {model.type.kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
     for rep in model.fit_diag:
-        print(f"{rep.name}: residual {rep.residual_norm:.3e}, condition estimate "
-              f"{rep.condition_estimate:.3e}, balance sum(h) = {rep.h.sum():.9g} "
+        print(f"{rep.name}: residual {rep.residual_norm:.3e}, pivot ratio "
+              f"{rep.pivot_ratio:.3e}, balance sum(h) = {rep.h.sum():.9g} "
               f"(expected {rep.balance_target:g})")
     print(f"model written to {args.model_out}")
     return 0

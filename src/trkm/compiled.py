@@ -1,8 +1,8 @@
 """The two compiled SciPy modules trkm calls, loaded without their packages.
 
-``flapack`` is ``scipy.linalg._flapack``, whose ``dgetrf``/``dgetrs``/
-``dgecon``/``dlange`` and ``dsytrf``/``dsytrf_lwork``/``dsytrs``/``dsycon``
-are the objects ``get_lapack_funcs`` returns, and
+``flapack`` is ``scipy.linalg._flapack``, whose ``dgetrf``/``dgetrs`` and
+``dsytrf``/``dsytrf_lwork``/``dsytrs`` are the objects ``get_lapack_funcs``
+returns, and
 ``distance`` is ``scipy.spatial._distance_pybind``, whose
 ``cdist_sqeuclidean`` is what ``cdist(..., "sqeuclidean")`` runs. On a 2-core
 x86-64 VM, importing ``scipy.linalg`` and ``scipy.spatial`` costs about 0.4 s

@@ -255,8 +255,7 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
     (EmptyClass, TooFewSamples) from the model's statement. A cell outside
     the mask must be decided by ``refit(params)``, the direct solves of the same
-    statement: bitwise ``predict(fit(...))``, or its SingularSystem; it
-    computes no condition estimate, which nothing reads there. Besides those
+    statement: bitwise ``predict(fit(...))``, or its SingularSystem. Besides those
     gates, a classification cell with a tied decision value (``TIE_RTOL``)
     and a regression cell whose spread exceeds ``SPREAD_LIMIT`` fall outside.
     """
@@ -286,7 +285,7 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     def refit(params: dict) -> np.ndarray:
         penalties = entry.system_penalties(params)
         values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
-                  in zip(terms, solve_families(families, penalties, estimate=False), penalties)]
+                  in zip(terms, solve_families(families, penalties), penalties)]
         return entry.module.decide(sum(values[1:], values[0]))
 
     return entry.module.decide(decision), passed, refit

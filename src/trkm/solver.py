@@ -13,8 +13,8 @@ data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
 augmented matrix: K/gamma, eta added onto its diagonal, then the border.
 Every kernel block is a Gram block, bitwise symmetric, so the +e matrix is
 symmetric. Below order ``LDL_MIN_ORDER`` it is formed in a new array and
-factored by partially pivoted LU (getrf/getrs/gecon) on getrf's copy. At or
-above it, it is factored by Bunch-Kaufman LDL^T (sytrf/sytrs/sycon), which
+factored by partially pivoted LU (getrf/getrs) on getrf's copy. At or
+above it, it is factored by Bunch-Kaufman LDL^T (sytrf/sytrs), which
 takes half LU's flops but pays off only on large matrices, and it is formed
 and factored inside the kernel's own (n+1)^2 array, whose layout
 ``KernelBlock`` states. So a fit holds one (n+1)^2 array per kernel block.
@@ -39,18 +39,8 @@ factor fits its system: a mismatched one fails the residual gate, evaluated
 on the system's own kernel and penalties, unless refinement reached its
 solution.
 
-The condition estimate (the 1-norm of the augmented matrix, taken before it
-is factored, then ``gecon`` or ``sycon`` right after) gates nothing, and at
-grid-fold sizes it costs about half a factorization. A factor
-computes it at birth or never: fits make theirs with ``estimate`` set, since
-their ``fit_diag`` reports it. A -e system's estimate is its +e matrix's, the
-same in exact arithmetic: with D = diag(1, ..., 1, -1), ||AD||_1 = ||A||_1
-and ||(AD)^-1||_1 = ||A^-1||_1. The 1-norm is ``lange``'s of the whole matrix
-below the gate; above it, the same sums in ``lange``'s order, read from the
-lower triangle alone (``_symmetric_one_norm``), so it keeps its bits. A grid
-refit, which reads only h and b, asks for none and gets reports whose estimate
-is None. Every gate runs either way, and the solution, residual and any
-SingularSystem message are bitwise the same. The estimate's last bit can follow the alignment of LAPACK's workspace.
+A solve reports one conditioning figure, its factor's ``pivot_ratio``: the largest
+over the smallest pivot, which the pivot floor holds below 1/``RELATIVE_PIVOT_FLOOR``.
 
 ``solve_spectral`` solves one kernel block's system for many (gamma, eta)
 pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
@@ -107,15 +97,15 @@ ROW_BLOCK_BYTES = 256 * 1024
 
 # Augmented matrices of this order or more are factored by LDL^T, smaller ones by LU,
 # which keeps every grid-fold solve (at most 215 rows) as it was. The crossover of one
-# twin solve with its estimate, LDL^T time over LU time, one thread of a 2-vCPU x86-64
-# VM (OpenBLAS via SciPy 1.17), median of 7-25 alternating rounds:
+# twin solve, LDL^T time over LU time, one thread of a 2-vCPU x86-64 VM (OpenBLAS via
+# SciPy 1.17), median of 7-25 alternating rounds, measured while each solve also ran a
+# LAPACK condition estimate (a 1-norm, then gecon or sycon); without it the gate stays:
 #   kernel rows  120   214   256   280   300   350   400   600   1000  2000
 #   ratio        1.1   1.0   1.09  1.0   0.99  0.97  0.95  0.87  0.75  0.68
 LDL_MIN_ORDER = 300
 
-_getrf, _getrs, _gecon, _lange = flapack.dgetrf, flapack.dgetrs, flapack.dgecon, flapack.dlange
-_sytrf, _sytrf_lwork, _sytrs, _sycon = (flapack.dsytrf, flapack.dsytrf_lwork, flapack.dsytrs,
-                                        flapack.dsycon)
+_getrf, _getrs = flapack.dgetrf, flapack.dgetrs
+_sytrf, _sytrf_lwork, _sytrs = flapack.dsytrf, flapack.dsytrf_lwork, flapack.dsytrs
 
 
 class KernelBlock:
@@ -164,7 +154,7 @@ class KernelBlock:
         if self.diagonal is None:
             return self.store[:n, :n].astype(dtype or float, copy=bool(copy))
         k = np.empty((n, n))
-        for start, stop, rows in _symmetric_rows(self.store, n, True, self.diagonal):
+        for start, stop, rows in _symmetric_rows(self.store, n, self.diagonal):
             k[start:stop] = rows
         return k.astype(dtype or float, copy=False)
 
@@ -174,7 +164,7 @@ class KernelBlock:
         if self.diagonal is None:
             return a[:n, :n] @ h
         out = np.empty(n)
-        for start, stop, rows in _symmetric_rows(a, n, True, self.diagonal):
+        for start, stop, rows in _symmetric_rows(a, n, self.diagonal):
             np.matmul(rows, h, out=out[start:stop])
         return out
 
@@ -188,7 +178,7 @@ class KernelBlock:
             self.diagonal = a.diagonal()[:n].copy()
             blocks = ((start, stop, a[start:stop]) for start, stop in row_blocks(n))
         else:  # each block is read from the upper triangle before its rows are written
-            blocks = _symmetric_rows(a, n, True)
+            blocks = _symmetric_rows(a, n)
         diagonal = a.reshape(-1)[: n * (n + 2) : n + 2]
         with np.errstate(over="ignore"):  # an inf here is the NonFiniteSystem below
             np.divide(self.diagonal, gamma, out=diagonal)
@@ -219,24 +209,22 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _symmetric_rows(a: np.ndarray, n: int, upper: bool, diagonal=None):
+def _symmetric_rows(a: np.ndarray, n: int, diagonal=None):
     """Each (start, stop, rows) of ``row_blocks(n)``, ``rows`` the C-ordered rows start:stop of
-    the symmetric n x n matrix held in the upper (else the C-lower) triangle of ``a[:n, :n]``,
-    read from that triangle alone into one reused buffer; its diagonal is ``diagonal`` when
-    given, else ``a``'s own. The rest of each row is a transposed strip, copied 256 rows at a
-    time: numpy's copy of a whole one strides through memory, 3-4 times slower at order 2000."""
+    the symmetric n x n matrix held in the upper triangle of ``a[:n, :n]``, read from that
+    triangle alone into one reused buffer; its diagonal is ``diagonal`` when given, else
+    ``a``'s own. The rest of each row is a transposed strip, copied 256 rows at a time:
+    numpy's copy of a whole one strides through memory, 3-4 times slower at order 2000."""
     blocks = row_blocks(n)
     buffer = np.empty((max(stop - start for start, stop in blocks), n))
     for start, stop in blocks:
         m = stop - start
         rows, block = buffer[:m], buffer[:m, start:stop]
-        held, strip = (slice(start, n), range(start)) if upper else (slice(stop), range(stop, n))
-        rows[:, held] = a[start:stop, held]
-        for first in strip[::256]:
-            last = min(first + 256, strip.stop)
+        rows[:, start:] = a[start:stop, start:n]
+        for first in range(0, start, 256):
+            last = min(first + 256, start)
             rows[:, first:last] = a[first:last, start:stop].T
-        mirrored = np.tri(m, k=-1, dtype=bool)
-        np.copyto(block, block.T.copy(), where=mirrored if upper else mirrored.T)
+        np.copyto(block, block.T.copy(), where=np.tri(m, k=-1, dtype=bool))
         if diagonal is not None:
             block[np.diag_indices(m)] = diagonal[start:stop]
         yield start, stop, rows
@@ -300,16 +288,14 @@ class SolveReport:
 
     ``residual_norm`` is the max-abs residual of the bordered system,
     balance row included, evaluated on its kernel (``residual``), never on
-    the factored form; ``condition_estimate`` is the cheap LAPACK 1-norm
-    estimate of the factor it was solved on, reported but never used for
-    gating, or None when that factor was made with no estimate. Its last bit
-    can follow the alignment of LAPACK's workspace.
-    ``balance_target`` is the system's ``rhs_bottom``. ``solution`` is [h; b].
+    the factored form; ``pivot_ratio`` is that of the factor it was solved on
+    (``SharedFactor``). ``balance_target`` is the system's ``rhs_bottom``.
+    ``solution`` is [h; b].
     """
 
     solution: np.ndarray
     residual_norm: float
-    condition_estimate: float | None
+    pivot_ratio: float
     name: str
     balance_target: float
 
@@ -320,7 +306,7 @@ class SolveReport:
 class SharedFactor:
     """The factor of one (kernel, gamma, eta)'s +e augmented matrix, for both border signs.
 
-    Made empty, knowing whether it ``estimate``s its condition. The first
+    Made empty. The first
     ``solve_bordered(system, name, factor=f)`` forms its system's +e matrix and
     factors it into ``f``. At order ``LDL_MIN_ORDER`` and above that is LDL^T in
     the kernel block's own (n+1)^2 array (``KernelBlock``), which ``f`` holds as
@@ -328,25 +314,21 @@ class SharedFactor:
     dropped, and ``f`` holds getrf's (n+1)^2 array. Each later call
     with ``f`` solves on that factor, and no call changes it; a solve on the same
     block at other penalties forms its own matrix over it, so ``f`` is then no
-    factor of its system. ``cond``, the matrix's condition estimate, is computed
-    right after factoring when ``estimate`` is set, and is None otherwise. Only systems on
+    factor of its system. ``pivot_ratio`` is its largest over its smallest pivot,
+    the figure the pivot floor reads. Only systems on
     the factored (kernel, gamma, eta) may share ``f``; one on another fails the
     residual gate (see the module docstring).
     """
 
-    def __init__(self, estimate: bool = True):
-        self.estimate = estimate
-        self.factors = self.piv = self.cond = None  # None while empty
+    def __init__(self):
+        self.factors = self.piv = self.pivot_ratio = None  # None while empty
         self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
 
     def fill(self, a: np.ndarray, name: str) -> None:
         """Factor the +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER`` and
-        above, where only its C-lower triangle and diagonal are read, and estimate its
-        condition when ``estimate``: 1/rcond of LAPACK ``sycon`` or ``gecon``, inf for an
-        rcond of 0. A pivot below the floor is SingularSystem."""
+        above, where only its C-lower triangle and diagonal are read. A pivot below the floor
+        is SingularSystem."""
         symmetric = a.shape[0] >= LDL_MIN_ORDER
-        if self.estimate:  # before sytrf overwrites a
-            norm = _symmetric_one_norm(a) if symmetric else _one_norm(a)
         if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
             # the Fortran-ordered a.T is a's memory, no copy; its upper triangle is a's C-lower
             factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
@@ -354,17 +336,14 @@ class SharedFactor:
         else:
             factors, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
             pivots = np.abs(np.diag(factors))
-        largest = float(pivots.max())
-        if largest == 0.0 or float(pivots.min()) < RELATIVE_PIVOT_FLOOR * largest:
+        largest, smallest = float(pivots.max()), float(pivots.min())
+        if largest == 0.0 or smallest < RELATIVE_PIVOT_FLOOR * largest:
             raise SingularSystem(
-                f"{name}: pivot {pivots.min():.3e} below relative threshold "
+                f"{name}: pivot {smallest:.3e} below relative threshold "
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
         self.factors, self.piv, self.symmetric = factors, piv, symmetric
-        if self.estimate:
-            rcond = (_sycon(factors, piv, norm) if symmetric
-                     else _gecon(factors, norm, norm="1"))[0]
-            self.cond = float("inf") if rcond == 0.0 else float(1.0 / rcond)
+        self.pivot_ratio = largest / smallest
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The matrix's solution at ``rhs``, from its factor."""
@@ -383,26 +362,6 @@ def _block_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     blocks = np.array([[top, off], [off, bottom]]).transpose(2, 0, 1)
     pivots[first], pivots[first + 1] = np.abs(np.linalg.eigvalsh(blocks)).T
     return pivots
-
-
-def _one_norm(a: np.ndarray) -> float:
-    """The largest column sum of |a|: LAPACK's infinity norm of the Fortran-ordered a.T,
-    bitwise ``np.max(np.abs(a).sum(axis=0))`` without its (n+1)^2 temporary."""
-    return float(_lange("I", a.T))
-
-
-def _symmetric_one_norm(a: np.ndarray) -> float:
-    """``_one_norm`` of the symmetric matrix whose C-lower triangle and diagonal ``a`` holds,
-    read from them alone, bitwise: ``lange`` adds each column down from its first row, and so
-    does numpy's column sum of a C-ordered block of rows, which starts here from the sums of
-    the rows above it."""
-    sums = np.zeros(len(a))
-    for _, _, rows in _symmetric_rows(a, len(a), False):
-        np.abs(rows, out=rows)
-        with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in lange
-            rows[0] += sums
-            sums = rows.sum(axis=0)
-    return float(sums.max())
 
 
 def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
@@ -463,7 +422,7 @@ def solve_bordered(system: BorderedSystem, name: str,
     is None. Raises SingularSystem, its message prefixed with ``name``, when a
     pivot falls below the relative floor, the refined residual exceeds
     ``residual_bound`` or the solution fails ``balance_met``. The report's
-    condition estimate is the factor's ``cond``.
+    ``pivot_ratio`` is the factor's.
     """
     kernel = system.kernel
     if not isinstance(kernel, KernelBlock):
@@ -508,17 +467,17 @@ def solve_bordered(system: BorderedSystem, name: str,
     total = float(total)
     if not balance_met(total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
-    return SolveReport(x, res_norm, factor.cond, name, rhs_bottom)
+    return SolveReport(x, res_norm, factor.pivot_ratio, name, rhs_bottom)
 
 
-def solve_families(families, penalties, *, estimate: bool = True) -> tuple[SolveReport, ...]:
+def solve_families(families, penalties) -> tuple[SolveReport, ...]:
     """Solve each family at its (gamma, eta), in order and under its name; adjacent families
     on the same kernel object at the same (gamma, eta) share one ``SharedFactor``, and no
-    other factor is kept, so at most one is alive. Each factor is made with ``estimate``."""
+    other factor is kept, so at most one is alive."""
     reports, key, factor = [], None, None
     for f, (g, e) in zip(families, penalties):
         if (id(f.kernel), g, e) != key:
-            key, factor = (id(f.kernel), g, e), SharedFactor(estimate)
+            key, factor = (id(f.kernel), g, e), SharedFactor()
         reports.append(solve_bordered(f.at(g, e), f.name, factor))
     return tuple(reports)
 

@@ -8,8 +8,8 @@
   system's kernel as ``trkm.solver.residual`` must evaluate it, bitwise.
 - ``separate_array_solve``: a solve of order ``LDL_MIN_ORDER`` or more as it was
   made before kernel blocks held their own factors: a formed copy of the whole
-  augmented matrix, its ``lange`` 1-norm, ``sytrf``/``sycon``/``sytrs`` on the
-  copy, and refinement with the residual on the whole contiguous kernel.
+  augmented matrix, ``sytrf``/``sytrs`` on the copy, the pivot ratio of its D,
+  and refinement with the residual on the whole contiguous kernel.
 - ``bordered_gates`` and ``spectral_gates``: the residual and balance gates as
   ``solve_bordered`` and ``solve_spectral`` each wrote them before the rule was
   stated once in ``trkm.solver.residual_bound`` and ``balance_met``.
@@ -38,7 +38,8 @@ from trkm.errors import DimensionMismatch, NonNumericFeature, ParseError
 from trkm.kernels import LINEAR, gram
 from trkm.models import TRKM
 from trkm.selection import PENALTY_GRID, SIGMA_GRID, GridSpec, SplitSpec
-from trkm.solver import BALANCE_RTOL, RESIDUAL_RTOL, _lange, _sycon, _sytrf, _sytrf_lwork, _sytrs
+from trkm.solver import (BALANCE_RTOL, RESIDUAL_RTOL, _block_pivots, _sytrf, _sytrf_lwork,
+                         _sytrs)
 
 
 def solve_full_pivot(a, b):
@@ -119,8 +120,8 @@ def kernel_residual(system, x):
 
 
 def separate_array_solve(system):
-    """(solution, residual_norm, condition_estimate, one_norm) of a ``BorderedSystem`` whose
-    kernel still holds K, by the separate-array algorithm (see the module docstring)."""
+    """(solution, residual_norm, pivot_ratio) of a ``BorderedSystem`` whose kernel still
+    holds K, by the separate-array algorithm (see the module docstring)."""
     kernel = np.array(system.kernel, dtype=float)  # a contiguous copy
     gamma, eta, n = system.gamma, system.eta, len(kernel)
     a = np.empty((n + 1, n + 1))
@@ -128,9 +129,8 @@ def separate_array_solve(system):
     a.reshape(-1)[: n * (n + 2) : n + 2] += eta
     a[:n, n] = a[n, :n] = 1.0
     a[n, n] = 0.0
-    norm = float(_lange("I", a.T))
     ldu, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(n + 1)[0]), overwrite_a=1)
-    rcond = _sycon(ldu, piv, norm)[0]
+    pivots = _block_pivots(ldu, piv)
     rhs_top, rhs_bottom = np.asarray(system.rhs_top, dtype=float), float(system.rhs_bottom)
     tol = RESIDUAL_RTOL * max(1.0, abs(rhs_bottom), float(np.max(np.abs(rhs_top))))
 
@@ -146,7 +146,7 @@ def separate_array_solve(system):
         x = x - _sytrs(ldu, piv, r)[0]
         r = res(x)
     x[n] *= system.border_sign
-    return x, float(np.max(np.abs(r))), float(1.0 / rcond), norm
+    return x, float(np.max(np.abs(r))), float(pivots.max()) / float(pivots.min())
 
 
 def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, total: float):

@@ -46,7 +46,7 @@ def test_train_then_predict_classifier(tmp_path, blob_csv, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "residual" in out and "balance" in out and "condition" in out
+    assert "residual" in out and "balance" in out and "pivot ratio" in out
     assert os.path.exists(model_path)
 
     pred_path = str(tmp_path / "preds.csv")
@@ -467,28 +467,28 @@ def test_commands_load_no_scipy_package(tmp_path, blob_csv):
     (("--task", "classify", "--label-col", "label", "--data", "blobs.csv"), [
         "task: classify  model: trkm_classifier",
         "data: {data} (n=40, features=2)",
-        "class +1 system: residual 4.405e-13, condition estimate 4.486e+04, "
+        "class +1 system: residual 4.405e-13, pivot ratio 9.723e+02, "
         "balance sum(h) = 20 (expected 20)",
-        "class -1 system: residual 5.684e-13, condition estimate 4.089e+04, "
+        "class -1 system: residual 5.684e-13, pivot ratio 9.654e+02, "
         "balance sum(h) = -20 (expected -20)",
     ]),
     (("--task", "classify", "--model-kind", "rkm", "--label-col", "label", "--data", "blobs.csv"), [
         "task: classify  model: rkm",
         "data: {data} (n=40, features=2)",
-        "rkm system: residual 8.238e-14, condition estimate 8.576e+04, "
+        "rkm system: residual 8.238e-14, pivot ratio 1.041e+03, "
         "balance sum(h) = 7.10542736e-15 (expected 0)",
     ]),
     (("--task", "regress", "--target-col", "target", "--data", "sine.csv"), [
         "task: regress  model: trkm_regressor",
         "data: {data} (n=50, features=1)",
-        "lower-function system: residual 5.684e-13, condition estimate 1.039e+05, "
+        "lower-function system: residual 5.684e-13, pivot ratio 9.956e+02, "
         "balance sum(h) = 50 (expected 50)",
-        "upper-function system: residual 7.390e-13, condition estimate 1.039e+05, "
+        "upper-function system: residual 7.390e-13, pivot ratio 9.956e+02, "
         "balance sum(h) = 50 (expected 50)",
     ]),
 ])
 def test_train_prints_each_solves_report(tmp_path, capsys, args, report):
-    # Every fit's solves carry their condition estimate; grid refits skip it.
+    # Every fit's solves carry their pivot ratio, the figure the pivot floor reads.
     data = str(DATA_DIR / "synthetic" / args[-1])
     model_out = str(tmp_path / "m.json")
     assert run("train", *args[:-1], data, "--gamma", "0.1", "--eta", "0.01", "--sigma", "1",

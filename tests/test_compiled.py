@@ -13,7 +13,7 @@ from trkm import compiled, kernels, solver
 
 assert compiled.flapack is sys.modules["scipy.linalg._flapack"]
 assert compiled.distance is sys.modules["scipy.spatial._distance_pybind"]
-routines = ("getrf", "getrs", "gecon", "lange", "sytrf", "sytrf_lwork", "sytrs", "sycon")
+routines = ("getrf", "getrs", "sytrf", "sytrf_lwork", "sytrs")
 lapack = get_lapack_funcs(routines, dtype=np.float64)
 assert all(a is getattr(solver, "_" + name) for a, name in zip(lapack, routines)), lapack
 rng = np.random.default_rng(7)

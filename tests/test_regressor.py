@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from trkm import models
 from trkm.data import REGRESS
-from trkm.errors import DimensionMismatch, TooFewSamples
+from trkm.errors import DimensionMismatch, SingularSystem, TooFewSamples
 import trkm.solver
 from trkm.kernels import gaussian, gram, linear
 from trkm.metrics import regression_errors
@@ -155,14 +155,14 @@ def test_permuting_training_rows_keeps_predictions(seed):
 
 
 # 12 rows factor by LU; LDL_MIN_ORDER rows (an augmented order past it) by LDL^T.
-ROWS = {12: ("_getrf", "_gecon"), trkm.solver.LDL_MIN_ORDER: ("_sytrf", "_sycon")}
+ROWS = {12: "_getrf", trkm.solver.LDL_MIN_ORDER: "_sytrf"}
 
 
 @pytest.mark.parametrize("gamma2, eta2, factorizations", [
     (0.7, 0.9, 1), (1.4, 0.9, 2), (0.7, 0.45, 2),
 ])
 def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2, factorizations):
-    for n, (used, _) in ROWS.items():
+    for n, used in ROWS.items():
         with monkeypatch.context() as patch:
             calls = counting(patch, "_getrf", "_sytrf")
             x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
@@ -172,29 +172,38 @@ def test_equal_penalties_share_one_factorization(monkeypatch, rng, gamma2, eta2,
                                                         "upper-function system"]
 
 
-def test_equal_penalties_estimate_the_condition_once(monkeypatch, rng):
-    # Both systems report the estimate of the one +e matrix they share; gecon (or
-    # sycon) runs once, and its value is the one of a factor and a 1-norm taken here.
-    for n, (factored, estimated) in ROWS.items():
-        with monkeypatch.context() as patch:
-            calls = counting(patch, "_gecon", "_sycon")
-            x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
-            model = fit(x, y, 0.7, 0.9)
-        assert calls == {name: int(name == estimated) for name in calls}
-        core = gram(gaussian(1.0), x, x) / 0.7 + 0.9 * np.eye(n)
-        a, _ = augmented(core, np.ones(n), +1, y, float(n))
-        anorm = np.max(np.abs(a).sum(axis=0))
-        if factored == "_getrf":
-            lu, _, _ = lapack.dgetrf(a)
-            rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-        else:
-            ldu, ipiv, _ = lapack.dsytrf(a, lwork=int(lapack.dsytrf_lwork(n + 1)[0]))
-            rcond, _ = lapack.dsycon(ldu, ipiv, anorm)
-        estimates = [rep.condition_estimate for rep in model.fit_diag]
-        assert estimates[0] == estimates[1]
-        # The estimate's last bit can follow the alignment of LAPACK's workspace (seen
-        # for gecon and sycon alike at order 301), so only the 12-row one is bitwise.
-        assert abs(estimates[0] - 1.0 / rcond) <= (0.0 if n == 12 else 1e-13 / rcond)
+def pivot_ratio(x, y, gamma, eta, sigma):
+    """The largest over the smallest pivot of the +e matrix of TRKM-R on (x, y), formed and
+    factored here: |U's diagonal| of ``dgetrf`` below ``LDL_MIN_ORDER``, else the |eigenvalues|
+    of the D blocks of ``dsytrf``."""
+    n = len(x)
+    core = gram(gaussian(sigma), x, x) / gamma + eta * np.eye(n)
+    a, _ = augmented(core, np.ones(n), +1, y, float(n))
+    if n + 1 < trkm.solver.LDL_MIN_ORDER:
+        pivots = np.abs(np.diag(lapack.dgetrf(a)[0]))
+    else:
+        ldu, ipiv, _ = lapack.dsytrf(a, lwork=int(lapack.dsytrf_lwork(n + 1)[0]))
+        pivots = trkm.solver._block_pivots(ldu, ipiv)
+    return float(pivots.max()) / float(pivots.min())
+
+
+def test_equal_penalties_report_the_pivot_ratio_the_floor_reads(monkeypatch, rng):
+    # Both systems share one +e matrix, factored once, and report its pivot ratio: bitwise
+    # that of a factor taken here. At gamma = 10 LDL^T pivots on a 2x2 block of D, whose
+    # diagonal holds a zero. Past 1/RELATIVE_PIVOT_FLOOR the ratio is the floor's SingularSystem.
+    for n, factored in ROWS.items():
+        x, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        for gamma, eta in ((0.7, 0.9), (10.0, 0.01)):
+            with monkeypatch.context() as patch:
+                calls = counting(patch, "_getrf", "_sytrf")
+                model = fit(x, y, gamma, eta)
+            assert calls == {name: int(name == factored) for name in calls}
+            assert [rep.pivot_ratio for rep in model.fit_diag] == \
+                [pivot_ratio(x, y, gamma, eta, 1.0)] * 2
+        assert pivot_ratio(x, y, 0.7, 1e-14, 100.0) > 1.0 / trkm.solver.RELATIVE_PIVOT_FLOOR
+        with pytest.raises(SingularSystem, match=r"^lower-function system: pivot \S+ below "
+                           r"relative threshold 1e-12 \* "):
+            fit(x, y, 0.7, 1e-14, kernel=gaussian(100.0))
 
 
 def test_preconditions():

@@ -380,10 +380,9 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     assert refitted == [0.1]  # the healthy cell was never refitted
 
 
-def test_grid_refits_compute_no_condition_estimate(monkeypatch):
+def test_lu_refits_decide_a_spread_grid_with_one_factor_per_cell_and_fold(monkeypatch):
     # At sigma = 32 and penalties near 1e-5 every TRKM-R cell spreads over
-    # SPREAD_LIMIT, so LU refits decide the table; none of them may take the
-    # 1-norm (lange) or run an estimate (gecon, or sycon at larger orders).
+    # SPREAD_LIMIT, so LU refits decide the table, one factor per cell and fold.
     from trkm import solver
 
     x, y = sine(30, seed=2)
@@ -393,8 +392,6 @@ def test_grid_refits_compute_no_condition_estimate(monkeypatch):
     expected = per_cell_table(ds, grid, REGRESS, TRKM, 0)
     real_getrf, factorizations = solver._getrf, []
     monkeypatch.setattr(solver, "_getrf", lambda *a: factorizations.append(1) or real_getrf(*a))
-    for name in ("_lange", "_gecon", "_sycon"):
-        monkeypatch.setattr(solver, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran"))
     result = grid_search(ds, grid, REGRESS, model_kind=TRKM, seed=0)
     assert len(factorizations) == len(result.table) * grid.folds
     assert cells_of(result) == expected  # bitwise: LU decided every cell

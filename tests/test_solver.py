@@ -76,7 +76,7 @@ def test_dimension_mismatch():
 
 def test_border_sign_flips_column_only():
     # the sign sits on the border column only, so flipping it negates b and keeps h,
-    # bitwise; both signs solve on the one +e matrix, so residual and estimate agree too
+    # bitwise; both signs solve on the one +e matrix, so residual and pivot ratio agree too
     rng = np.random.default_rng(3)
     for _ in range(10):
         s = random_system(rng, int(rng.integers(1, 8)), +1)
@@ -86,7 +86,7 @@ def test_border_sign_flips_column_only():
         assert minus.h.tobytes() == plus.h.tobytes()
         assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
         assert minus.residual_norm == plus.residual_norm
-        assert minus.condition_estimate == plus.condition_estimate
+        assert minus.pivot_ratio == plus.pivot_ratio
 
 
 def test_residual_of_exact_solution_is_zero():
@@ -146,10 +146,10 @@ def test_matches_full_pivot_oracle_small():
         assert np.allclose(got, expected, atol=1e-9)
 
 
-def test_report_carries_condition_estimate():
+def test_report_carries_pivot_ratio():
     rep = solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1, 1], 2.0), "test system")
-    assert np.isfinite(rep.condition_estimate)
-    assert rep.condition_estimate >= 1.0
+    assert np.isfinite(rep.pivot_ratio)
+    assert rep.pivot_ratio >= 1.0
     assert rep.name == "test system" and rep.balance_target == 2.0
 
 
@@ -174,20 +174,14 @@ def outcome(system, factor=None):
         rep = solve_bordered(system, "test system", factor=factor)
     except SingularSystem as exc:
         return str(exc)
-    return rep.solution.tobytes(), rep.residual_norm, rep.condition_estimate
-
-
-def without_estimate(fields):
-    """``outcome`` of the same solve on a ``SharedFactor(estimate=False)``: only the estimate
-    goes."""
-    return fields if isinstance(fields, str) else (*fields[:2], None)
+    return rep.solution.tobytes(), rep.residual_norm, rep.pivot_ratio
 
 
 def contents(factor):
-    """A factor's factors, pivots and estimate as bytes; None while it is empty."""
+    """A factor's factors, pivots and pivot ratio as bytes; None while it is empty."""
     if factor.factors is None:
         return None
-    return factor.factors.tobytes(), factor.piv.tobytes(), repr(factor.cond)
+    return factor.factors.tobytes(), factor.piv.tobytes(), repr(factor.pivot_ratio)
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,42 +206,15 @@ def test_shared_factor_solves_the_other_sign_bitwise(
         x[-1] = x[0]
     kernel = gram(gaussian(2.0 ** log_sigma), x, x)
     gamma, eta = 10.0 ** log_gamma, 0.0 if log_eta is None else 10.0 ** log_eta
-    # ``lean`` is made with no estimate, as grid refits make theirs: its solves
-    # differ from those on a factor that estimates only in the estimate.
     first = system(kernel, gamma, eta, sign, rng.normal(size=n) * 10.0, float(n))
-    shared, lean = SharedFactor(), SharedFactor(estimate=False)
-    fresh = outcome(first)
-    assert outcome(first, shared) == fresh
-    assert outcome(first, lean) == without_estimate(fresh)
-    assert lean.cond is None
-    filled = (contents(shared), contents(lean))
+    shared = SharedFactor()
+    assert outcome(first, shared) == outcome(first)
+    filled = contents(shared)
     for other_sign in (-sign, sign):
         other = system(kernel, gamma, eta, other_sign, rng.normal(size=n), float(rng.normal()))
-        fresh = outcome(other)
-        assert outcome(other, shared) == fresh
-        assert outcome(other, lean) == without_estimate(fresh)
-        # no solve of either sign changes a filled factor or its estimate
-        assert (contents(shared), contents(lean)) == filled
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 80),
-    log_scale=st.integers(-300, 300),
-    bordered_gram=st.booleans(),
-)
-def test_one_norm_is_the_numpy_column_sum_bitwise(seed, n, log_scale, bordered_gram):
-    # LAPACK lange on a.T against the expression it replaced, on bordered Gaussian
-    # Gram matrices and on non-symmetric matrices of any scale.
-    rng = np.random.default_rng(seed)
-    if bordered_gram:
-        x = rng.normal(size=(n, 3))
-        a = trkm.solver._augmented(gram(gaussian(float(rng.uniform(0.1, 4.0))), x, x),
-                                   10.0 ** rng.uniform(-5, 5), 10.0 ** rng.uniform(-5, 5))
-    else:
-        a = rng.normal(size=(n, n)) * 10.0 ** (log_scale / 2)
-    assert trkm.solver._one_norm(a) == float(np.max(np.abs(a).sum(axis=0)))
+        assert outcome(other, shared) == outcome(other)
+        # no solve of either sign changes a filled factor or its pivot ratio
+        assert contents(shared) == filled
 
 
 def test_a_factor_of_another_system_never_gives_a_wrong_solution():
@@ -428,29 +395,29 @@ def verdict(system):
 
 
 @pytest.mark.parametrize("order, routines", [
-    (ORDER - 1, ("_getrf", "_getrs", "_gecon")), (ORDER, ("_sytrf", "_sytrs", "_sycon")),
+    (ORDER - 1, ("_getrf", "_getrs")), (ORDER, ("_sytrf", "_sytrs")),
 ])
 def test_the_order_chooses_lu_or_ldlt(monkeypatch, rng, order, routines):
-    names = ("_getrf", "_getrs", "_gecon", "_sytrf", "_sytrs", "_sycon")
+    names = ("_getrf", "_getrs", "_sytrf", "_sytrs")
     counts = counting(monkeypatch, *names)
     s, shared = gram_system(rng, order - 1), SharedFactor()
     for sign in (+1, -1):
         solve_bordered(dataclasses.replace(s, border_sign=sign), "test system", factor=shared)
     assert [counts[name] > 0 for name in names] == [name in routines for name in names]
-    assert counts[routines[0]] == counts[routines[2]] == 1  # one factor and estimate per twin
+    assert counts[routines[0]] == 1  # one factor per twin
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
     # Both factor one well-conditioned Gaussian system of order ORDER + 50; they round
-    # differently, so solutions agree to 1e-10 relative and the estimates to 1e-8.
+    # differently, so solutions agree to 1e-10 relative. Their pivots differ, and so do
+    # their pivot ratios.
     s = gram_system(rng, ORDER + 49, sign)
     ldlt = solve_bordered(s, "test system")
     monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
     lu = solve_bordered(s, "test system")
     scale = float(np.max(np.abs(lu.solution)))
     assert np.allclose(ldlt.solution, lu.solution, rtol=0, atol=1e-10 * scale)
-    assert ldlt.condition_estimate == pytest.approx(lu.condition_estimate, rel=1e-8)
     assert ldlt.residual_norm <= trkm.solver.residual_bound(s.rhs_top, s.rhs_bottom)
     assert ldlt.residual_norm == kernel_residual(s, ldlt.solution)
 
@@ -458,18 +425,14 @@ def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
 def test_both_signs_share_one_ldlt_factor_bitwise(rng):
     s = gram_system(rng, ORDER + 9, +1)
     fresh = outcome(dataclasses.replace(s, border_sign=-1))
-    for estimate in (True, False):
-        shared = SharedFactor(estimate=estimate)
-        plus = solve_bordered(s, "test system", factor=shared)
-        minus = solve_bordered(dataclasses.replace(s, border_sign=-1), "test system",
-                               factor=shared)
-        assert shared.symmetric and (shared.cond is None) == (not estimate)
-        assert minus.h.tobytes() == plus.h.tobytes()
-        assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
-        assert (minus.residual_norm, minus.condition_estimate) == \
-            (plus.residual_norm, shared.cond)
-        assert (fresh if estimate else without_estimate(fresh)) == \
-            (minus.solution.tobytes(), minus.residual_norm, minus.condition_estimate)
+    shared = SharedFactor()
+    plus = solve_bordered(s, "test system", factor=shared)
+    minus = solve_bordered(dataclasses.replace(s, border_sign=-1), "test system", factor=shared)
+    assert shared.symmetric
+    assert minus.h.tobytes() == plus.h.tobytes()
+    assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
+    assert (minus.residual_norm, minus.pivot_ratio) == (plus.residual_norm, shared.pivot_ratio)
+    assert fresh == (minus.solution.tobytes(), minus.residual_norm, minus.pivot_ratio)
 
 
 def test_a_vanishing_core_above_the_gate_is_a_pivot_failure(rng):
@@ -575,8 +538,7 @@ def test_a_fit_holds_one_formed_array_per_kernel_block(kind, task, second):
 @pytest.mark.parametrize("order", [ORDER, 601])
 @pytest.mark.parametrize("kind, task, second", FIT_CASES, ids=FIT_IDS)
 def test_a_fit_in_its_kernel_blocks_solves_as_a_separate_array_did(kind, task, second, order):
-    # h, b and the residual bitwise; the estimate's last bit follows the alignment of sycon's
-    # workspace, so it is held to 1e-14, and the 1-norm it starts from bitwise.
+    # h, b, the residual and the pivot ratio bitwise.
     x, y, _ = fit_data(kind, task, order)
     params = {"gamma": 0.5, "eta": 0.25, "sigma": 1.0, **second}
     model = models.fit(kind, task, x, y, params)
@@ -585,11 +547,10 @@ def test_a_fit_in_its_kernel_blocks_solves_as_a_separate_array_did(kind, task, s
     for family, penalties, report in zip(families, entry.system_penalties(params),
                                          model.fit_diag):
         system = family.at(*penalties)
-        solution, res_norm, cond, norm = oracles.separate_array_solve(system)
+        solution, res_norm, ratio = oracles.separate_array_solve(system)
         assert report.solution.tobytes() == solution.tobytes()
         assert report.residual_norm == res_norm
-        assert report.condition_estimate == pytest.approx(cond, rel=1e-14, abs=0)
-        assert trkm.solver._symmetric_one_norm(family.kernel.formed(*penalties)) == norm
+        assert report.pivot_ratio == ratio
 
 
 def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
@@ -599,11 +560,11 @@ def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
     family = regressor.systems((x, y), gaussian(0.5))[1]
     pairs = ((0.5, 0.25), (3.0, 1e-3), (0.5, 0.25))
     fresh = [oracles.separate_array_solve(family.at(g, e)) for g, e in pairs]
-    for (g, e), (solution, res_norm, _, _) in zip(pairs, fresh):
+    for (g, e), (solution, res_norm, ratio) in zip(pairs, fresh):
         report = solve_bordered(family.at(g, e), "test system")
-        assert (report.solution.tobytes(), report.residual_norm) == (solution.tobytes(), res_norm)
+        assert (report.solution.tobytes(), report.residual_norm, report.pivot_ratio) == \
+            (solution.tobytes(), res_norm, ratio)
     assert family.kernel.diagonal is not None  # the block was formed and factored in place
-    assert trkm.solver._symmetric_one_norm(family.kernel.formed(3.0, 1e-3)) == fresh[1][3]
 
 
 @pytest.mark.parametrize("n", [313, 600, 625])
@@ -622,15 +583,6 @@ def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng, n):
         a[np.tril_indices(n + 1)] = np.nan  # as a factor would: K stays in the upper triangle
     assert np.asarray(block).tobytes() == k.tobytes()
     assert (block @ h).tobytes() == (k @ h).tobytes()
-
-
-@pytest.mark.parametrize("order", [ORDER, 313, 601, 625, 1002])
-def test_the_symmetric_one_norm_reads_only_the_lower_triangle_bitwise(rng, order):
-    x = rng.normal(size=(order - 1, 3))
-    a = trkm.solver._augmented(gram(gaussian(0.8), x, x), 0.3, 0.7)
-    expected = trkm.solver._one_norm(a)
-    a[np.triu_indices(order, 1)] = np.nan
-    assert trkm.solver._symmetric_one_norm(a) == expected and len(row_blocks(order)) > 1
 
 
 def sytrf(a):

@@ -1,5 +1,5 @@
 """Rules on the package source, checked on its syntax trees: one module writes files, one
-module reads CSV, and one lays out kernel blocks."""
+module reads CSV, one lays out kernel blocks, and one calls LAPACK, through five routines."""
 
 import ast
 
@@ -12,6 +12,10 @@ WRITERS = {"write_text", "write_bytes", "tofile", "savetxt", "mkstemp", "NamedTe
 
 # Names of the row blocks a kernel block's (n+1)^2 array is built, formed and read in.
 LAYOUT = {"row_blocks", "ROW_BLOCK_BYTES", "bordered_gram"}
+
+
+# The LAPACK routines of ``compiled.flapack`` the solver factors and solves with.
+LAPACK = {"dgetrf", "dgetrs", "dsytrf", "dsytrf_lwork", "dsytrs"}
 
 
 def called(node):
@@ -50,6 +54,19 @@ def knows_block_layout(node):
     return name in LAYOUT or (isinstance(node, ast.Call) and called(node) == "KernelBlock")
 
 
+def imports_flapack(node):
+    """Whether a node imports ``flapack`` by name (``from .compiled import flapack``)."""
+    return isinstance(node, ast.ImportFrom) and any(a.name == "flapack" for a in node.names)
+
+
+def flapack_reads(path):
+    """The names a module reads off ``compiled.flapack``: each ``flapack.name`` and
+    ``compiled.flapack.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and "flapack" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))}
+
+
 def modules_where(rule):
     """The package modules, by stem, with a node the rule holds for."""
     return {path.stem for path in SOURCES
@@ -71,3 +88,11 @@ def test_only_solver_knows_the_kernel_block_layout():
     # solver.KernelBlock builds, forms and reads its array; the model modules call
     # KernelBlock.of, and kernels only evaluates kernels.
     assert modules_where(knows_block_layout) == {"solver"}
+
+
+def test_only_solver_reads_lapack_and_only_its_factor_and_solve_routines():
+    # A LAPACK routine outside the solver's LU and LDL^T factor and solve, such as a
+    # condition estimate, is a cost no gate reads.
+    assert modules_where(imports_flapack) == {"solver"}
+    reads = {(path.stem, name) for path in SOURCES for name in flapack_reads(path)}
+    assert reads == {("solver", name) for name in LAPACK}
