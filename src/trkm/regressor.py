@@ -10,7 +10,7 @@ Both systems run over the full sample. With K = kernel(X, X) and e ones:
 
 so sum(h1) = sum(h2) = n after every fit. With g1 = g2 and eta1 = eta2 the
 two systems share their core, and a border sign only negates b, so
-``solver.solve_families`` factors one +e matrix for both (``SharedFactor``);
+both solve on one +e factor, held by their one kernel block;
 unequal penalties take one factorization per system. The predictor averages the two
 dual-form functions; there is no epsilon tube, the model is purely
 least-squares-style. Targets are used unscaled here; any normalization is

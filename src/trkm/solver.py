@@ -28,16 +28,11 @@ in the gates, is evaluated on the kernel by ``residual``, never on a formed or
 factored matrix: a formed ``KernelBlock`` reads K back for it.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
-exactly. So only the +e matrix is formed and factored, and systems on one
-(kernel, gamma, eta) share its factor (``SharedFactor``), which no solve
-changes. Every fit and grid refit solves through ``solve_families``, which
-keeps one factor alive at a time and gives it only systems of its (kernel,
-gamma, eta). Above the gate that factor lives in its kernel block's array, and
-a system on the block at other penalties forms its matrix there anew from the
-upper triangle; a fitted model keeps no factor. Nothing else checks that a
-factor fits its system: a mismatched one fails the residual gate, evaluated
-on the system's own kernel and penalties, unless refinement reached its
-solution.
+exactly. So only the +e matrix is formed and factored, and a ``KernelBlock``
+holds the factor of its last (gamma, eta) with those ``penalties``: a solve on
+the block at the same penalties, of either sign, reuses it, one at others
+forms and factors anew. A block's K never changes, and the +e matrix depends
+only on (K, gamma, eta), so reuse is exact. A fitted model keeps no block.
 
 A solve reports one conditioning figure, its factor's ``pivot_ratio``: the largest
 over the smallest pivot, which the pivot floor holds below 1/``RELATIVE_PIVOT_FLOOR``.
@@ -113,6 +108,13 @@ class KernelBlock:
     ``store``, in which its bordered systems of order ``LDL_MIN_ORDER`` and more are formed and
     factored; ``of`` builds it, ``holding`` copies a plain array into it.
 
+    The block holds the factor of one (gamma, eta)'s +e augmented matrix, made by ``factor``
+    and solved on by ``solve``: ``factors`` and ``piv`` are sytrf's at order ``LDL_MIN_ORDER``
+    and above (``symmetric``), where ``factors`` is ``store``'s memory, else getrf's own
+    (n+1)^2 array. ``pivot_ratio`` is its largest over its smallest pivot, the figure the pivot
+    floor reads. ``penalties`` is that (gamma, eta), or None while the block holds no factor:
+    ``formed`` sets it to None before it writes over the factor.
+
     Until the first of them, ``store[:n, :n]`` is K, row n and column n are unset, and
     ``np.asarray`` of the block is that view. ``formed`` then saves K's diagonal in
     ``diagonal`` and writes the +e matrix into the C-lower triangle, the diagonal and row n:
@@ -125,6 +127,8 @@ class KernelBlock:
     def __init__(self, store: np.ndarray):
         self.store = store
         self.diagonal = None  # None while store[:n, :n] is K
+        self.penalties = self.factors = self.piv = self.pivot_ratio = None
+        self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
 
     @classmethod
     def of(cls, spec: KernelSpec, x) -> KernelBlock:
@@ -174,6 +178,7 @@ class KernelBlock:
         K's rows: ``store``'s own until the first form, then those read from the upper triangle.
         NonFiniteSystem for a non-finite entry of the core."""
         a, n = self.store, len(self.store) - 1
+        self.penalties = None
         if self.diagonal is None:
             self.diagonal = a.diagonal()[:n].copy()
             blocks = ((start, stop, a[start:stop]) for start, stop in row_blocks(n))
@@ -195,6 +200,33 @@ class KernelBlock:
         a[n, :n] = 1.0
         a[n, n] = 0.0
         return a
+
+    def factor(self, a: np.ndarray, gamma, eta, name: str) -> None:
+        """Factor the +e augmented matrix ``a`` of (gamma, eta), in place at order
+        ``LDL_MIN_ORDER`` and above, where ``a`` is ``formed``'s and only its C-lower triangle
+        and diagonal are read. A pivot below the floor is SingularSystem."""
+        symmetric = a.shape[0] >= LDL_MIN_ORDER
+        if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
+            # the Fortran-ordered a.T is a's memory, no copy; its upper triangle is a's C-lower
+            factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
+            pivots = _block_pivots(factors, piv)
+        else:
+            factors, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
+            pivots = np.abs(np.diag(factors))
+        largest, smallest = float(pivots.max()), float(pivots.min())
+        if largest == 0.0 or smallest < RELATIVE_PIVOT_FLOOR * largest:
+            raise SingularSystem(
+                f"{name}: pivot {smallest:.3e} below relative threshold "
+                f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
+            )
+        self.factors, self.piv, self.symmetric = factors, piv, symmetric
+        self.pivot_ratio, self.penalties = largest / smallest, (gamma, eta)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The matrix's solution at ``rhs``, from its factor."""
+        if self.symmetric:
+            return _sytrs(self.factors, self.piv, rhs)[0]
+        return _getrs(self.factors, self.piv, rhs)[0]
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -289,7 +321,7 @@ class SolveReport:
     ``residual_norm`` is the max-abs residual of the bordered system,
     balance row included, evaluated on its kernel (``residual``), never on
     the factored form; ``pivot_ratio`` is that of the factor it was solved on
-    (``SharedFactor``). ``balance_target`` is the system's ``rhs_bottom``.
+    (``KernelBlock.factor``). ``balance_target`` is the system's ``rhs_bottom``.
     ``solution`` is [h; b].
     """
 
@@ -301,55 +333,6 @@ class SolveReport:
 
     h = property(lambda self: self.solution[:-1])
     b = property(lambda self: float(self.solution[-1]))
-
-
-class SharedFactor:
-    """The factor of one (kernel, gamma, eta)'s +e augmented matrix, for both border signs.
-
-    Made empty. The first
-    ``solve_bordered(system, name, factor=f)`` forms its system's +e matrix and
-    factors it into ``f``. At order ``LDL_MIN_ORDER`` and above that is LDL^T in
-    the kernel block's own (n+1)^2 array (``KernelBlock``), which ``f`` holds as
-    its factor. Below it, LU on getrf's copy of a formed matrix, which is then
-    dropped, and ``f`` holds getrf's (n+1)^2 array. Each later call
-    with ``f`` solves on that factor, and no call changes it; a solve on the same
-    block at other penalties forms its own matrix over it, so ``f`` is then no
-    factor of its system. ``pivot_ratio`` is its largest over its smallest pivot,
-    the figure the pivot floor reads. Only systems on
-    the factored (kernel, gamma, eta) may share ``f``; one on another fails the
-    residual gate (see the module docstring).
-    """
-
-    def __init__(self):
-        self.factors = self.piv = self.pivot_ratio = None  # None while empty
-        self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
-
-    def fill(self, a: np.ndarray, name: str) -> None:
-        """Factor the +e augmented matrix ``a``, in place at order ``LDL_MIN_ORDER`` and
-        above, where only its C-lower triangle and diagonal are read. A pivot below the floor
-        is SingularSystem."""
-        symmetric = a.shape[0] >= LDL_MIN_ORDER
-        if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
-            # the Fortran-ordered a.T is a's memory, no copy; its upper triangle is a's C-lower
-            factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
-            pivots = _block_pivots(factors, piv)
-        else:
-            factors, piv, _ = _getrf(a)  # an exactly-zero pivot fails the check below
-            pivots = np.abs(np.diag(factors))
-        largest, smallest = float(pivots.max()), float(pivots.min())
-        if largest == 0.0 or smallest < RELATIVE_PIVOT_FLOOR * largest:
-            raise SingularSystem(
-                f"{name}: pivot {smallest:.3e} below relative threshold "
-                f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
-            )
-        self.factors, self.piv, self.symmetric = factors, piv, symmetric
-        self.pivot_ratio = largest / smallest
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The matrix's solution at ``rhs``, from its factor."""
-        if self.symmetric:
-            return _sytrs(self.factors, self.piv, rhs)[0]
-        return _getrs(self.factors, self.piv, rhs)[0]
 
 
 def _block_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
@@ -403,39 +386,37 @@ def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
     return a
 
 
-def solve_bordered(system: BorderedSystem, name: str,
-                   factor: SharedFactor | None = None) -> SolveReport:
-    """Form and solve the bordered system named ``name`` by LU or LDL^T (``SharedFactor``).
+def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
+    """Solve the bordered system named ``name`` by LU or LDL^T on its kernel block's factor.
 
     The kernel block must be symmetric, as every Gram block is bitwise: at or
     above ``LDL_MIN_ORDER`` the factor reads its lower triangle. A
-    ``KernelBlock`` is formed and factored in its own array (a second system
-    on it at other penalties forms over the first's factor); a plain array
-    kernel is copied into a new block first, and stays the kernel its residual
-    is evaluated on, so a non-symmetric one there is SingularSystem or solved,
-    never solved wrongly.
+    ``KernelBlock`` that holds no factor of the system's (gamma, eta) forms its
+    +e matrix and factors it (``KernelBlock.factor``); one that does solves on
+    it. A plain array kernel is copied into a new block first, and stays the
+    kernel its residual is evaluated on, so a non-symmetric one there is
+    SingularSystem or solved, never solved wrongly.
 
     The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
-    ``rhs_top`` is NonFiniteSystem, a ValueError. ``factor``, when given, is
-    filled by this call if empty and reused if not; it must be a factor of this
-    system's (kernel, gamma, eta), and a fresh ``SharedFactor()`` is used when it
-    is None. Raises SingularSystem, its message prefixed with ``name``, when a
-    pivot falls below the relative floor, the refined residual exceeds
-    ``residual_bound`` or the solution fails ``balance_met``. The report's
-    ``pivot_ratio`` is the factor's.
+    ``rhs_top`` is NonFiniteSystem, a ValueError. Raises SingularSystem, its
+    message prefixed with ``name``, when a pivot falls below the relative
+    floor, the refined residual exceeds ``residual_bound`` or the solution
+    fails ``balance_met``. The report's ``pivot_ratio`` is the factor's.
     """
-    kernel = system.kernel
-    if not isinstance(kernel, KernelBlock):
+    kernel, gamma, eta = system.kernel, system.gamma, system.eta
+    if isinstance(kernel, KernelBlock):
+        block = kernel
+    else:
         kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
             raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
+        block = KernelBlock.holding(kernel)
     n = kernel.shape[0]
-    factor = SharedFactor() if factor is None else factor
-    if factor.factors is None and n + 1 < LDL_MIN_ORDER:
-        a = _augmented(np.asarray(kernel), system.gamma, system.eta)
-    elif factor.factors is None:
-        block = kernel if isinstance(kernel, KernelBlock) else KernelBlock.holding(kernel)
-        a = block.formed(system.gamma, system.eta)
+    fresh = block.penalties != (gamma, eta)
+    if fresh and n + 1 < LDL_MIN_ORDER:
+        a = _augmented(np.asarray(kernel), gamma, eta)
+    elif fresh:
+        a = block.formed(gamma, eta)
     rhs_top = np.asarray(system.rhs_top, dtype=float)
     if rhs_top.shape != (n,):
         raise DimensionMismatch(f"kernel is {n}x{n} but rhs_top has shape {rhs_top.shape}")
@@ -446,19 +427,18 @@ def solve_bordered(system: BorderedSystem, name: str,
     rhs_bottom = float(system.rhs_bottom)
     if not np.isfinite(rhs_bottom):
         raise ValueError("rhs_bottom is not finite")
-    if factor.factors is None:
-        factor.fill(a, name)
-        del a  # the factor's array, or below the gate the matrix getrf copied
-    x = factor.solve(np.concatenate([rhs_top, [rhs_bottom]]))
+    if fresh:
+        block.factor(a, gamma, eta, name)
+        del a  # the block's own array, or below the gate the matrix getrf copied
+    x = block.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
-        res, total = residual(kernel, system.gamma, system.eta, x[:n], x[n], rhs_top, rhs_bottom)
+        res, total = residual(kernel, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
         for _ in range(_REFINE_ROUNDS):
             if float(np.max(np.abs(res))) <= tol:
                 break
-            x = x - factor.solve(res)
-            res, total = residual(kernel, system.gamma, system.eta, x[:n], x[n], rhs_top,
-                                  rhs_bottom)
+            x = x - block.solve(res)
+            res, total = residual(kernel, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
     if not res_norm <= tol:
@@ -467,19 +447,12 @@ def solve_bordered(system: BorderedSystem, name: str,
     total = float(total)
     if not balance_met(total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
-    return SolveReport(x, res_norm, factor.pivot_ratio, name, rhs_bottom)
+    return SolveReport(x, res_norm, block.pivot_ratio, name, rhs_bottom)
 
 
 def solve_families(families, penalties) -> tuple[SolveReport, ...]:
-    """Solve each family at its (gamma, eta), in order and under its name; adjacent families
-    on the same kernel object at the same (gamma, eta) share one ``SharedFactor``, and no
-    other factor is kept, so at most one is alive."""
-    reports, key, factor = [], None, None
-    for f, (g, e) in zip(families, penalties):
-        if (id(f.kernel), g, e) != key:
-            key, factor = (id(f.kernel), g, e), SharedFactor()
-        reports.append(solve_bordered(f.at(g, e), f.name, factor))
-    return tuple(reports)
+    """Solve each family at its (gamma, eta), in order and under its name."""
+    return tuple(solve_bordered(f.at(g, e), f.name) for f, (g, e) in zip(families, penalties))
 
 
 @dataclass(frozen=True)

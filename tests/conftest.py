@@ -32,7 +32,8 @@ def rng():
 
 
 def counting(monkeypatch, *names):
-    """Count the calls of each named LAPACK routine of trkm.solver, which still runs."""
+    """Count the calls of each named function of trkm.solver (a LAPACK routine or
+    ``solve_bordered``), which still runs."""
     import trkm.solver
 
     counts = dict.fromkeys(names, 0)

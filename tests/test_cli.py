@@ -622,6 +622,33 @@ def test_gridsearch_whose_best_cell_fails_to_retrain_says_so(
         "rkm system: residual 2.049e-08 exceeds tolerance 1.000e-08\n")
     assert not (tmp_path / "model.json").exists()
 
+def error_classes():
+    """Every TrkmError subclass that trkm.errors defines."""
+    from trkm import errors
+
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.TrkmError) and c is not errors.TrkmError]
+
+
+@pytest.mark.parametrize("error", error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, error):
+    # The README's exit codes: 4 numerical failures, 3 data errors, 2 a non-finite system
+    # (a usage error); each with a one-line message, and no traceback.
+    from trkm import cli
+    from trkm.errors import DATA_ERRORS, NUMERIC_ERRORS, NonFiniteSystem
+
+    codes = [code for group, code in ((NUMERIC_ERRORS, 4), (DATA_ERRORS, 3),
+                                      ((NonFiniteSystem,), 2)) if issubclass(error, group)]
+    assert codes, f"{error.__name__} is in no exit-code group"
+
+    def raising(args):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setattr(cli, "cmd_stats", raising)
+    assert main(["stats", "--scores-file", "scores.csv"]) == codes[0]
+    assert capsys.readouterr() == ("", f"error: {error.__name__} raised\n")
+
+
 # Six rows, one of them a negative: the fold that validates it trains on positives alone.
 ONE_NEGATIVE = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,b\n0.7,0.4,b\n0.2,0.8,b\n0.9,0.6,b\n"
 # Three of each class, at penalties that put a class system's pivot below the floor.

@@ -31,7 +31,7 @@ from trkm.selection import (
 from trkm.synthetic import blobs, sine
 
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, counting
 
 
 def class_dataset(n_pos, n_neg, seed=0, m=2):
@@ -301,10 +301,25 @@ PER_CLASS_GRID = GridSpec(gamma_values=(1e-2, 10.0), eta_values=(1e-3, 1.0),
                          sigma_values=(1.0,), equal_penalties=False, folds=3)
 
 
-def test_per_class_penalties_equal_per_cell_fits():
+def test_per_class_penalties_equal_per_cell_fits(monkeypatch):
+    # Once as the search decides it, once with every batched column rejected, so that LU
+    # refits decide every cell. A class block keeps its factor from one refit to the next,
+    # so refits repeating its system's penalties factor nothing: fewer factorizations than
+    # refitted systems.
+    from trkm import solver
+
+    expected = per_cell_table(small_dataset(), PER_CLASS_GRID, CLASSIFY, TRKM, 1)
     result = grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=TRKM, seed=1)
     assert len(result.table) == 16
-    assert cells_of(result) == per_cell_table(small_dataset(), PER_CLASS_GRID, CLASSIFY, TRKM, 1)
+    assert cells_of(result) == expected
+    real_solve = models.solve_spectral
+    monkeypatch.setattr(models, "solve_spectral", lambda *args: dataclasses.replace(
+        real_solve(*args), passed=np.zeros(len(args[-1].gammas), dtype=bool)))
+    counts = counting(monkeypatch, "_getrf", "solve_bordered")
+    result = grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=TRKM, seed=1)
+    assert cells_of(result) == expected
+    assert counts["solve_bordered"] == 2 * len(result.table) * PER_CLASS_GRID.folds
+    assert 0 < counts["_getrf"] < counts["solve_bordered"]
 
 
 def test_rkm_refuses_per_class_penalties():

@@ -15,7 +15,6 @@ import trkm.solver
 from trkm.solver import (
     BorderedSystem,
     KernelBlock,
-    SharedFactor,
     row_blocks,
     solve_bordered,
     spectral_shift,
@@ -168,20 +167,26 @@ def test_balance_row_miss_within_residual_bound_is_singular(monkeypatch):
         solve_bordered(system(np.eye(2), 2.0, 0.5, +1, [1e4, 1e4], 0.0), "test system")
 
 
-def outcome(system, factor=None):
+def outcome(system):
     """The report fields of one solve as exact values, or its SingularSystem message."""
     try:
-        rep = solve_bordered(system, "test system", factor=factor)
+        rep = solve_bordered(system, "test system")
     except SingularSystem as exc:
         return str(exc)
     return rep.solution.tobytes(), rep.residual_norm, rep.pivot_ratio
 
 
-def contents(factor):
-    """A factor's factors, pivots and pivot ratio as bytes; None while it is empty."""
-    if factor.factors is None:
+def contents(block):
+    """A block's penalties, factors, pivots and pivot ratio as bytes; None while it holds no
+    factor."""
+    if block.penalties is None:
         return None
-    return factor.factors.tobytes(), factor.piv.tobytes(), repr(factor.pivot_ratio)
+    return block.penalties, block.factors.tobytes(), block.piv.tobytes(), repr(block.pivot_ratio)
+
+
+def on(block, system):
+    """``system`` on ``block``."""
+    return dataclasses.replace(system, kernel=block)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,39 +212,14 @@ def test_shared_factor_solves_the_other_sign_bitwise(
     kernel = gram(gaussian(2.0 ** log_sigma), x, x)
     gamma, eta = 10.0 ** log_gamma, 0.0 if log_eta is None else 10.0 ** log_eta
     first = system(kernel, gamma, eta, sign, rng.normal(size=n) * 10.0, float(n))
-    shared = SharedFactor()
-    assert outcome(first, shared) == outcome(first)
-    filled = contents(shared)
+    block = KernelBlock.holding(kernel)
+    assert outcome(on(block, first)) == outcome(first)
+    filled = contents(block)
     for other_sign in (-sign, sign):
         other = system(kernel, gamma, eta, other_sign, rng.normal(size=n), float(rng.normal()))
-        assert outcome(other, shared) == outcome(other)
-        # no solve of either sign changes a filled factor or its pivot ratio
-        assert contents(shared) == filled
-
-
-def test_a_factor_of_another_system_never_gives_a_wrong_solution():
-    # Nothing checks that a factor was made for its system; refinement and the
-    # residual gate run on the system's own kernel and penalties, so a mismatch
-    # converges to the system's own solution or fails.
-    rng = np.random.default_rng(5)
-    s = random_system(rng, 5, +1)
-    shared = SharedFactor()
-    solve_bordered(s, "test system", factor=shared)
-    near = system(s.kernel + 1e-12, s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom)
-    solved, own = solve_bordered(near, "test system", factor=shared), solve_bordered(near, "x")
-    assert np.max(np.abs(solved.solution - own.solution)) <= 5e-13
-    assert solved.residual_norm <= trkm.solver.residual_bound(near.rhs_top, near.rhs_bottom)
-    for other in (system(s.kernel, s.gamma * 2.0, s.eta, -1, s.rhs_top, s.rhs_bottom),
-                  system(s.kernel, s.gamma, s.eta + 1.0, -1, s.rhs_top, s.rhs_bottom)):
-        with pytest.raises(SingularSystem, match="^test system: residual .* exceeds tolerance"):
-            solve_bordered(other, "test system", factor=shared)
-    # a smaller system's right-hand side does not fit the factor: f2py refuses it
-    smaller = system(s.kernel[:4, :4], s.gamma, s.eta, -1, s.rhs_top[:4], s.rhs_bottom)
-    with pytest.raises(ValueError, match="dimension must be fixed to 6 but got 5"):
-        solve_bordered(smaller, "test system", factor=shared)
-    # a copy of the same kernel is the same system
-    same = system(s.kernel.copy(), s.gamma, s.eta, -1, s.rhs_top, s.rhs_bottom)
-    assert outcome(same, shared) == outcome(same)
+        assert outcome(on(block, other)) == outcome(other)
+        # no solve of either sign changes a held factor or its pivot ratio
+        assert contents(block) == filled
 
 
 def test_non_finite_core_is_refused():
@@ -400,11 +380,43 @@ def verdict(system):
 def test_the_order_chooses_lu_or_ldlt(monkeypatch, rng, order, routines):
     names = ("_getrf", "_getrs", "_sytrf", "_sytrs")
     counts = counting(monkeypatch, *names)
-    s, shared = gram_system(rng, order - 1), SharedFactor()
+    s = gram_system(rng, order - 1)
+    block = KernelBlock.holding(s.kernel)
     for sign in (+1, -1):
-        solve_bordered(dataclasses.replace(s, border_sign=sign), "test system", factor=shared)
+        solve_bordered(on(block, dataclasses.replace(s, border_sign=sign)), "test system")
     assert [counts[name] > 0 for name in names] == [name in routines for name in names]
     assert counts[routines[0]] == 1  # one factor per twin
+
+
+@pytest.mark.parametrize("order", [ORDER - 1, ORDER])
+def test_the_factor_follows_the_blocks_penalties(monkeypatch, rng, order):
+    # A block factors once per (gamma, eta) it is solved at, for both signs. A solve at other
+    # penalties that fails after forming leaves no stale factor: above the gate it formed
+    # over the held one, and the block then holds none; below it, the held LU factor is
+    # getrf's own array, kept and used.
+    counts = counting(monkeypatch, "_getrf", "_sytrf")
+    s = gram_system(rng, order - 1)
+    block = KernelBlock.holding(s.kernel)
+    at = lambda **changes: on(block, dataclasses.replace(s, **changes))
+    for sign in (+1, -1):
+        solve_bordered(at(border_sign=sign), "test system")
+    assert sum(counts.values()) == 1 and block.penalties == (s.gamma, s.eta)
+    other = outcome(at(gamma=3.0, eta=0.01))
+    assert sum(counts.values()) == 2 and block.penalties == (3.0, 0.01)
+    held = contents(block)
+    inf_rhs = np.where(np.arange(order - 1) == 3, np.inf, s.rhs_top)
+    for failing, error, message in (
+        (at(gamma=2.0, rhs_top=inf_rhs), NonFiniteSystem, "^rhs_top contains non-finite"),
+        (at(gamma=1e300, eta=1e-300), SingularSystem, "^test system: pivot"),
+    ):
+        assert outcome(at(gamma=3.0, eta=0.01)) == other and contents(block) == held
+        with pytest.raises(error, match=message):
+            solve_bordered(failing, "test system")
+        assert contents(block) == (None if order >= ORDER else held)
+    # the pivot failure factored; above the gate the held factor was made a second time
+    assert sum(counts.values()) == (4 if order >= ORDER else 3)
+    assert outcome(at()) == outcome(s)  # s's plain array goes into a new block
+    assert sum(counts.values()) == (6 if order >= ORDER else 5)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -425,13 +437,13 @@ def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
 def test_both_signs_share_one_ldlt_factor_bitwise(rng):
     s = gram_system(rng, ORDER + 9, +1)
     fresh = outcome(dataclasses.replace(s, border_sign=-1))
-    shared = SharedFactor()
-    plus = solve_bordered(s, "test system", factor=shared)
-    minus = solve_bordered(dataclasses.replace(s, border_sign=-1), "test system", factor=shared)
-    assert shared.symmetric
+    block = KernelBlock.holding(s.kernel)
+    plus = solve_bordered(on(block, s), "test system")
+    minus = solve_bordered(on(block, dataclasses.replace(s, border_sign=-1)), "test system")
+    assert block.symmetric
     assert minus.h.tobytes() == plus.h.tobytes()
     assert minus.solution[-1:].tobytes() == (-plus.solution[-1:]).tobytes()
-    assert (minus.residual_norm, minus.pivot_ratio) == (plus.residual_norm, shared.pivot_ratio)
+    assert (minus.residual_norm, minus.pivot_ratio) == (plus.residual_norm, block.pivot_ratio)
     assert fresh == (minus.solution.tobytes(), minus.residual_norm, minus.pivot_ratio)
 
 
@@ -455,17 +467,21 @@ def test_a_huge_core_above_the_gate_is_a_pivot_failure_silently(rng):
 def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng):
     # sigma = 32 and gamma = eta = 1e-5, the hardest grid cell: TRKM-R's systems on a
     # sine sample pass on both paths, and random right-hand sides fail the residual
-    # gate on both.
+    # gate on both. Each path states the systems on a new block, which holds no factor.
     from trkm.regressor import systems
     from trkm.synthetic import sine
 
     x, y = sine(ORDER, seed=2)
-    cases = [family.at(1e-5, 1e-5) for family in systems((x, y), gaussian(32.0))]
-    cases += [gram_system(rng, ORDER, sign, sigma=32.0, gamma=1e-5, eta=1e-5)
-              for sign in (+1, -1)]
-    ldlt = [verdict(s) for s in cases]
+    randoms = [gram_system(rng, ORDER, sign, sigma=32.0, gamma=1e-5, eta=1e-5)
+               for sign in (+1, -1)]
+
+    def verdicts():
+        twins = [family.at(1e-5, 1e-5) for family in systems((x, y), gaussian(32.0))]
+        return [verdict(s) for s in twins + randoms]
+
+    ldlt = verdicts()
     monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
-    assert ldlt == [verdict(s) for s in cases] == ["passed"] * 2 + ["residual"] * 2
+    assert ldlt == verdicts() == ["passed"] * 2 + ["residual"] * 2
 
 
 def traced_peak(call):
@@ -489,9 +505,9 @@ def test_a_large_solve_holds_one_formed_array(rng):
     s = gram_system(rng, n)
     formed = (n + 1) ** 2 * 8
     assert traced_peak(lambda: solve_bordered(s, "test system")) <= 1.25 * formed
-    shared = SharedFactor()
-    solve_bordered(s, "test system", factor=shared)
-    assert shared.symmetric and not hasattr(shared, "matrix")
+    block = KernelBlock.holding(s.kernel)
+    solve_bordered(on(block, s), "test system")
+    assert block.symmetric and np.shares_memory(block.factors, block.store)
 
 
 def test_the_finiteness_check_holds_no_n_squared_temporary(rng):
