@@ -148,7 +148,8 @@ def cmd_predict(args) -> int:
     x, raw_truth, names = parse_feature_table(args.data, column, args.delimiter, not args.no_header)
     trained_m = models.n_features(saved.model)
     if x.shape[1] != trained_m:
-        raise FeatureCountMismatch(f"data has {x.shape[1]} feature columns, model expects {trained_m}")
+        raise FeatureCountMismatch(f"{args.data}: data has {x.shape[1]} feature columns, "
+                                   f"model {args.model} expects {trained_m}")
     if truth_col is None:
         truth = None
     elif saved.task == REGRESS:
@@ -159,7 +160,8 @@ def cmd_predict(args) -> int:
         lookup = dict(saved.label_mapping)
         unknown = sorted({t for t in raw_truth if t not in lookup})
         if unknown:
-            raise ParseError(f"truth labels {unknown} unknown to the model")
+            raise ParseError(f"{args.data}: truth labels {unknown} in column {truth_col!r} "
+                             f"unknown to model {args.model}, which knows {list(lookup)}")
         truth = np.array([lookup[t] for t in raw_truth], dtype=np.int64)
     if saved.normalization is not None:
         dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task, feature_names=names)
@@ -354,7 +356,7 @@ def _read(obj: dict, where: str, table, **defaults) -> dict:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
             cfg = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -76,7 +76,7 @@ def _by_bytes(tokens) -> list[str]:
 
 def _read_rows(path: str, delimiter: str) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             return [row for row in csv.reader(fh, delimiter=delimiter)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

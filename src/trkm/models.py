@@ -263,10 +263,10 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     families, terms = entry.statement(X, y, X_valid, gaussian(sigma))
     gammas = table.gammas
     decision, size, passed = 0.0, 0.0, np.ones(len(table.columns[0]), dtype=bool)
-    blocks = {id(system.kernel): system.kernel for system in families}
-    shifts = {block: spectral_shift(kernel, gammas, table.etas) for block, kernel in blocks.items()}
+    shifts = {block: spectral_shift(block, gammas, table.etas)
+              for block in dict.fromkeys(system.kernel for system in families)}
     for system, term, column in zip(families, terms, table.columns):
-        shift = shifts[id(system.kernel)]
+        shift = shifts[system.kernel]
         solved = solve_spectral(system.kernel, system.border_sign, system.rhs_top(gammas),
                                 system.rhs_bottom, shift)
         passed &= solved.passed[column]

@@ -172,7 +172,7 @@ def kfold_indices(n: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.nd
     if k < 2:
         raise ValueError(f"folds must be >= 2, got {k}")
     if k > n:
-        raise TooFewSamples(f"cannot make {k} folds from {n} samples")
+        raise TooFewSamples(f"cannot make {k} folds from {n} samples: use fewer folds (--folds)")
     parts = np.array_split(np.random.default_rng(seed).permutation(n), k)
     return [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), np.sort(part))
             for i, part in enumerate(parts)]

@@ -9,23 +9,23 @@ where K is a kernel block, (gamma, eta) its regularizers and e a ones
 vector enforcing the balance constraint sum(h) = rhs_bottom. Each model
 module states its systems once for every (gamma, eta), as ``BorderedFamily``
 data, and their terms at query rows as ``DecisionTerm`` data; ``at`` gives the
-``BorderedSystem`` of one (gamma, eta). ``solve_bordered`` alone forms the
-augmented matrix: K/gamma, eta added onto its diagonal, then the border.
-Every kernel block is a Gram block, bitwise symmetric, so the +e matrix is
-symmetric. Below order ``LDL_MIN_ORDER`` it is formed in a new array and
-factored by partially pivoted LU (getrf/getrs) on getrf's copy. At or
-above it, it is factored by Bunch-Kaufman LDL^T (sytrf/sytrs), which
-takes half LU's flops but pays off only on large matrices, and it is formed
-and factored inside the kernel's own (n+1)^2 array, whose layout
-``KernelBlock`` states. So a fit holds one (n+1)^2 array per kernel block.
+``BorderedSystem`` of one (gamma, eta) on a ``KernelBlock``, which alone forms
+the augmented matrix (K/gamma, eta added onto its diagonal, then the border)
+and decides by its order where. Every kernel block is a Gram block, bitwise
+symmetric, so the +e matrix is symmetric. Below order ``LDL_MIN_ORDER`` it is
+formed in a new array and factored by partially pivoted LU (getrf/getrs) on
+getrf's copy. At or above it, it is factored by Bunch-Kaufman LDL^T
+(sytrf/sytrs), which takes half LU's flops but pays off only on large
+matrices, in the block's own (n+1)^2 array. So a fit holds one (n+1)^2 array
+per kernel block.
 LAPACK is called directly from ``compiled.flapack`` (scipy's wrappers, the
 same bits, cost more per call than the solve itself at grid-fold sizes, and
 their package costs a cold start). The pivot floor reads |U's diagonal| or
 the |eigenvalues| of D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices. Every residual, in refinement and
-in the gates, is evaluated on the kernel by ``residual``, never on a formed or
-factored matrix: a formed ``KernelBlock`` reads K back for it.
+in the gates, is evaluated on the kernel block by ``residual``, never on a formed
+or factored matrix: a formed block reads K back for it.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and a ``KernelBlock``
@@ -105,18 +105,17 @@ _sytrf, _sytrf_lwork, _sytrs = flapack.dsytrf, flapack.dsytrf_lwork, flapack.dsy
 
 class KernelBlock:
     """A symmetric kernel block K of order n, held in the top-left n x n of an (n+1)^2 array
-    ``store``, in which its bordered systems of order ``LDL_MIN_ORDER`` and more are formed and
-    factored; ``of`` builds it, ``holding`` copies a plain array into it.
+    ``store``; ``of`` builds it, ``holding`` copies an array into it.
 
     The block holds the factor of one (gamma, eta)'s +e augmented matrix, made by ``factor``
-    and solved on by ``solve``: ``factors`` and ``piv`` are sytrf's at order ``LDL_MIN_ORDER``
-    and above (``symmetric``), where ``factors`` is ``store``'s memory, else getrf's own
-    (n+1)^2 array. ``pivot_ratio`` is its largest over its smallest pivot, the figure the pivot
-    floor reads. ``penalties`` is that (gamma, eta), or None while the block holds no factor:
-    ``formed`` sets it to None before it writes over the factor.
+    and solved on by ``solve``. Its order alone decides how: at ``LDL_MIN_ORDER`` and above
+    (``symmetric``) ``factors`` and ``piv`` are sytrf's of the matrix formed in ``store``, else
+    getrf's own (n+1)^2 array. ``pivot_ratio`` is its largest over its smallest pivot, the
+    figure the pivot floor reads. ``penalties`` is that (gamma, eta), or None while the block
+    holds no factor: ``formed`` sets it to None before it writes over the factor.
 
-    Until the first of them, ``store[:n, :n]`` is K, row n and column n are unset, and
-    ``np.asarray`` of the block is that view. ``formed`` then saves K's diagonal in
+    Until the first form in ``store``, ``store[:n, :n]`` is K, row n and column n are unset,
+    and ``np.asarray`` of the block is that view. ``formed`` then saves K's diagonal in
     ``diagonal`` and writes the +e matrix into the C-lower triangle, the diagonal and row n:
     exactly what LAPACK's uplo='U' routines read and write through the Fortran-ordered
     ``store.T``. The strict upper triangle, which they never reference, keeps K. From then on
@@ -128,7 +127,7 @@ class KernelBlock:
         self.store = store
         self.diagonal = None  # None while store[:n, :n] is K
         self.penalties = self.factors = self.piv = self.pivot_ratio = None
-        self.symmetric = False  # whether ``factors`` and ``piv`` are sytrf's, else getrf's
+        self.symmetric = len(store) >= LDL_MIN_ORDER
 
     @classmethod
     def of(cls, spec: KernelSpec, x) -> KernelBlock:
@@ -142,8 +141,15 @@ class KernelBlock:
         return cls(store)
 
     @classmethod
-    def holding(cls, kernel: np.ndarray) -> KernelBlock:
-        """A block holding a copy of ``kernel``."""
+    def holding(cls, kernel) -> KernelBlock:
+        """A block holding a float copy of the square array ``kernel``, else DimensionMismatch.
+        A non-symmetric one is never solved wrongly for the matrix the block reads: below
+        ``LDL_MIN_ORDER`` that is ``kernel``; at and above it, from the first form on, it is the
+        symmetric matrix of the upper triangle, on which refinement and the residual gate act,
+        while the factor is of the lower one; so a solve is SingularSystem or meets the bound."""
+        kernel = np.asarray(kernel, dtype=float)
+        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+            raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
         n = len(kernel)
         store = np.empty((n + 1, n + 1))
         store[:n, :n] = kernel
@@ -173,11 +179,14 @@ class KernelBlock:
         return out
 
     def formed(self, gamma, eta) -> np.ndarray:
-        """``store`` with the +e matrix [[K/gamma + eta*I, e], [e^T, 0]] in its C-lower triangle,
-        diagonal and row n, formed there by the same IEEE operations as in a whole matrix, from
-        K's rows: ``store``'s own until the first form, then those read from the upper triangle.
-        NonFiniteSystem for a non-finite entry of the core."""
+        """The +e matrix [[K/gamma + eta*I, e], [e^T, 0]]; NonFiniteSystem for a non-finite
+        entry of the core. Unless ``symmetric``, a new array, and the held factor is kept; else
+        ``store`` with the matrix in its C-lower triangle, diagonal and row n, formed there by
+        the same IEEE operations as in a whole matrix, from K's rows: ``store``'s own until the
+        first form, then those read from the upper triangle."""
         a, n = self.store, len(self.store) - 1
+        if not self.symmetric:
+            return _augmented(a[:n, :n], gamma, eta)
         self.penalties = None
         if self.diagonal is None:
             self.diagonal = a.diagonal()[:n].copy()
@@ -202,11 +211,10 @@ class KernelBlock:
         return a
 
     def factor(self, a: np.ndarray, gamma, eta, name: str) -> None:
-        """Factor the +e augmented matrix ``a`` of (gamma, eta), in place at order
-        ``LDL_MIN_ORDER`` and above, where ``a`` is ``formed``'s and only its C-lower triangle
-        and diagonal are read. A pivot below the floor is SingularSystem."""
-        symmetric = a.shape[0] >= LDL_MIN_ORDER
-        if symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
+        """Factor ``formed``'s +e augmented matrix ``a`` of (gamma, eta), in place when
+        ``symmetric``, where only its C-lower triangle and diagonal are read. A pivot below the
+        floor is SingularSystem."""
+        if self.symmetric:  # f2py's default lwork = n would take sytrf's unblocked path, 5x slower
             # the Fortran-ordered a.T is a's memory, no copy; its upper triangle is a's C-lower
             factors, piv, _ = _sytrf(a.T, lwork=int(_sytrf_lwork(a.shape[0])[0]), overwrite_a=1)
             pivots = _block_pivots(factors, piv)
@@ -219,7 +227,7 @@ class KernelBlock:
                 f"{name}: pivot {smallest:.3e} below relative threshold "
                 f"{RELATIVE_PIVOT_FLOOR:g} * {largest:.3e}"
             )
-        self.factors, self.piv, self.symmetric = factors, piv, symmetric
+        self.factors, self.piv = factors, piv
         self.pivot_ratio, self.penalties = largest / smallest, (gamma, eta)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -266,7 +274,7 @@ def _symmetric_rows(a: np.ndarray, n: int, diagonal=None):
 class BorderedSystem:
     """One bordered system: kernel block, its (gamma, eta), border sign and right-hand side."""
 
-    kernel: np.ndarray | KernelBlock
+    kernel: KernelBlock
     gamma: float
     eta: float
     border_sign: int
@@ -279,7 +287,7 @@ class BorderedFamily:
     """The system named ``name`` for every (gamma, eta): rhs_top = rhs_fixed + rhs_scaled/gamma."""
 
     name: str
-    kernel: np.ndarray | KernelBlock
+    kernel: KernelBlock
     border_sign: int
     rhs_fixed: np.ndarray
     rhs_scaled: np.ndarray
@@ -389,33 +397,18 @@ def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
 def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
     """Solve the bordered system named ``name`` by LU or LDL^T on its kernel block's factor.
 
-    The kernel block must be symmetric, as every Gram block is bitwise: at or
-    above ``LDL_MIN_ORDER`` the factor reads its lower triangle. A
-    ``KernelBlock`` that holds no factor of the system's (gamma, eta) forms its
-    +e matrix and factors it (``KernelBlock.factor``); one that does solves on
-    it. A plain array kernel is copied into a new block first, and stays the
-    kernel its residual is evaluated on, so a non-symmetric one there is
-    SingularSystem or solved, never solved wrongly.
-
-    The core is ``kernel / gamma + eta * I``; a non-finite entry in it or in
-    ``rhs_top`` is NonFiniteSystem, a ValueError. Raises SingularSystem, its
-    message prefixed with ``name``, when a pivot falls below the relative
-    floor, the refined residual exceeds ``residual_bound`` or the solution
-    fails ``balance_met``. The report's ``pivot_ratio`` is the factor's.
+    A block that holds no factor of the system's (gamma, eta) forms its +e matrix
+    and factors it (``KernelBlock.formed``, ``KernelBlock.factor``); one that
+    does solves on it. The core is ``K / gamma + eta * I``; a non-finite entry
+    in it or in ``rhs_top`` is NonFiniteSystem, a ValueError. Raises
+    SingularSystem, its message prefixed with ``name``, when a pivot falls below
+    the relative floor, the refined residual exceeds ``residual_bound`` or the
+    solution fails ``balance_met``. The report's ``pivot_ratio`` is the factor's.
     """
-    kernel, gamma, eta = system.kernel, system.gamma, system.eta
-    if isinstance(kernel, KernelBlock):
-        block = kernel
-    else:
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-            raise DimensionMismatch(f"kernel must be square, got shape {kernel.shape}")
-        block = KernelBlock.holding(kernel)
-    n = kernel.shape[0]
+    block, gamma, eta = system.kernel, system.gamma, system.eta
+    n = block.shape[0]
     fresh = block.penalties != (gamma, eta)
-    if fresh and n + 1 < LDL_MIN_ORDER:
-        a = _augmented(np.asarray(kernel), gamma, eta)
-    elif fresh:
+    if fresh:
         a = block.formed(gamma, eta)
     rhs_top = np.asarray(system.rhs_top, dtype=float)
     if rhs_top.shape != (n,):
@@ -433,12 +426,12 @@ def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
     x = block.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
-        res, total = residual(kernel, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
+        res, total = residual(block, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
         for _ in range(_REFINE_ROUNDS):
             if float(np.max(np.abs(res))) <= tol:
                 break
             x = x - block.solve(res)
-            res, total = residual(kernel, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
+            res, total = residual(block, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
     if not res_norm <= tol:

@@ -557,6 +557,32 @@ def test_a_label_count_error_names_the_file_the_column_and_five_labels(tmp_path,
     assert capsys.readouterr().err == f"error: {data}: {named}\n"
 
 
+@pytest.mark.parametrize("refusal", ["feature-count", "unknown-label", "too-many-folds"])
+def test_a_refusal_names_the_input_it_refuses(tmp_path, blob_csv, capsys, refusal):
+    model = tmp_path / "model.json"
+    assert run("train", "--task", "classify", "--data", blob_csv, "--label-col", "label",
+               "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model)) == 0
+    capsys.readouterr()
+    data = tmp_path / "data.csv"
+    if refusal == "feature-count":
+        data.write_text("f0,f1,f2,label\n1,2,3,1\n")
+        argv, named = ["predict", "--model", str(model)], [str(data), str(model)]
+    elif refusal == "unknown-label":
+        data.write_text("f0,f1,label\n1,2,z\n1,2,1\n")
+        argv = ["predict", "--model", str(model), "--label-col", "label"]
+        named = [str(data), str(model), "'label'", "['z']", "['-1', '1']"]
+    else:
+        data.write_text("f0,label\n1,a\n2,b\n3,a\n4,b\n")
+        argv = ["--output-dir", str(tmp_path), "gridsearch", "--task", "classify",
+                "--label-col", "label", "--gamma-grid", "1", "--eta-grid", "1",
+                "--sigma-grid", "1", "--folds", "5"]
+        named = ["5 folds", "4 samples", "--folds"]
+    assert run(*argv, "--data", str(data)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in named), err
+
+
 NOT_UTF8 = b"a,b,label\n1,\xff,x\n"
 
 
@@ -829,6 +855,31 @@ def test_benchmark_records_a_dataset_that_is_not_utf8_as_failed(tmp_path):
     assert report["failures"] == [{"dataset": "latin1",
                                    "error": f"{latin1}: not UTF-8 text (invalid start byte)"}]
     assert report["datasets"] == ["ds0", "ds1"]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_byte_order_mark_trains_the_plain_files_model(tmp_path, blob_csv):
+    # The label first, as a spreadsheet's "CSV UTF-8" export with a byte-order mark has it.
+    rows = [line.split(",") for line in Path(blob_csv).read_text().splitlines()]
+    text = "".join(",".join(row[-1:] + row[:-1]) + "\n" for row in rows).encode()
+    saved = []
+    for name, data in (("plain", text), ("marked", BOM + text)):
+        path, model = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert run("train", "--task", "classify", "--data", str(path), "--label-col", "label",
+                   "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model)) == 0
+        saved.append(model.read_bytes())
+    assert saved[0] == saved[1]
+
+
+def test_a_config_with_a_byte_order_mark_is_read(tmp_path):
+    cfg_path = Path(benchmark_config(tmp_path))
+    cfg_path.write_bytes(BOM + cfg_path.read_bytes())
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 0
+    assert (out / "scores.csv").read_text().splitlines()[0] == "dataset,TRKM-C,RKM"
 
 
 @pytest.mark.parametrize("text", [b'{"task": "caf\xe9"}', b"[" * 100_000],

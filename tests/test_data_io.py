@@ -51,6 +51,19 @@ def test_load_csv_maps_labels_by_byte_order(tmp_path):
     assert np.array_equal(ds.X, [[1, 2], [3, 4], [5, 6]])
 
 
+def test_a_byte_order_mark_loads_as_the_plain_file(tmp_path):
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark, which is not part
+    # of the first column's name.
+    text = "cls,x1,x2\nb,1,2\na,3,4\nb,5,6\n".encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    want, got = (load_csv(str(path), label_column="cls") for path in (plain, marked))
+    assert (got.X.tobytes(), got.target.tobytes()) == (want.X.tobytes(), want.target.tobytes())
+    assert (got.feature_names, got.label_mapping) == (want.feature_names, want.label_mapping)
+    assert got.feature_names == ("x1", "x2")
+
+
 def test_load_csv_non_numeric_feature_names_row_and_column(tmp_path):
     path = write(tmp_path, "d.csv", "x1,x2,cls\n1,2,a\n3,abc,b\n")
     with pytest.raises(NonNumericFeature, match=r"line 3, column 2.*'abc'"):

@@ -160,7 +160,8 @@ def test_the_benchmarks_residual_ratio_reads_the_solvers_bound(seed, n, top, zer
     # small rhs_top, and otherwise of rhs_top's size.
     rng = np.random.default_rng(seed)
     scale = 10.0**top
-    system = solver.BorderedSystem(rng.normal(size=(n, n)), float(rng.uniform(0.5, 2.0)),
+    system = solver.BorderedSystem(solver.KernelBlock.holding(rng.normal(size=(n, n))),
+                                   float(rng.uniform(0.5, 2.0)),
                                    float(n), int(rng.choice([-1, 1])), scale * rng.normal(size=n),
                                    0.0 if zero_bottom and top <= 4 else scale * float(rng.normal()))
     report = solver.solve_bordered(system, "guard")

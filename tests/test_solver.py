@@ -28,7 +28,7 @@ from oracles import kernel_residual, residual, solve_full_pivot, system_matrix
 
 def system(kernel, gamma, eta, sign, rhs_top, rhs_bottom):
     return BorderedSystem(
-        kernel=np.asarray(kernel, dtype=float),
+        kernel=KernelBlock.holding(kernel),
         gamma=gamma,
         eta=eta,
         border_sign=sign,
@@ -127,7 +127,7 @@ def test_permutation_equivariance():
         s = random_system(rng, n)
         perm = rng.permutation(n)
         permuted = system(
-            s.kernel[np.ix_(perm, perm)], s.gamma, s.eta, s.border_sign,
+            np.asarray(s.kernel)[np.ix_(perm, perm)], s.gamma, s.eta, s.border_sign,
             s.rhs_top[perm], s.rhs_bottom,
         )
         base = solve_bordered(s, "test system").solution
@@ -415,7 +415,7 @@ def test_the_factor_follows_the_blocks_penalties(monkeypatch, rng, order):
         assert contents(block) == (None if order >= ORDER else held)
     # the pivot failure factored; above the gate the held factor was made a second time
     assert sum(counts.values()) == (4 if order >= ORDER else 3)
-    assert outcome(at()) == outcome(s)  # s's plain array goes into a new block
+    assert outcome(at()) == outcome(s)  # s's own block holds no factor yet
     assert sum(counts.values()) == (6 if order >= ORDER else 5)
 
 
@@ -423,11 +423,11 @@ def test_the_factor_follows_the_blocks_penalties(monkeypatch, rng, order):
 def test_ldlt_solves_as_lu_does_above_the_gate(monkeypatch, rng, sign):
     # Both factor one well-conditioned Gaussian system of order ORDER + 50; they round
     # differently, so solutions agree to 1e-10 relative. Their pivots differ, and so do
-    # their pivot ratios.
+    # their pivot ratios. A block takes its layout when made, so LU's is made past the gate.
     s = gram_system(rng, ORDER + 49, sign)
     ldlt = solve_bordered(s, "test system")
     monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
-    lu = solve_bordered(s, "test system")
+    lu = solve_bordered(on(KernelBlock.holding(s.kernel), s), "test system")
     scale = float(np.max(np.abs(lu.solution)))
     assert np.allclose(ldlt.solution, lu.solution, rtol=0, atol=1e-10 * scale)
     assert ldlt.residual_norm <= trkm.solver.residual_bound(s.rhs_top, s.rhs_bottom)
@@ -467,7 +467,7 @@ def test_a_huge_core_above_the_gate_is_a_pivot_failure_silently(rng):
 def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng):
     # sigma = 32 and gamma = eta = 1e-5, the hardest grid cell: TRKM-R's systems on a
     # sine sample pass on both paths, and random right-hand sides fail the residual
-    # gate on both. Each path states the systems on a new block, which holds no factor.
+    # gate on both. Each path states the systems on new blocks, which hold no factor.
     from trkm.regressor import systems
     from trkm.synthetic import sine
 
@@ -477,7 +477,8 @@ def test_a_nearly_flat_kernel_keeps_lus_verdict_above_the_gate(monkeypatch, rng)
 
     def verdicts():
         twins = [family.at(1e-5, 1e-5) for family in systems((x, y), gaussian(32.0))]
-        return [verdict(s) for s in twins + randoms]
+        return [verdict(s) for s in twins + [on(KernelBlock.holding(r.kernel), r)
+                                             for r in randoms]]
 
     ldlt = verdicts()
     monkeypatch.setattr(trkm.solver, "LDL_MIN_ORDER", 10**9)
@@ -500,11 +501,13 @@ def traced_peak(call):
 def test_a_large_solve_holds_one_formed_array(rng):
     # sytrf factors the formed matrix in its own buffer and every residual is evaluated
     # on the kernel, so a solve above the gate holds one (n+1)^2 array (and O(n) ones)
-    # beyond its inputs, where a kept matrix and a factor copy of it would be three.
+    # beyond its inputs, where a kept matrix and a factor copy of it would be three. The
+    # block is made in the traced call, as the one array.
     n = 600
     s = gram_system(rng, n)
     formed = (n + 1) ** 2 * 8
-    assert traced_peak(lambda: solve_bordered(s, "test system")) <= 1.25 * formed
+    assert traced_peak(lambda: solve_bordered(on(KernelBlock.holding(s.kernel), s),
+                                              "test system")) <= 1.25 * formed
     block = KernelBlock.holding(s.kernel)
     solve_bordered(on(block, s), "test system")
     assert block.symmetric and np.shares_memory(block.factors, block.store)
@@ -513,10 +516,11 @@ def test_a_large_solve_holds_one_formed_array(rng):
 def test_the_finiteness_check_holds_no_n_squared_temporary(rng):
     # The core is checked for non-finite entries by two reductions, not by an n^2
     # boolean mask (0.125 formed sizes, which put this solve at 1.147); what the solve
-    # holds beyond one formed array is mostly sytrf's n x nb workspace (1.108).
+    # holds beyond one formed array, its block's, is mostly sytrf's n x nb workspace (1.108).
     n = 600
     s = gram_system(rng, n)
-    assert traced_peak(lambda: solve_bordered(s, "test system")) <= 1.12 * (n + 1) ** 2 * 8
+    assert traced_peak(lambda: solve_bordered(on(KernelBlock.holding(s.kernel), s),
+                                              "test system")) <= 1.12 * (n + 1) ** 2 * 8
 
 
 def two_class(n):
@@ -633,9 +637,10 @@ def test_block_pivots_of_bordered_matrices_with_a_zero_diagonal():
 
 
 def test_a_non_symmetric_kernel_above_the_gate_fails_the_residual_gate(rng):
-    # sytrf reads one triangle, so it factors another matrix; the residual of the
-    # formed system refuses the result instead of returning a wrong solution.
+    # sytrf reads the lower triangle and the residual the upper one, so the residual gate
+    # refuses the result instead of returning a wrong solution.
     s = gram_system(rng, ORDER)
-    lopsided = dataclasses.replace(s, kernel=s.kernel + np.triu(np.full_like(s.kernel, 5.0), 1))
+    k = np.asarray(s.kernel)
+    lopsided = on(KernelBlock.holding(k + np.triu(np.full_like(k, 5.0), 1)), s)
     with pytest.raises(SingularSystem, match="^test system: residual .* exceeds tolerance"):
         solve_bordered(lopsided, "test system")

@@ -1,5 +1,6 @@
 """Rules on the package source, checked on its syntax trees: one module writes files, one
-module reads CSV, one lays out kernel blocks, and one calls LAPACK, through five routines."""
+module reads CSV, one lays out kernel blocks, one class picks their layout by order, and one
+module calls LAPACK, through five routines."""
 
 import ast
 
@@ -67,6 +68,16 @@ def flapack_reads(path):
             and "flapack" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))}
 
 
+def loads_of(name):
+    """(module, top-level class or None) of each place ``name`` is read, as a name or an
+    attribute."""
+    return {(path.stem, top.name if isinstance(top, ast.ClassDef) else None)
+            for path in SOURCES for top in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(top)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and name in (getattr(node, "id", None), getattr(node, "attr", None))}
+
+
 def modules_where(rule):
     """The package modules, by stem, with a node the rule holds for."""
     return {path.stem for path in SOURCES
@@ -88,6 +99,12 @@ def test_only_solver_knows_the_kernel_block_layout():
     # solver.KernelBlock builds, forms and reads its array; the model modules call
     # KernelBlock.of, and kernels only evaluates kernels.
     assert modules_where(knows_block_layout) == {"solver"}
+
+
+def test_only_the_kernel_block_reads_the_order_that_picks_its_layout():
+    # KernelBlock decides from its order where its systems are formed and how they are
+    # factored; solve_bordered asks the block.
+    assert loads_of("LDL_MIN_ORDER") == {("solver", "KernelBlock")}
 
 
 def test_only_solver_reads_lapack_and_only_its_factor_and_solve_routines():
