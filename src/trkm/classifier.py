@@ -42,7 +42,8 @@ def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
             raise EmptyClass(f"class {label} has no samples")
     k_ab = gram(kernel, A, B)  # dropped before the class blocks are assembled
     e1, e2 = np.ones(len(A)), np.ones(len(B))
-    ab_e2, ba_e1 = k_ab @ e2, k_ab.T @ e1
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan: NonFiniteSystem
+        ab_e2, ba_e1 = k_ab @ e2, k_ab.T @ e1
     del k_ab
     return (BorderedFamily("class +1 system", KernelBlock.of(kernel, A), +1, e1, ab_e2,
                            float(len(B))),

@@ -32,12 +32,7 @@ from .data import (
     parse_feature_table,
     parse_targets,
 )
-from .errors import (
-    DATA_ERRORS,
-    NUMERIC_ERRORS,
-    FeatureCountMismatch,
-    ParseError,
-)
+from .errors import FeatureCountMismatch, ParseError, TooFewSamples, TrkmError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
 from .model_io import write_atomic
@@ -121,7 +116,10 @@ def cmd_train(args) -> int:
     kernel = _kernel_from_args(args.kernel, args.sigma)
     dataset = _load_dataset(args)
     params = {"gamma": args.gamma, "eta": args.eta, **second}
-    model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
+    try:
+        model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
+    except TooFewSamples as exc:
+        raise TooFewSamples(f"{args.data}: {exc}") from exc
     _save(model, dataset, args.model_out)
     print(f"task: {dataset.task}  model: {model.type.kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
@@ -450,7 +448,9 @@ def cmd_benchmark(args) -> int:
         for name, load_args in plan.datasets:
             try:
                 rows.append(_benchmark_dataset(load_args, plan, args.threads))
-            except (*DATA_ERRORS, *NUMERIC_ERRORS) as exc:
+            except TrkmError as exc:
+                if exc.exit_code == 2:  # a usage error ends the run
+                    raise
                 failures.append({"dataset": name, "error": str(exc)})
                 print(f"warning: dataset {name} failed: {exc}", file=sys.stderr)
                 continue
@@ -599,9 +599,9 @@ def main(argv=None) -> int:
     _apply_default_paths(args)
     try:
         return args.func(args)
-    except (*NUMERIC_ERRORS, *DATA_ERRORS, ValueError) as exc:
+    except (TrkmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, NUMERIC_ERRORS) else 3 if isinstance(exc, DATA_ERRORS) else 2
+        return getattr(exc, "exit_code", 2)
     except MemoryError as exc:  # the last resort: no command checks its size beforehand
         source = next(filter(None, (getattr(args, key, None)
                                     for key in ("data", "config", "scores_file"))))

@@ -1,13 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: data-shaped problems (bad files, bad
-columns, mismatched shapes, degenerate splits) exit with 3, numerical
-failures (singular systems, degenerate statistics) exit with 4.
+Each class carries the exit code the CLI returns for it: data-shaped problems
+(bad files, bad columns, mismatched shapes, degenerate splits) exit with 3,
+numerical failures (singular systems, degenerate statistics) with 4, and a
+non-finite system, a usage error, with 2.
 """
 
 
 class TrkmError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 3
 
 
 class DimensionMismatch(TrkmError):
@@ -17,10 +20,14 @@ class DimensionMismatch(TrkmError):
 class SingularSystem(TrkmError):
     """A bordered linear system is numerically singular (degenerate eta/gamma)."""
 
+    exit_code = 4
+
 
 class NonFiniteSystem(TrkmError, ValueError):
     """A bordered system's core or right-hand side holds an inf or nan: a penalty or
     bandwidth too extreme for floating point. A usage error, as the values causing it."""
+
+    exit_code = 2
 
 
 class EmptyClass(TrkmError):
@@ -37,6 +44,8 @@ class TooFewSamples(TrkmError):
 
 class DegenerateStatistic(TrkmError):
     """The Friedman F statistic denominator is non-positive."""
+
+    exit_code = 4
 
 
 class EmptyInput(TrkmError):
@@ -74,21 +83,3 @@ class CorruptModel(TrkmError):
 class FeatureCountMismatch(TrkmError):
     """Prediction data has a different feature count than the model."""
 
-
-# Exit-code groups used by the CLI.
-DATA_ERRORS = (
-    ParseError,
-    MoreThanTwoClasses,
-    MissingColumn,
-    IoError,
-    VersionMismatch,
-    CorruptModel,
-    FeatureCountMismatch,
-    DegenerateSplit,
-    TooFewSamples,
-    EmptyClass,
-    EmptyInput,
-    DimensionMismatch,
-)
-
-NUMERIC_ERRORS = (SingularSystem, DegenerateStatistic)

@@ -48,17 +48,19 @@ def _vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 def rmse(pred, truth) -> float:
     """Root mean squared error: the score of a regression grid cell."""
     p, t = _vectors(pred, truth)
-    diff = p - t
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):  # an error beyond double range is inf
+        diff = p - t
+        return float(np.sqrt(np.mean(diff * diff)))
 
 
 def regression_errors(pred, truth) -> RegressionErrors:
     p, t = _vectors(pred, truth)
     n = p.size
-    diff = p - t
-    under = diff <= 0.0  # f(x_i) <= y_i
-    pos_error = float(np.sum(np.abs(diff[under])) / n)
-    neg_error = float(np.sum(np.abs(diff[~under])) / n)
+    with np.errstate(over="ignore"):  # an error beyond double range is inf
+        diff = p - t
+        under = diff <= 0.0  # f(x_i) <= y_i
+        pos_error = float(np.sum(np.abs(diff[under])) / n)
+        neg_error = float(np.sum(np.abs(diff[~under])) / n)
     return RegressionErrors(
         rmse=rmse(p, t),
         mae=pos_error + neg_error,

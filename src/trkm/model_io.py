@@ -55,7 +55,7 @@ def _hex(v: float) -> str:
 def _unhex(s) -> float:
     try:
         return float.fromhex(s)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: beyond double range
         raise CorruptModel(f"bad float field {s!r}") from exc
 
 
@@ -71,11 +71,11 @@ def _decode_array(blob) -> np.ndarray:
         shape = tuple(int(s) for s in blob["shape"])
         values = blob["values"]
         decoded = map(float.fromhex, values)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise CorruptModel(f"malformed array field: {exc}") from exc
     try:
         arr = np.array(list(decoded), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         for v in values:
             _unhex(v)
         raise
@@ -195,7 +195,7 @@ def load_model(path: str) -> SavedModel:
         raise CorruptModel(f"{path}: checksum mismatch")
     try:
         return _reconstruct(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed payload ({exc})") from exc
 
 

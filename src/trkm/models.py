@@ -137,10 +137,12 @@ class Model:
         """The sum of the kind's decision terms at the rows of X, in system order, each
         term at its own system's gamma, h and b."""
         stored = tuple(self.fields[name] for name in self.type.rows)
-        terms = self.type.module.decision_terms(stored, self.kernel, as_matrix(X, "X"))
-        values = [term.value(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
-                             self.fields[f"b{s}"]) for term, s in zip(terms, self.type.suffixes)]
-        return sum(values[1:], values[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # a far query row: an inf or nan
+            terms = self.type.module.decision_terms(stored, self.kernel, as_matrix(X, "X"))
+            values = [term.value(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
+                                 self.fields[f"b{s}"])
+                      for term, s in zip(terms, self.type.suffixes)]
+            return sum(values[1:], values[0])
 
 
 MODEL_TYPES = (

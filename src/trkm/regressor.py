@@ -44,7 +44,8 @@ def systems(rows, kernel: KernelSpec) -> tuple[BorderedFamily, BorderedFamily]:
     if len(X) < 2:
         raise TooFewSamples(f"need at least 2 samples, got {len(X)}")
     k = KernelBlock.of(kernel, X)
-    ke = k @ np.ones(len(X))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan: NonFiniteSystem
+        ke = k @ np.ones(len(X))
     return (BorderedFamily("lower-function system", k, -1, -Y, ke, float(len(X))),
             BorderedFamily("upper-function system", k, +1, Y, ke, float(len(X))))
 

@@ -18,10 +18,11 @@ DATA_DIR = REPO / "data"
 
 
 def run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports trkm from this checkout; its stdout."""
+    """Run ``code`` in a fresh interpreter that imports trkm from this checkout and, as pytest
+    does here, turns a RuntimeWarning into an error; its stdout."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trkm.cli import _write_json, main
 from trkm.errors import SingularSystem, TooFewSamples
@@ -253,6 +257,72 @@ def test_overflowing_gram_exits_2_before_writing(tmp_path, capsys):
     assert "error: core contains non-finite entries" in err
     assert "RuntimeWarning" not in err and not caught, [str(w.message) for w in caught]
     assert not model_out.exists()
+
+
+# Each task's truth column and the flag that names it.
+TRUTH = {"classify": ("--label-col", "label"), "regress": ("--target-col", "target")}
+
+
+def _csv(path, task, rows):
+    """A file of feature columns f0, f1, ... and the task's truth column, one tuple per row."""
+    header = [f"f{j}" for j in range(len(rows[0]) - 1)] + [TRUTH[task][1]]
+    path.write_text("\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_a_kernel_row_of_both_infinities_exits_2_without_a_warning(tmp_path, capsys, task):
+    # README's overflow example: the linear kernel row of 1e300 holds +inf and -inf. The
+    # RuntimeWarning filter of pyproject.toml turns a warning into a traceback here.
+    data = _csv(tmp_path / "d.csv", task, [(1e300, 1), (1e300, -1), (-1e300, 1), (0.5, -1)])
+    model_out = tmp_path / "m.json"
+    assert run("train", "--task", task, "--data", data, *TRUTH[task], "--kernel", "linear",
+               "--no-normalize", "--gamma", "1", "--eta", "1",
+               "--model-out", str(model_out)) == 2
+    assert capsys.readouterr().err == "error: core contains non-finite entries\n"
+    assert not model_out.exists()
+
+
+FAR = 1.7e308  # a query row this far out overflows a linear model's decision values
+
+
+@pytest.mark.parametrize("task, truth, printed", [
+    ("classify", (1, -1), "accuracy: 0.0000%\n"),
+    ("regress", (1, 2), "rmse: inf\nmae: 7.7116935e+307\npos_error: 3.8558468e+307\n"
+                        "neg_error: 3.8558468e+307\n"),
+    ("regress", (FAR, -FAR), "rmse: inf\nmae: inf\npos_error: inf\nneg_error: inf\n"),
+], ids=["classify", "regress", "regress-far-truth"])
+def test_a_far_query_row_predicts_without_a_warning(tmp_path, capsys, task, truth, printed):
+    targets = (1, -1, 1, -1, 1) if task == "classify" else (1, 2, 3, 4, 5)
+    train = _csv(tmp_path / "train.csv", task, list(zip((0.1, 0.5, 0.9, 0.3, -0.7), targets)))
+    model = str(tmp_path / "m.json")
+    assert run("train", "--task", task, "--data", train, *TRUTH[task], "--kernel", "linear",
+               "--gamma", "1", "--eta", "1", "--model-out", model) == 0
+    query = _csv(tmp_path / "query.csv", task, [(FAR, truth[0]), (-FAR, truth[1])])
+    output = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("predict", "--model", model, "--data", query, *TRUTH[task],
+               "--output", str(output)) == 0
+    assert capsys.readouterr() == (f"2 predictions written to {output}\n{printed}", "")
+
+
+@pytest.mark.parametrize("model_kind, task", [("trkm", "classify"), ("rkm", "classify"),
+                                              ("trkm", "regress")])
+def test_query_rows_at_the_ends_of_double_range_predict_without_a_warning(tmp_path, capsys,
+                                                                         model_kind, task):
+    # Each pair of these features overflows a term, the sum of the terms or the score.
+    train = _csv(tmp_path / "train.csv", task, [(0.1, 0.3, 1), (0.5, -0.2, 2), (0.9, 0.4, 1),
+                                                (0.3, 0.8, 2), (-0.7, 0.1, 1), (0.2, -0.9, 2)])
+    model = str(tmp_path / "m.json")
+    assert run("train", "--task", task, "--model-kind", model_kind, "--data", train,
+               *TRUTH[task], "--kernel", "linear", "--no-normalize", "--gamma", "1",
+               "--eta", "1", "--model-out", model) == 0
+    ends = (FAR, -FAR, 1e300, 0.0)
+    query = _csv(tmp_path / "query.csv", task, [(a, b, 1) for a in ends for b in ends])
+    capsys.readouterr()
+    assert run("predict", "--model", model, "--data", query, *TRUTH[task],
+               "--output", str(tmp_path / "p.csv")) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_column_flag_is_an_index_only_when_it_is_ascii_digits(tmp_path, capsys):
@@ -522,7 +592,7 @@ def test_train_on_a_one_row_file_exits_3(tmp_path, capsys):
     model_out = tmp_path / "m.json"
     assert run("train", "--task", "regress", "--data", str(data), "--target-col", "target",
                "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_out)) == 3
-    assert capsys.readouterr().err == "error: need at least 2 samples, got 1\n"
+    assert capsys.readouterr().err == f"error: {data}: need at least 2 samples, got 1\n"
     assert not model_out.exists()
 
 
@@ -648,31 +718,36 @@ def test_gridsearch_whose_best_cell_fails_to_retrain_says_so(
         "rkm system: residual 2.049e-08 exceeds tolerance 1.000e-08\n")
     assert not (tmp_path / "model.json").exists()
 
-def error_classes():
-    """Every TrkmError subclass that trkm.errors defines."""
+# The README's exit codes: 4 numerical failures, 2 a non-finite system (a usage error),
+# 3 every other data error. A new error class must be given its code here.
+EXIT_CODES = {
+    "SingularSystem": 4, "DegenerateStatistic": 4, "NonFiniteSystem": 2,
+    "DimensionMismatch": 3, "EmptyClass": 3, "DegenerateSplit": 3, "TooFewSamples": 3,
+    "EmptyInput": 3, "ParseError": 3, "NonNumericFeature": 3, "MoreThanTwoClasses": 3,
+    "MissingColumn": 3, "IoError": 3, "VersionMismatch": 3, "CorruptModel": 3,
+    "FeatureCountMismatch": 3,
+}
+
+
+def test_every_error_class_has_a_documented_code():
     from trkm import errors
 
-    return [c for c in vars(errors).values()
-            if isinstance(c, type) and issubclass(c, errors.TrkmError) and c is not errors.TrkmError]
+    defined = {name for name, c in vars(errors).items() if isinstance(c, type)
+               and issubclass(c, errors.TrkmError) and c is not errors.TrkmError}
+    assert defined == set(EXIT_CODES)
 
 
-@pytest.mark.parametrize("error", error_classes(), ids=lambda c: c.__name__)
-def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, error):
-    # The README's exit codes: 4 numerical failures, 3 data errors, 2 a non-finite system
-    # (a usage error); each with a one-line message, and no traceback.
-    from trkm import cli
-    from trkm.errors import DATA_ERRORS, NUMERIC_ERRORS, NonFiniteSystem
-
-    codes = [code for group, code in ((NUMERIC_ERRORS, 4), (DATA_ERRORS, 3),
-                                      ((NonFiniteSystem,), 2)) if issubclass(error, group)]
-    assert codes, f"{error.__name__} is in no exit-code group"
+@pytest.mark.parametrize("name, code", EXIT_CODES.items(), ids=list(EXIT_CODES))
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, name, code):
+    # Each with a one-line message, and no traceback.
+    from trkm import cli, errors
 
     def raising(args):
-        raise error(f"{error.__name__} raised")
+        raise getattr(errors, name)(f"{name} raised")
 
     monkeypatch.setattr(cli, "cmd_stats", raising)
-    assert main(["stats", "--scores-file", "scores.csv"]) == codes[0]
-    assert capsys.readouterr() == ("", f"error: {error.__name__} raised\n")
+    assert main(["stats", "--scores-file", "scores.csv"]) == code
+    assert capsys.readouterr() == ("", f"error: {name} raised\n")
 
 
 # Six rows, one of them a negative: the fold that validates it trains on positives alone.
@@ -912,6 +987,18 @@ def test_benchmark_records_a_dataset_with_no_fittable_grid_cell_as_failed(tmp_pa
         "no grid cell could be fitted; the first, {'gamma': 1.0, 'eta': 1.0, 'sigma': 1.0}, "
         "failed with: class -1 has no samples")}]
     assert report["datasets"] == ["ds0", "ds1"]
+
+
+def test_benchmark_ends_on_a_non_finite_system(tmp_path, capsys):
+    # A usage error, the penalty the config gives, not one dataset's failure: exit 2.
+    cfg_path = Path(benchmark_config(tmp_path))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["models"][1]["fixed"]["gamma"] = 1e-320  # K/gamma overflows
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("--output-dir", str(out), "benchmark", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == "error: core contains non-finite entries\n"
+    assert not out.exists()
 
 
 def test_benchmark_whose_best_cell_fails_to_retrain_says_so(tmp_path, monkeypatch):
@@ -1224,24 +1311,130 @@ def _set_text(*keys, value="zz"):
     return edit
 
 
-@pytest.mark.parametrize("keys, field", [
-    (("body", "b1"), "b1"),
-    (("body", "A", "values", 5), "A"),
-    (("body", "hyperparams", "gamma1"), "hyperparams gamma1"),
-    (("normalization", 1, 0), "normalization"),
-    (("body", "hyperparams", "kernel", "sigma"), "hyperparams kernel sigma"),
-], ids=["b1", "one-value-of-a", "gamma1", "normalization-bound", "kernel-sigma"])
-def test_a_non_hex_float_names_the_file_and_the_field(tmp_path, capsys, keys, field):
+def _predict_with_edited_model(tmp_path, keys, value):
+    """Train a TRKM-C model, store ``value`` at the payload path ``keys`` under a recomputed
+    checksum and predict with it: the model file and predict's exit code."""
     model_path = tmp_path / "m.json"
     data = str(DATA_DIR / "synthetic" / "crossplane130.csv")
     assert run("train", "--task", "classify", "--data", data, "--label-col", "label",
                "--gamma", "1", "--eta", "1", "--sigma", "1", "--model-out", str(model_path)) == 0
-    _rewrite_payload(model_path, _set_text(*keys))
-    capsys.readouterr()
-    assert run("predict", "--model", str(model_path), "--data", data, "--label-col", "label",
-               "--output", str(tmp_path / "p.csv")) == 3
+    _rewrite_payload(model_path, _set_text(*keys, value=value))
+    return model_path, run("predict", "--model", str(model_path), "--data", data,
+                           "--label-col", "label", "--output", str(tmp_path / "p.csv"))
+
+
+BEYOND_DOUBLE = "0x1p+2000"  # hex float text that float.fromhex refuses with OverflowError
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (("body", "b1"), "zz", "b1"),
+    (("body", "A", "values", 5), "zz", "A"),
+    (("body", "hyperparams", "gamma1"), "zz", "hyperparams gamma1"),
+    (("normalization", 1, 0), "zz", "normalization"),
+    (("body", "hyperparams", "kernel", "sigma"), "zz", "hyperparams kernel sigma"),
+    (("body", "b1"), BEYOND_DOUBLE, "b1"),
+    (("body", "A", "values", 5), BEYOND_DOUBLE, "A"),
+    (("body", "hyperparams", "gamma1"), BEYOND_DOUBLE, "hyperparams gamma1"),
+    (("normalization", 1, 0), BEYOND_DOUBLE, "normalization"),
+], ids=["b1", "one-value-of-a", "gamma1", "normalization-bound", "kernel-sigma",
+        "b1-beyond-double", "one-value-of-a-beyond-double", "gamma1-beyond-double",
+        "normalization-bound-beyond-double"])
+def test_a_non_hex_float_names_the_file_and_the_field(tmp_path, capsys, keys, value, field):
+    # Text that is not hex float text, or hex float text beyond double range.
+    model_path, code = _predict_with_edited_model(tmp_path, keys, value)
+    assert code == 3
     assert capsys.readouterr().err == \
-        f"error: {model_path}: malformed payload ({field}: bad float field 'zz')\n"
+        f"error: {model_path}: malformed payload ({field}: bad float field {value!r})\n"
+
+
+@pytest.mark.parametrize("keys, reason", [
+    (("body", "A", "shape", 0),
+     "A: malformed array field: cannot convert float infinity to integer"),
+    (("label_mapping", 0, 1), "cannot convert float infinity to integer"),
+], ids=["shape-of-a", "label-code"])
+def test_an_infinite_integer_field_is_corrupt(tmp_path, capsys, keys, reason):
+    # JSON's Infinity where a shape entry or a label code belongs.
+    model_path, code = _predict_with_edited_model(tmp_path, keys, math.inf)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {model_path}: malformed payload ({reason})\n"
+
+
+@pytest.fixture(scope="module")
+def trained_model_files(tmp_path_factory):
+    """A TRKM-C, an RKM and a TRKM-R model file, each with the feature columns of the file it
+    was trained on."""
+    root = tmp_path_factory.mktemp("trained")
+    problems = {"classify": blobs(6, 5.0, seed=0), "regress": sine(8, seed=3)}
+    files = {}
+    for model_kind, task in (("trkm", "classify"), ("rkm", "classify"), ("trkm", "regress")):
+        x, target = problems[task]
+        data, model = root / f"{task}.csv", root / f"{model_kind}-{task}.json"
+        _csv(data, task, [(*row, t) for row, t in zip(x, target)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--task", task, "--model-kind", model_kind, "--data", str(data),
+                         *TRUTH[task], "--gamma", "1", "--eta", "1", "--sigma", "1",
+                         "--model-out", str(model)]) == 0
+        features = root / f"{task}-features.csv"
+        features.write_text("\n".join(",".join(map(str, row)) for row in x) + "\n")
+        files[model.name] = (model.read_bytes(), str(features))
+    return root, files
+
+
+def _positions(node, path=()):
+    """The path of every value below ``node`` in a JSON document: each key and each index."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+DELETED = "deleted"  # an edit that removes the value
+MODEL_FILE_EDITS = [
+    DELETED, BEYOND_DOUBLE, "-" + BEYOND_DOUBLE, "0x1p-1074", "-0x0p+0", "nan", "inf", "zz", "",
+    math.inf, -math.inf, math.nan, 1e308, 0.5, -1, 0, 1, 2, 2**64, None, True,
+    [], [3], [2, 0], [[1, 2]], {}, {"shape": [1], "values": ["0x1p+0"]},
+    "linear", "gaussian", "rkm", "trkm_regressor", "regress",
+]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_an_edited_model_file_predicts_or_exits_3_naming_it(trained_model_files, data):
+    # One payload value replaced or deleted under a recomputed checksum, or one byte of the
+    # file flipped under the stored one: predict reads it or refuses it in one line.
+    root, files = trained_model_files
+    name = data.draw(st.sampled_from(sorted(files)), label="model")
+    raw, data_file = files[name]
+    model = root / "edited.json"
+    model.write_bytes(raw)
+    if data.draw(st.booleans(), label="edit a value"):
+        *parents, key = data.draw(st.sampled_from(list(_positions(json.loads(raw)["payload"]))),
+                                  label="position")
+        value = data.draw(st.sampled_from(MODEL_FILE_EDITS), label="value")
+
+        def edit(payload):
+            for parent in parents:
+                payload = payload[parent]
+            if value == DELETED:
+                del payload[key]
+            else:
+                payload[key] = value
+        _rewrite_payload(model, edit)
+    else:
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        model.write_bytes(bytes(flipped))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(model), "--data", data_file, "--no-header",
+                     "--output", str(root / "predictions.csv")])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 3 and err.startswith(f"error: {model}") and err.count("\n") == 1, err
 
 
 def test_a_model_file_is_the_same_at_any_blas_thread_setting(tmp_path):
