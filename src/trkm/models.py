@@ -21,8 +21,8 @@ import.
 from the module's statement (``ModelType.statement``), and refits any one
 cell from that statement directly, as the fit and predictor do. Its cells
 come as one ``penalty_table``, which a grid search builds once and passes to
-every (sigma, fold); each kernel block takes one ``spectral_shift`` at all of
-the table's columns.
+every (sigma, fold), and ``solver.solve_spectral`` solves every system of the
+statement at all of the table's columns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import CLASSIFY, REGRESS
 from .errors import DimensionMismatch
 from .kernels import KernelSpec, gaussian
 from .metrics import classification_accuracy, rmse
-from .solver import SolveReport, solve_families, solve_spectral, spectral_shift
+from .solver import SolveReport, solve_families, solve_spectral
 
 # Values of --model-kind and of a benchmark model's "kind".
 TRKM = "trkm"
@@ -250,11 +250,10 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     """Predictions at the rows of ``X_valid`` of every cell fitted on (X, y), without fitting.
 
     ``table`` is the ``penalty_table`` of grid cells sharing the Gaussian
-    bandwidth ``sigma``. Each kernel block takes one ``spectral_shift`` (one
-    ``eigh``) at every column of the table, shared by the systems on
-    it. Returns a (rows x cells) matrix, labels for classification and
-    values for regression, a mask of the cells whose solves met every gate of
-    ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
+    bandwidth ``sigma``. One ``solve_spectral`` call solves every system at
+    every column of the table. Returns a (rows x cells) matrix, labels for
+    classification and values for regression, a mask of the cells whose
+    solves met every gate of ``solve_spectral``, and ``refit``. Rows the fit refuses raise its error
     (EmptyClass, TooFewSamples) from the model's statement. A cell outside
     the mask must be decided by ``refit(params)``, the direct solves of the same
     statement: bitwise ``predict(fit(...))``, or its SingularSystem. Besides those
@@ -265,17 +264,13 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     families, terms = entry.statement(X, y, X_valid, gaussian(sigma))
     gammas = table.gammas
     decision, size, passed = 0.0, 0.0, np.ones(len(table.columns[0]), dtype=bool)
-    shifts = {block: spectral_shift(block, gammas, table.etas)
-              for block in dict.fromkeys(system.kernel for system in families)}
-    for system, term, column in zip(families, terms, table.columns):
-        shift = shifts[system.kernel]
-        solved = solve_spectral(system.kernel, system.border_sign, system.rhs_top(gammas),
-                                system.rhs_bottom, shift)
+    for solved, term, column in zip(solve_spectral(families, gammas, table.etas), terms,
+                                    table.columns):
         passed &= solved.passed[column]
         with np.errstate(all="ignore"):  # a column that failed may hold inf or nan
             decision = decision + term.value(solved.h, gammas, solved.b)[:, column]
             if task == REGRESS:
-                passed &= shift.spread[column] <= SPREAD_LIMIT
+                passed &= solved.spread[column] <= SPREAD_LIMIT
             else:
                 bound = (np.abs(term.cross) @ np.abs(term.weights(solved.h))
                          + np.abs(term.offset)[:, None]) / gammas + solved.b_size
@@ -286,9 +281,11 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
 
     def refit(params: dict) -> np.ndarray:
         penalties = entry.system_penalties(params)
-        values = [term.value(rep.h, gamma, rep.b) for term, rep, (gamma, _)
-                  in zip(terms, solve_families(families, penalties), penalties)]
-        return entry.module.decide(sum(values[1:], values[0]))
+        reports = solve_families(families, penalties)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in Model.total
+            values = [term.value(rep.h, gamma, rep.b)
+                      for term, rep, (gamma, _) in zip(terms, reports, penalties)]
+            return entry.module.decide(sum(values[1:], values[0]))
 
     return entry.module.decide(decision), passed, refit
 
@@ -314,5 +311,6 @@ def column_scores(task: str, pred: np.ndarray, truth: np.ndarray) -> list[float]
     """
     if task == CLASSIFY:
         return (np.mean(pred == truth[:, None], axis=0) * 100.0).tolist()
-    diff = np.ascontiguousarray(pred.T) - truth
-    return np.sqrt(np.mean(diff * diff, axis=1)).tolist()
+    with np.errstate(over="ignore"):  # an error beyond double range is inf, as in rmse
+        diff = np.ascontiguousarray(pred.T) - truth
+        return np.sqrt(np.mean(diff * diff, axis=1)).tolist()

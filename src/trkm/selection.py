@@ -14,7 +14,7 @@ sigma values is cells k, k+L, k+2L, ..., each listing with the same penalties,
 and one ``models.penalty_table`` serves every system and listing. Per (listing,
 fold), ``models.fold_predictions`` solves every cell of the listing at once from
 the statement in the model's own module, the one its fit and predictor read,
-with one spectral shift per kernel block, and ``models.column_scores`` scores them.
+in one ``solver.solve_spectral`` call, and ``models.column_scores`` scores them.
 A cell it does not vouch for at a fold is refitted there directly from the same
 statement, bitwise ``predict(fit(...))``, and that refit alone decides the
 score or the error and message; a cell that failed is not refitted at later

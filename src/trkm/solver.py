@@ -37,29 +37,29 @@ only on (K, gamma, eta), so reuse is exact. A fitted model keeps no block.
 A solve reports one conditioning figure, its factor's ``pivot_ratio``: the largest
 over the smallest pivot, which the pivot floor holds below 1/``RELATIVE_PIVOT_FLOOR``.
 
-``solve_spectral`` solves one kernel block's system for many (gamma, eta)
-pairs at once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as
-grid search needs. The core depends on (gamma, eta) only through a shift of
-the kernel's spectrum: with K = Q diag(lambda) Q^T,
+``solve_spectral`` solves a statement's families for many (gamma, eta) pairs at
+once (``BorderedFamily.rhs_top`` stacks their right-hand sides), as grid search
+needs. The core depends on (gamma, eta) only through a shift of the kernel's
+spectrum: with K = Q diag(lambda) Q^T,
 
     K/gamma + eta*I = Q diag(d) Q^T,   d = lambda/gamma + eta,
 
-so one ``eigh`` serves every pair. It and what depends only on the spectrum
-and the pairs (d, v = C^-1 e, e^T v, the finite-and-positive mask of d and
-its spread) are one ``spectral_shift``, computed once per kernel block and
-shared by every system on it, as TRKM-R's twins share their fold kernel.
+so one ``eigh`` serves every pair. The call takes one per distinct kernel
+block, with what depends only on the spectrum and the pairs (d, v = C^-1 e,
+e^T v, the finite-and-positive mask of d and its spread d_max/d_min), and
+every family on the block shares it, as TRKM-R's twins share their fold kernel.
 Each pair then takes the scalar Schur step of the +e border: u = C^-1 r,
 b = (e^T u - c)/(e^T v), h = u - b*v, and returns sign * b. Stacking the
 pairs as columns turns the solves, the residuals and the balance rows into a
 few matrix products. Each column is held to the gates of ``solve_bordered``,
 stated once for both solvers and per column: ``residual_bound`` (the max-abs
 ``residual`` of the system on its kernel, balance row included) and
-``balance_met``; nan fails both. Every d must also be finite and positive. A
-column that misses a gate is only marked; the caller decides it with
-``solve_bordered``. There is no pivot floor here and no refinement: one round
-for the columns over the residual bound let through columns that
-``solve_bordered`` rejects as singular, so the caller's table would no longer
-read as the LU fits write it.
+``balance_met``, whose bound allows for the rounding of sum(h); nan fails both.
+Every d must also be finite and positive. A column that misses a gate is only
+marked; the caller decides it with ``solve_bordered``. There is no pivot floor
+here and no refinement: one round for the columns over the residual bound let
+through columns that ``solve_bordered`` rejects as singular, so the caller's
+table would no longer read as the LU fits write it.
 """
 
 from __future__ import annotations
@@ -362,10 +362,16 @@ def residual_bound(rhs_top: np.ndarray, rhs_bottom: float):
                                       np.abs(rhs_top).max(axis=0, initial=0.0))
 
 
-def balance_met(total, rhs_bottom: float):
-    """The balance gate of each column, whose sum(h) is ``total``: |total - rhs_bottom| at most
-    ``BALANCE_RTOL`` times max(1, |rhs_bottom|); a nan total fails."""
-    return np.abs(total - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom))
+def balance_met(h: np.ndarray, total, rhs_bottom: float):
+    """The balance gate of each column of ``h`` (one verdict for a vector), whose sum is
+    ``total``: |total - rhs_bottom| at most ``BALANCE_RTOL`` times max(1, |rhs_bottom|) plus
+    the rounding of the sum, n*eps*sum(|h|), which scales with h's unit. |h| is scaled by
+    n*eps before it is summed, so the bound does not overflow; a nan total, an inf h or an
+    error beyond double range fails."""
+    with np.errstate(over="ignore"):
+        tol = BALANCE_RTOL * max(1.0, abs(rhs_bottom)) + (
+            len(h) * np.finfo(float).eps * np.abs(h)).sum(axis=0)
+        return (np.abs(total - rhs_bottom) <= tol) & np.isfinite(tol)
 
 
 def residual(kernel: np.ndarray, gamma, eta, h: np.ndarray, b, rhs_top: np.ndarray,
@@ -438,7 +444,7 @@ def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
         raise SingularSystem(f"{name}: residual {res_norm:.3e} exceeds tolerance {tol:.3e}; "
                              "system is effectively singular")
     total = float(total)
-    if not balance_met(total, rhs_bottom):
+    if not balance_met(x[:n], total, rhs_bottom):
         raise SingularSystem(f"{name}: balance border.h = {total!r} deviates from {rhs_bottom!r}")
     return SolveReport(x, res_norm, block.pivot_ratio, name, rhs_bottom)
 
@@ -450,45 +456,27 @@ def solve_families(families, penalties) -> tuple[SolveReport, ...]:
 
 @dataclass(frozen=True)
 class SpectralSolve:
-    """Solutions of one kernel block's system for many (gamma, eta) columns.
+    """Solutions of one family's system for many (gamma, eta) columns.
 
     ``h`` is n x columns and ``b`` has one border value per column.
     ``b_size`` bounds each |b| by the sizes of the terms it is computed
     from, cancellation ignored; a b far below it is mostly rounding.
-    ``passed`` marks the columns that meet every gate.
+    ``passed`` marks the columns that meet every gate, and ``spread`` is
+    each column's d_max/d_min, its core's condition number.
     """
 
     h: np.ndarray
     b: np.ndarray
     b_size: np.ndarray
     passed: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralShift:
-    """The parts of ``solve_spectral`` that depend only on a kernel block and its (gamma,
-    eta) columns (``gammas``, ``etas``), for every system on that block.
-
-    ``q`` holds the eigenvectors, ``d`` each column's shifted spectrum lambda/gamma + eta,
-    ``v`` = C^-1 e and ``ev`` = e^T v per column; ``ok`` marks the columns whose d is
-    finite and positive, and ``spread`` is each column's d_max/d_min.
-    """
-
-    gammas: np.ndarray
-    etas: np.ndarray
-    q: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-    ev: np.ndarray
-    ok: np.ndarray
     spread: np.ndarray
 
 
-def spectral_shift(kernel, gammas, etas) -> SpectralShift:
-    """The ``SpectralShift`` of a symmetric kernel block at the columns (gammas[j], etas[j]),
-    from one ``eigh``; a spectrum that does not converge is all nan and fails every column."""
-    kernel = np.asarray(kernel, dtype=float)
-    gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
+def _spectral_shift(kernel: np.ndarray, gammas: np.ndarray, etas: np.ndarray):
+    """(q, d, v, e^T v, ok, spread) of a symmetric kernel at the columns (gammas[j], etas[j]),
+    from one ``eigh``: the eigenvectors q, each column's shifted spectrum d = lambda/gamma + eta,
+    v = C^-1 e, the mask of the columns whose d is finite and positive, and each column's
+    d_max/d_min. A spectrum that does not converge is all nan and fails every column."""
     try:
         lam, q = np.linalg.eigh(kernel)
     except np.linalg.LinAlgError:
@@ -497,30 +485,33 @@ def spectral_shift(kernel, gammas, etas) -> SpectralShift:
     with np.errstate(all="ignore"):
         d = lam[:, None] / gammas + etas
         v = q @ (q.sum(axis=0)[:, None] / d)
-        return SpectralShift(gammas, etas, q, d, v, v.sum(axis=0),
-                             np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0),
-                             d.max(axis=0) / d.min(axis=0))
+        return (q, d, v, v.sum(axis=0), np.isfinite(d).all(axis=0) & (d > 0.0).all(axis=0),
+                d.max(axis=0) / d.min(axis=0))
 
 
-def solve_spectral(
-    kernel, border_sign: int, rhs_top, rhs_bottom: float, shift: SpectralShift
-) -> SpectralSolve:
-    """Solve the bordered system of ``kernel`` for each column j of ``shift``, at
-    (shift.gammas[j], shift.etas[j]) with right-hand side rhs_top[:, j].
+def solve_spectral(families, gammas, etas) -> tuple[SpectralSolve, ...]:
+    """Solve each family's system at every column (gammas[j], etas[j]), in order.
 
-    ``shift`` is the kernel's ``spectral_shift``; every system on the kernel may
-    share it. See the module docstring for the method and the gates. A nan
-    spectrum fails every column. The shift's spread d_max/d_min is not gated
-    here; ``models.SPREAD_LIMIT`` holds regression cells to it.
+    One ``eigh`` per distinct kernel block serves every family on it. See the
+    module docstring for the method and the gates. A nan spectrum fails every
+    column. The spread is not gated here; ``models.SPREAD_LIMIT`` holds
+    regression cells to it.
     """
-    kernel = np.asarray(kernel, dtype=float)
-    rhs = np.asarray(rhs_top, dtype=float)
-    with np.errstate(all="ignore"):  # columns of a failed shift hold inf or nan
-        u = shift.q @ ((shift.q.T @ rhs) / shift.d)
-        b = (u.sum(axis=0) - rhs_bottom) / shift.ev  # the +e twin's b
-        b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(shift.ev)
-        h = u - b * shift.v
-        res, balance = residual(kernel, shift.gammas, shift.etas, h, b, rhs, rhs_bottom)
-        passed = ((np.abs(res).max(axis=0) <= residual_bound(rhs, rhs_bottom))
-                  & balance_met(balance, rhs_bottom) & shift.ok)
-    return SpectralSolve(h, border_sign * b, b_size, passed)
+    gammas, etas = np.asarray(gammas, dtype=float), np.asarray(etas, dtype=float)
+    shifts, solves = {}, []
+    for family in families:
+        if family.kernel not in shifts:  # the block's first family: its one eigh
+            kernel = np.asarray(family.kernel, dtype=float)
+            shifts[family.kernel] = kernel, _spectral_shift(kernel, gammas, etas)
+        kernel, (q, d, v, ev, ok, spread) = shifts[family.kernel]
+        rhs, rhs_bottom = family.rhs_top(gammas), family.rhs_bottom
+        with np.errstate(all="ignore"):  # columns of a failed shift hold inf or nan
+            u = q @ ((q.T @ rhs) / d)
+            b = (u.sum(axis=0) - rhs_bottom) / ev  # the +e twin's b
+            b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(ev)
+            h = u - b * v
+            res, balance = residual(kernel, gammas, etas, h, b, rhs, rhs_bottom)
+            passed = ((np.abs(res).max(axis=0) <= residual_bound(rhs, rhs_bottom))
+                      & balance_met(h, balance, rhs_bottom) & ok)
+        solves.append(SpectralSolve(h, family.border_sign * b, b_size, passed, spread))
+    return tuple(solves)

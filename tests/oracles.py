@@ -12,7 +12,8 @@
   and refinement with the residual on the whole contiguous kernel.
 - ``bordered_gates`` and ``spectral_gates``: the residual and balance gates as
   ``solve_bordered`` and ``solve_spectral`` each wrote them before the rule was
-  stated once in ``trkm.solver.residual_bound`` and ``balance_met``.
+  stated once in ``trkm.solver.residual_bound`` and ``balance_met``, with the
+  balance bound since widened by the rounding of the sum, ``balance_tolerance``.
 - ``kernel_eval``: the kernel of one pair of vectors, summed left to right,
   which every entry of ``trkm.kernels.gram`` must equal bitwise.
 - ``classifier_slacks`` and ``regressor_slacks``: the fitted error vectors of
@@ -149,23 +150,29 @@ def separate_array_solve(system):
     return x, float(np.max(np.abs(r))), float(pivots.max()) / float(pivots.min())
 
 
-def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, total: float):
+def balance_tolerance(h, rhs_bottom: float) -> float:
+    """The balance bound of a solution h: BALANCE_RTOL * max(1, |rhs_bottom|) plus the rounding
+    of sum(h), n*eps*|h_1| + ... + n*eps*|h_n| added left to right."""
+    rounding = 0.0
+    for value in h:
+        rounding += len(h) * float(np.finfo(float).eps) * abs(float(value))
+    return BALANCE_RTOL * max(1.0, abs(rhs_bottom)) + rounding
+
+
+def bordered_gates(rhs_top, rhs_bottom: float, res_norm: float, h, total: float):
     """``solve_bordered``'s refinement tolerance, and whether its residual check and its
-    balance check raise, for a solution of max-abs residual ``res_norm`` and sum(h) ``total``."""
+    balance check raise, for a solution h of max-abs residual ``res_norm`` and sum ``total``."""
     b = np.concatenate([rhs_top, [rhs_bottom]])
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(b))))
-    return (tol, res_norm > tol,
-            abs(total - rhs_bottom) > BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
+    return tol, res_norm > tol, abs(total - rhs_bottom) > balance_tolerance(h, rhs_bottom)
 
 
-def spectral_gates(rhs, rhs_bottom: float, residual, balance, ok):
-    """``solve_spectral``'s residual ``bound`` and ``passed`` of each column of ``rhs``."""
+def spectral_gates(rhs, rhs_bottom: float, residual, h, balance, ok):
+    """``solve_spectral``'s residual ``bound`` and ``passed`` of each column of ``rhs``, whose
+    solutions are the columns of ``h``."""
     bound = RESIDUAL_RTOL * np.maximum(max(1.0, abs(rhs_bottom)), np.abs(rhs).max(axis=0))
-    passed = (
-        (residual <= bound)
-        & (np.abs(balance - rhs_bottom) <= BALANCE_RTOL * max(1.0, abs(rhs_bottom)))
-        & ok
-    )
+    tol = np.array([balance_tolerance(column, rhs_bottom) for column in h.T])
+    passed = (residual <= bound) & (np.abs(balance - rhs_bottom) <= tol) & ok
     return bound, passed
 
 

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trkm.cli import _write_json, main
@@ -106,6 +108,30 @@ def test_shifting_regression_targets_shifts_predictions(tmp_path, shift):
         predictions.append(np.array(out.read_text().split()[1:], dtype=float))
     base, shifted = predictions
     assert np.abs(shifted - base - shift).max() <= 1e-9 * max(1.0, abs(shift))
+
+
+def test_regression_targets_in_large_units_train(tmp_path):
+    # Targets times 1e11 make h as large, and sum(h) rounds by up to about n*eps*sum(|h|):
+    # the balance gate allows that much, so this fit meets its gates.
+    x, y = sine(40, seed=3)
+    data = str(tmp_path / "d.csv")
+    write_regression_csv(data, x, y * 1e11)
+    assert run("train", "--task", "regress", "--data", data, "--target-col", "target",
+               "--gamma", "1", "--eta", "1", "--sigma", "1",
+               "--model-out", str(tmp_path / "m.json")) == 0
+
+
+def test_a_grid_on_targets_in_large_units_has_no_balance_error_cell(tmp_path):
+    # The full default grid on sine.csv with targets times 1e6 once failed 44 cells by the
+    # balance gate alone; cells the residual gate fails are left to that gate.
+    table = np.loadtxt(DATA_DIR / "synthetic" / "sine.csv", delimiter=",", skiprows=1, ndmin=2)
+    data = str(tmp_path / "d.csv")
+    write_regression_csv(data, table[:, :-1], table[:, -1] * 1e6)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "regress", "--data", data,
+               "--target-col", "target") == 0
+    cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
+    assert len(cells) == 1331
+    assert not [cell["error"] for cell in cells if "balance" in cell["error"]]
 
 
 def test_missing_required_flag_exits_2(tmp_path, capsys):
@@ -304,6 +330,22 @@ def test_a_far_query_row_predicts_without_a_warning(tmp_path, capsys, task, trut
     assert run("predict", "--model", model, "--data", query, *TRUTH[task],
                "--output", str(output)) == 0
     assert capsys.readouterr() == (f"2 predictions written to {output}\n{printed}", "")
+
+
+# A 5-row regression file whose targets' errors overflow a fold's squared errors.
+OVERFLOWING_TARGETS = [(0.1, 1e308), (0.5, -1e308), (0.9, 1), (0.3, 2), (-0.7, 3)]
+
+
+def test_a_grid_whose_errors_overflow_scores_inf_without_a_warning(tmp_path, capsys):
+    # Each fold's RMSE reads inf, as metrics.rmse gives; the best cell then fails its refit.
+    data = _csv(tmp_path / "d.csv", "regress", OVERFLOWING_TARGETS)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "regress", "--data", data,
+               "--target-col", "target", "--folds", "2", "--sigma-grid", "1",
+               "--gamma-grid", "1", "--eta-grid", "1") == 4
+    (cell,) = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
+    assert cell["fold_scores"] == [math.inf, math.inf] and cell["error"] == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: best cell ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("model_kind, task", [("trkm", "classify"), ("rkm", "classify"),
@@ -1559,3 +1601,67 @@ def test_a_model_file_nested_too_deep_exits_3_naming_it(tmp_path, blob_csv, caps
                "--output", str(out)) == 3
     assert capsys.readouterr().err.startswith(f"error: {model_path}: not valid JSON (")
     assert not out.exists()
+
+
+# The data-file slice of the fuzzed exit-code contract: values at the ends of double range,
+# and files that are empty, a header only, ragged, non-finite, one row or one label.
+DATA_MAGNITUDES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+DATA_VALUE = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from((1.0, -1.0)),
+                       st.sampled_from(DATA_MAGNITUDES))
+
+
+# Besides the file, an error line may name a flag, the grid cell that failed (its params) or
+# the system whose solve failed.
+NAMED_FAULT = re.compile(r"--[a-z]|\{'gamma': |\bsystem: ")
+
+
+@st.composite
+def data_files(draw):
+    """(model kind, task, text) of a generated data file of at most 8 rows, header f0, f1, ...
+    and the task's truth column."""
+    kind, task = draw(st.sampled_from([("trkm", "classify"), ("rkm", "classify"),
+                                       ("trkm", "regress")]))
+    shape = draw(st.sampled_from(["empty", "header only", "rows"]))
+    if shape == "empty":
+        return kind, task, ""
+    features = draw(st.integers(1, 2))
+    truth = st.sampled_from((1.0, -1.0)) if task == "classify" else DATA_VALUE
+    rows = [[*map(repr, draw(st.lists(DATA_VALUE, min_size=features, max_size=features))),
+             repr(draw(truth))] for _ in range(draw(st.integers(1, 8)) if shape == "rows" else 0)]
+    if rows and draw(st.booleans(), label="ragged"):
+        del draw(st.sampled_from(rows))[-1]
+    if rows and draw(st.booleans(), label="non-finite"):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(("nan", "inf", "-inf")))
+    header = [f"f{j}" for j in range(features)] + [TRUTH[task][1]]
+    return kind, task, "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+@settings(max_examples=200)
+@given(case=data_files())
+@example(case=("trkm", "regress", "f0,target\n" + "".join(f"{x!r},{t!r}\n"
+                                                           for x, t in OVERFLOWING_TARGETS)))
+# a fold's refit whose two component functions overflow as they are summed
+@example(case=("trkm", "regress", "f0,target\n0.0,1.7e+308\n" + "0.0,0.0\n" * 4
+                                  + "0.0,1.7e+308\n0.0,0.0\n"))
+def test_a_data_file_trains_searches_and_predicts_or_exits_naming_it(trained_model_files, case):
+    # predict reads the file with a model trained on 2 (classify) or 1 (regress) features
+    kind, task, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+        data.write_text(text)
+        common = ["--task", task, "--model-kind", kind, "--data", str(data), *TRUTH[task]]
+        for argv in (["train", *common, "--gamma", "1", "--eta", "1", "--sigma", "1",
+                      "--model-out", str(out / "m.json")],
+                     ["gridsearch", *common, "--folds", "2", "--gamma-grid", "1",
+                      "--eta-grid", "1", "--sigma-grid", "1"],
+                     ["predict", "--model", str(trained_model_files[0] / f"{kind}-{task}.json"),
+                      *common[4:], "--output", str(out / "p.csv")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--output-dir", str(out), *argv])
+            err = err.getvalue()
+            assert code in (0, 2, 3, 4), (argv[0], code, err)
+            assert "Traceback" not in err and "RuntimeWarning" not in err, err
+            for line in err.splitlines():
+                assert str(data) in line or NAMED_FAULT.search(line), (argv[0], line)

@@ -313,8 +313,9 @@ def test_per_class_penalties_equal_per_cell_fits(monkeypatch):
     assert len(result.table) == 16
     assert cells_of(result) == expected
     real_solve = models.solve_spectral
-    monkeypatch.setattr(models, "solve_spectral", lambda *args: dataclasses.replace(
-        real_solve(*args), passed=np.zeros(len(args[-1].gammas), dtype=bool)))
+    monkeypatch.setattr(models, "solve_spectral", lambda *args: tuple(
+        dataclasses.replace(solved, passed=np.zeros_like(solved.passed))
+        for solved in real_solve(*args)))
     counts = counting(monkeypatch, "_getrf", "solve_bordered")
     result = grid_search(small_dataset(), PER_CLASS_GRID, CLASSIFY, model_kind=TRKM, seed=1)
     assert cells_of(result) == expected
@@ -374,9 +375,9 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     real_solve, real_refit = models.solve_spectral, models.solve_families
     refitted = []
 
-    def rejecting(*args):
-        solved, shift = real_solve(*args), args[-1]
-        return dataclasses.replace(solved, passed=solved.passed & (shift.gammas != 0.1))
+    def rejecting(families, gammas, etas):
+        return tuple(dataclasses.replace(solved, passed=solved.passed & (gammas != 0.1))
+                     for solved in real_solve(families, gammas, etas))
 
     def failing(families, penalties, **kwargs):
         refitted.append(penalties[0][0])
@@ -502,19 +503,24 @@ def test_threaded_regression_grid_matches_serial():
 def test_a_search_builds_one_penalty_table_and_one_shift_per_kernel_block(
     monkeypatch, model_kind, task, equal, shifts_per_unit
 ):
+    # Each (sigma, fold) unit solves its systems in one solve_spectral call, which
+    # takes one eigh per kernel block.
     x, y = (blobs(12, 2.0, seed=5) if task == CLASSIFY else sine(24, seed=5))
     ds = Dataset(X=x, target=y, task=task)
     grid = GridSpec(gamma_values=(1e-5, 1.0), eta_values=(1e-3, 1.0), sigma_values=(1.0, 32.0),
                     equal_penalties=equal, folds=3)
-    real_shift, real_table = models.spectral_shift, models.penalty_table
-    shifts, tables = [], []
-    monkeypatch.setattr(models, "spectral_shift",
-                        lambda *args: shifts.append(1) or real_shift(*args))
+    real_solve, real_eigh, real_table = models.solve_spectral, np.linalg.eigh, models.penalty_table
+    solves, eighs, tables = [], [], []
+    monkeypatch.setattr(models, "solve_spectral",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: eighs.append(1) or real_eigh(*args))
     monkeypatch.setattr(models, "penalty_table",
                         lambda *args: tables.append(1) or real_table(*args))
     grid_search(ds, grid, task, model_kind=model_kind, seed=0)
+    units = len(grid.sigma_values) * grid.folds
     assert len(tables) == 1
-    assert len(shifts) == len(grid.sigma_values) * grid.folds * shifts_per_unit
+    assert len(solves) == units
+    assert len(eighs) == units * shifts_per_unit
 
 
 @pytest.mark.parametrize("model_kind, task", [(TRKM, REGRESS), (TRKM, CLASSIFY)])
@@ -636,8 +642,8 @@ def test_fallbacks_reuse_the_units_gram_blocks(monkeypatch, model_kind, task, gr
     grams, refits = [], []
 
     def rejecting(*args):
-        solved = real_spectral(*args)
-        return dataclasses.replace(solved, passed=np.zeros_like(solved.passed))
+        return tuple(dataclasses.replace(solved, passed=np.zeros_like(solved.passed))
+                     for solved in real_spectral(*args))
 
     monkeypatch.setattr(models, "solve_spectral", rejecting)
     monkeypatch.setattr(models, "solve_families",

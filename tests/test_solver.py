@@ -13,11 +13,12 @@ from trkm.errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 from trkm.kernels import gaussian, gram
 import trkm.solver
 from trkm.solver import (
+    BorderedFamily,
     BorderedSystem,
     KernelBlock,
     row_blocks,
     solve_bordered,
-    spectral_shift,
+    solve_spectral,
 )
 from trkm.synthetic import sine
 
@@ -267,29 +268,47 @@ _RATIO = st.one_of(st.sampled_from((0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0))
 @settings(max_examples=400)
 @given(n=st.integers(1, 5), cols=st.integers(1, 4), data=st.data())
 def test_gates_give_the_bounds_and_verdicts_each_solver_wrote(n, cols, data):
-    rhs = np.array(data.draw(st.lists(_MAGNITUDE, min_size=n * cols, max_size=n * cols)))
-    rhs = rhs.reshape(n, cols)
+    # The balance bound is the oracle's, which adds the rounding of sum(h) to the bound
+    # both solvers wrote; the residual bound is theirs.
+    rhs, h = (np.array(data.draw(st.lists(_MAGNITUDE, min_size=n * cols, max_size=n * cols)))
+              .reshape(n, cols) for _ in range(2))
     bottom = data.draw(_MAGNITUDE)
     ratios = data.draw(st.lists(st.tuples(_RATIO, _RATIO, st.sampled_from((-1.0, 1.0)),
                                           st.booleans()), min_size=cols, max_size=cols))
     res_ratio, bal_ratio, bal_sign, ok = map(np.array, zip(*ratios))
     bound = trkm.solver.residual_bound(rhs, bottom)
     residual = res_ratio * bound
-    total = bottom + bal_sign * bal_ratio * trkm.solver.BALANCE_RTOL * max(1.0, abs(bottom))
-    old_bound, old_passed = oracles.spectral_gates(rhs, bottom, residual, total, ok)
+    total = bottom + bal_sign * bal_ratio * np.array(
+        [oracles.balance_tolerance(column, bottom) for column in h.T])
+    old_bound, old_passed = oracles.spectral_gates(rhs, bottom, residual, h, total, ok)
     assert bound.tobytes() == old_bound.tobytes()
-    passed = (residual <= bound) & trkm.solver.balance_met(total, bottom) & ok
+    passed = (residual <= bound) & trkm.solver.balance_met(h, total, bottom) & ok
     assert passed.tolist() == old_passed.tolist()
     for j in range(cols):
         tol, old_res_refused, old_bal_refused = oracles.bordered_gates(
-            rhs[:, j], bottom, float(residual[j]), float(total[j]))
+            rhs[:, j], bottom, float(residual[j]), h[:, j], float(total[j]))
         assert np.float64(trkm.solver.residual_bound(rhs[:, j], bottom)).tobytes() == \
             np.float64(tol).tobytes()
         res_refused = not residual[j] <= tol
-        bal_refused = not trkm.solver.balance_met(float(total[j]), bottom)
+        bal_refused = not trkm.solver.balance_met(h[:, j], float(total[j]), bottom)
         # solve_bordered's old checks let a nan through; the one rule refuses it
         assert res_refused == (old_res_refused or np.isnan(residual[j]))
         assert bal_refused == (old_bal_refused or np.isnan(total[j]))
+
+
+def test_the_balance_bound_never_overflows_and_a_non_finite_one_passes_nothing():
+    # A naive sum of |h| overflows to inf on the first h; an inf bound passes no column.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trkm.solver.balance_met(np.array([1.7e308, -1.7e308, 1.0]), 1.0, 1.0)
+        assert not trkm.solver.balance_met(np.array([np.inf, 1.0]), np.inf, 0.0)
+        assert not trkm.solver.balance_met(np.array([1.0]), -1.7e308, 1.7e308)
+        assert not trkm.solver.balance_met(np.array([[np.nan], [1.0]]), np.array([1.0]), 1.0)[0]
+
+
+def family(block, sign, rhs_fixed, rhs_scaled, rhs_bottom, name="test system"):
+    return BorderedFamily(name, block, sign, np.asarray(rhs_fixed, dtype=float),
+                          np.asarray(rhs_scaled, dtype=float), rhs_bottom)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -297,32 +316,34 @@ def test_spectral_columns_match_the_full_pivot_oracle(rng, sign):
     x = rng.normal(size=(7, 2))
     kernel = gram(gaussian(1.0), x, x)
     gammas, etas = np.array([0.1, 1.0, 10.0]), np.array([1.0, 0.01, 0.5])
-    rhs = rng.normal(size=(7, 3))
-    shift = spectral_shift(kernel, gammas, etas)
-    solved = trkm.solver.solve_spectral(kernel, sign, rhs, 1.5, shift)
-    twin = trkm.solver.solve_spectral(kernel, -sign, rhs, 1.5, shift)
+    block = KernelBlock.holding(kernel)
+    fixed, scaled = rng.normal(size=7), rng.normal(size=7)
+    solved, twin = solve_spectral([family(block, sign, fixed, scaled, 1.5),
+                                   family(block, -sign, fixed, scaled, 1.5)], gammas, etas)
     # the other sign negates b and keeps h, bitwise
     assert twin.h.tobytes() == solved.h.tobytes() and twin.b.tobytes() == (-solved.b).tobytes()
     assert solved.passed.all()
     assert np.allclose(solved.h.sum(axis=0), 1.5, rtol=0, atol=1e-10)
     for j in range(3):
         oracle = solve_full_pivot(*system_matrix(system(kernel, gammas[j], etas[j], sign,
-                                                        rhs[:, j], 1.5)))
+                                                        fixed + scaled / gammas[j], 1.5)))
         assert np.allclose(np.append(solved.h[:, j], solved.b[j]), oracle, rtol=1e-9, atol=1e-9)
         assert abs(solved.b[j]) <= solved.b_size[j]
+        d = np.linalg.eigvalsh(kernel) / gammas[j] + etas[j]
+        assert np.isclose(solved.spread[j], d.max() / d.min(), rtol=1e-12)
 
 
 def test_spectral_column_with_a_zero_shifted_eigenvalue_fails_its_gates():
     kernel = np.diag([-1.0, 1.0, 2.0])  # d = lambda/gamma + eta is 0 in the first column
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shift = spectral_shift(kernel, [1.0, 1.0], [1.0, 2.0])
-        solved = trkm.solver.solve_spectral(kernel, +1, np.ones((3, 2)), 0.0, shift)
+        (solved,) = solve_spectral([family(KernelBlock.holding(kernel), +1, np.ones(3),
+                                           np.zeros(3), 0.0)], [1.0, 1.0], [1.0, 2.0])
     assert solved.passed.tolist() == [False, True]
 
 
 def spectral_bytes(result):
-    """Every array field of a SpectralShift or SpectralSolve, as bytes."""
+    """Every array field of a SpectralSolve, as bytes."""
     return tuple(getattr(result, f.name).tobytes() for f in dataclasses.fields(result))
 
 
@@ -335,24 +356,28 @@ def spectral_bytes(result):
                        min_size=1, max_size=6),
 )
 def test_systems_sharing_one_spectral_shift_solve_as_with_their_own(seed, n, penalties):
-    # TRKM-R's twins solve through one shift of their fold kernel. A random
+    # TRKM-R's twins solve through one eigh of their fold kernel. A random
     # symmetric kernel is indefinite, so shifted spectra can be zero or negative,
     # gamma = 1e-320 overflows them, and the last column always has a zero d:
-    # such columns fail their gates, through a shared shift as through their own.
+    # such columns fail their gates, on a shared block as on their own.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     kernel = (a + a.T) / 2.0
     gammas, etas = np.array([*penalties, (1.0, -float(np.linalg.eigh(kernel)[0].max()))]).T
-    shared = spectral_shift(kernel, gammas, etas)
-    filled = spectral_bytes(shared)
-    for sign in (+1, -1):
-        rhs, bottom = rng.normal(size=(n, len(gammas))), float(rng.normal())
-        own = trkm.solver.solve_spectral(kernel, sign, rhs, bottom,
-                                         spectral_shift(kernel, gammas, etas))
-        assert spectral_bytes(trkm.solver.solve_spectral(
-            kernel, sign, rhs, bottom, shared)) == spectral_bytes(own)
+    shared = KernelBlock.holding(kernel)
+    twins = [family(shared, sign, rng.normal(size=n), rng.normal(size=n), float(rng.normal()),
+                    name) for sign, name in ((+1, "lower"), (-1, "upper"))]
+    real_eigh, eighs = np.linalg.eigh, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda *args: eighs.append(1) or real_eigh(*args))
+        together = solve_spectral(twins, gammas, etas)
+    assert len(eighs) == 1
+    for twin, solved in zip(twins, together):
+        alone = dataclasses.replace(twin, kernel=KernelBlock.holding(kernel))
+        (own,) = solve_spectral([alone], gammas, etas)
+        assert spectral_bytes(solved) == spectral_bytes(own)
         assert not own.passed[-1]
-    assert spectral_bytes(shared) == filled  # no solve changes the shift
+    assert np.asarray(shared).tobytes() == kernel.tobytes()  # no solve changes the block
 
 
 # Augmented matrices of order LDL_MIN_ORDER and more are factored by LDL^T (sytrf);

@@ -1,6 +1,6 @@
 """Rules on the package source, checked on its syntax trees: one module writes files, one
 module reads CSV, one lays out kernel blocks, one class picks their layout by order, and one
-module calls LAPACK, through five routines."""
+module calls LAPACK, through five routines, and one takes eigendecompositions."""
 
 import ast
 
@@ -105,6 +105,12 @@ def test_only_the_kernel_block_reads_the_order_that_picks_its_layout():
     # KernelBlock decides from its order where its systems are formed and how they are
     # factored; solve_bordered asks the block.
     assert loads_of("LDL_MIN_ORDER") == {("solver", "KernelBlock")}
+
+
+def test_only_solver_reads_eigh():
+    # solver.solve_spectral takes one eigh per kernel block and shares it among the block's
+    # systems; a caller that read eigh would be deciding that sharing itself.
+    assert loads_of("eigh") == {("solver", None)}
 
 
 def test_only_solver_reads_lapack_and_only_its_factor_and_solve_routines():
