@@ -32,7 +32,7 @@ from .data import (
     parse_feature_table,
     parse_targets,
 )
-from .errors import FeatureCountMismatch, ParseError, TooFewSamples, TrkmError
+from .errors import EmptyClass, FeatureCountMismatch, ParseError, TooFewSamples, TrkmError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
 from .model_io import write_atomic
@@ -209,7 +209,10 @@ def cmd_gridsearch(args) -> int:
     print(f"evaluated {len(result.table)} grid cells "
           f"({grid.folds}-fold cross-validation)")
     print(f"grid table written to {args.grid_out}")
-    params = result.fit_params()  # raises when every cell failed: there is no best cell
+    try:
+        params = result.fit_params()  # raises when every cell failed: there is no best cell
+    except EmptyClass as exc:  # every cell stopped at a fold that trains on one class
+        raise EmptyClass(f"{args.data}: {exc}") from exc
     print(f"best params: {params}  cv score: {result.best_cv_score:.6g}")
     _save(result.retrain(args.model_kind, dataset), dataset, args.model_out)
     print(f"best model retrained on the full training data: {args.model_out}")
@@ -410,7 +413,8 @@ def _checked_config(cfg: dict, default_seed: int) -> _Plan:
         else:
             values = _read(entry["grid"], f"{where}.grid", _GRID_KEYS)
             fixed, grid = None, GridSpec(*(tuple(values[key]) for key in ("gamma", "eta", "sigma")),
-                                         values["equal_penalties"], values["folds"])
+                                         values["equal_penalties"], values["folds"],
+                                         folds_from=f"{where}.grid.folds")
             second = [] if grid.equal_penalties else [f"{where}.grid.equal_penalties"]
         models.refuse_second_penalties(kind, task, second)
         plans.append((name, kind, fixed, grid))

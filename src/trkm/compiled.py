@@ -1,14 +1,15 @@
-"""The two compiled SciPy modules trkm calls, loaded without their packages.
+"""The three compiled SciPy modules trkm calls, loaded without their packages.
 
 ``flapack`` is ``scipy.linalg._flapack``, whose ``dgetrf``/``dgetrs`` and
 ``dsytrf``/``dsytrf_lwork``/``dsytrs`` are the objects ``get_lapack_funcs``
-returns, and
-``distance`` is ``scipy.spatial._distance_pybind``, whose
-``cdist_sqeuclidean`` is what ``cdist(..., "sqeuclidean")`` runs. On a 2-core
-x86-64 VM, importing ``scipy.linalg`` and ``scipy.spatial`` costs about 0.4 s
-(sparse matrices, kd-trees, qhull) that trkm never calls, while each extension
-file loads alone in about 10 ms. This is the only module of trkm that names
-SciPy.
+returns; ``fblas`` is ``scipy.linalg._fblas``, whose ``dsymv`` is what
+``get_blas_funcs("symv")`` returns; and ``distance`` is
+``scipy.spatial._distance_pybind``, whose ``cdist_sqeuclidean`` is what
+``cdist(..., "sqeuclidean")`` runs. On a 2-core x86-64 VM, importing
+``scipy.linalg`` and ``scipy.spatial`` costs about 0.4 s (sparse matrices,
+kd-trees, qhull) that trkm never calls, while ``_flapack`` and
+``_distance_pybind`` each load alone in about 10 ms and ``_fblas`` in about
+2 ms. This is the only module of trkm that names SciPy.
 """
 
 import importlib
@@ -36,4 +37,5 @@ def load(name: str):
 
 
 flapack = load("scipy.linalg._flapack")
+fblas = load("scipy.linalg._fblas")
 distance = load("scipy.spatial._distance_pybind")

@@ -74,6 +74,7 @@ class GridSpec:
     sigma_values: tuple[float, ...] = SIGMA_GRID
     equal_penalties: bool = True
     folds: int = 5
+    folds_from: str = field(default="--folds", compare=False)  # what gave ``folds``, for messages
 
     def __post_init__(self):
         for name in ("gamma_values", "eta_values", "sigma_values"):
@@ -100,7 +101,8 @@ class GridResult:
     best_cv_score: float
     table: tuple[GridCell, ...] = field(repr=False)
     task: str = CLASSIFY
-    # when every cell failed: the first cell's error class, with a message naming its params
+    # when every cell failed: the first cell's error class, with a message naming its params,
+    # or, when a fold that trains on one class stopped them all, naming that fold and the class
     failure: TrkmError | None = field(default=None, compare=False)
 
     def fit_params(self) -> dict:
@@ -215,7 +217,7 @@ def grid_search(
     for f, (train_idx, _) in enumerate(folds):
         if len(train_idx) < 2:
             raise TooFewSamples(f"fold {f + 1} of {grid.folds} trains on {len(train_idx)} row, "
-                                "and a fit needs at least 2: use fewer folds (--folds)")
+                                f"and a fit needs at least 2: use fewer folds ({grid.folds_from})")
     points = _grid_points(grid)
     worst = float("-inf") if task == CLASSIFY else float("inf")
     x, y = train_set.X, np.asarray(train_set.target, dtype=float)
@@ -252,11 +254,28 @@ def grid_search(
                   in enumerate(zip(points, scores.mean(axis=1).tolist(), scores.tolist())))
     failure = None
     if len(errors) == len(points):  # no cell to retrain: the first one's error says why
-        first = errors[0][1]
-        failure = type(first)(f"no grid cell could be fitted; the first, {points[0]}, "
-                              f"failed with: {first}")
+        f, first = errors[0]
+        if all(isinstance(exc, EmptyClass) for _, exc in errors.values()):  # all at fold f
+            failure = EmptyClass(_one_class_fold(y, folds[f][0], f, grid))
+        else:
+            failure = type(first)(f"no grid cell could be fitted; the first, {points[0]}, "
+                                  f"failed with: {first}")
 
     # the first best cell: max and min keep the first of equal scores
     best = (max if task == CLASSIFY else min)(table, key=lambda cell: cell.mean_score)
     return GridResult(best_params=best.params, best_cv_score=best.mean_score, table=table,
                       task=task, failure=failure)
+
+
+def _one_class_fold(y: np.ndarray, train_idx: np.ndarray, f: int, grid: GridSpec) -> str:
+    """Why fold ``f``, which trains on the rows ``train_idx`` of labels ``y``, trains on one
+    class: every sample of the other class falls in its validation part. More folds make each
+    validation part smaller, so they can part the samples of a class of 2 or more, and no
+    number of folds parts a lone one."""
+    label = next(c for c in (1.0, -1.0) if not (y[train_idx] == c).any())  # +1 first, as fit
+    count, where = int((y == label).sum()), f"fold {f + 1} of {grid.folds} trains on one class"
+    if count < 2:
+        return (f"no grid cell could be fitted: {where}, as class {label:+g} has {count} "
+                f"sample{'s' * (count != 1)}: each class needs 2 or more, whatever the folds")
+    return (f"no grid cell could be fitted: {where}, as all {count} samples of class {label:+g} "
+            f"validate there: use more folds ({grid.folds_from})")

@@ -25,7 +25,12 @@ the |eigenvalues| of D's 1x1 and 2x2 blocks.
 One or two rounds of iterative refinement keep the residual near machine
 level even for extreme regularizer choices. Every residual, in refinement and
 in the gates, is evaluated on the kernel block by ``residual``, never on a formed
-or factored matrix: a formed block reads K back for it.
+or factored matrix: a formed block reads K back for it. The first residual of a
+solve on a formed block takes its K h from BLAS ``dsymv`` (``compiled.fblas``) on
+the triangle where the block keeps K instead, which rounds otherwise; it stands
+only when the read-back residual would pass as well, whatever their rounding
+(``_rounding_gap``), so the verdict, the refinement and every solution are the
+read-back's, and only a passing residual's digits are dsymv's.
 
 A border sign only negates b: [C, -e; e^T, 0][h; b] = [C, e; e^T, 0][h; -b],
 exactly. So only the +e matrix is formed and factored, and a ``KernelBlock``
@@ -69,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import as_matrix
-from .compiled import flapack
+from .compiled import fblas, flapack
 from .errors import DimensionMismatch, NonFiniteSystem, SingularSystem
 from .kernels import KernelSpec, gram
 
@@ -101,6 +106,7 @@ LDL_MIN_ORDER = 300
 
 _getrf, _getrs = flapack.dgetrf, flapack.dgetrs
 _sytrf, _sytrf_lwork, _sytrs = flapack.dsytrf, flapack.dsytrf_lwork, flapack.dsytrs
+_symv = fblas.dsymv
 
 
 class KernelBlock:
@@ -121,10 +127,19 @@ class KernelBlock:
     ``store.T``. The strict upper triangle, which they never reference, keeps K. From then on
     ``@``, ``np.asarray`` and a later ``formed`` read K from there and ``diagonal``, one
     ``row_blocks`` block of rows at a time (``_symmetric_rows``).
+
+    ``symv`` is one BLAS ``dsymv`` of [h; 0] on the lower triangle of the whole ``store.T`` (a
+    slice of it would be copied for the call). That triangle is K's upper one plus column n,
+    ``store[:n, n]``, which the first form sets to 0 once (``np.empty`` left it unset, and a
+    nan there times the 0 would be nan); sytrf never references it. For the call ``diagonal``
+    is put in place of the factor's diagonal, and the factor's is put back after it, so
+    ``symv`` writes to the block: one thread at a time may use a block (each grid listing
+    builds its own). ``largest`` is the largest |entry| of K, which bounds how far ``symv``
+    and ``@`` round apart.
     """
 
-    def __init__(self, store: np.ndarray):
-        self.store = store
+    def __init__(self, store: np.ndarray, largest: float):
+        self.store, self.largest = store, largest
         self.diagonal = None  # None while store[:n, :n] is K
         self.penalties = self.factors = self.piv = self.pivot_ratio = None
         self.symmetric = len(store) >= LDL_MIN_ORDER
@@ -132,13 +147,19 @@ class KernelBlock:
     @classmethod
     def of(cls, spec: KernelSpec, x) -> KernelBlock:
         """The block of ``gram(spec, x, x)``, bitwise, built one ``row_blocks`` block of rows per
-        ``gram`` call: each entry is its own pair's sum, then elementwise ``divide`` and ``exp``."""
+        ``gram`` call: each entry is its own pair's sum, then elementwise ``divide`` and ``exp``.
+        A call evaluates only the upper trapezoid of its rows, from their first column on, and
+        the rest is copied from the rows above (``_mirror``): ``gram(s, a, b)`` is
+        ``gram(s, b, a).T`` bitwise."""
         xm = as_matrix(x, "left")
         n = len(xm)
-        store = np.empty((n + 1, n + 1))
+        store, largest = np.empty((n + 1, n + 1)), 0.0
         for start, stop in row_blocks(n):
-            store[start:stop, :n] = gram(spec, xm[start:stop], xm)
-        return cls(store)
+            store[start:stop, start:n] = gram(spec, xm[start:stop], xm[start:])
+            rows = store[start:stop, start:n]  # a view: the gram temporary is freed here
+            largest = max(largest, rows.max(initial=0.0), -rows.min(initial=0.0))
+            _mirror(store, start, stop, store[start:stop])
+        return cls(store, largest)
 
     @classmethod
     def holding(cls, kernel) -> KernelBlock:
@@ -153,7 +174,7 @@ class KernelBlock:
         n = len(kernel)
         store = np.empty((n + 1, n + 1))
         store[:n, :n] = kernel
-        return cls(store)
+        return cls(store, max(kernel.max(initial=0.0), -kernel.min(initial=0.0)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -178,6 +199,23 @@ class KernelBlock:
             np.matmul(rows, h, out=out[start:stop])
         return out
 
+    def symv(self, h: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """(K h, size) for a vector h. Once the block is formed, K h is one ``dsymv`` on the
+        triangle that keeps K (see the class docstring), a tenth of ``@``'s time at order 2000,
+        and ``size`` = ``largest`` * sum|h| bounds every entry of |K| |h|, by which the two
+        round apart. Until then K h is ``self @ h``, and ``size`` None."""
+        a, n = self.store, len(self.store) - 1
+        if self.diagonal is None:
+            return self @ h, None
+        diagonal = a.reshape(-1)[: n * (n + 2) : n + 2]
+        held = diagonal.copy()
+        diagonal[:] = self.diagonal
+        try:
+            kh = _symv(1.0, a.T, np.append(h, 0.0), lower=1)[:n]
+        finally:
+            diagonal[:] = held
+        return kh, self.largest * float(np.abs(h).sum())
+
     def formed(self, gamma, eta) -> np.ndarray:
         """The +e matrix [[K/gamma + eta*I, e], [e^T, 0]]; NonFiniteSystem for a non-finite
         entry of the core. Unless ``symmetric``, a new array, and the held factor is kept; else
@@ -190,6 +228,7 @@ class KernelBlock:
         self.penalties = None
         if self.diagonal is None:
             self.diagonal = a.diagonal()[:n].copy()
+            a[:n, n] = 0.0
             blocks = ((start, stop, a[start:stop]) for start, stop in row_blocks(n))
         else:  # each block is read from the upper triangle before its rows are written
             blocks = _symmetric_rows(a, n)
@@ -253,21 +292,27 @@ def _symmetric_rows(a: np.ndarray, n: int, diagonal=None):
     """Each (start, stop, rows) of ``row_blocks(n)``, ``rows`` the C-ordered rows start:stop of
     the symmetric n x n matrix held in the upper triangle of ``a[:n, :n]``, read from that
     triangle alone into one reused buffer; its diagonal is ``diagonal`` when given, else
-    ``a``'s own. The rest of each row is a transposed strip, copied 256 rows at a time:
-    numpy's copy of a whole one strides through memory, 3-4 times slower at order 2000."""
+    ``a``'s own."""
     blocks = row_blocks(n)
     buffer = np.empty((max(stop - start for start, stop in blocks), n))
     for start, stop in blocks:
         m = stop - start
         rows, block = buffer[:m], buffer[:m, start:stop]
         rows[:, start:] = a[start:stop, start:n]
-        for first in range(0, start, 256):
-            last = min(first + 256, start)
-            rows[:, first:last] = a[first:last, start:stop].T
+        _mirror(a, start, stop, rows)
         np.copyto(block, block.T.copy(), where=np.tri(m, k=-1, dtype=bool))
         if diagonal is not None:
             block[np.diag_indices(m)] = diagonal[start:stop]
         yield start, stop, rows
+
+
+def _mirror(a: np.ndarray, start: int, stop: int, rows: np.ndarray) -> None:
+    """Write into ``rows`` columns :start of rows start:stop of the symmetric matrix whose upper
+    triangle ``a`` holds, a transposed strip of ``a``, copied 256 rows at a time: numpy's copy
+    of a whole one strides through memory, 3-4 times slower at order 2000."""
+    for first in range(0, start, 256):
+        last = min(first + 256, start)
+        rows[:, first:last] = a[first:last, start:stop].T
 
 
 @dataclass(frozen=True)
@@ -374,14 +419,27 @@ def balance_met(h: np.ndarray, total, rhs_bottom: float):
         return (np.abs(total - rhs_bottom) <= tol) & np.isfinite(tol)
 
 
-def residual(kernel: np.ndarray, gamma, eta, h: np.ndarray, b, rhs_top: np.ndarray,
+def residual(kh: np.ndarray, gamma, eta, h: np.ndarray, b, rhs_top: np.ndarray,
              rhs_bottom: float):
-    """(A x - rhs, sum(h)) of the +e bordered system at x = [h; b], evaluated on ``kernel``:
-    the rows (K h)/gamma + eta*h + b - rhs_top, then the balance row sum(h) - rhs_bottom.
-    For a matrix ``h``, one system per column, with gamma, eta and b per column."""
+    """(A x - rhs, sum(h)) of the +e bordered system at x = [h; b], evaluated from its kernel's
+    product ``kh`` = K h: the rows kh/gamma + eta*h + b - rhs_top, then the balance row
+    sum(h) - rhs_bottom. For a matrix ``h``, one system per column, with gamma, eta and b per
+    column."""
     balance = h.sum(axis=0)
-    return np.concatenate([(kernel @ h) / gamma + eta * h + b - rhs_top,
+    return np.concatenate([kh / gamma + eta * h + b - rhs_top,
                            [balance - rhs_bottom]]), balance
+
+
+def _rounding_gap(size: float, gamma, eta, x: np.ndarray, rhs_top: np.ndarray) -> float:
+    """How far two max-abs ``residual``s at x = [h; b] may lie apart when their K h are the
+    same n-term dot products summed in two orders and |K| |h| is at most ``size``: each K h
+    is within (n + 1) eps/2 |K| |h| of the exact one (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), and each of a row's 5 further roundings within eps/2
+    of the magnitudes it sums; twice that for two residuals, and a factor 2 to spare."""
+    n = len(x) - 1
+    magnitude = (size / abs(gamma) + abs(eta) * float(np.abs(x[:n]).max()) + abs(x[n])
+                 + float(np.abs(rhs_top).max()))
+    return 2 * (n + 6) * np.finfo(float).eps * magnitude
 
 
 def _augmented(kernel: np.ndarray, gamma, eta) -> np.ndarray:
@@ -432,12 +490,17 @@ def solve_bordered(system: BorderedSystem, name: str) -> SolveReport:
     x = block.solve(np.concatenate([rhs_top, [rhs_bottom]]))
     tol = residual_bound(rhs_top, rhs_bottom)
     with np.errstate(all="ignore"):  # an x that overflowed gives a nan residual: the gate fails
-        res, total = residual(block, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
+        kh, size = block.symv(x[:n])
+        res, total = residual(kh, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
+        # dsymv's residual stands where K's rows' would pass too; else theirs decides
+        if size is not None and not (float(np.max(np.abs(res)))
+                                     + _rounding_gap(size, gamma, eta, x, rhs_top) <= tol):
+            res, total = residual(block @ x[:n], gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
         for _ in range(_REFINE_ROUNDS):
             if float(np.max(np.abs(res))) <= tol:
                 break
             x = x - block.solve(res)
-            res, total = residual(block, gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
+            res, total = residual(block @ x[:n], gamma, eta, x[:n], x[n], rhs_top, rhs_bottom)
     x[n] *= system.border_sign  # the +e twin's b, negated for a -e system
     res_norm = float(np.max(np.abs(res)))
     if not res_norm <= tol:
@@ -510,7 +573,7 @@ def solve_spectral(families, gammas, etas) -> tuple[SpectralSolve, ...]:
             b = (u.sum(axis=0) - rhs_bottom) / ev  # the +e twin's b
             b_size = (np.abs(u).sum(axis=0) + abs(rhs_bottom)) / np.abs(ev)
             h = u - b * v
-            res, balance = residual(kernel, gammas, etas, h, b, rhs, rhs_bottom)
+            res, balance = residual(kernel @ h, gammas, etas, h, b, rhs, rhs_bottom)
             passed = ((np.abs(res).max(axis=0) <= residual_bound(rhs, rhs_bottom))
                       & balance_met(h, balance, rhs_bottom) & ok)
         solves.append(SpectralSolve(h, family.border_sign * b, b_size, passed, spread))

@@ -5,7 +5,11 @@
   over an augmented matrix built here from its blocks, in plain Python loops;
   ``system_matrix`` and ``residual`` apply them to a ``BorderedSystem``.
 - ``kernel_residual``: the residual a solve reports, written out from the
-  system's kernel as ``trkm.solver.residual`` must evaluate it, bitwise.
+  system's kernel as ``trkm.solver.residual`` must evaluate it, bitwise where
+  the kernel block's K h is K's rows' (every residual that refines or fails);
+  ``gemv_drift`` and ``residual_drift`` bound how far a K h taken otherwise
+  (a passing residual's ``dsymv`` on a formed block), and the residual from
+  it, may round from the gemv's.
 - ``separate_array_solve``: a solve of order ``LDL_MIN_ORDER`` or more as it was
   made before kernel blocks held their own factors: a formed copy of the whole
   augmented matrix, ``sytrf``/``sytrs`` on the copy, the pivot ratio of its D,
@@ -118,6 +122,26 @@ def kernel_residual(system, x):
     h, b = np.asarray(x[:-1], dtype=float), system.border_sign * x[-1]
     top = (kernel @ h) / system.gamma + system.eta * h + b - system.rhs_top
     return float(max(np.max(np.abs(top), initial=0.0), abs(h.sum() - system.rhs_bottom)))
+
+
+def gemv_drift(kernel, h):
+    """How far each entry of two evaluations of K h may differ, whatever their summation order:
+    each is an n-term dot product within gamma_n (|K| |h|) of the exact one (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1), gamma_n = n u / (1 - n u) <= n eps for
+    the unit roundoff u = eps / 2, so two are within 2 n eps (|K| |h|)."""
+    kernel, h = np.abs(np.asarray(kernel, dtype=float)), np.abs(np.asarray(h, dtype=float))
+    return 2 * len(h) * np.finfo(float).eps * (kernel @ h)
+
+
+def residual_drift(system, x):
+    """How far two evaluations of a system's max-abs residual at x = [h; b] may differ when
+    their K h round as two dot products do: each row (K h)/gamma + eta*h + b - rhs_top is its
+    ``gemv_drift``/gamma plus at most 5 roundings, each within eps of the terms' magnitude
+    |K||h|/gamma + eta*|h| + |b| + |rhs_top|, in each evaluation."""
+    kernel, h = np.asarray(system.kernel, dtype=float), np.asarray(x[:-1], dtype=float)
+    terms = ((np.abs(kernel) @ np.abs(h)) / system.gamma + system.eta * np.abs(h)
+             + abs(x[-1]) + np.abs(system.rhs_top))
+    return float(np.max(gemv_drift(kernel, h) / system.gamma + 10 * np.finfo(float).eps * terms))
 
 
 def separate_array_solve(system):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trkm.cli import _write_json, main
+from trkm.cli import _checked_config, _write_json, main
 from trkm.errors import SingularSystem, TooFewSamples
 from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
@@ -798,15 +798,20 @@ ONE_NEGATIVE = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,b\n0.7,0.4,b\n0.2,0.8
 BALANCED = "f0,f1,label\n0.1,0.2,a\n0.3,0.1,b\n0.5,0.9,a\n0.7,0.4,b\n0.2,0.8,a\n0.9,0.6,b\n"
 
 
-@pytest.mark.parametrize("rows, penalties, code, reason", [
-    (ONE_NEGATIVE, ("1,10", "1"), 3, "class -1 has no samples"),
-    (BALANCED, ("1e300", "1e-300"), 4, "class +1 system: pivot "),
+EMPTY_FOLD = ("no grid cell could be fitted: fold 3 of 3 trains on one class, as class -1 has 1 "
+              "sample: each class needs 2 or more, whatever the folds")
+
+
+@pytest.mark.parametrize("rows, penalties, code, reason, failure", [
+    (ONE_NEGATIVE, ("1,10", "1"), 3, "class -1 has no samples", EMPTY_FOLD),
+    (BALANCED, ("1e300", "1e-300"), 4, "class +1 system: pivot ", None),
 ], ids=["empty_class", "singular"])
 def test_gridsearch_with_no_fittable_cell_writes_the_table_and_no_model(
-    tmp_path, capsys, rows, penalties, code, reason
+    tmp_path, capsys, rows, penalties, code, reason, failure
 ):
     # The table holds each cell's reason; no cell is retrained, and the first
-    # failed cell's error gives the exit code.
+    # failed cell's error gives the exit code. A fold that trains on one class, which
+    # stops every cell, is named with the data file and the class that it lacks.
     data = tmp_path / "d.csv"
     data.write_text(rows)
     assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "classify",
@@ -815,10 +820,41 @@ def test_gridsearch_with_no_fittable_cell_writes_the_table_and_no_model(
     cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
     assert all(cell["error"] for cell in cells) and cells[0]["error"].startswith(reason)
     captured = capsys.readouterr()
-    assert captured.err == (f"error: no grid cell could be fitted; the first, "
-                            f"{cells[0]['params']}, failed with: {cells[0]['error']}\n")
+    assert captured.err == "error: " + (f"{data}: {failure}" if failure else (
+        f"no grid cell could be fitted; the first, {cells[0]['params']}, failed with: "
+        f"{cells[0]['error']}")) + "\n"
     assert "best params" not in captured.out  # no fold vouched for any cell
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("rows, folds, failure", [
+    # two rows of x and one of y: the fold that validates on y trains on x alone, at any folds
+    ("0.1,x\n0.2,x\n0.3,y\n", "3", "fold 1 of 3 trains on one class, as class +1 has 1 "
+     "sample: each class needs 2 or more, whatever the folds"),
+    # seed 0 validates the first fold on rows 0 and 2, both of a; 4 folds would part them
+    ("0.1,a\n0.2,b\n0.3,a\n0.4,b\n", "2", "fold 1 of 2 trains on one class, as all 2 samples "
+     "of class -1 validate there: use more folds (--folds)"),
+], ids=["lone_sample", "samples_in_one_fold"])
+def test_gridsearch_whose_folds_train_on_one_class_names_the_fold_and_class(
+    tmp_path, capsys, rows, folds, failure
+):
+    data = tmp_path / "rows.csv"
+    data.write_text("a,label\n" + rows)
+    assert run("--output-dir", str(tmp_path), "gridsearch", "--task", "classify",
+               "--label-col", "label", "--data", str(data), "--folds", folds) == 3
+    assert capsys.readouterr().err == f"error: {data}: no grid cell could be fitted: {failure}\n"
+    cells = json.loads((tmp_path / "grid_results.json").read_text())["cells"]
+    assert len(cells) == 1331 and len({cell["error"] for cell in cells}) == 1
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_a_benchmark_grid_names_its_folds_by_the_config_key():
+    # A benchmark's folds come from its config, which the messages asking for other folds name.
+    plan = _checked_config({"datasets": [{"path": "d.csv", "label_column": "label"}], "models": [
+        {"name": "A", "grid": {"folds": 3}},
+        {"name": "B", "fixed": {"gamma": 1, "eta": 1, "sigma": 1}},
+    ]}, 0)
+    assert plan.models[0][3].folds_from == "models[0].grid.folds"
 
 
 @pytest.mark.parametrize("model_kind, task, column", [
@@ -1026,8 +1062,8 @@ def test_benchmark_records_a_dataset_with_no_fittable_grid_cell_as_failed(tmp_pa
     assert run("--output-dir", str(out), "benchmark", "--config", cfg_path) == 0
     report = json.load(open(out / "stats_report.json"))
     assert report["failures"] == [{"dataset": "lone", "error": (
-        "no grid cell could be fitted; the first, {'gamma': 1.0, 'eta': 1.0, 'sigma': 1.0}, "
-        "failed with: class -1 has no samples")}]
+        "no grid cell could be fitted: fold 2 of 2 trains on one class, as class -1 has 1 sample: "
+        "each class needs 2 or more, whatever the folds")}]
     assert report["datasets"] == ["ds0", "ds1"]
 
 
@@ -1500,6 +1536,26 @@ assert main(["train", "--task", "regress", "--data", {str(data)!r}, "--target-co
 """)
         written.append(model.read_bytes())
     assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_train_prints_the_same_residuals_at_any_blas_thread_setting_above_the_gate(tmp_path):
+    # A 400-row TRKM-R fit takes its residuals' K h by SciPy's dsymv, whose rounding here
+    # changes with a second thread (the upper-function residual of this sample); _fblas
+    # links the OpenBLAS that main sets to one thread through _flapack.
+    data, model = tmp_path / "sine.csv", tmp_path / "model.json"
+    write_regression_csv(str(data), *sine(400, seed=3))
+    printed = [run_python(f"""
+import os
+for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.pop(var, None)
+if {threads!r} is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = {threads!r}
+from trkm.cli import main
+assert main(["train", "--task", "regress", "--data", {str(data)!r}, "--target-col", "target",
+             "--gamma", "1", "--eta", "0.1", "--sigma", "1", "--model-out", {str(model)!r}]) == 0
+""") for threads in (None, "1", "2")]
+    assert "upper-function system: residual" in printed[0]
+    assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads its size from /proc")

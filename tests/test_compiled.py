@@ -7,15 +7,17 @@ from conftest import REPO, run_python
 SAME_ROUTINES = '''
 import sys
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.spatial.distance import cdist
 from trkm import compiled, kernels, solver
 
 assert compiled.flapack is sys.modules["scipy.linalg._flapack"]
+assert compiled.fblas is sys.modules["scipy.linalg._fblas"]
 assert compiled.distance is sys.modules["scipy.spatial._distance_pybind"]
 routines = ("getrf", "getrs", "sytrf", "sytrf_lwork", "sytrs")
 lapack = get_lapack_funcs(routines, dtype=np.float64)
 assert all(a is getattr(solver, "_" + name) for a, name in zip(lapack, routines)), lapack
+assert get_blas_funcs("symv", dtype=np.float64) is solver._symv
 rng = np.random.default_rng(7)
 left, right = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
 brute = ((left[:, None, :] - right[None, :, :]) ** 2).sum(axis=2)
@@ -35,21 +37,45 @@ def test_trkm_and_scipy_share_one_copy_of_each_routine(first):
     run_python(first + SAME_ROUTINES)
 
 
+def test_scipy_blas_and_lapack_work_after_trkm_loads_their_modules():
+    # compiled.load registers _fblas and _flapack in sys.modules without binding them on
+    # scipy.linalg, so the attributes scipy.linalg._fblas and ._flapack are missing; the
+    # package's own routines must still give correct results.
+    run_python('''
+import trkm.cli
+import numpy as np
+from scipy.linalg import blas, get_blas_funcs, lapack
+
+rng = np.random.default_rng(5)
+a = rng.normal(size=(7, 7))
+a = a + a.T + 14 * np.eye(7)
+x = rng.normal(size=7)
+assert np.allclose(blas.dsymv(1.0, a, x), a @ x, rtol=1e-13, atol=1e-13)
+symv = get_blas_funcs("symv", dtype=np.float64)
+assert np.allclose(symv(2.0, np.triu(a), x), 2 * a @ x, rtol=1e-13, atol=1e-13)
+assert np.allclose(symv(2.0, np.tril(a), x, lower=1), 2 * a @ x, rtol=1e-13, atol=1e-13)
+ldu, piv, info = lapack.dsytrf(a)
+assert info == 0
+assert np.allclose(a @ lapack.dsytrs(ldu, piv, x)[0], x, rtol=1e-12, atol=1e-12)
+''')
+
+
 def test_without_the_extension_file_the_package_gives_the_module():
     run_python('''
 import importlib.machinery, sys
 importlib.machinery.EXTENSION_SUFFIXES = []
 from trkm import compiled
-from scipy.linalg import _flapack
+from scipy.linalg import _fblas, _flapack
 from scipy.spatial import _distance_pybind
 assert compiled.flapack is _flapack and compiled.distance is _distance_pybind
+assert compiled.fblas is _fblas
 assert "scipy.linalg" in sys.modules and "scipy.spatial" in sys.modules
 ''')
 
 
 def test_only_the_compiled_module_imports_scipy():
     # Importing a SciPy package costs every command its cold start. trkm.compiled
-    # names the two extension modules trkm calls by string and loads their files
+    # names the three extension modules trkm calls by string and loads their files
     # alone, so no module, that one included, has a scipy import statement.
     importers = []
     for path in sorted((REPO / "src" / "trkm").glob("*.py")):

@@ -428,7 +428,29 @@ def test_fold_without_a_class_records_empty_class():
     result = grid_search(ds, grid, CLASSIFY, seed=0)
     assert {c.error for c in result.table} == {"class -1 has no samples"}
     assert all(c.mean_score == float("-inf") for c in result.table)
+    # every cell stopped at that fold, so the failure names it and the lone sample, which no
+    # number of folds can both train and validate on
+    with pytest.raises(EmptyClass, match=r"^no grid cell could be fitted: fold [12] of 2 trains "
+                       r"on one class, as class -1 has 1 sample: each class needs 2 or more, "
+                       r"whatever the folds$"):
+        result.fit_params()
     assert cells_of(result) == per_cell_table(ds, grid, CLASSIFY, TRKM, 0)
+
+
+def test_a_fold_that_validates_every_sample_of_a_class_asks_for_more_folds():
+    # Seed 0 parts 4 rows as (2, 0) and (1, 3); with both negatives at 0 and 2, fold 1 trains
+    # on positives only. Smaller validation parts would part them, so the failure asks for
+    # more folds, by the name the grid was given them by.
+    ds = Dataset(X=np.arange(4.0)[:, None], target=np.array([-1, 1, -1, 1]), task=CLASSIFY)
+    grid = GridSpec(gamma_values=(1.0,), eta_values=(1.0,), sigma_values=(1.0,), folds=2,
+                    folds_from="models[0].grid.folds")
+    result = grid_search(ds, grid, CLASSIFY, seed=0)
+    assert {c.error for c in result.table} == {"class -1 has no samples"}
+    with pytest.raises(EmptyClass, match=r"^no grid cell could be fitted: fold 1 of 2 trains on "
+                       r"one class, as all 2 samples of class -1 validate there: use more folds "
+                       r"\(models\[0\]\.grid\.folds\)$"):
+        result.fit_params()
+    assert grid == dataclasses.replace(grid, folds_from="--folds")  # the name is no part of it
 
 
 def test_regression_grid_minimizes_rmse():

@@ -1,6 +1,7 @@
 """Rules on the package source, checked on its syntax trees: one module writes files, one
 module reads CSV, one lays out kernel blocks, one class picks their layout by order, and one
-module calls LAPACK, through five routines, and one takes eigendecompositions."""
+module calls LAPACK, through five routines, and BLAS, through one, and one takes
+eigendecompositions."""
 
 import ast
 
@@ -17,6 +18,9 @@ LAYOUT = {"row_blocks", "ROW_BLOCK_BYTES", "bordered_gram"}
 
 # The LAPACK routines of ``compiled.flapack`` the solver factors and solves with.
 LAPACK = {"dgetrf", "dgetrs", "dsytrf", "dsytrf_lwork", "dsytrs"}
+
+# The BLAS routine of ``compiled.fblas`` a formed kernel block multiplies by.
+BLAS = {"dsymv"}
 
 
 def called(node):
@@ -55,17 +59,18 @@ def knows_block_layout(node):
     return name in LAYOUT or (isinstance(node, ast.Call) and called(node) == "KernelBlock")
 
 
-def imports_flapack(node):
-    """Whether a node imports ``flapack`` by name (``from .compiled import flapack``)."""
-    return isinstance(node, ast.ImportFrom) and any(a.name == "flapack" for a in node.names)
+def imports(module):
+    """Whether a node imports ``module`` by name (``from .compiled import flapack``)."""
+    return lambda node: (isinstance(node, ast.ImportFrom)
+                         and any(a.name == module for a in node.names))
 
 
-def flapack_reads(path):
-    """The names a module reads off ``compiled.flapack``: each ``flapack.name`` and
-    ``compiled.flapack.name``."""
+def reads_off(path, module):
+    """The names a module reads off ``compiled.<module>``: each ``<module>.name`` and
+    ``compiled.<module>.name``."""
     return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)
-            and "flapack" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))}
+            and module in (getattr(node.value, "id", None), getattr(node.value, "attr", None))}
 
 
 def loads_of(name):
@@ -116,6 +121,14 @@ def test_only_solver_reads_eigh():
 def test_only_solver_reads_lapack_and_only_its_factor_and_solve_routines():
     # A LAPACK routine outside the solver's LU and LDL^T factor and solve, such as a
     # condition estimate, is a cost no gate reads.
-    assert modules_where(imports_flapack) == {"solver"}
-    reads = {(path.stem, name) for path in SOURCES for name in flapack_reads(path)}
+    assert modules_where(imports("flapack")) == {"solver"}
+    reads = {(path.stem, name) for path in SOURCES for name in reads_off(path, "flapack")}
     assert reads == {("solver", name) for name in LAPACK}
+
+
+def test_only_solver_reads_blas_and_only_its_symmetric_product():
+    # A formed kernel block's K h reads the triangle that keeps K by dsymv; every other
+    # product is numpy's.
+    assert modules_where(imports("fblas")) == {"solver"}
+    reads = {(path.stem, name) for path in SOURCES for name in reads_off(path, "fblas")}
+    assert reads == {("solver", name) for name in BLAS}
