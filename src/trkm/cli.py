@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage errors, 3 data errors (unreadable or
 malformed files, mismatched columns, an input too large for memory), 4
-numerical failures (singular systems, degenerate statistics). All result
+numerical failures (singular systems, degenerate statistics); a ``train``
+that fails on its data's rows or numbers names the data file. All result
 files are written atomically (temp file + rename) and contain no timestamps,
 so a rerun with the same seed produces byte-identical output, at any BLAS
 thread count (``_one_blas_thread``).
@@ -15,6 +16,7 @@ import ctypes
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +34,8 @@ from .data import (
     parse_feature_table,
     parse_targets,
 )
-from .errors import EmptyClass, FeatureCountMismatch, ParseError, TooFewSamples, TrkmError
+from .errors import (EmptyClass, FeatureCountMismatch, ParseError, SingularSystem,
+                     TooFewSamples, TrkmError)
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gaussian, linear
 from .metrics import classification_accuracy, regression_errors
 from .model_io import write_atomic
@@ -101,10 +104,10 @@ def _column(ref: str):
     return int(ref) if ref.isascii() and ref.isdigit() else ref
 
 
-def _save(model, dataset: Dataset, path: str) -> None:
-    """Save a model fitted on ``dataset``."""
-    saved = model_io.SavedModel(model, dataset.normalization, dataset.label_mapping)
-    model_io.save_model(saved, path)
+def _save(model: models.Model, dataset: Dataset, path: str) -> None:
+    """Save a model fitted on ``dataset`` with the dataset's normalization and labels."""
+    model_io.save_model(replace(model, normalization=dataset.normalization,
+                                label_mapping=dataset.label_mapping), path)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +121,8 @@ def cmd_train(args) -> int:
     params = {"gamma": args.gamma, "eta": args.eta, **second}
     try:
         model = models.fit(args.model_kind, dataset.task, dataset.X, dataset.target, params, kernel)
-    except TooFewSamples as exc:
-        raise TooFewSamples(f"{args.data}: {exc}") from exc
+    except (TooFewSamples, SingularSystem) as exc:
+        raise type(exc)(f"{args.data}: {exc}") from exc
     _save(model, dataset, args.model_out)
     print(f"task: {dataset.task}  model: {model.type.kind}")
     print(f"data: {args.data} (n={dataset.n}, features={dataset.n_features})")
@@ -135,49 +138,49 @@ def cmd_train(args) -> int:
 # predict
 
 def cmd_predict(args) -> int:
-    saved = model_io.load_model(args.model)
+    model = model_io.load_model(args.model)
+    task = model.type.task
     truth_col = args.label_col if args.label_col is not None else args.target_col
-    if args.label_col is not None and saved.task != CLASSIFY:
+    if args.label_col is not None and task != CLASSIFY:
         raise ParseError("--label-col given but the model is a regressor")
-    if args.target_col is not None and saved.task != REGRESS:
+    if args.target_col is not None and task != REGRESS:
         raise ParseError("--target-col given but the model is a classifier")
 
     column = None if truth_col is None else _column(truth_col)
     x, raw_truth, names = parse_feature_table(args.data, column, args.delimiter, not args.no_header)
-    trained_m = models.n_features(saved.model)
-    if x.shape[1] != trained_m:
+    if x.shape[1] != model.n_features:
         raise FeatureCountMismatch(f"{args.data}: data has {x.shape[1]} feature columns, "
-                                   f"model {args.model} expects {trained_m}")
+                                   f"model {args.model} expects {model.n_features}")
     if truth_col is None:
         truth = None
-    elif saved.task == REGRESS:
+    elif task == REGRESS:
         truth = parse_targets(args.data, raw_truth)
-    elif saved.label_mapping is None:
+    elif model.label_mapping is None:
         truth, _ = map_labels(raw_truth)
     else:
-        lookup = dict(saved.label_mapping)
+        lookup = dict(model.label_mapping)
         unknown = sorted({t for t in raw_truth if t not in lookup})
         if unknown:
             raise ParseError(f"{args.data}: truth labels {unknown} in column {truth_col!r} "
                              f"unknown to model {args.model}, which knows {list(lookup)}")
         truth = np.array([lookup[t] for t in raw_truth], dtype=np.int64)
-    if saved.normalization is not None:
-        dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=saved.task, feature_names=names)
-        x = apply_normalization(dataset, saved.normalization, args.data).X
+    if model.normalization is not None:
+        dataset = Dataset(X=x, target=np.zeros(x.shape[0]), task=task, feature_names=names)
+        x = apply_normalization(dataset, model.normalization, args.data).X
 
-    pred = models.predict(saved.model, x)
+    pred = models.predict(model, x)
 
     lines = ["prediction"]
     values = pred.tolist()  # Python ints (labels) or floats (regression values)
-    if saved.task == CLASSIFY and saved.label_mapping is not None:
-        inverse = {code: raw for raw, code in saved.label_mapping}
+    if task == CLASSIFY and model.label_mapping is not None:
+        inverse = {code: raw for raw, code in model.label_mapping}
         lines += [inverse[v] for v in values]
     else:
-        lines += map(repr if saved.task == REGRESS else str, values)
+        lines += map(repr if task == REGRESS else str, values)
     write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"{len(pred)} predictions written to {args.output}")
 
-    if truth is not None and saved.task == CLASSIFY:
+    if truth is not None and task == CLASSIFY:
         print(f"accuracy: {classification_accuracy(pred, truth):.4f}%")
     elif truth is not None:
         for name, value in vars(regression_errors(pred, truth)).items():

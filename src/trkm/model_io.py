@@ -1,4 +1,4 @@
-"""Versioned model files with exact float round-tripping.
+"""Versioned model files of ``models.Model`` with exact float round-tripping.
 
 Layout: a JSON document ``{"format_version": 1, "checksum": "...",
 "payload": {...}}``. Every real number in the payload is stored as C99
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +28,6 @@ from .errors import CorruptModel, IoError, VersionMismatch
 from .kernels import KernelSpec
 
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SavedModel:
-    """A model plus its predict-time metadata; ``kind`` and ``task`` follow from the model."""
-
-    model: models.Model
-    normalization: tuple[tuple[float, float], ...] | None = None
-    label_mapping: tuple[tuple[str, int], ...] | None = None
-
-    @property
-    def kind(self) -> str:
-        return self.model.type.kind
-
-    @property
-    def task(self) -> str:
-        return self.model.type.task
 
 
 def _hex(v: float) -> str:
@@ -110,26 +92,25 @@ def _decode_kernel(blob) -> KernelSpec:
                       else _decode("hyperparams kernel sigma", models.FLOAT, sigma))
 
 
-def _payload(saved: SavedModel) -> dict:
-    m = saved.model
-    entry = m.type
-    hyperparams = {name: _hex(m.hyperparams[name]) for name in entry.penalties}
-    hyperparams["kernel"] = _encode_kernel(m.kernel)
+def _payload(model: models.Model) -> dict:
+    entry = model.type
+    hyperparams = {name: _hex(model.hyperparams[name]) for name in entry.penalties}
+    hyperparams["kernel"] = _encode_kernel(model.kernel)
     body = {"hyperparams": hyperparams}
     for name, encoding in entry.body:
-        body[name] = _ENCODE[encoding](m.fields[name])
+        body[name] = _ENCODE[encoding](model.fields[name])
     return {
         "kind": entry.kind,
         "task": entry.task,
         "normalization": (
             None
-            if saved.normalization is None
-            else [[_hex(lo), _hex(hi)] for lo, hi in saved.normalization]
+            if model.normalization is None
+            else [[_hex(lo), _hex(hi)] for lo, hi in model.normalization]
         ),
         "label_mapping": (
             None
-            if saved.label_mapping is None
-            else [[raw, int(code)] for raw, code in saved.label_mapping]
+            if model.label_mapping is None
+            else [[raw, int(code)] for raw, code in model.label_mapping]
         ),
         "body": body,
     }
@@ -160,9 +141,9 @@ def write_atomic(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def save_model(saved: SavedModel, path: str) -> None:
+def save_model(model: models.Model, path: str) -> None:
     """Write the model file atomically."""
-    payload = _payload(saved)
+    payload = _payload(model)
     doc = {
         "format_version": FORMAT_VERSION,
         "checksum": _checksum(payload),
@@ -171,7 +152,7 @@ def save_model(saved: SavedModel, path: str) -> None:
     write_atomic(path, json.dumps(doc, indent=1))
 
 
-def load_model(path: str) -> SavedModel:
+def load_model(path: str) -> models.Model:
     """Read, version-check, checksum-verify, and reconstruct a model file."""
     try:
         with open(path, "rb") as fh:
@@ -199,7 +180,7 @@ def load_model(path: str) -> SavedModel:
         raise CorruptModel(f"{path}: malformed payload ({exc})") from exc
 
 
-def _reconstruct(payload: dict) -> SavedModel:
+def _reconstruct(payload: dict) -> models.Model:
     entry = models.of_kind(payload["kind"])
     if payload["task"] != entry.task:
         raise ValueError(f"task {payload['task']!r} does not match kind {entry.kind!r}")
@@ -233,12 +214,12 @@ def _reconstruct(payload: dict) -> SavedModel:
         if fields[rows].shape[1] != fields[first].shape[1]:
             raise ValueError(f"{rows} of shape {fields[rows].shape} has another column count "
                              f"than {first} of shape {fields[first].shape}")
-    model = models.Model(entry, hyperparams, kernel, fields)
-    n_features = models.n_features(model)
-    if normalization is not None and len(normalization) != n_features:
+    model = models.Model(entry, hyperparams, kernel, fields,
+                         normalization=normalization, label_mapping=label_mapping)
+    if normalization is not None and len(normalization) != model.n_features:
         raise ValueError(f"normalization has {len(normalization)} features, "
-                         f"model has {n_features}")
+                         f"model has {model.n_features}")
     if label_mapping is not None and (sorted(code for _, code in label_mapping) != [-1, 1]
                                       or len(dict(label_mapping)) != 2):
         raise ValueError(f"label_mapping {label_mapping} is not two distinct labels coded -1, +1")
-    return SavedModel(model, normalization, label_mapping)
+    return model

@@ -11,18 +11,19 @@ the bordered systems on them, ``decision_terms(rows, kernel, Xq)`` each
 system's term of the decision value at query rows, and ``decide(total)`` the
 predictions from the summed terms. Every kind is fitted into one ``Model``
 record by ``fit`` and predicted from it by ``predict``, through the module's
-fit and predict hooks. The hooks remain so that a wrapper installed on their
-module attributes (perfbench's tracer) can count each kind's fits and
-predicts; the entries name them, and ``fit`` and ``predict`` look them up on
-the module each time they run, never through function objects captured at
-import.
+fit and predict hooks, and ``model_io`` saves and loads that same record. The
+hooks remain so that a wrapper installed on their module attributes
+(perfbench's tracer) can count each kind's fits and predicts; the entries
+name them, and ``fit`` and ``predict`` look them up on the module each time
+they run, never through function objects captured at import.
 
 ``fold_predictions`` solves and predicts all grid cells of a fold at once
 from the module's statement (``ModelType.statement``), and refits any one
-cell from that statement directly, as the fit and predictor do. Its cells
-come as one ``penalty_table``, which a grid search builds once and passes to
-every (sigma, fold), and ``solver.solve_spectral`` solves every system of the
-statement at all of the table's columns.
+cell from that statement directly, as the fit does, summing its terms by the
+helper ``Model.total`` sums by. Its cells come as one ``penalty_table``,
+which a grid search builds once and passes to every (sigma, fold), and
+``solver.solve_spectral`` solves every system of the statement at all of the
+table's columns.
 """
 
 from __future__ import annotations
@@ -120,11 +121,14 @@ class ModelType:
 
 @dataclass(frozen=True)
 class Model:
-    """A fitted model of any kind.
+    """A fitted model of any kind, as its model file holds it.
 
     ``hyperparams`` and ``fields`` hold the penalties and the body fields by
     the names, and in the order, that its model file gives them; ``fit_diag``
     holds one solve report per system after a fit, and None after a load.
+    ``normalization`` (each feature's training (min, max)) and
+    ``label_mapping`` (each raw label's code) are the training data's; both
+    are None after ``fit``, and a model file may hold None for either.
     """
 
     type: ModelType
@@ -132,17 +136,30 @@ class Model:
     kernel: KernelSpec
     fields: dict
     fit_diag: tuple[SolveReport, ...] | None = None
+    normalization: tuple[tuple[float, float], ...] | None = None
+    label_mapping: tuple[tuple[str, int], ...] | None = None
+
+    @property
+    def n_features(self) -> int:
+        """Feature count of the rows the model was trained on."""
+        return self.fields[self.type.rows[0]].shape[1]
 
     def total(self, X) -> np.ndarray:
-        """The sum of the kind's decision terms at the rows of X, in system order, each
-        term at its own system's gamma, h and b."""
+        """The sum of the kind's decision terms at the rows of X, each term at its own
+        system's gamma, h and b."""
         stored = tuple(self.fields[name] for name in self.type.rows)
         with np.errstate(over="ignore", invalid="ignore"):  # a far query row: an inf or nan
             terms = self.type.module.decision_terms(stored, self.kernel, as_matrix(X, "X"))
-            values = [term.value(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
-                                 self.fields[f"b{s}"])
-                      for term, s in zip(terms, self.type.suffixes)]
-            return sum(values[1:], values[0])
+        return _decision_sum(terms, [(self.fields[f"h{s}"], self.hyperparams[f"gamma{s}"],
+                                      self.fields[f"b{s}"]) for s in self.type.suffixes])
+
+
+def _decision_sum(terms, solutions) -> np.ndarray:
+    """The sum of each system's decision term at its (h, gamma, b), in system order. A far
+    query row or a failed solve gives an inf or nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [term.value(h, gamma, b) for term, (h, gamma, b) in zip(terms, solutions)]
+        return sum(values[1:], values[0])
 
 
 MODEL_TYPES = (
@@ -282,17 +299,10 @@ def fold_predictions(model_kind: str, task: str, X, y, X_valid, sigma: float,
     def refit(params: dict) -> np.ndarray:
         penalties = entry.system_penalties(params)
         reports = solve_families(families, penalties)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in Model.total
-            values = [term.value(rep.h, gamma, rep.b)
-                      for term, rep, (gamma, _) in zip(terms, reports, penalties)]
-            return entry.module.decide(sum(values[1:], values[0]))
+        return entry.module.decide(_decision_sum(
+            terms, [(rep.h, gamma, rep.b) for rep, (gamma, _) in zip(reports, penalties)]))
 
     return entry.module.decide(decision), passed, refit
-
-
-def n_features(model: Model) -> int:
-    """Feature count of the rows the model was trained on."""
-    return model.fields[model.type.rows[0]].shape[1]
 
 
 def score(task: str, pred, truth) -> float:

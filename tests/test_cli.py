@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trkm import models
 from trkm.cli import _checked_config, _write_json, main
 from trkm.errors import SingularSystem, TooFewSamples
+from trkm.metrics import classification_accuracy
+from trkm.model_io import save_model
 from trkm.selection import GridCell
 from trkm.synthetic import blobs, crossplane, sine, write_classification_csv, write_regression_csv
 
@@ -744,8 +748,6 @@ def test_gridsearch_whose_best_cell_fails_to_retrain_says_so(
 ):
     # Every fold vouched for the best cell and the full training set did not:
     # the table stays written, no model is, and the error names the cell.
-    from trkm import models
-
     def failing(*args, **kwargs):
         raise error("rkm system: residual 2.049e-08 exceeds tolerance 1.000e-08")
 
@@ -1082,8 +1084,6 @@ def test_benchmark_ends_on_a_non_finite_system(tmp_path, capsys):
 def test_benchmark_whose_best_cell_fails_to_retrain_says_so(tmp_path, monkeypatch):
     # The first fit of the run retrains ds0's grid model on its training split and fails;
     # the dataset's failure names the cell, as gridsearch's error does.
-    from trkm import models
-
     cfg_path = Path(benchmark_config(tmp_path, n_datasets=3))
     cfg = json.loads(cfg_path.read_text())
     cfg["models"][0] = {"name": "TRKM-C", "kind": "trkm",
@@ -1300,6 +1300,39 @@ def test_predict_bad_truth_exits_3_before_writing(tmp_path, sine_csv, capsys, ba
     err = capsys.readouterr().err
     assert str(test_csv) in err and repr(bad) in err, err
     assert not output.exists()
+
+
+@pytest.mark.parametrize("task, flag, other", [("regress", "--label-col", "a regressor"),
+                                               ("classify", "--target-col", "a classifier")])
+def test_a_truth_flag_of_the_other_task_exits_3_before_writing(trained_model_files, tmp_path,
+                                                                capsys, task, flag, other):
+    model_bytes, features = trained_model_files[1][f"trkm-{task}.json"]
+    model, output = tmp_path / "m.json", tmp_path / "p.csv"
+    model.write_bytes(model_bytes)
+    assert run("predict", "--model", str(model), "--data", features, flag, "0",
+               "--output", str(output)) == 3
+    assert capsys.readouterr().err == f"error: {flag} given but the model is {other}\n"
+    assert not output.exists()
+
+
+def test_a_model_saved_without_a_label_mapping_reads_truth_coded_minus_one_and_one(tmp_path,
+                                                                                   capsys):
+    # A model file may hold no label mapping: predict then maps the truth tokens by byte
+    # order, as a fit maps its labels, and writes the codes as the labels.
+    x, y = blobs(12, 1.0, seed=2)
+    data = _csv(tmp_path / "d.csv", "classify", [(*row, int(t)) for row, t in zip(x, y)])
+    model = models.fit("trkm", "classify", x, y, {"gamma": 1.0, "eta": 1.0, "sigma": 1.0})
+    accuracy = classification_accuracy(models.predict(model, x), y)
+    assert accuracy < 100.0
+    outputs = []
+    for name, mapping in (("bare", None), ("mapped", (("-1", -1), ("1", 1)))):
+        path, output = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        save_model(replace(model, label_mapping=mapping), str(path))
+        assert run("predict", "--model", str(path), "--data", data, "--label-col", "label",
+                   "--output", str(output)) == 0
+        outputs.append((capsys.readouterr().out.splitlines()[1], output.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == f"accuracy: {accuracy:.4f}%"
 
 
 def _rewrite_payload(path, edit):
@@ -1700,6 +1733,8 @@ def data_files(draw):
 # a fold's refit whose two component functions overflow as they are summed
 @example(case=("trkm", "regress", "f0,target\n0.0,1.7e+308\n" + "0.0,0.0\n" * 4
                                   + "0.0,1.7e+308\n0.0,0.0\n"))
+# a train whose system is singular at its residual
+@example(case=("trkm", "regress", "f0,target\n0.1,1e308\n0.2,-1e308\n0.3,1\n0.4,2\n0.5,3\n"))
 def test_a_data_file_trains_searches_and_predicts_or_exits_naming_it(trained_model_files, case):
     # predict reads the file with a model trained on 2 (classify) or 1 (regress) features
     kind, task, text = case
@@ -1720,4 +1755,6 @@ def test_a_data_file_trains_searches_and_predicts_or_exits_naming_it(trained_mod
             assert code in (0, 2, 3, 4), (argv[0], code, err)
             assert "Traceback" not in err and "RuntimeWarning" not in err, err
             for line in err.splitlines():
-                assert str(data) in line or NAMED_FAULT.search(line), (argv[0], line)
+                # a train that fails on its numbers names the file, as on its data
+                assert str(data) in line or (NAMED_FAULT.search(line)
+                                             and (argv[0], code) != ("train", 4)), (argv[0], line)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from trkm.errors import (
     VersionMismatch,
 )
 from trkm.kernels import gaussian
-from trkm.model_io import SavedModel, _decode_array, _unhex, load_model, save_model
+from trkm.model_io import _decode_array, _unhex, load_model, save_model
 from trkm.models import KIND_CLASSIFIER, KIND_REGRESSOR, KIND_RKM
 from trkm.synthetic import blobs
 
@@ -176,25 +177,26 @@ def test_model_round_trip_bitwise_predictions(tmp_path, rng):
     for i, (model, kind, task, data) in enumerate(cases):
         path = str(tmp_path / f"m{i}.json")
         save_model(
-            SavedModel(
-                model=model,
+            replace(
+                model,
                 normalization=((0.25, 0.75), (-1.0, 1.0)),
                 label_mapping=(("-1", -1), ("1", 1)) if task == CLASSIFY else None,
             ),
             path,
         )
         loaded = load_model(path)
-        assert loaded.kind == kind and loaded.task == task
+        assert isinstance(loaded, models.Model)
+        assert loaded.type.kind == kind and loaded.type.task == task
         assert loaded.normalization == ((0.25, 0.75), (-1.0, 1.0))
         before = models.predict(model, data)
-        after = models.predict(loaded.model, data)
+        after = models.predict(loaded, data)
         assert before.tobytes() == after.tobytes()
 
 
 def test_truncated_model_file_is_corrupt(tmp_path, rng):
     classifier, _, _, x, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier), path)
+    save_model(classifier, path)
     text = open(path).read()
     open(path, "w").write(text[: len(text) // 2])
     with pytest.raises(CorruptModel):
@@ -204,7 +206,7 @@ def test_truncated_model_file_is_corrupt(tmp_path, rng):
 def test_tampered_payload_fails_checksum(tmp_path, rng):
     classifier, _, _, _, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier), path)
+    save_model(classifier, path)
     doc = json.load(open(path))
     doc["payload"]["body"]["b1"] = (1.5).hex()
     json.dump(doc, open(path, "w"))
@@ -215,7 +217,7 @@ def test_tampered_payload_fails_checksum(tmp_path, rng):
 def test_version_bump_is_rejected_before_checksum(tmp_path, rng):
     classifier, _, _, _, _ = fitted_models(rng)
     path = str(tmp_path / "m.json")
-    save_model(SavedModel(model=classifier), path)
+    save_model(classifier, path)
     doc = json.load(open(path))
     doc["format_version"] = 2
     json.dump(doc, open(path, "w"))
@@ -232,7 +234,7 @@ def test_golden_model_file_loads_resaves_and_predicts(tmp_path, rng, kind):
     # models of fitted_models() with the normalization and labels below.
     golden = GOLDEN / f"golden_{kind}.json"
     loaded = load_model(str(golden))
-    assert loaded.kind == kind
+    assert loaded.type.kind == kind
     assert loaded.normalization == ((0.25, 0.75), (-1.0, 1.0))
     resaved = tmp_path / "m.json"
     save_model(loaded, str(resaved))
@@ -244,7 +246,7 @@ def test_golden_model_file_loads_resaves_and_predicts(tmp_path, rng, kind):
         KIND_REGRESSOR: (regressor, xr),
         KIND_RKM: (rkm, x),
     }[kind]
-    assert models.predict(loaded.model, data).tobytes() == models.predict(fresh, data).tobytes()
+    assert models.predict(loaded, data).tobytes() == models.predict(fresh, data).tobytes()
 
 
 # Cells of generated CSV text: numbers float() reads (padded, quoted, with

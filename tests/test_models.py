@@ -48,7 +48,8 @@ def test_table_fits_and_predicts_as_the_model_functions(rng):
         assert models.predict(model, data).tobytes() == predict(model, data).tobytes()
         decided = model.type.module.decide(model.total(data))
         assert predict(model, data).tobytes() == decided.tobytes()
-        assert models.n_features(model) == data.shape[1]
+        assert model.n_features == data.shape[1]
+        assert (model.normalization, model.label_mapping) == (None, None)
 
 
 @pytest.mark.parametrize("entry", models.MODEL_TYPES, ids=lambda entry: entry.kind)

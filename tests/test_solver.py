@@ -617,6 +617,28 @@ def test_successive_penalties_on_one_block_solve_as_a_separate_array_did():
     assert family.kernel.diagonal is not None  # the block was formed and factored in place
 
 
+def test_an_in_place_core_refusal_leaves_k_to_the_next_solve():
+    # At gamma = 1e-320 the first block of rows formed over K's lower triangle overflows, and
+    # the refusal leaves the store half written. K stays in the upper triangle and the saved
+    # diagonal, so the block still reads as K and the next penalties form and solve on it.
+    family = regressor.systems(sine(313, seed=3), gaussian(0.5))[0]
+    block = family.kernel
+    k = np.array(block)
+    assert block.symmetric and len(row_blocks(313)) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSystem, match="^core contains non-finite entries$"):
+            solve_bordered(family.at(1e-320, 0.1), "test system")
+    assert block.penalties is None and block.diagonal is not None
+    assert np.asarray(block).tobytes() == k.tobytes()
+    system = family.at(1.0, 0.1)
+    solution, res_norm, ratio = oracles.separate_array_solve(
+        dataclasses.replace(system, kernel=KernelBlock.holding(k)))
+    report = solve_bordered(system, "test system")
+    assert (report.solution.tobytes(), report.pivot_ratio) == (solution.tobytes(), ratio)
+    assert abs(report.residual_norm - res_norm) <= oracles.residual_drift(system, solution)
+
+
 @pytest.mark.parametrize("n", [313, 600, 625])
 def test_a_kernel_block_reads_k_back_from_its_upper_triangle(rng, n):
     x = rng.normal(size=(n, 3))
